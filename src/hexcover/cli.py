@@ -16,7 +16,6 @@ from hexcover.graphbuild import GenerationConfig
 from hexcover.harness import (
     DatasetError,
     audit_dataset,
-    default_workers,
     generate_dataset,
     run_benchmark,
     write_report,
@@ -102,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON file with generation parameters")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=default_workers())
+    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("audit", help="re-run the exact feasibility oracle")
@@ -113,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--methods", default="all", help="'all' or comma-separated names")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=default_workers())
+    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("report", help="emit summary tables and plots")

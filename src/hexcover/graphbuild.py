@@ -25,6 +25,7 @@ from hexcover.aoi import (
 from hexcover.hexgeom import (
     SQRT3,
     HexCell,
+    InvalidGeometryError,
     InvalidParameterError,
     OffsetCoord,
     Point,
@@ -492,11 +493,11 @@ def build_instance(family_hint: str, seed: int, config: GenerationConfig):
 
     config.validate()
     shape = sample_aoi(family_hint, seed, config.scale)
-    shape = insert_obstacles(shape, seed)
     try:
+        shape = insert_obstacles(shape, seed)
         mask = tessellate(shape, config.hex_radius)
         coords = postprocess_mask(mask.coords)
-    except (EmptyTessellationError, DegenerateInstanceError) as exc:
+    except (InvalidGeometryError, EmptyTessellationError, DegenerateInstanceError) as exc:
         return Rejection(seed, family_hint, "degenerate", str(exc))
 
     lo, hi = config.size_band

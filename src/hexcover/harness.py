@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +36,7 @@ from hexcover.metrics import (
 )
 from hexcover.planners import METHOD_ORDER, PLANNERS, WARNSDORFF_SLUGS, timed_plan
 
-DATASET_SCHEMA = "hexcover-dataset/1"
+DATASET_SCHEMA = "hexcover-dataset/2"
 RESULTS_SCHEMA = "hexcover-results/1"
 ORACLE_DISPLAY = "Exact DFS (oracle)"
 
@@ -48,11 +49,24 @@ class EmptyDatasetError(DatasetError):
     pass
 
 
-def default_workers() -> int:
-    env = os.environ.get("HEXCOVER_WORKERS")
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
+def resolve_workers(workers: int | None) -> int:
+    """`workers` if given, else `HEXCOVER_WORKERS`, else one per CPU.
+
+    A count below 1 or a non-integer `HEXCOVER_WORKERS` is rejected.
+    """
+    if workers is None:
+        env = os.environ.get("HEXCOVER_WORKERS")
+        if not env:
+            return max(1, os.cpu_count() or 1)
+        try:
+            workers = int(env)
+        except ValueError:
+            raise InvalidParameterError(
+                f"HEXCOVER_WORKERS must be an integer, got {env!r}"
+            ) from None
+    if workers < 1:
+        raise InvalidParameterError(f"worker count must be at least 1, got {workers}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +172,13 @@ def load_instances(path: str | Path) -> list[LoadedInstance]:
 
 @dataclass(frozen=True)
 class DatasetManifest:
+    """What a dataset was generated from, what was rejected, and its checksum.
+
+    `seeds_scanned` is the exact number of seeds consumed, from `seed_start`
+    up to and including the seed that admitted the last instance, so it
+    equals `count` plus the sum of `rejections`.
+    """
+
     version: str
     config: dict
     seed_start: int
@@ -205,7 +226,7 @@ def generate_dataset(
     if count <= 0:
         raise InvalidParameterError("count must be positive")
     config.validate()
-    workers = workers or default_workers()
+    workers = resolve_workers(workers)
     out_path = Path(out_path)
 
     records: list[dict] = []
@@ -213,23 +234,24 @@ def generate_dataset(
     morphology: dict[str, int] = {}
     next_seed = seed
     cfg_dict = config.to_dict()
-    block = max(16, workers * 8)
 
+    # Results are consumed in seed order from a bounded window of futures:
+    # while one slow audit holds up the consumer, the other workers keep
+    # building the seeds after it.
     with ProcessPoolExecutor(max_workers=workers) as pool:
+        window: deque = deque()
         while len(records) < count:
-            seeds = list(range(next_seed, next_seed + block))
-            next_seed += block
-            for _s, kind, payload in pool.map(
-                _build_for_seed, [(s, cfg_dict) for s in seeds]
-            ):
-                if len(records) >= count:
-                    break
-                if kind == "rej":
-                    rejections[payload] = rejections.get(payload, 0) + 1
-                else:
-                    records.append(payload)
-                    label = payload["morphology"]["label"]
-                    morphology[label] = morphology.get(label, 0) + 1
+            while len(window) < 4 * workers:
+                window.append(pool.submit(_build_for_seed, (next_seed, cfg_dict)))
+                next_seed += 1
+            _s, kind, payload = window.popleft().result()
+            if kind == "rej":
+                rejections[payload] = rejections.get(payload, 0) + 1
+            else:
+                records.append(payload)
+                label = payload["morphology"]["label"]
+                morphology[label] = morphology.get(label, 0) + 1
+        pool.shutdown(cancel_futures=True)
 
     payload_text = "".join(_dump_line(rec) + "\n" for rec in records)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -240,7 +262,7 @@ def generate_dataset(
         config=cfg_dict,
         seed_start=seed,
         count=count,
-        seeds_scanned=next_seed - seed,
+        seeds_scanned=count + sum(rejections.values()),
         rejections=dict(sorted(rejections.items())),
         morphology_counts=dict(sorted(morphology.items())),
         sha256=digest,
@@ -366,7 +388,7 @@ def run_benchmark(
     if not raw_records:
         raise EmptyDatasetError(f"{path}: dataset contains no instances")
 
-    workers = workers or default_workers()
+    workers = resolve_workers(workers)
     tasks = [(rec, method_list) for rec in raw_records]
     results: list[dict] = []
     if workers == 1:

@@ -2,9 +2,10 @@
 
 `hamiltonian_audit` is the dataset admission gate: depth-first search with
 backtracking over bitmask states, accelerated by soundness-preserving pruning
-rules and a low-residual-degree child ordering. `brute_force_enumerate` is an
-independent cross-check that walks every adjacency-valid cell permutation
-with no ordering heuristics and no pruning.
+rules and a low-residual-degree child ordering. The cut-cell rule follows
+F. Rubin, "A Search Procedure for Hamilton Paths and Circuits", J. ACM 21(4),
+1974. `brute_force_enumerate` is an independent cross-check that walks every
+adjacency-valid cell permutation with no ordering heuristics and no pruning.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from hexcover.hexgeom import InvalidParameterError
 PRUNE_CONNECTIVITY = "connectivity"
 PRUNE_LOW_DEGREE = "low-degree"
 PRUNE_TERMINAL = "terminal-reach"
-ALL_PRUNES = frozenset({PRUNE_CONNECTIVITY, PRUNE_LOW_DEGREE, PRUNE_TERMINAL})
+PRUNE_CUT = "cut-cell"
+ALL_PRUNES = frozenset({PRUNE_CONNECTIVITY, PRUNE_LOW_DEGREE, PRUNE_TERMINAL, PRUNE_CUT})
 
 BRUTE_FORCE_MAX_CELLS = 12
 
@@ -67,6 +69,53 @@ def _connected(adj: list[int], n: int) -> bool:
     return reach == full
 
 
+def _cut_cells_admit(v: int, unvisited: int, adj: list[int], term_mask: int) -> bool:
+    """One Tarjan low-point pass over the unvisited cells plus the current one.
+
+    The rest of the path starts at `v` and passes each cut cell once, so it
+    can never come back through one. Hence, rooted at `v`: every cell must
+    be reached, `v` may have at most one DFS child, and any other cut cell
+    may separate at most one subtree from `v`, which must hold a
+    terminal-link cell because the path ends inside it.
+    """
+    alive = unvisited | (1 << v)
+    disc = {v: 0}
+    low = {v: 0}
+    has_term: dict[int, int] = {}
+    cuts: set[int] = set()
+    seen = 1 << v
+    stack = [[v, adj[v] & alive]]
+    while True:
+        top = stack[-1]
+        u, pending = top
+        if pending:
+            b = pending & -pending
+            top[1] = pending ^ b
+            w = b.bit_length() - 1
+            if seen & b:
+                if disc[w] < low[u]:
+                    low[u] = disc[w]
+            else:
+                seen |= b
+                disc[w] = low[w] = len(disc)
+                has_term[w] = term_mask >> w & 1
+                stack.append([w, adj[w] & alive])
+            continue
+        stack.pop()
+        if len(stack) <= 1:
+            # The first subtree of `v` is complete. A cell still unseen is
+            # either unreachable or a second child of `v`: both are fatal.
+            return seen == alive
+        p = stack[-1][0]
+        if low[u] < low[p]:
+            low[p] = low[u]
+        has_term[p] |= has_term[u]
+        if low[u] >= disc[p]:
+            if not has_term[u] or p in cuts:
+                return False
+            cuts.add(p)
+
+
 def hamiltonian_audit(
     g: CoverageGraph, budget: int | None = None, prunes: frozenset = ALL_PRUNES
 ) -> AuditResult:
@@ -82,7 +131,10 @@ def hamiltonian_audit(
       cell may have at most one unvisited neighbor, and only the final cell
       may have none;
     - terminal-reach: some unvisited cell adjacent to the terminal must
-      remain, or the path cannot end.
+      remain, or the path cannot end;
+    - cut-cell: see `_cut_cells_admit`. Its Tarjan pass costs more than the
+      other rules together, and a search that never backtracks gains nothing
+      from it, so it runs only once some child has returned False.
 
     Children are ordered by ascending residual degree, then index, which
     makes nodes_expanded reproducible.
@@ -99,10 +151,11 @@ def hamiltonian_audit(
         term_mask |= 1 << t
 
     expanded = 0
+    backtracked = False
     path: list[int] = []
 
     def dfs(v: int, visited: int) -> bool:
-        nonlocal expanded
+        nonlocal expanded, backtracked
         expanded += 1
         if budget is not None and expanded > budget:
             raise _Budget
@@ -143,6 +196,11 @@ def hamiltonian_audit(
             if reach != unvisited:
                 return False
 
+        if backtracked and PRUNE_CUT in prunes and not _cut_cells_admit(
+            v, unvisited, adj, term_mask
+        ):
+            return False
+
         cands = []
         m = adj[v] & unvisited
         while m:
@@ -156,6 +214,7 @@ def hamiltonian_audit(
             if dfs(j, visited | (1 << j)):
                 return True
             path.pop()
+            backtracked = True
         return False
 
     starts = sorted(

@@ -23,6 +23,7 @@ from hexcover.graphbuild import (
     tessellate,
 )
 from hexcover.hexgeom import (
+    InvalidGeometryError,
     OffsetCoord,
     Point,
     SQRT3,
@@ -316,6 +317,18 @@ class TestBuildInstance:
             if isinstance(out, Rejection) and out.reason == "size-band"
         ]
         assert rejected, "narrow size band should reject most seeds"
+
+    def test_invalid_obstacle_geometry_is_degenerate_rejection(self, monkeypatch):
+        import hexcover.graphbuild as gb
+
+        def broken(shape, seed):
+            raise InvalidGeometryError("hole crosses outer ring")
+
+        monkeypatch.setattr(gb, "insert_obstacles", broken)
+        out = build_instance("compact", 3, self.CFG)
+        assert isinstance(out, Rejection)
+        assert out.reason == "degenerate"
+        assert "hole crosses outer ring" in out.detail
 
     def test_family_mix_deterministic(self):
         assert choose_family(5, self.CFG) == choose_family(5, self.CFG)

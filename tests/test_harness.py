@@ -274,6 +274,24 @@ class TestCli:
         assert code == 1
         assert "valid:" in err
 
+    @pytest.mark.parametrize(
+        "env, flag", [("abc", []), (None, ["--workers", "-1"])], ids=["env", "flag"]
+    )
+    def test_bad_worker_count_is_validation_error(
+        self, dataset, tmp_path, monkeypatch, capsys, env, flag
+    ):
+        path, _ = dataset
+        if env is None:
+            monkeypatch.delenv("HEXCOVER_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("HEXCOVER_WORKERS", env)
+        code = cli_main(["run", "--dataset", str(path), "--out",
+                         str(tmp_path / "x.jsonl"), *flag])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "worker" in err[0].lower()
+
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code = cli_main(["audit", "--dataset", str(tmp_path / "nope.jsonl")])
         assert code == 2

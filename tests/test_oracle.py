@@ -1,13 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import chain_graph, random_small_graph, ring6_graph
 
-from hexcover.graphbuild import graph_from_coords
+from hexcover.aoi import insert_obstacles, sample_aoi
+from hexcover.graphbuild import (
+    GenerationConfig,
+    attach_base,
+    choose_family,
+    graph_from_coords,
+    postprocess_mask,
+    tessellate,
+)
 from hexcover.hexgeom import InvalidParameterError, OffsetCoord, Point
 from hexcover.metrics import STATUS_HAMILTONIAN, validate_path
 from hexcover.oracle import (
     ALL_PRUNES,
     PRUNE_CONNECTIVITY,
+    PRUNE_CUT,
     PRUNE_LOW_DEGREE,
     PRUNE_TERMINAL,
     brute_force_enumerate,
@@ -31,6 +42,15 @@ def spur_ring_graph(base_coord, terminal_coord):
     base = coords.index(base_coord)
     term = coords.index(terminal_coord)
     return graph_from_coords(coords, 1.0, [base], [term], Point(0.0, 5.0))
+
+
+def seed_graph(seed):
+    """The graph the default pipeline hands to the admission audit for `seed`."""
+    cfg = GenerationConfig()
+    shape = insert_obstacles(sample_aoi(choose_family(seed, cfg), seed, cfg.scale), seed)
+    mask = tessellate(shape, cfg.hex_radius)
+    coords = postprocess_mask(mask.coords)
+    return attach_base(replace(mask, coords=coords), shape, seed)
 
 
 class TestAudit:
@@ -127,6 +147,23 @@ class TestBruteForceAgreement:
         assert disagreements == 0
         assert 0 < feasible_count < 500  # the sample exercises both outcomes
 
+    def test_cut_cell_agreement_1000_graphs_up_to_12_cells(self):
+        rng = np.random.default_rng(1974)
+        disagreements = 0
+        pruned = 0
+        for _ in range(1000):
+            g = random_small_graph(rng, max_cells=12)
+            brute = brute_force_enumerate(g).feasible
+            cut = hamiltonian_audit(g, prunes=frozenset({PRUNE_CUT}))
+            disagreements += cut.feasible != brute
+            disagreements += hamiltonian_audit(g).feasible != brute
+            pruned += (
+                cut.nodes_expanded
+                < hamiltonian_audit(g, prunes=frozenset()).nodes_expanded
+            )
+        assert disagreements == 0
+        assert pruned > 50  # the rule fires after backtracking, not only in theory
+
     def test_size_guard(self):
         g = graph_from_coords(
             [OffsetCoord(c, r) for c in range(4) for r in range(4)][:13],
@@ -142,7 +179,9 @@ class TestBruteForceAgreement:
 class TestPruningSoundness:
     """Each pruning rule must never change the decision, only the node count."""
 
-    @pytest.mark.parametrize("rule", [PRUNE_CONNECTIVITY, PRUNE_LOW_DEGREE, PRUNE_TERMINAL])
+    @pytest.mark.parametrize(
+        "rule", [PRUNE_CONNECTIVITY, PRUNE_LOW_DEGREE, PRUNE_TERMINAL, PRUNE_CUT]
+    )
     def test_rule_decision_equivalence(self, rule):
         rng = np.random.default_rng(hash(rule) % (2**32))
         for _ in range(150):
@@ -160,3 +199,28 @@ class TestPruningSoundness:
                 hamiltonian_audit(g, prunes=ALL_PRUNES).feasible
                 == hamiltonian_audit(g, prunes=frozenset()).feasible
             )
+
+
+class TestCutCellOnPipelineSeeds:
+    """Seeds of the default pipeline whose audits the cut-cell rule settles."""
+
+    @pytest.mark.parametrize("seed", [7, 44, 62])
+    def test_infeasible_seeds_proved_quickly(self, seed):
+        res = hamiltonian_audit(seed_graph(seed), budget=1000)
+        assert res.feasible is False
+        assert res.nodes_expanded < 1000
+
+    def test_seed_72_feasible_with_hamiltonian_witness(self):
+        g = seed_graph(72)
+        res = hamiltonian_audit(g, budget=1000)
+        assert res.feasible is True
+        assert validate_path(g, res.witness) == (STATUS_HAMILTONIAN, 0)
+
+    def test_search_without_backtracking_is_unchanged(self):
+        # Seed 3 descends straight to its witness (one node per cell), so
+        # the rule, which waits for the first dead end, never runs.
+        g = seed_graph(3)
+        res = hamiltonian_audit(g)
+        before = hamiltonian_audit(g, prunes=ALL_PRUNES - {PRUNE_CUT})
+        assert res.nodes_expanded == before.nodes_expanded == g.n
+        assert res.witness == before.witness
