@@ -91,7 +91,8 @@ class CoverageGraph:
 
     Cells are indexed 0..n-1 in (col, row) lexicographic order; the base node
     is n and the terminal node n+1. Both virtual nodes share one physical
-    position and one set of linked outer-ring cells.
+    position and one set of linked outer-ring cells. `positions` holds the
+    point of every node id, the two virtual nodes included.
     """
 
     def __init__(
@@ -111,7 +112,10 @@ class CoverageGraph:
         self.terminal_pos = base_pos
         self.base_links = tuple(sorted(base_links))
         self.terminal_links = tuple(sorted(terminal_links))
-        n = len(cells)
+        self.n = n = len(cells)
+        self.base_node = n
+        self.terminal_node = n + 1
+        self.positions = tuple(c.center for c in cells) + (base_pos, self.terminal_pos)
         if not self.base_links or not self.terminal_links:
             raise InvalidParameterError("base and terminal must link to at least one cell")
         if max(self.base_links + self.terminal_links) >= n:
@@ -151,32 +155,11 @@ class CoverageGraph:
         full.append(self.terminal_links)
         self.adjacency = tuple(full)
 
-    @property
-    def n(self) -> int:
-        return len(self.cells)
-
-    @property
-    def base_node(self) -> int:
-        return self.n
-
-    @property
-    def terminal_node(self) -> int:
-        return self.n + 1
-
     def neighbors(self, node: int) -> tuple[int, ...]:
         return self.adjacency[node]
 
     def cell_neighbors(self, i: int) -> tuple[int, ...]:
         return self.internal_adjacency[i]
-
-    def position(self, node: int) -> Point:
-        if node < self.n:
-            return self.cells[node].center
-        if node == self.base_node:
-            return self.base_pos
-        if node == self.terminal_node:
-            return self.terminal_pos
-        raise InvalidParameterError(f"unknown node {node}")
 
     def is_edge(self, a: int, b: int) -> bool:
         return b in self.adjacency[a]

@@ -13,7 +13,7 @@ import json
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,7 +34,7 @@ from hexcover.metrics import (
     aggregate_summary,
     compute_path_metrics,
 )
-from hexcover.planners import METHOD_ORDER, PLANNERS, WARNSDORFF_SLUGS, timed_plan
+from hexcover.planners import METHOD_ORDER, PLANNERS, WARNSDORFF_SLUGS, _spec, timed_plan
 
 DATASET_SCHEMA = "hexcover-dataset/2"
 RESULTS_SCHEMA = "hexcover-results/1"
@@ -146,24 +146,39 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def load_instances(path: str | Path) -> list[LoadedInstance]:
+def _read_jsonl(path: str | Path, schema: str, convert) -> list:
+    """Every record of a JSON-Lines file of `schema`, passed through `convert`.
+
+    A record of another schema, a dataset record that is not audited
+    feasible, or a parse or `convert` failure raises DatasetError naming
+    `<path>:<line>:`; a file without records raises EmptyDatasetError.
+    """
     path = Path(path)
+    kind = "dataset" if schema == DATASET_SCHEMA else "results"
     if not path.exists():
-        raise DatasetError(f"dataset not found: {path}")
+        raise DatasetError(f"{kind} not found: {path}")
     out = []
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                out.append(record_to_instance(rec))
+                found = rec.get("schema") if isinstance(rec, dict) else None
+                if found != schema:
+                    raise ValueError(f"schema {found!r} is not {schema!r}")
+                if schema == DATASET_SCHEMA and rec["audited_feasible"] is not True:
+                    raise ValueError(f"instance {rec['id']} is not audited feasible")
+                out.append(convert(rec))
             except (KeyError, ValueError, TypeError) as exc:
                 raise DatasetError(f"{path}:{lineno}: {exc}") from exc
     if not out:
-        raise EmptyDatasetError(f"{path}: dataset contains no instances")
+        raise EmptyDatasetError(f"{path}: {kind} file contains no records")
     return out
+
+
+def load_instances(path: str | Path) -> list[LoadedInstance]:
+    return _read_jsonl(path, DATASET_SCHEMA, record_to_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +204,7 @@ class DatasetManifest:
     sha256: str
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config": self.config,
-            "seed_start": self.seed_start,
-            "count": self.count,
-            "seeds_scanned": self.seeds_scanned,
-            "rejections": self.rejections,
-            "morphology_counts": self.morphology_counts,
-            "sha256": self.sha256,
-        }
+        return asdict(self)
 
 
 def _build_for_seed(args: tuple[int, dict]):
@@ -313,29 +319,22 @@ class ResultRecord:
     latency_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "schema": RESULTS_SCHEMA,
-            "instance_id": self.instance_id,
-            "method": self.method,
-            "status": self.status,
-            "walk": list(self.walk),
-            "revisits": self.revisits,
-            "distance_norm": self.distance_norm,
-            "turns_rad": self.turns_rad,
-            "latency_ms": self.latency_ms,
-        }
+        # vars(), not asdict(): asdict deep-copies every walk node, ~100x slower.
+        return {"schema": RESULTS_SCHEMA, **vars(self)}
+
+    @classmethod
+    def from_dict(cls, r: dict) -> "ResultRecord":
+        return cls(
+            r["instance_id"], r["method"], r["status"], tuple(r["walk"]),
+            int(r["revisits"]), float(r["distance_norm"]), float(r["turns_rad"]),
+            float(r["latency_ms"]),
+        )
 
 
 def resolve_methods(methods: Sequence[str] | str) -> list[str]:
     if methods == "all" or methods == ["all"]:
         return list(METHOD_ORDER)
-    out = []
-    for name in methods:
-        if name not in PLANNERS:
-            raise InvalidParameterError(
-                f"unknown method {name!r}; valid: {', '.join(METHOD_ORDER)}"
-            )
-        out.append(name)
+    out = [_spec(name).slug for name in methods]
     if not out:
         raise InvalidParameterError("no methods requested")
     return out
@@ -348,11 +347,6 @@ def _evaluate_instance(args: tuple[dict, list[str]]) -> list[dict]:
     for method in methods:
         result, ms = timed_plan(inst.graph, method)
         pm = compute_path_metrics(inst.graph, result.walk, ms)
-        if pm.status != result.status:
-            raise AssertionError(
-                f"{inst.id}/{method}: planner status {result.status} "
-                f"disagrees with validation {pm.status}"
-            )
         out.append(
             ResultRecord(
                 inst.id, method, pm.status, result.walk,
@@ -374,20 +368,7 @@ def run_benchmark(
     latency_ms are deterministic and independent of the worker count.
     """
     method_list = resolve_methods(methods)
-    path = Path(dataset_path)
-    if not path.exists():
-        raise DatasetError(f"dataset not found: {path}")
-    raw_records = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    raw_records.append(json.loads(line))
-                except ValueError as exc:
-                    raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-    if not raw_records:
-        raise EmptyDatasetError(f"{path}: dataset contains no instances")
-
+    raw_records = _read_jsonl(dataset_path, DATASET_SCHEMA, lambda rec: rec)
     workers = resolve_workers(workers)
     tasks = [(rec, method_list) for rec in raw_records]
     results: list[dict] = []
@@ -400,14 +381,7 @@ def run_benchmark(
                 results.extend(chunk)
 
     results.sort(key=lambda r: (r["instance_id"], r["method"]))
-    records = [
-        ResultRecord(
-            r["instance_id"], r["method"], r["status"], tuple(r["walk"]),
-            int(r["revisits"]), float(r["distance_norm"]), float(r["turns_rad"]),
-            float(r["latency_ms"]),
-        )
-        for r in results
-    ]
+    records = [ResultRecord.from_dict(r) for r in results]
     if out_path is not None:
         out_path = Path(out_path)
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -418,41 +392,27 @@ def run_benchmark(
 def load_results(
     path: str | Path, instances: Sequence[LoadedInstance] | None = None
 ) -> list[ResultRecord]:
-    """Parse a results file; with instances given, re-validate every walk."""
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"results not found: {path}")
+    """Parse a results file; with instances given, re-validate every walk.
+
+    A walk that does not grade to its stored status and revisits, or is not
+    a walk at all (MalformedWalkError), fails the load at its line.
+    """
     graphs = {i.id: i.graph for i in instances} if instances is not None else None
-    out = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                r = json.loads(line)
-                rec = ResultRecord(
-                    r["instance_id"], r["method"], r["status"], tuple(r["walk"]),
-                    int(r["revisits"]), float(r["distance_norm"]),
-                    float(r["turns_rad"]), float(r["latency_ms"]),
+
+    def convert(r: dict) -> ResultRecord:
+        rec = ResultRecord.from_dict(r)
+        if graphs is not None:
+            g = graphs.get(rec.instance_id)
+            if g is None:
+                raise ValueError(f"unknown instance {rec.instance_id}")
+            pm = compute_path_metrics(g, rec.walk, rec.latency_ms)
+            if pm.status != rec.status or pm.revisits != rec.revisits:
+                raise ValueError(
+                    "stored status/revisits do not match the walk (tamper check failed)"
                 )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-            if graphs is not None:
-                g = graphs.get(rec.instance_id)
-                if g is None:
-                    raise DatasetError(
-                        f"{path}:{lineno}: unknown instance {rec.instance_id}"
-                    )
-                pm = compute_path_metrics(g, rec.walk, rec.latency_ms)
-                if pm.status != rec.status or pm.revisits != rec.revisits:
-                    raise DatasetError(
-                        f"{path}:{lineno}: stored status/revisits do not match "
-                        f"the walk (tamper check failed)"
-                    )
-            out.append(rec)
-    if not out:
-        raise EmptyDatasetError(f"{path}: no results")
-    return out
+        return rec
+
+    return _read_jsonl(path, RESULTS_SCHEMA, convert)
 
 
 # ---------------------------------------------------------------------------

@@ -97,18 +97,20 @@ def base_radius(g: CoverageGraph) -> float:
 def path_distance(g: CoverageGraph, walk: Sequence[int]) -> float:
     """Total walk length in the base-centred, radius-normalized frame."""
     r = base_radius(g)
+    pos = g.positions
     total = 0.0
     for a, b in zip(walk, walk[1:]):
-        pa, pb = g.position(a), g.position(b)
+        pa, pb = pos[a], pos[b]
         total += math.hypot(pb.x - pa.x, pb.y - pa.y)
     return total / r
 
 
 def path_turns(g: CoverageGraph, walk: Sequence[int]) -> float:
     """Cumulative absolute heading change in radians along the walk."""
+    pos = g.positions
     headings = []
     for a, b in zip(walk, walk[1:]):
-        pa, pb = g.position(a), g.position(b)
+        pa, pb = pos[a], pos[b]
         dx, dy = pb.x - pa.x, pb.y - pa.y
         if dx == 0.0 and dy == 0.0:
             log.debug("zero-length segment %s->%s contributes no turn", a, b)

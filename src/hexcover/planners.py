@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 
 from hexcover.graphbuild import CoverageGraph
 from hexcover.hexgeom import InvalidParameterError
-from hexcover.metrics import STATUS_COVERAGE, STATUS_FAIL, STATUS_HAMILTONIAN
 
 FAMILY_LINEAR_SWEEP = "LinearSweep"
 FAMILY_INTERLEAVED = "Interleaved"
@@ -42,8 +41,12 @@ class PlannerId:
 
 @dataclass(frozen=True)
 class PlanResult:
+    """A planned walk; `metrics.validate_path` grades it.
+
+    `fail_reason` names why a planner gave up before reaching the terminal.
+    """
+
     walk: tuple[int, ...]
-    status: str
     fail_reason: str | None = None
 
 
@@ -57,6 +60,42 @@ class WarnsdorffConfig:
 # Shared primitives
 
 
+def _bfs(
+    g: CoverageGraph, frm: int, targets, allowed: Callable[[int], bool]
+) -> list[int] | None:
+    """Minimum-hop path from `frm` to the nearest node in `targets`.
+
+    Layers expand in adjacency (ascending index) order and ties between
+    equally near targets go to the lowest index. `allowed` constrains the
+    intermediate nodes only; a target is always admissible. Returns None
+    when no target is reachable.
+    """
+    parent: dict[int, int | None] = {frm: None}
+    hits = [frm] if frm in targets else []
+    layer = [frm]
+    while layer and not hits:
+        nxt = []
+        for u in layer:
+            for w in g.neighbors(u):
+                if w in parent:
+                    continue
+                if w in targets:
+                    hits.append(w)
+                elif not allowed(w):
+                    continue
+                parent[w] = u
+                nxt.append(w)
+        layer = nxt
+    if not hits:
+        return None
+    path = []
+    node: int | None = min(hits)
+    while node is not None:
+        path.append(node)
+        node = parent[node]
+    return path[::-1]
+
+
 def bfs_shortest_path(
     g: CoverageGraph,
     frm: int,
@@ -68,29 +107,7 @@ def bfs_shortest_path(
     `traversable` constrains intermediate nodes only; the endpoints are
     always admissible. Returns None when unreachable.
     """
-    if frm == to:
-        return [frm]
-    ok = traversable if traversable is not None else (lambda _node: True)
-    parent: dict[int, int | None] = {frm: None}
-    queue = deque([frm])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w in parent:
-                continue
-            if w != to and not ok(w):
-                continue
-            parent[w] = u
-            if w == to:
-                path = [w]
-                node: int | None = u
-                while node is not None:
-                    path.append(node)
-                    node = parent[node]
-                path.reverse()
-                return path
-            queue.append(w)
-    return None
+    return _bfs(g, frm, (to,), traversable or (lambda _node: True))
 
 
 def _internal_only(g: CoverageGraph) -> Callable[[int], bool]:
@@ -99,28 +116,13 @@ def _internal_only(g: CoverageGraph) -> Callable[[int], bool]:
 
 
 def _euclid(g: CoverageGraph, a: int, b: int) -> float:
-    pa, pb = g.position(a), g.position(b)
+    pa, pb = g.positions[a], g.positions[b]
     return math.hypot(pb.x - pa.x, pb.y - pa.y)
 
 
-def _finalize(g: CoverageGraph, walk: list[int]) -> PlanResult:
-    """Grade a completed reconnection walk from its realized revisits."""
-    seen: dict[int, int] = {}
-    for v in walk:
-        if v < g.n:
-            seen[v] = seen.get(v, 0) + 1
-    covered = len(seen) == g.n
-    ends = walk[-1] == g.terminal_node
-    if covered and ends:
-        revisits = sum(seen.values()) - len(seen)
-        status = STATUS_HAMILTONIAN if revisits == 0 else STATUS_COVERAGE
-        return PlanResult(tuple(walk), status)
-    return PlanResult(tuple(walk), STATUS_FAIL, "incomplete-walk")
-
-
-def _extend_to(g: CoverageGraph, walk: list[int], target: int) -> bool:
-    """Append the shortest internal path from walk head to `target`."""
-    path = bfs_shortest_path(g, walk[-1], target, _internal_only(g))
+def _extend_to(g: CoverageGraph, walk: list[int], targets) -> bool:
+    """Append the shortest internal path from walk head to the nearest target."""
+    path = _bfs(g, walk[-1], targets, _internal_only(g))
     if path is None:
         return False
     walk.extend(path[1:])
@@ -135,11 +137,11 @@ def _visit_order_walk(g: CoverageGraph, order: Sequence[int]) -> PlanResult:
             continue
         if target in g.neighbors(walk[-1]) and walk[-1] != g.base_node:
             walk.append(target)
-        elif not _extend_to(g, walk, target):
-            return PlanResult(tuple(walk), STATUS_FAIL, "unreachable-cell")
-    if not _extend_to(g, walk, g.terminal_node):
-        return PlanResult(tuple(walk), STATUS_FAIL, "terminal-unreachable")
-    return _finalize(g, walk)
+        elif not _extend_to(g, walk, (target,)):
+            return PlanResult(tuple(walk), "unreachable-cell")
+    if not _extend_to(g, walk, (g.terminal_node,)):
+        return PlanResult(tuple(walk), "terminal-unreachable")
+    return PlanResult(tuple(walk))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +269,8 @@ def onion_rings(g: CoverageGraph) -> list[list[int]]:
 
 
 def _centroid(g: CoverageGraph, cells) -> tuple[float, float]:
-    xs = [g.position(i).x for i in cells]
-    ys = [g.position(i).y for i in cells]
+    xs = [g.positions[i].x for i in cells]
+    ys = [g.positions[i].y for i in cells]
     return sum(xs) / len(xs), sum(ys) / len(ys)
 
 
@@ -276,7 +278,7 @@ def _angular_ring_order(g: CoverageGraph, ring: list[int], around, start_near: i
     cx, cy = around
     keyed = sorted(
         ring,
-        key=lambda i: (math.atan2(g.position(i).y - cy, g.position(i).x - cx), i),
+        key=lambda i: (math.atan2(g.positions[i].y - cy, g.positions[i].x - cx), i),
     )
     start = min(keyed, key=lambda i: (_euclid(g, start_near, i), i))
     k = keyed.index(start)
@@ -294,7 +296,7 @@ def spiral_order(g: CoverageGraph, variant: str) -> list[int]:
         cx, cy = _centroid(g, range(g.n))
         prev = min(
             sequence[0],
-            key=lambda i: (math.hypot(g.position(i).x - cx, g.position(i).y - cy), i),
+            key=lambda i: (math.hypot(g.positions[i].x - cx, g.positions[i].y - cy), i),
         )
     else:
         raise InvalidParameterError(f"unknown spiral variant {variant!r}")
@@ -328,39 +330,14 @@ def plan_contour(g: CoverageGraph, variant: str) -> PlanResult:
                             break
                 if nxt is not None:
                     walk.append(nxt)
-                else:
-                    target = _nearest_by_bfs(g, walk[-1], pending)
-                    if target is None or not _extend_to(g, walk, target):
-                        return PlanResult(tuple(walk), STATUS_FAIL, "unreachable-cell")
+                elif not _extend_to(g, walk, pending):
+                    return PlanResult(tuple(walk), "unreachable-cell")
                 pending.discard(walk[-1])
-        if not _extend_to(g, walk, g.terminal_node):
-            return PlanResult(tuple(walk), STATUS_FAIL, "terminal-unreachable")
-        return _finalize(g, walk)
+        if not _extend_to(g, walk, (g.terminal_node,)):
+            return PlanResult(tuple(walk), "terminal-unreachable")
+        return PlanResult(tuple(walk))
 
     raise InvalidParameterError(f"unknown contour variant {variant!r}")
-
-
-def _nearest_by_bfs(g: CoverageGraph, frm: int, targets: set[int]) -> int | None:
-    """Closest target by hop count through internal cells; ties by index."""
-    if frm in targets:
-        return frm
-    dist = {frm: 0}
-    queue = deque([frm])
-    best: tuple[int, int] | None = None
-    while queue:
-        u = queue.popleft()
-        if best is not None and dist[u] + 1 > best[0]:
-            break
-        for w in g.neighbors(u):
-            if w >= g.n or w in dist:
-                continue
-            dist[w] = dist[u] + 1
-            if w in targets:
-                cand = (dist[w], w)
-                if best is None or cand < best:
-                    best = cand
-            queue.append(w)
-    return best[1] if best else None
 
 
 # ---------------------------------------------------------------------------
@@ -428,28 +405,27 @@ def plan_stc(g: CoverageGraph, variant: str) -> PlanResult:
     if variant == "stc-tree":
         children, reached = _bfs_tree(g, root)
         if len(reached) != g.n:
-            return PlanResult((g.base_node,), STATUS_FAIL, "tree-not-spanning")
+            return PlanResult((g.base_node,), "tree-not-spanning")
     elif variant == "stc-like":
         children, reached = _distance_biased_tree(g, root)
     else:
         raise InvalidParameterError(f"unknown STC variant {variant!r}")
 
     walk = [g.base_node]
-    if not _extend_to(g, walk, root):
-        return PlanResult(tuple(walk), STATUS_FAIL, "unreachable-cell")
+    if not _extend_to(g, walk, (root,)):
+        return PlanResult(tuple(walk), "unreachable-cell")
     walk.extend(_circumnavigate(children, root)[1:])
 
     if variant == "stc-like":
         uncovered = set(range(g.n)) - set(walk)
         while uncovered:
-            target = _nearest_by_bfs(g, walk[-1], uncovered)
-            if target is None or not _extend_to(g, walk, target):
-                return PlanResult(tuple(walk), STATUS_FAIL, "unreachable-cell")
+            if not _extend_to(g, walk, uncovered):
+                return PlanResult(tuple(walk), "unreachable-cell")
             uncovered -= set(walk)
 
-    if not _extend_to(g, walk, g.terminal_node):
-        return PlanResult(tuple(walk), STATUS_FAIL, "terminal-unreachable")
-    return _finalize(g, walk)
+    if not _extend_to(g, walk, (g.terminal_node,)):
+        return PlanResult(tuple(walk), "terminal-unreachable")
+    return PlanResult(tuple(walk))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +438,7 @@ def plan_warnsdorff(g: CoverageGraph, cfg: WarnsdorffConfig) -> PlanResult:
     The terminal stays out of the candidate set while targets remain. The
     policy decides whether terminal adjacency still counts inside the
     residual degree (TI) or is suppressed until the endgame (EP). Because a
-    dead end terminates immediately, this planner never returns
+    dead end terminates immediately, its walk never grades as
     CoverageSuccess: it either finishes revisit-free or fails.
     """
     if cfg.tie_break not in ("index", "distance") or cfg.policy not in ("EP", "TI"):
@@ -475,7 +451,7 @@ def plan_warnsdorff(g: CoverageGraph, cfg: WarnsdorffConfig) -> PlanResult:
     while targets_left > 0:
         cands = [j for j in g.neighbors(v) if j not in visited and j != term]
         if not cands:
-            return PlanResult(tuple(walk), STATUS_FAIL, "dead-end")
+            return PlanResult(tuple(walk), "dead-end")
         best_key = None
         best = -1
         for j in cands:
@@ -496,8 +472,8 @@ def plan_warnsdorff(g: CoverageGraph, cfg: WarnsdorffConfig) -> PlanResult:
         targets_left -= 1
     if term in g.neighbors(v):
         walk.append(term)
-        return PlanResult(tuple(walk), STATUS_HAMILTONIAN)
-    return PlanResult(tuple(walk), STATUS_FAIL, "terminal-unreachable")
+        return PlanResult(tuple(walk))
+    return PlanResult(tuple(walk), "terminal-unreachable")
 
 
 def plan_dfs_backtrack(g: CoverageGraph) -> PlanResult:
@@ -530,41 +506,14 @@ def plan_dfs_backtrack(g: CoverageGraph) -> PlanResult:
             for u in visited
             if any(w not in visited for w in g.cell_neighbors(u))
         }
-        target = _nearest_by_bfs_restricted(g, v, anchors, visited)
-        if target is None:
-            return PlanResult(tuple(walk), STATUS_FAIL, "unreachable-cells")
-        path = bfs_shortest_path(
-            g, v, target, lambda node: node < g.n and node in visited
-        )
+        path = _bfs(g, v, anchors, lambda node: node < g.n and node in visited)
+        if path is None:
+            return PlanResult(tuple(walk), "unreachable-cells")
         walk.extend(path[1:])
-        v = target
-    if not _extend_to(g, walk, g.terminal_node):
-        return PlanResult(tuple(walk), STATUS_FAIL, "terminal-unreachable")
-    return _finalize(g, walk)
-
-
-def _nearest_by_bfs_restricted(
-    g: CoverageGraph, frm: int, targets: set[int], allowed: set[int]
-) -> int | None:
-    if frm in targets:
-        return frm
-    dist = {frm: 0}
-    queue = deque([frm])
-    best: tuple[int, int] | None = None
-    while queue:
-        u = queue.popleft()
-        if best is not None and dist[u] + 1 > best[0]:
-            break
-        for w in g.neighbors(u):
-            if w >= g.n or w not in allowed or w in dist:
-                continue
-            dist[w] = dist[u] + 1
-            if w in targets:
-                cand = (dist[w], w)
-                if best is None or cand < best:
-                    best = cand
-            queue.append(w)
-    return best[1] if best else None
+        v = path[-1]
+    if not _extend_to(g, walk, (g.terminal_node,)):
+        return PlanResult(tuple(walk), "terminal-unreachable")
+    return PlanResult(tuple(walk))
 
 
 # ---------------------------------------------------------------------------
@@ -616,68 +565,39 @@ def plan_wavefront(g: CoverageGraph) -> PlanResult:
             walk.append(best)
             v = best
             continue
+        # The connector goes to the highest label that is still reachable.
         remaining = [j for j in range(g.n) if j not in visited]
-        dist, parents = _bfs_all(g, v)
-        reachable = [j for j in remaining if j in dist]
-        if not reachable:
-            return PlanResult(tuple(walk), STATUS_FAIL, "unreachable-cells")
-        target = min(reachable, key=lambda j: (-labels[j], dist[j], j))
-        path = _path_from_parents(parents, v, target)
+        for top in sorted({labels[j] for j in remaining}, reverse=True):
+            path = _bfs(g, v, {j for j in remaining if labels[j] == top},
+                        _internal_only(g))
+            if path is not None:
+                break
+        else:
+            return PlanResult(tuple(walk), "unreachable-cells")
         walk.extend(path[1:])
         visited.update(path[1:])
-        v = target
-    if not _extend_to(g, walk, g.terminal_node):
-        return PlanResult(tuple(walk), STATUS_FAIL, "terminal-unreachable")
-    return _finalize(g, walk)
-
-
-def _bfs_all(g: CoverageGraph, frm: int):
-    dist = {frm: 0}
-    parents: dict[int, int | None] = {frm: None}
-    queue = deque([frm])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w >= g.n or w in dist:
-                continue
-            dist[w] = dist[u] + 1
-            parents[w] = u
-            queue.append(w)
-    return dist, parents
-
-
-def _path_from_parents(parents, frm: int, to: int) -> list[int]:
-    path = [to]
-    node = parents[to]
-    while node is not None:
-        path.append(node)
-        node = parents[node]
-    path.reverse()
-    assert path[0] == frm
-    return path
+        v = path[-1]
+    if not _extend_to(g, walk, (g.terminal_node,)):
+        return PlanResult(tuple(walk), "terminal-unreachable")
+    return PlanResult(tuple(walk))
 
 
 # ---------------------------------------------------------------------------
 # Family 7: Morton space-filling order
 
 
-def _part1by1(v: int) -> int:
-    v &= 0xFFFF
-    v = (v | (v << 8)) & 0x00FF00FF
-    v = (v | (v << 4)) & 0x0F0F0F0F
-    v = (v | (v << 2)) & 0x33333333
-    v = (v | (v << 1)) & 0x55555555
-    return v
-
-
-def morton_code(qx: int, qy: int) -> int:
-    """Interleave bits: x on even positions, y on odd positions."""
-    return _part1by1(qx) | (_part1by1(qy) << 1)
+def morton_code(qx: int, qy: int, bits: int = 16) -> int:
+    """Interleave the low `bits` bits: x on even positions, y on odd ones."""
+    code = 0
+    for b in range(bits):
+        code |= ((qx >> b) & 1) << (2 * b)
+        code |= ((qy >> b) & 1) << (2 * b + 1)
+    return code
 
 
 def morton_order(g: CoverageGraph, bits: int = 16) -> list[int]:
-    xs = [g.position(i).x for i in range(g.n)]
-    ys = [g.position(i).y for i in range(g.n)]
+    xs = [g.positions[i].x for i in range(g.n)]
+    ys = [g.positions[i].y for i in range(g.n)]
     span_x = max(xs) - min(xs)
     span_y = max(ys) - min(ys)
     top = (1 << bits) - 1
@@ -687,19 +607,11 @@ def morton_order(g: CoverageGraph, bits: int = 16) -> list[int]:
             return 0
         return int(math.floor((v - lo) / span * top + 0.5))
 
-    def interleave(qx: int, qy: int) -> int:
-        code = 0
-        for b in range(bits):
-            code |= ((qx >> b) & 1) << (2 * b)
-            code |= ((qy >> b) & 1) << (2 * b + 1)
-        return code
-
     keyed = []
     for i in range(g.n):
         qx = quantize(xs[i], min(xs), span_x)
         qy = quantize(ys[i], min(ys), span_y)
-        code = morton_code(qx, qy) if bits == 16 else interleave(qx, qy)
-        keyed.append((code, i))
+        keyed.append((morton_code(qx, qy, bits), i))
     keyed.sort()
     return [i for _, i in keyed]
 
@@ -771,34 +683,28 @@ RECONNECTION_SLUGS = tuple(
 )
 
 
-def planner_id(slug: str) -> PlannerId:
+def _spec(planner: PlannerId | str) -> PlannerSpec:
+    slug = planner.variant if isinstance(planner, PlannerId) else planner
     spec = PLANNERS.get(slug)
     if spec is None:
         raise InvalidParameterError(
             f"unknown planner {slug!r}; valid: {', '.join(PLANNERS)}"
         )
-    return PlannerId(spec.family, slug)
+    return spec
+
+
+def planner_id(slug: str) -> PlannerId:
+    return PlannerId(_spec(slug).family, slug)
 
 
 def plan(g: CoverageGraph, planner: PlannerId | str) -> PlanResult:
     """Dispatch one heuristic on one graph."""
-    slug = planner.variant if isinstance(planner, PlannerId) else planner
-    spec = PLANNERS.get(slug)
-    if spec is None:
-        raise InvalidParameterError(
-            f"unknown planner {slug!r}; valid: {', '.join(PLANNERS)}"
-        )
-    return spec.run(g)
+    return _spec(planner).run(g)
 
 
 def timed_plan(g: CoverageGraph, planner: PlannerId | str) -> tuple[PlanResult, float]:
     """plan() wrapped in a monotonic clock around the planner body only."""
-    slug = planner.variant if isinstance(planner, PlannerId) else planner
-    spec = PLANNERS.get(slug)
-    if spec is None:
-        raise InvalidParameterError(
-            f"unknown planner {slug!r}; valid: {', '.join(PLANNERS)}"
-        )
+    spec = _spec(planner)
     t0 = time.perf_counter()
     result = spec.run(g)
     return result, (time.perf_counter() - t0) * 1000.0

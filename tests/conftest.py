@@ -101,7 +101,7 @@ def edge_lengths_ok(g: CoverageGraph) -> bool:
     target = math.sqrt(3.0) * g.h
     for i in range(g.n):
         for j in g.cell_neighbors(i):
-            pi, pj = g.position(i), g.position(j)
+            pi, pj = g.positions[i], g.positions[j]
             if abs(math.hypot(pj.x - pi.x, pj.y - pi.y) - target) > 1e-9 * target:
                 return False
     return True

@@ -206,7 +206,7 @@ class TestAttachBase:
         ordered = sorted(coords)
         # Cells on the far (west) side of the slot are occluded.
         west_wall = [i for i, c in enumerate(ordered)
-                     if g.position(i).x < -4.0 and abs(g.position(i).y) < 1.5]
+                     if g.positions[i].x < -4.0 and abs(g.positions[i].y) < 1.5]
         assert west_wall, "fixture should have far-wall cells"
         for i in west_wall:
             assert i not in g.base_links

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -20,6 +21,13 @@ from hexcover.metrics import STATUS_HAMILTONIAN
 from hexcover.planners import METHOD_ORDER
 
 N_SMALL = 6
+
+# SHA-256 of the N_SMALL dataset bytes and of its sorted non-latency result
+# lines (the rule of perfbench/checks.results_digest). A refactor must leave
+# both as they are; a change to what is generated, planned or measured moves
+# them on purpose and updates them here.
+PINNED_DATASET_SHA256 = "767a2c7f82c32fd75df44a02278f2e8c2b5c9e09bd684bfd3d5982230b73e1c4"
+PINNED_RESULTS_DIGEST = "075151f3394d0a1fb8b79c61f5c69797471990608759eb1eebde6d57a31914c6"
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +177,60 @@ class TestRun:
             load_results(tampered, instances)
 
 
+class TestFileBoundary:
+    def test_pinned_dataset_and_results_digests(self, dataset, results):
+        path, manifest = dataset
+        rpath, _ = results
+        assert manifest.sha256 == PINNED_DATASET_SHA256
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DATASET_SHA256
+        rows = sorted(
+            json.dumps(
+                {k: v for k, v in json.loads(line).items() if k != "latency_ms"},
+                sort_keys=True, separators=(",", ":"),
+            )
+            for line in rpath.read_text().splitlines()
+        )
+        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+        assert digest == PINNED_RESULTS_DIGEST
+
+    def test_schema_checked_on_load(self, dataset, results, tmp_path):
+        dpath, _ = dataset
+        rpath, _ = results
+        old = _relabel(dpath, tmp_path / "v1.jsonl", 2, schema="hexcover-dataset/1")
+        with pytest.raises(DatasetError, match=":2: schema 'hexcover-dataset/1'"):
+            run_benchmark(old, "all", tmp_path / "r.jsonl", workers=2)
+        assert not (tmp_path / "r.jsonl").exists()
+        with pytest.raises(DatasetError, match=":2:"):
+            load_instances(old)
+        res = _relabel(rpath, tmp_path / "r0.jsonl", 3, schema="hexcover-results/0")
+        with pytest.raises(DatasetError, match=":3: schema"):
+            load_results(res)
+
+    def test_unaudited_instance_rejected(self, dataset, tmp_path):
+        dpath, _ = dataset
+        bad = _relabel(dpath, tmp_path / "unaudited.jsonl", 1, audited_feasible=False)
+        with pytest.raises(DatasetError, match=":1: .* not audited feasible"):
+            run_benchmark(bad, "all", tmp_path / "r.jsonl", workers=2)
+        assert not (tmp_path / "r.jsonl").exists()
+        with pytest.raises(DatasetError, match="not audited feasible"):
+            load_instances(bad)
+
+    def test_malformed_walk_is_io_error(self, dataset, results, tmp_path, capsys):
+        dpath, _ = dataset
+        rpath, _ = results
+        rec = json.loads(rpath.read_text().splitlines()[0])
+        g = next(i.graph for i in load_instances(dpath) if i.id == rec["instance_id"])
+        off_base = next(i for i in range(g.n) if not g.is_edge(g.base_node, i))
+        walk = [g.base_node, off_base, *rec["walk"][2:]]
+        bad = _relabel(rpath, tmp_path / "malformed.jsonl", 1, walk=walk)
+        code = cli_main(["report", "--results", str(bad), "--dataset", str(dpath),
+                         "--out", str(tmp_path / "rep")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}:1:")
+        assert "not adjacent" in err[0]
+
+
 class TestReport:
     def test_markdown_tables(self, results, dataset, tmp_path):
         rpath, _ = results
@@ -239,6 +301,14 @@ class TestReport:
                 left = _drop_column(left, "latency_mean_ms")
                 right = _drop_column(right, "latency_mean_ms")
             assert left == right
+
+
+def _relabel(path: Path, out: Path, lineno: int, **fields) -> Path:
+    """Copy a JSON-Lines file, overwriting `fields` in record `lineno` (1-based)."""
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), **fields})
+    out.write_text("\n".join(lines) + "\n")
+    return out
 
 
 def _drop_column(csv_text: str, col: str) -> str:

@@ -40,6 +40,11 @@ from hexcover.planners import (
 )
 
 
+def graded(g, res):
+    """The status `validate_path` gives a planned walk."""
+    return validate_path(g, res.walk)[0]
+
+
 @pytest.fixture(scope="module")
 def instances():
     cfg = GenerationConfig()
@@ -118,12 +123,12 @@ class TestSweeps:
             idx[OffsetCoord(0, 2)], idx[OffsetCoord(1, 2)], idx[OffsetCoord(2, 2)],
         ]
         assert res.walk == (g.base_node, *serpentine, g.terminal_node)
-        assert res.status == STATUS_HAMILTONIAN
+        assert graded(g, res) == STATUS_HAMILTONIAN
 
     def test_row_oneway_repeats_direction(self):
         g = self.make_patch(base_links=(0,), terminal_links=(0,))
         res = plan(g, "row-oneway")
-        assert res.status in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
+        assert graded(g, res) in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
         # The planned order sweeps every row in the same (west-to-east)
         # direction; fly-backs happen in the reconnection segments.
         order = linear_sweep_order(g, "row-oneway")
@@ -147,14 +152,14 @@ class TestSweeps:
             if r not in seen_rows:
                 seen_rows.append(r)
         assert seen_rows == [0, 2, 1, 3]
-        assert plan(g, "row-interleave").status in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
+        assert graded(g, plan(g, "row-interleave")) in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
 
     def test_sweeps_cover_admitted_instances(self, instances):
         for inst in instances:
             for slug in ("boustrophedon", "row-oneway", "segment-snake",
                          "row-interleave", "seg-interleave"):
                 res = plan(inst.graph, slug)
-                assert res.status in (STATUS_COVERAGE, STATUS_HAMILTONIAN), slug
+                assert graded(inst.graph, res) in (STATUS_COVERAGE, STATUS_HAMILTONIAN), slug
 
 
 class TestContour:
@@ -167,7 +172,7 @@ class TestContour:
         centre = coords.index(OffsetCoord(0, 0))
         g = graph_from_coords(coords, 1.0, [0], [0], Point(-3.0, 0.0))
         res = plan(g, "spiral-inward")
-        assert res.status in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
+        assert graded(g, res) in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
         internal = [v for v in res.walk if v < g.n]
         # The centre cell is reached only after the full ring.
         first_centre = internal.index(centre)
@@ -189,11 +194,11 @@ class TestContour:
             rings = onion_rings(g)
             order = spiral_order(g, "spiral-outward")
             assert order[0] in rings[-1]
-            cx = sum(g.position(i).x for i in range(g.n)) / g.n
-            cy = sum(g.position(i).y for i in range(g.n)) / g.n
+            cx = sum(g.positions[i].x for i in range(g.n)) / g.n
+            cy = sum(g.positions[i].y for i in range(g.n)) / g.n
             best = min(
                 rings[-1],
-                key=lambda i: (_math.hypot(g.position(i).x - cx, g.position(i).y - cy), i),
+                key=lambda i: (_math.hypot(g.positions[i].x - cx, g.positions[i].y - cy), i),
             )
             assert order[0] == best
 
@@ -201,7 +206,7 @@ class TestContour:
         for inst in instances:
             for slug in ("spiral-inward", "spiral-outward", "boundary-peel"):
                 res = plan(inst.graph, slug)
-                assert res.status in (STATUS_COVERAGE, STATUS_HAMILTONIAN), slug
+                assert graded(inst.graph, res) in (STATUS_COVERAGE, STATUS_HAMILTONIAN), slug
 
 
 class TestStc:
@@ -227,14 +232,14 @@ class TestStc:
             [OffsetCoord(0, 0), OffsetCoord(4, 4)], 1.0, [0], [0], Point(-2.0, 0.0)
         )
         res = plan_stc(g, "stc-tree")
-        assert res.status == STATUS_FAIL
+        assert graded(g, res) == STATUS_FAIL
         assert res.fail_reason == "tree-not-spanning"
 
     def test_both_variants_cover(self, instances):
         for inst in instances:
             for slug in ("stc-tree", "stc-like"):
                 res = plan(inst.graph, slug)
-                assert res.status in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
+                assert graded(inst.graph, res) in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
 
 
 class TestWarnsdorff:
@@ -243,7 +248,7 @@ class TestWarnsdorff:
         for tie in ("index", "distance"):
             for policy in ("EP", "TI"):
                 res = plan_warnsdorff(g, WarnsdorffConfig(tie, policy))
-                assert res.status == STATUS_HAMILTONIAN
+                assert graded(g, res) == STATUS_HAMILTONIAN
                 assert res.walk == (g.base_node, 0, 1, 2, 3, g.terminal_node)
 
     def ep_ti_fixture(self):
@@ -281,8 +286,8 @@ class TestWarnsdorff:
         for inst in instances:
             for slug in WARNSDORFF_SLUGS:
                 res = plan(inst.graph, slug)
-                assert res.status in (STATUS_HAMILTONIAN, STATUS_FAIL)
-                if res.status == STATUS_HAMILTONIAN:
+                assert graded(inst.graph, res) in (STATUS_HAMILTONIAN, STATUS_FAIL)
+                if graded(inst.graph, res) == STATUS_HAMILTONIAN:
                     status, revisits = validate_path(inst.graph, res.walk)
                     assert status == STATUS_HAMILTONIAN and revisits == 0
 
@@ -296,7 +301,7 @@ class TestDfsBacktrack:
     def test_path_graph_no_backtracks(self):
         g = chain_graph(4)
         res = plan_dfs_backtrack(g)
-        assert res.status == STATUS_HAMILTONIAN
+        assert graded(g, res) == STATUS_HAMILTONIAN
         assert res.walk == (g.base_node, 0, 1, 2, 3, g.terminal_node)
 
     def test_t_junction_exactly_one_backtrack(self):
@@ -314,14 +319,14 @@ class TestDfsBacktrack:
                           [(0, -1), (0, 0), (0, 1), (1, 2), (-1, 2)])
         g = graph_from_coords(coords, 1.0, [a], [a], Point(0.0, -4.0))
         res = plan_dfs_backtrack(g)
-        assert res.status == STATUS_COVERAGE
+        assert graded(g, res) == STATUS_COVERAGE
         expected = (g.base_node, a, b_, c, e, c, d, c, b_, a, g.terminal_node)
         assert res.walk == expected
 
     def test_covers_admitted_instances(self, instances):
         for inst in instances:
             res = plan(inst.graph, "dfs-backtrack")
-            assert res.status in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
+            assert graded(inst.graph, res) in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
 
 
 class TestWavefront:
@@ -332,7 +337,7 @@ class TestWavefront:
     def test_path_graph_descends_labels_hamiltonian(self):
         g = chain_graph(5)
         res = plan_wavefront(g)
-        assert res.status == STATUS_HAMILTONIAN
+        assert graded(g, res) == STATUS_HAMILTONIAN
         labels = wavefront_labels(g)
         internal = [v for v in res.walk if v < g.n]
         seq = [labels[v] for v in internal]
@@ -350,7 +355,7 @@ class TestWavefront:
     def test_covers_admitted_instances(self, instances):
         for inst in instances:
             res = plan(inst.graph, "wavefront-hex")
-            assert res.status in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
+            assert graded(inst.graph, res) in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
 
 
 class TestMorton:
@@ -367,7 +372,7 @@ class TestMorton:
     def test_covers_admitted_instances(self, instances):
         for inst in instances:
             res = plan(inst.graph, "morton")
-            assert res.status in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
+            assert graded(inst.graph, res) in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
 
 
 class TestDispatch:
@@ -395,6 +400,13 @@ class TestDispatch:
             res = plan(g, slug)
             validate_path(g, res.walk)  # raises MalformedWalkError on defect
 
+    def test_fail_reason_exactly_when_walk_grades_fail(self, instances):
+        for inst in instances:
+            for slug in PLANNERS:
+                res = plan(inst.graph, slug)
+                failed = graded(inst.graph, res) == STATUS_FAIL
+                assert (res.fail_reason is not None) == failed, slug
+
     def test_dispatch_deterministic(self, instances):
         g = instances[1].graph
         for slug in PLANNERS:
@@ -410,10 +422,11 @@ class TestDispatch:
     def test_planner_id_roundtrip(self):
         pid = planner_id("warnsdorff-ti-index")
         assert pid.family == "Graph"
-        assert plan(chain_graph(3), pid).status == STATUS_HAMILTONIAN
+        g = chain_graph(3)
+        assert graded(g, plan(g, pid)) == STATUS_HAMILTONIAN
 
     def test_timed_plan_returns_latency(self):
         g = chain_graph(3)
         res, ms = timed_plan(g, "morton")
-        assert res.status in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
+        assert graded(g, res) in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
         assert ms >= 0.0
