@@ -149,14 +149,13 @@ def _dump_line(obj: dict) -> str:
 def _read_jsonl(path: str | Path, schema: str, convert) -> list:
     """Every record of a JSON-Lines file of `schema`, passed through `convert`.
 
-    A record of another schema, a dataset record that is not audited
-    feasible, or a parse or `convert` failure raises DatasetError naming
-    `<path>:<line>:`; a file without records raises EmptyDatasetError.
+    A record of another schema or a parse or `convert` failure raises
+    DatasetError naming `<path>:<line>:`; a file without records raises
+    EmptyDatasetError.
     """
     path = Path(path)
-    kind = "dataset" if schema == DATASET_SCHEMA else "results"
     if not path.exists():
-        raise DatasetError(f"{kind} not found: {path}")
+        raise DatasetError(f"file not found: {path}")
     out = []
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -167,18 +166,24 @@ def _read_jsonl(path: str | Path, schema: str, convert) -> list:
                 found = rec.get("schema") if isinstance(rec, dict) else None
                 if found != schema:
                     raise ValueError(f"schema {found!r} is not {schema!r}")
-                if schema == DATASET_SCHEMA and rec["audited_feasible"] is not True:
-                    raise ValueError(f"instance {rec['id']} is not audited feasible")
                 out.append(convert(rec))
             except (KeyError, ValueError, TypeError) as exc:
                 raise DatasetError(f"{path}:{lineno}: {exc}") from exc
     if not out:
-        raise EmptyDatasetError(f"{path}: {kind} file contains no records")
+        raise EmptyDatasetError(f"{path}: file contains no records")
     return out
 
 
+def _audited(rec: dict) -> dict:
+    if rec["audited_feasible"] is not True:
+        raise ValueError(f"instance {rec['id']} is not audited feasible")
+    return rec
+
+
 def load_instances(path: str | Path) -> list[LoadedInstance]:
-    return _read_jsonl(path, DATASET_SCHEMA, record_to_instance)
+    return _read_jsonl(
+        path, DATASET_SCHEMA, lambda rec: record_to_instance(_audited(rec))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +373,7 @@ def run_benchmark(
     latency_ms are deterministic and independent of the worker count.
     """
     method_list = resolve_methods(methods)
-    raw_records = _read_jsonl(dataset_path, DATASET_SCHEMA, lambda rec: rec)
+    raw_records = _read_jsonl(dataset_path, DATASET_SCHEMA, _audited)
     workers = resolve_workers(workers)
     tasks = [(rec, method_list) for rec in raw_records]
     results: list[dict] = []

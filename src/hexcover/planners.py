@@ -586,10 +586,10 @@ def plan_wavefront(g: CoverageGraph) -> PlanResult:
 # Family 7: Morton space-filling order
 
 
-def morton_code(qx: int, qy: int, bits: int = 16) -> int:
-    """Interleave the low `bits` bits: x on even positions, y on odd ones."""
+def morton_code(qx: int, qy: int) -> int:
+    """Interleave the bits of `qx` (even positions) and `qy` (odd positions)."""
     code = 0
-    for b in range(bits):
+    for b in range(max(qx, qy).bit_length()):
         code |= ((qx >> b) & 1) << (2 * b)
         code |= ((qy >> b) & 1) << (2 * b + 1)
     return code
@@ -611,7 +611,7 @@ def morton_order(g: CoverageGraph, bits: int = 16) -> list[int]:
     for i in range(g.n):
         qx = quantize(xs[i], min(xs), span_x)
         qy = quantize(ys[i], min(ys), span_y)
-        keyed.append((morton_code(qx, qy, bits), i))
+        keyed.append((morton_code(qx, qy), i))
     keyed.sort()
     return [i for _, i in keyed]
 
