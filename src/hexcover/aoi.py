@@ -20,6 +20,7 @@ from hexcover.hexgeom import (
     hexagon_area,
     point_in_ring,
     polygon_metrics,
+    ring_edges,
     ring_signed_area,
 )
 
@@ -161,6 +162,12 @@ def insert_obstacles(shape: AoiShape, seed: int) -> AoiShape:
     xs = [p.x for p in outer]
     ys = [p.y for p in outer]
     holes = list(shape.polygon.holes)
+    # Clearance tuned so shoreline-hugging holes carve narrow rim corridors
+    # without strangling audit feasibility.
+    clearance = 0.65 * cell_proxy
+    # Every point tested lies inside the outer ring, so this margin dwarfs
+    # the rounding of any distance computed in _closer_than.
+    pad = 1e-9 * (clearance + max(map(abs, xs + ys)))
 
     for _ in range(count):
         for _attempt in range(_HOLE_RETRIES):
@@ -176,9 +183,7 @@ def insert_obstacles(shape: AoiShape, seed: int) -> AoiShape:
                 )
                 for k, w in enumerate(wobble)
             )
-            # Clearance tuned so shoreline-hugging holes carve narrow rim
-            # corridors without strangling audit feasibility.
-            if _hole_admissible(ring, outer, holes, clearance=0.65 * cell_proxy):
+            if _hole_admissible(ring, outer, holes, clearance, pad):
                 holes.append(ring)
                 break
 
@@ -189,27 +194,41 @@ def insert_obstacles(shape: AoiShape, seed: int) -> AoiShape:
     return AoiShape(polygon, classify_morphology(polygon), shape.seed, shape.family_hint)
 
 
-def _hole_admissible(ring, outer, holes, clearance: float) -> bool:
+def _hole_admissible(ring, outer, holes, clearance: float, pad: float) -> bool:
     for p in ring:
         if not point_in_ring(p, outer):
             return False
-        if _dist_to_ring(p, outer) < clearance:
+        if _closer_than(p, outer, clearance, pad):
             return False
     for other in holes:
         for p in ring:
-            if point_in_ring(p, other) or _dist_to_ring(p, other) < clearance:
+            if point_in_ring(p, other) or _closer_than(p, other, clearance, pad):
                 return False
         if any(point_in_ring(q, ring) for q in other):
             return False
     return True
 
 
-def _dist_to_ring(p: Point, ring) -> float:
-    best = math.inf
-    n = len(ring)
-    for i in range(n):
-        best = min(best, _dist_point_segment(p, ring[i], ring[(i + 1) % n]))
-    return best
+def _closer_than(p: Point, ring, clearance: float, pad: float) -> bool:
+    """Whether some edge of `ring` lies closer than `clearance` to `p`.
+
+    The same decision as `min(distance to each edge) < clearance`, without
+    the minimum: it stops at the first closer edge, and skips an edge whose
+    box, widened by `clearance + pad`, does not reach `p`. `pad` must exceed
+    the rounding error of a computed distance, so that no skipped edge could
+    have computed closer than `clearance`.
+    """
+    px, py = p
+    reach = clearance + pad
+    for a, b in ring_edges(ring):
+        (ax, ay), (bx, by) = a, b
+        if px - reach > ax and px - reach > bx or px + reach < ax and px + reach < bx:
+            continue
+        if py - reach > ay and py - reach > by or py + reach < ay and py + reach < by:
+            continue
+        if _dist_point_segment(p, a, b) < clearance:
+            return True
+    return False
 
 
 def _dist_point_segment(p: Point, a: Point, b: Point) -> float:

@@ -36,6 +36,7 @@ from hexcover.hexgeom import (
     min_rotated_rect,
     offset_to_center,
     point_in_ring,
+    ring_edges,
     segment_ring_crossing_params,
 )
 
@@ -194,6 +195,9 @@ def tessellate(aoi: AoiShape, h: float) -> HexMask:
 
     The lattice is mounted in the minimum-rotated-rectangle frame of the
     outer ring: origin at the rectangle centre, columns along the long side.
+    Only the cells near some ring edge are clipped (see _cells_near_rings);
+    every other cell lies wholly inside or outside each ring, so its overlap
+    is its whole hexagon or nothing, and its centre decides it.
     """
     if h <= 0:
         raise InvalidParameterError("hex radius must be positive")
@@ -206,10 +210,14 @@ def tessellate(aoi: AoiShape, h: float) -> HexMask:
 
     xs = [p.x for p in local_outer]
     ys = [p.y for p in local_outer]
-    col_lo = math.floor((min(xs) - h) / (1.5 * h))
-    col_hi = math.ceil((max(xs) + h) / (1.5 * h))
-    row_lo = math.floor((min(ys) - h) / (SQRT3 * h)) - 1
-    row_hi = math.ceil((max(ys) + h) / (SQRT3 * h)) + 1
+    x_lo, x_hi, y_lo, y_hi = min(xs) - h, max(xs) + h, min(ys) - h, max(ys) + h
+    col_lo = math.floor(x_lo / (1.5 * h))
+    col_hi = math.ceil(x_hi / (1.5 * h))
+    row_lo = math.floor(y_lo / (SQRT3 * h)) - 1
+    row_hi = math.ceil(y_hi / (SQRT3 * h)) + 1
+    # A margin far above the rounding error of any coordinate in the frame.
+    pad = 1e-9 * (h + max(map(abs, xs + ys)))
+    near = _cells_near_rings((local_outer, *local_holes), h, pad)
 
     threshold = RETENTION_FRACTION * hexagon_area(h)
     kept = set()
@@ -217,15 +225,40 @@ def tessellate(aoi: AoiShape, h: float) -> HexMask:
         for row in range(row_lo, row_hi + 1):
             c = OffsetCoord(col, row)
             center = offset_to_center(c, h)
-            if center.x < min(xs) - h or center.x > max(xs) + h:
+            if center.x < x_lo or center.x > x_hi or center.y < y_lo or center.y > y_hi:
                 continue
-            if center.y < min(ys) - h or center.y > max(ys) + h:
-                continue
-            if free_overlap_area(center, h, local_poly) >= threshold:
+            if c in near:
+                keep = free_overlap_area(center, h, local_poly) >= threshold
+            else:
+                keep = local_poly.contains(center)
+            if keep:
                 kept.add(c)
     if not kept:
         raise EmptyTessellationError("no cell reaches the retention threshold")
     return HexMask(frozenset(kept), frame, h)
+
+
+def _cells_near_rings(rings, h: float, pad: float) -> set[tuple[int, int]]:
+    """Every lattice cell whose hexagon's box, widened by `pad`, meets the box
+    of some ring edge.
+
+    A cell outside this set has no ring edge within `pad` of its hexagon.
+    """
+    col_w, row_w = 1.5 * h, SQRT3 * h
+    half_w, half_h = h + pad, 0.5 * SQRT3 * h + pad
+    near = set()
+    for ring in rings:
+        for (x0, y0), (x1, y1) in ring_edges(ring):
+            lo_x, hi_x = min(x0, x1) - half_w, max(x0, x1) + half_w
+            lo_y, hi_y = min(y0, y1) - half_h, max(y0, y1) + half_h
+            for col in range(math.ceil(lo_x / col_w), math.floor(hi_x / col_w) + 1):
+                # Centre y of (col, row) is row_w * (row - shift).
+                shift = 0.5 * (col & 1)
+                for row in range(
+                    math.ceil(lo_y / row_w + shift), math.floor(hi_y / row_w + shift) + 1
+                ):
+                    near.add((col, row))
+    return near
 
 
 # ---------------------------------------------------------------------------

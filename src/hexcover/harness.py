@@ -33,6 +33,7 @@ from hexcover.metrics import (
     SummaryRow,
     aggregate_summary,
     compute_path_metrics,
+    validate_path,
 )
 from hexcover.planners import METHOD_ORDER, PLANNERS, WARNSDORFF_SLUGS, _spec, timed_plan
 
@@ -113,33 +114,44 @@ class LoadedInstance:
 
 
 def record_to_instance(rec: dict) -> LoadedInstance:
-    coords = [OffsetCoord(int(c[0]), int(c[1])) for c in rec["cells"]]
-    frame = LatticeFrame(
-        Point(*rec["frame"]["origin"]), float(rec["frame"]["angle"])
-    )
-    graph = graph_from_coords(
-        coords,
-        float(rec["hex_radius"]),
-        rec["base_links"],
-        rec["terminal_links"],
-        Point(*rec["base"]),
-        frame,
-        edges=[tuple(e) for e in rec["edges"]],
-    )
-    for cell, stored in zip(graph.cells, sorted(rec["cells"])):
-        if cell.center.x != stored[2] or cell.center.y != stored[3]:
-            raise DatasetError(f"instance {rec['id']}: stored centroid mismatch")
-    return LoadedInstance(
-        id=rec["id"],
-        seed=int(rec["seed"]),
-        family_hint=rec["family_hint"],
-        morphology_label=rec["morphology"]["label"],
-        compactness=float(rec["morphology"]["compactness"]),
-        aspect=float(rec["morphology"]["aspect"]),
-        hex_radius=float(rec["hex_radius"]),
-        audited_feasible=bool(rec["audited_feasible"]),
-        graph=graph,
-    )
+    """The instance a dataset record describes.
+
+    A missing or ill-typed field raises DatasetError naming the instance.
+    """
+    try:
+        coords = [OffsetCoord(int(c[0]), int(c[1])) for c in rec["cells"]]
+        frame = LatticeFrame(
+            Point(*rec["frame"]["origin"]), float(rec["frame"]["angle"])
+        )
+        graph = graph_from_coords(
+            coords,
+            float(rec["hex_radius"]),
+            rec["base_links"],
+            rec["terminal_links"],
+            Point(*rec["base"]),
+            frame,
+            edges=[tuple(e) for e in rec["edges"]],
+        )
+        for cell, stored in zip(graph.cells, sorted(rec["cells"])):
+            if cell.center.x != stored[2] or cell.center.y != stored[3]:
+                raise DatasetError(f"instance {rec['id']}: stored centroid mismatch")
+        return LoadedInstance(
+            id=rec["id"],
+            seed=int(rec["seed"]),
+            family_hint=rec["family_hint"],
+            morphology_label=rec["morphology"]["label"],
+            compactness=float(rec["morphology"]["compactness"]),
+            aspect=float(rec["morphology"]["aspect"]),
+            hex_radius=float(rec["hex_radius"]),
+            audited_feasible=bool(rec["audited_feasible"]),
+            graph=graph,
+        )
+    except (DatasetError, InvalidParameterError):
+        raise
+    except KeyError as exc:
+        raise DatasetError(f"instance {rec.get('id')}: missing field {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise DatasetError(f"instance {rec.get('id')}: ill-typed field: {exc}") from exc
 
 
 def _dump_line(obj: dict) -> str:
@@ -410,8 +422,7 @@ def load_results(
             g = graphs.get(rec.instance_id)
             if g is None:
                 raise ValueError(f"unknown instance {rec.instance_id}")
-            pm = compute_path_metrics(g, rec.walk, rec.latency_ms)
-            if pm.status != rec.status or pm.revisits != rec.revisits:
+            if validate_path(g, rec.walk) != (rec.status, rec.revisits):
                 raise ValueError(
                     "stored status/revisits do not match the walk (tamper check failed)"
                 )

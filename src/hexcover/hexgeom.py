@@ -9,6 +9,7 @@ their centres are sqrt(3)*h apart.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -65,19 +66,19 @@ def face_neighbors(c: OffsetCoord) -> list[OffsetCoord]:
     return [OffsetCoord(col + dc, row + dr) for dc, dr in offsets]
 
 
+# Unit-circle vertex directions, k * 60 degrees for k = 0..5.
+_HEX_UNIT = tuple((math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)) for k in range(6))
+
+
 def hex_vertices(cell: HexCell) -> list[Point]:
     """The 6 vertices in counterclockwise order, first vertex at angle 0."""
-    cx, cy = cell.center
-    r = cell.circumradius
-    return [
-        Point(cx + r * math.cos(k * math.pi / 3.0), cy + r * math.sin(k * math.pi / 3.0))
-        for k in range(6)
-    ]
+    return hexagon_ring(cell.center, cell.circumradius)
 
 
 def hexagon_ring(center: Point, h: float) -> list[Point]:
     """Vertex ring of a flat-top hexagon without building a HexCell."""
-    return hex_vertices(HexCell(OffsetCoord(0, 0), center, h))
+    cx, cy = center
+    return [Point(cx + h * ux, cy + h * uy) for ux, uy in _HEX_UNIT]
 
 
 HEX_AREA_UNIT = 1.5 * SQRT3  # area of a hexagon with circumradius 1
@@ -91,23 +92,23 @@ def hexagon_area(h: float) -> float:
 # Ring primitives
 
 
+def ring_edges(ring: Sequence[Point]):
+    """The edges (ring[i], ring[i + 1]) for i = 0..n-1, in order; the last
+    one closes the ring."""
+    return zip(ring, ring[1:] + ring[:1])
+
+
 def ring_signed_area(ring: Sequence[Point]) -> float:
     """Shoelace signed area; positive for counterclockwise rings."""
     acc = 0.0
-    n = len(ring)
-    for i in range(n):
-        x0, y0 = ring[i]
-        x1, y1 = ring[(i + 1) % n]
+    for (x0, y0), (x1, y1) in ring_edges(ring):
         acc += x0 * y1 - x1 * y0
     return 0.5 * acc
 
 
 def ring_perimeter(ring: Sequence[Point]) -> float:
     acc = 0.0
-    n = len(ring)
-    for i in range(n):
-        x0, y0 = ring[i]
-        x1, y1 = ring[(i + 1) % n]
+    for (x0, y0), (x1, y1) in ring_edges(ring):
         acc += math.hypot(x1 - x0, y1 - y0)
     return acc
 
@@ -116,24 +117,31 @@ def point_in_ring(pt: Point, ring: Sequence[Point]) -> bool:
     """Even-odd rule point-in-polygon test (boundary points are undefined)."""
     x, y = pt
     inside = False
-    n = len(ring)
-    for i in range(n):
-        x0, y0 = ring[i]
-        x1, y1 = ring[(i + 1) % n]
+    # The closing edge comes first: the parity does not depend on edge order,
+    # and each edge is still evaluated from its first vertex.
+    x0, y0 = ring[-1]
+    for x1, y1 in ring:
         if (y0 > y) != (y1 > y):
-            t = (y - y0) / (y1 - y0)
-            if x < x0 + t * (x1 - x0):
+            if x < x0 + (y - y0) / (y1 - y0) * (x1 - x0):
                 inside = not inside
+        x0, y0 = x1, y1
     return inside
 
 
 def segments_cross(p0: Point, p1: Point, q0: Point, q1: Point) -> bool:
     """Proper-intersection test for open segments."""
-    d1 = _orient(q0, q1, p0)
-    d2 = _orient(q0, q1, p1)
-    d3 = _orient(p0, p1, q0)
-    d4 = _orient(p0, p1, q1)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != d2 and d3 != d4
+    # The four orientations are _orient's expression, written out: this test
+    # runs hundreds of thousands of times per dataset.
+    (px0, py0), (px1, py1), (qx0, qy0), (qx1, qy1) = p0, p1, q0, q1
+    qx, qy = qx1 - qx0, qy1 - qy0
+    d1 = qx * (py0 - qy0) - qy * (px0 - qx0)
+    d2 = qx * (py1 - qy0) - qy * (px1 - qx0)
+    if (d1 > 0) == (d2 > 0) or d1 == d2:
+        return False
+    px, py = px1 - px0, py1 - py0
+    d3 = px * (qy0 - py0) - py * (qx0 - px0)
+    d4 = px * (qy1 - py0) - py * (qx1 - px0)
+    return (d3 > 0) != (d4 > 0) and d3 != d4
 
 
 def _orient(a: Point, b: Point, c: Point) -> float:
@@ -142,13 +150,11 @@ def _orient(a: Point, b: Point, c: Point) -> float:
 
 def ring_is_simple(ring: Sequence[Point]) -> bool:
     """Quadratic non-self-intersection check; fine for generator-sized rings."""
-    n = len(ring)
-    for i in range(n):
-        a0, a1 = ring[i], ring[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or j == (i + 1) % n:
-                continue
-            b0, b1 = ring[j], ring[(j + 1) % n]
+    edges = list(ring_edges(ring))
+    n = len(edges)
+    for i, (a0, a1) in enumerate(edges):
+        # Every later edge but the next one, and for the first edge the last.
+        for b0, b1 in edges[i + 2 : n - 1 if i == 0 else n]:
             if segments_cross(a0, a1, b0, b1):
                 return False
     return True
@@ -157,15 +163,17 @@ def ring_is_simple(ring: Sequence[Point]) -> bool:
 def segment_ring_crossing_params(p0: Point, p1: Point, ring: Sequence[Point]) -> list[float]:
     """Parameters t in (0,1) where segment p0->p1 properly crosses ring edges."""
     params: list[float] = []
-    n = len(ring)
-    for i in range(n):
-        a, b = ring[i], ring[(i + 1) % n]
-        d0 = _orient(a, b, p0)
-        d1 = _orient(a, b, p1)
+    (x0, y0), (x1, y1) = p0, p1
+    px, py = x1 - x0, y1 - y0
+    for (ax, ay), (bx, by) in ring_edges(ring):
+        # _orient(a, b, p0), _orient(a, b, p1), _orient(p0, p1, a), _orient(p0, p1, b).
+        ex, ey = bx - ax, by - ay
+        d0 = ex * (y0 - ay) - ey * (x0 - ax)
+        d1 = ex * (y1 - ay) - ey * (x1 - ax)
         if (d0 > 0) == (d1 > 0) or d0 == d1:
             continue
-        e0 = _orient(p0, p1, a)
-        e1 = _orient(p0, p1, b)
+        e0 = px * (ay - y0) - py * (ax - x0)
+        e1 = px * (by - y0) - py * (bx - x0)
         if (e0 > 0) == (e1 > 0) or e0 == e1:
             continue
         params.append(d0 / (d0 - d1))
@@ -194,24 +202,30 @@ class PolygonWithHoles:
 
     def validate(self) -> None:
         """Full structural check: simplicity, containment, hole disjointness."""
-        if not ring_is_simple(self.outer):
+        if not _outer_ring_is_simple(self.outer):
             raise InvalidGeometryError("outer ring self-intersects")
+        outer_edges = list(ring_edges(self.outer))
         for hole in self.holes:
             if not ring_is_simple(hole):
                 raise InvalidGeometryError("hole ring self-intersects")
             for p in hole:
                 if not point_in_ring(p, self.outer):
                     raise InvalidGeometryError("hole vertex outside outer ring")
-            for i in range(len(hole)):
-                a, b = hole[i], hole[(i + 1) % len(hole)]
-                for j in range(len(self.outer)):
-                    c, d = self.outer[j], self.outer[(j + 1) % len(self.outer)]
+            for a, b in ring_edges(hole):
+                for c, d in outer_edges:
                     if segments_cross(a, b, c, d):
                         raise InvalidGeometryError("hole crosses outer ring")
         for i in range(len(self.holes)):
             for j in range(i + 1, len(self.holes)):
                 if _rings_interact(self.holes[i], self.holes[j]):
                     raise InvalidGeometryError("holes are not pairwise disjoint")
+
+    @functools.cached_property
+    def _clip_subjects(self) -> tuple[Sequence[Point], ...]:
+        """The outer ring and each reversed hole, oriented as clip_area_convex
+        orients a subject; computed once per polygon, not once per clip."""
+        rings = (self.outer, *(list(reversed(hole)) for hole in self.holes))
+        return tuple(_counterclockwise(ring) for ring in rings)
 
     def contains(self, pt: Point) -> bool:
         """Point lies in free space: inside outer, outside every hole."""
@@ -220,14 +234,37 @@ class PolygonWithHoles:
         return not any(point_in_ring(pt, hole) for hole in self.holes)
 
 
+def _same_ring_memo(fn):
+    """`fn(ring)`, computed once for as long as the same ring tuple comes back.
+
+    A tuple of points cannot change, so the stored result is exactly what
+    `fn` would compute again. Any other argument, an equal tuple included, is
+    computed afresh: equal floats may still differ in the sign of a zero.
+    """
+    last: list = [None, None]
+
+    @functools.wraps(fn)
+    def memo(ring):
+        if ring is last[0]:
+            return last[1]
+        result = fn(ring)
+        if type(ring) is tuple:
+            last[:] = ring, result
+        return result
+
+    return memo
+
+
+# An AOI's outer ring is checked when it is sampled and again after its holes
+# are inserted; this one memo serves outer rings only, so holes never evict it.
+_outer_ring_is_simple = _same_ring_memo(ring_is_simple)
+
+
 def _rings_interact(a: Sequence[Point], b: Sequence[Point]) -> bool:
     if any(point_in_ring(p, b) for p in a) or any(point_in_ring(p, a) for p in b):
         return True
-    for i in range(len(a)):
-        for j in range(len(b)):
-            if segments_cross(a[i], a[(i + 1) % len(a)], b[j], b[(j + 1) % len(b)]):
-                return True
-    return False
+    b_edges = list(ring_edges(b))
+    return any(segments_cross(p, q, r, s) for p, q in ring_edges(a) for r, s in b_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +307,13 @@ class MinRotatedRect:
         return math.atan2(self.axis[1], self.axis[0])
 
 
+@_same_ring_memo
 def min_rotated_rect(points: Sequence[Point]) -> MinRotatedRect:
     """Minimum-area enclosing rectangle via rotating calipers on the hull.
 
-    Deterministic: ties on area keep the first hull edge in hull order.
+    Deterministic: ties on area keep the first hull edge in hull order. One
+    outer ring's rectangle serves sampling, morphology after hole insertion
+    and the lattice frame, so the last tuple's result is reused.
     """
     hull = convex_hull(points)
     if len(hull) < 3:
@@ -288,13 +328,9 @@ def min_rotated_rect(points: Sequence[Point]) -> MinRotatedRect:
         if norm == 0:
             continue
         ux, uy = ex / norm, ey / norm
-        smin = smax = hull[0][0] * ux + hull[0][1] * uy
-        tmin = tmax = -hull[0][0] * uy + hull[0][1] * ux
-        for x, y in hull[1:]:
-            s = x * ux + y * uy
-            t = -x * uy + y * ux
-            smin, smax = min(smin, s), max(smax, s)
-            tmin, tmax = min(tmin, t), max(tmax, t)
+        ss = [x * ux + y * uy for x, y in hull]
+        ts = [-x * uy + y * ux for x, y in hull]
+        smin, smax, tmin, tmax = min(ss), max(ss), min(ts), max(ts)
         area = (smax - smin) * (tmax - tmin)
         if best is None or area < best[0]:
             best = (area, ux, uy, smin, smax, tmin, tmax)
@@ -338,48 +374,53 @@ def clip_area_convex(subject: Sequence[Point], clip: Sequence[Point]) -> float:
     output ring still carries the exact intersection area, which is all
     callers need.
     """
-    if ring_signed_area(subject) < 0:
-        subject = list(reversed(subject))
-    ring = list(subject)
-    m = len(clip)
-    for i in range(m):
+    return _clip_area_ccw(_counterclockwise(subject), clip)
+
+
+def _counterclockwise(ring: Sequence[Point]) -> Sequence[Point]:
+    return list(reversed(ring)) if ring_signed_area(ring) < 0 else ring
+
+
+def _clip_area_ccw(ring: Sequence[Point], clip: Sequence[Point]) -> float:
+    for a, b in ring_edges(clip):
         if not ring:
             return 0.0
-        a = clip[i]
-        b = clip[(i + 1) % m]
         ring = _clip_halfplane(ring, a, b)
     if len(ring) < 3:
         return 0.0
     return max(ring_signed_area(ring), 0.0)
 
 
-def _clip_halfplane(ring: list[Point], a: Point, b: Point) -> list[Point]:
+def _clip_halfplane(ring: Sequence[Point], a: Point, b: Point) -> Sequence[Point]:
+    ax, ay = a
+    ex, ey = b[0] - ax, b[1] - ay
+    # _orient(a, b, p) of every vertex, the same expression written out.
+    sides = [ex * (y - ay) - ey * (x - ax) for x, y in ring]
+    if min(sides) >= 0:
+        return ring  # every vertex kept, no edge leaves the half-plane
+    if max(sides) < 0:
+        return []
     out: list[Point] = []
-    n = len(ring)
-    sides = [_orient(a, b, p) for p in ring]
-    for i in range(n):
-        p, q = ring[i], ring[(i + 1) % n]
-        ps, qs = sides[i], sides[(i + 1) % n]
+    for p, q, ps, qs in zip(ring, ring[1:] + ring[:1], sides, sides[1:] + sides[:1]):
         if ps >= 0:
             out.append(p)
-            if qs < 0:
-                out.append(_edge_line_point(p, q, ps, qs))
-        elif qs >= 0:
-            out.append(_edge_line_point(p, q, ps, qs))
+            if qs >= 0:
+                continue
+        elif qs < 0:
+            continue
+        # The edge crosses the clip line: add the crossing point.
+        t = ps / (ps - qs)
+        out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     return out
-
-
-def _edge_line_point(p: Point, q: Point, ps: float, qs: float) -> Point:
-    t = ps / (ps - qs)
-    return Point(p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
 
 
 def free_overlap_area(center: Point, h: float, polygon: PolygonWithHoles) -> float:
     """Area of the hexagon at `center` covered by free space (outer minus holes)."""
     hexagon = hexagon_ring(center, h)
-    area = clip_area_convex(polygon.outer, hexagon)
+    outer, *holes = polygon._clip_subjects
+    area = _clip_area_ccw(outer, hexagon)
     if area == 0.0:
         return 0.0
-    for hole in polygon.holes:
-        area -= clip_area_convex(list(reversed(hole)), hexagon)
+    for hole in holes:
+        area -= _clip_area_ccw(hole, hexagon)
     return max(area, 0.0)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,12 +18,15 @@ from hexcover.aoi import (
     label_from,
     sample_aoi,
     substream,
+    _closer_than,
+    _dist_point_segment,
 )
 from hexcover.hexgeom import (
     InvalidParameterError,
     Point,
     PolygonWithHoles,
     point_in_ring,
+    ring_edges,
     ring_signed_area,
 )
 
@@ -161,6 +165,24 @@ class TestObstacles:
                 for p in hole:
                     assert point_in_ring(p, out.polygon.outer)
         assert drew_some >= 10
+
+    def test_clearance_test_matches_minimum_distance(self):
+        # _closer_than stops early and skips far edges by a padded box test;
+        # its answer must be `min(distance to each edge) < clearance`, also
+        # at a clearance equal to the minimum or one float above it.
+        rng = np.random.default_rng(7)
+        for seed in range(12):
+            shape = insert_obstacles(self.fixture_shape(seed), seed)
+            outer = shape.polygon.outer
+            pad = 1e-9 * (1.0 + max(abs(v) for p in outer for v in p))
+            xs = [p.x for p in outer]
+            ys = [p.y for p in outer]
+            for ring in (outer, *shape.polygon.holes):
+                for _ in range(60):
+                    p = Point(rng.uniform(min(xs), max(xs)), rng.uniform(min(ys), max(ys)))
+                    d = min(_dist_point_segment(p, a, b) for a, b in ring_edges(ring))
+                    for c in (0.05, 0.4, 1.0, d, math.nextafter(d, math.inf)):
+                        assert _closer_than(p, ring, c, pad) == (d < c)
 
     def test_morphology_recomputed_after_holes(self):
         for seed in range(30):

@@ -3,7 +3,7 @@ import math
 import pytest
 from conftest import aoi_from_ring, edge_lengths_ok
 
-from hexcover.aoi import FAMILIES, sample_aoi
+from hexcover.aoi import FAMILIES, insert_obstacles, sample_aoi
 from hexcover.graphbuild import (
     BaseAttachmentError,
     DegenerateInstanceError,
@@ -26,9 +26,12 @@ from hexcover.hexgeom import (
     InvalidGeometryError,
     OffsetCoord,
     Point,
+    PolygonWithHoles,
     SQRT3,
+    free_overlap_area,
     hexagon_area,
     hexagon_ring,
+    min_rotated_rect,
     offset_to_center,
 )
 
@@ -101,6 +104,92 @@ class TestTessellate:
         ring = [Point(ca * x - sa * y, sa * x + ca * y) for x, y in rect_ring(-9, -5, 18, 10)]
         mask = tessellate(aoi_from_ring(ring), 1.0)
         assert mask.frame.angle == pytest.approx(ang, abs=1e-9)
+
+
+def clip_every_cell(aoi, h):
+    """Reference tessellation: the retention rule applied by clipping every
+    candidate cell, with no shortcut for cells clear of the rings."""
+    rect = min_rotated_rect(list(aoi.polygon.outer))
+    frame = LatticeFrame(rect.center, rect.angle)
+    local = PolygonWithHoles(
+        tuple(frame.to_local(p) for p in aoi.polygon.outer),
+        tuple(tuple(frame.to_local(p) for p in hole) for hole in aoi.polygon.holes),
+    )
+    xs = [p.x for p in local.outer]
+    ys = [p.y for p in local.outer]
+    x_lo, x_hi, y_lo, y_hi = min(xs) - h, max(xs) + h, min(ys) - h, max(ys) + h
+    kept = set()
+    for col in range(math.floor(x_lo / (1.5 * h)), math.ceil(x_hi / (1.5 * h)) + 1):
+        for row in range(math.floor(y_lo / (SQRT3 * h)) - 1, math.ceil(y_hi / (SQRT3 * h)) + 2):
+            c = OffsetCoord(col, row)
+            center = offset_to_center(c, h)
+            if not (x_lo <= center.x <= x_hi and y_lo <= center.y <= y_hi):
+                continue
+            if free_overlap_area(center, h, local) >= 0.5 * hexagon_area(h):
+                kept.add(c)
+    return frozenset(kept), frame
+
+
+class TestTessellateShortcutExact:
+    """tessellate clips only cells near a ring edge; the mask must not change."""
+
+    def test_matches_clipping_every_cell_on_pipeline_seeds(self):
+        config = GenerationConfig()
+        holed = 0
+        for seed in range(200):
+            shape = sample_aoi(choose_family(seed, config), seed, config.scale)
+            shape = insert_obstacles(shape, seed)
+            holed += bool(shape.polygon.holes)
+            mask = tessellate(shape, config.hex_radius)
+            assert (mask.coords, mask.frame) == clip_every_cell(shape, config.hex_radius), seed
+        assert holed >= 120
+
+    def test_hole_wholly_inside_one_hexagon(self):
+        # The rectangle is centred on the origin with its long side along x,
+        # so lattice and world coordinates coincide.
+        outer = rect_ring(-6.0, -4.0, 12.0, 8.0)
+        centre = offset_to_center(OffsetCoord(1, 0), 1.0)
+        for radius, dropped in ((0.8, True), (0.3, False)):
+            hole = tuple(reversed(hexagon_ring(centre, radius)))
+            aoi = aoi_from_ring(outer, [hole])
+            mask = tessellate(aoi, 1.0)
+            assert mask.frame == LatticeFrame(Point(0.0, 0.0), 0.0)
+            assert (OffsetCoord(1, 0) not in mask.coords) == dropped
+            assert (mask.coords, mask.frame) == clip_every_cell(aoi, 1.0)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_holes_that_spare_the_centre(self, axis):
+        # Two holes take the hexagon's far sides (|offset| > 0.3h along one
+        # axis), more than half its area, yet its centre stays in free space:
+        # only clipping finds that the cell is lost.
+        outer = rect_ring(-6.0, -4.0, 12.0, 8.0)
+        cx, cy = offset_to_center(OffsetCoord(1, 0), 1.0)
+        holes = []
+        for sign in (-1.0, 1.0):
+            lo, hi = sorted((sign * 0.3, sign * 1.2))
+            if axis == 0:
+                box = (cx + lo, cy - 1.2, hi - lo, 2.4)
+            else:
+                box = (cx - 1.2, cy + lo, 2.4, hi - lo)
+            holes.append(tuple(reversed(rect_ring(*box))))
+        aoi = aoi_from_ring(outer, holes)
+        assert aoi.polygon.contains(Point(cx, cy))
+        mask = tessellate(aoi, 1.0)
+        assert OffsetCoord(1, 0) not in mask.coords
+        assert (mask.coords, mask.frame) == clip_every_cell(aoi, 1.0)
+
+    def test_ring_vertices_on_hexagon_edges(self):
+        # Corners (+-3h, +-1.5*sqrt(3)h) are midpoints of the top and bottom
+        # edges of cells in columns +-2, and the long sides run along those
+        # cells' edges.
+        for h in (1.0, 0.7):
+            x, y = 3.0 * h, 1.5 * SQRT3 * h
+            square = rect_ring(-x, -y, 2 * x, 2 * y)
+            # The same outline with an extra vertex on the top edge of cell (0, 1).
+            notched = (*square[:3], Point(0.0, y), square[3])
+            for ring in (square, notched):
+                aoi = aoi_from_ring(ring)
+                assert tessellate(aoi, h).coords == clip_every_cell(aoi, h)[0]
 
 
 class TestPostprocess:

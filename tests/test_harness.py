@@ -28,6 +28,10 @@ N_SMALL = 6
 # them on purpose and updates them here.
 PINNED_DATASET_SHA256 = "767a2c7f82c32fd75df44a02278f2e8c2b5c9e09bd684bfd3d5982230b73e1c4"
 PINNED_RESULTS_DIGEST = "075151f3394d0a1fb8b79c61f5c69797471990608759eb1eebde6d57a31914c6"
+# SHA-256 of the 40 instances admitted from seeds 0-47 (two seeds infeasible,
+# six outside the size band, several with obstacle holes): every geometry
+# stage from sampling to base attachment, checked byte for byte.
+PINNED_SEEDS_0_47_SHA256 = "81bee7c5c5cec3e45208f0428ae6068588d4c5d097649bdf7c8a9f7f1c33d08d"
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +196,42 @@ class TestFileBoundary:
         )
         digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
         assert digest == PINNED_RESULTS_DIGEST
+
+    def test_pinned_dataset_of_seeds_0_to_47(self, tmp_path):
+        manifest = generate_dataset(
+            40, 0, GenerationConfig(), tmp_path / "tail.jsonl", workers=2
+        )
+        assert manifest.seeds_scanned == 48
+        assert manifest.rejections == {"infeasible": 2, "size-band": 6}
+        assert manifest.sha256 == PINNED_SEEDS_0_47_SHA256
+
+    @pytest.mark.parametrize(
+        "command", [["run", "--workers", "1"], ["run", "--workers", "2"], ["audit"]],
+        ids=["run-inline", "run-pool", "audit"],
+    )
+    @pytest.mark.parametrize(
+        "field, value, says",
+        [("edges", None, "missing field 'edges'"), ("cells", 5, "ill-typed field")],
+        ids=["no-edges", "int-cells"],
+    )
+    def test_malformed_record_is_one_error_line(
+        self, dataset, tmp_path, capsys, command, field, value, says
+    ):
+        dpath, _ = dataset
+        lines = dpath.read_text().splitlines()
+        rec = json.loads(lines[1])
+        if value is None:
+            del rec[field]
+        else:
+            rec[field] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
+        out = ["--out", str(tmp_path / "r.jsonl")] if command[0] == "run" else []
+        code = cli_main([*command, "--dataset", str(bad), *out])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"instance {rec['id']}: {says}" in err[0]
 
     def test_schema_checked_on_load(self, dataset, results, tmp_path):
         dpath, _ = dataset

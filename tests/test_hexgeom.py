@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexcover.aoi import FAMILIES, sample_aoi
 from hexcover.hexgeom import (
     GEOM_TOL,
     SQRT3,
@@ -243,6 +244,17 @@ class TestMinRotatedRect:
             ts = [-x * sa + y * ca for x, y in pts]
             assert area <= (max(ss) - min(ss)) * (max(ts) - min(ts)) + 1e-7
         assert rect.aspect >= 1.0
+
+    def test_list_and_tuple_input_agree(self):
+        # A tuple ring's rectangle is remembered while the same tuple comes
+        # back; a list or another tuple is always computed afresh.
+        for seed in range(20):
+            ring = sample_aoi(FAMILIES[seed % 3], seed, 1.0).polygon.outer
+            fresh = min_rotated_rect(list(ring))
+            assert min_rotated_rect(ring) == fresh
+            assert min_rotated_rect(ring) == fresh
+            assert min_rotated_rect(tuple(list(ring))) == fresh
+            assert min_rotated_rect(list(ring)) == fresh
 
 
 def hexagon_slice_area_right_of(t: float) -> float:
