@@ -11,10 +11,12 @@ attached and the result is audited for Hamiltonian feasibility.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 from hexcover.aoi import (
+    FAMILIES,
     STREAM_BASE,
     STREAM_FAMILY,
     AoiShape,
@@ -440,14 +442,17 @@ class GenerationConfig:
     audit_budget: int = 2_000_000
 
     def validate(self) -> None:
-        if self.hex_radius <= 0 or self.scale <= 0:
-            raise InvalidParameterError("hex_radius and scale must be positive")
-        lo, hi = self.size_band
-        if not (0 < lo <= hi):
-            raise InvalidParameterError("invalid size band")
+        if not all(math.isfinite(v) and v > 0 for v in (self.hex_radius, self.scale)):
+            raise InvalidParameterError("hex_radius and scale must be positive and finite")
+        if len(self.size_band) != 2 or not 0 < self.size_band[0] <= self.size_band[1]:
+            raise InvalidParameterError(f"invalid size_band {list(self.size_band)}")
+        if any(family not in FAMILIES for family, _ in self.family_mix):
+            raise InvalidParameterError(f"family_mix families must be among {FAMILIES}")
         total = sum(w for _, w in self.family_mix)
         if abs(total - 1.0) > 1e-9:
             raise InvalidParameterError("family mix weights must sum to 1")
+        if self.audit_budget < 1:
+            raise InvalidParameterError("audit_budget must be at least 1")
 
     def to_dict(self) -> dict:
         return {
@@ -460,13 +465,29 @@ class GenerationConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GenerationConfig":
-        cfg = cls(
-            hex_radius=float(d.get("hex_radius", 1.0)),
-            scale=float(d.get("scale", 1.0)),
-            size_band=tuple(d.get("size_band", SIZE_BAND)),
-            family_mix=tuple((f, float(w)) for f, w in d.get("family_mix", cls.family_mix)),
-            audit_budget=int(d.get("audit_budget", 2_000_000)),
-        )
+        """The config a JSON object describes; an absent key keeps its default.
+
+        A non-object, an unknown key, or a value of the wrong shape or type
+        raises InvalidParameterError, as does a config `validate` refuses.
+        """
+        if not isinstance(d, dict):
+            raise InvalidParameterError("generation config must be a JSON object")
+        convert = {
+            "hex_radius": float,
+            "scale": float,
+            "size_band": lambda band: tuple(map(operator.index, band)),
+            "family_mix": lambda mix: tuple((f, float(w)) for f, w in mix),
+            "audit_budget": operator.index,
+        }
+        kwargs = {}
+        for key, value in d.items():
+            if key not in convert:
+                raise InvalidParameterError(f"unknown generation config key {key!r}")
+            try:
+                kwargs[key] = convert[key](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidParameterError(f"bad generation config {key}: {value!r}") from exc
+        cfg = cls(**kwargs)
         cfg.validate()
         return cfg
 

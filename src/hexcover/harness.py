@@ -29,7 +29,7 @@ from hexcover.graphbuild import (
 )
 from hexcover.hexgeom import InvalidParameterError, OffsetCoord, Point
 from hexcover.metrics import (
-    PathMetrics,
+    IncompleteMatrixError,
     SummaryRow,
     aggregate_summary,
     compute_path_metrics,
@@ -354,6 +354,8 @@ def resolve_methods(methods: Sequence[str] | str) -> list[str]:
     out = [_spec(name).slug for name in methods]
     if not out:
         raise InvalidParameterError("no methods requested")
+    if len(set(out)) != len(out):
+        raise InvalidParameterError(f"a method is requested twice: {','.join(out)}")
     return out
 
 
@@ -407,148 +409,82 @@ def run_benchmark(
 
 
 def load_results(
-    path: str | Path, instances: Sequence[LoadedInstance] | None = None
+    path: str | Path, instances: Sequence[LoadedInstance]
 ) -> list[ResultRecord]:
-    """Parse a results file; with instances given, re-validate every walk.
+    """Parse a results file and re-grade every walk against `instances`.
 
-    A walk that does not grade to its stored status and revisits, or is not
-    a walk at all (MalformedWalkError), fails the load at its line.
+    A walk of no instance, not a walk at all (MalformedWalkError), or not
+    grading to its stored status and revisits fails the load at its line; a
+    file with no record for some instance raises IncompleteMatrixError.
     """
-    graphs = {i.id: i.graph for i in instances} if instances is not None else None
+    graphs = {i.id: i.graph for i in instances}
 
     def convert(r: dict) -> ResultRecord:
         rec = ResultRecord.from_dict(r)
-        if graphs is not None:
-            g = graphs.get(rec.instance_id)
-            if g is None:
-                raise ValueError(f"unknown instance {rec.instance_id}")
-            if validate_path(g, rec.walk) != (rec.status, rec.revisits):
-                raise ValueError(
-                    "stored status/revisits do not match the walk (tamper check failed)"
-                )
+        g = graphs.get(rec.instance_id)
+        if g is None:
+            raise ValueError(f"unknown instance {rec.instance_id}")
+        if validate_path(g, rec.walk) != (rec.status, rec.revisits):
+            raise ValueError(
+                "stored status/revisits do not match the walk (tamper check failed)"
+            )
         return rec
 
-    return _read_jsonl(path, RESULTS_SCHEMA, convert)
+    records = _read_jsonl(path, RESULTS_SCHEMA, convert)
+    missing = sorted(graphs.keys() - {r.instance_id for r in records})
+    if missing:
+        head = ", ".join(missing[:5])
+        raise IncompleteMatrixError(f"{path}: no results for {len(missing)} instances ({head} ...)")
+    return records
 
 
 # ---------------------------------------------------------------------------
 # Reporting
 
-
-def records_to_metrics(
-    records: Iterable[ResultRecord],
-) -> list[tuple[str, str, PathMetrics]]:
-    return [
-        (
-            r.instance_id,
-            r.method,
-            PathMetrics(r.status, r.revisits, r.distance_norm, r.turns_rad, r.latency_ms),
-        )
-        for r in records
-    ]
-
-
-def _fmt(x, digits=1):
-    if x is None:
-        return "-"
-    return f"{x:.{digits}f}"
+# Every number a report shows is a field of a SummaryRow from aggregate_summary
+# over the dataset's instances. Each table shows the method's display name,
+# then these fields; `family` is the planner's and `n` the row's instance count.
+FEASIBILITY_COLUMNS = ("family", "hsr_pct", "ccr_pct", "n")
+QUALITY_COLUMNS = (
+    "revisits_mean", "revisits_sd", "distance_mean", "distance_sd",
+    "turns_mean", "turns_sd", "latency_mean_ms", "n_covered",
+)
+WARNSDORFF_COLUMNS = (
+    "hsr_pct", "distance_mean", "distance_sd", "turns_mean", "turns_sd",
+    "latency_mean_ms",
+)
 
 
-def feasibility_table(rows: list[SummaryRow], n_instances: int) -> list[dict]:
-    """Table of HSR/CCR per method, oracle row first (audited datasets)."""
-    out = [
-        {
-            "method": ORACLE_DISPLAY,
-            "family": "Oracle",
-            "hsr_pct": 100.0,
-            "ccr_pct": 100.0,
-            "n": n_instances,
-        }
-    ]
-    for row in rows:
-        spec = PLANNERS[row.method]
-        out.append(
-            {
-                "method": spec.display,
-                "family": spec.family,
-                "hsr_pct": row.hsr_pct,
-                "ccr_pct": row.ccr_pct,
-                "n": row.n_instances,
-            }
-        )
-    return out
-
-
-def quality_table(rows: list[SummaryRow]) -> list[dict]:
+def _table(rows: Iterable[SummaryRow], columns: Sequence[str]) -> list[dict]:
     out = []
     for row in rows:
         spec = PLANNERS[row.method]
-        out.append(
-            {
-                "method": spec.display,
-                "revisits_mean": row.revisits_mean,
-                "revisits_sd": row.revisits_sd,
-                "distance_mean": row.distance_mean,
-                "distance_sd": row.distance_sd,
-                "turns_mean": row.turns_mean,
-                "turns_sd": row.turns_sd,
-                "latency_mean_ms": row.latency_mean_ms,
-                "n_covered": row.n_covered,
-            }
-        )
-    return out
-
-
-def warnsdorff_table(rows: list[SummaryRow]) -> list[dict]:
-    by_method = {r.method: r for r in rows}
-    out = []
-    for slug in WARNSDORFF_SLUGS:
-        if slug not in by_method:
-            continue
-        r = by_method[slug]
-        out.append(
-            {
-                "method": PLANNERS[slug].display,
-                "hsr_pct": r.hsr_pct,
-                "distance_mean": r.distance_mean,
-                "distance_sd": r.distance_sd,
-                "turns_mean": r.turns_mean,
-                "turns_sd": r.turns_sd,
-                "latency_mean_ms": r.latency_mean_ms,
-            }
-        )
+        fields = {**vars(row), "family": spec.family, "n": row.n_instances}
+        out.append({"method": spec.display, **{c: fields[c] for c in columns}})
     return out
 
 
 def morphology_table(
-    records: list[ResultRecord], instances: Sequence[LoadedInstance]
+    records: list[ResultRecord],
+    instances: Sequence[LoadedInstance],
+    rows: list[SummaryRow],
 ) -> list[dict]:
-    """Warnsdorff HSR stratified by morphology, with per-stratum n."""
-    label_of = {i.id: i.morphology_label for i in instances}
-    strata = ("Compact", "Elongated", "Irregular")
+    """Warnsdorff HSR per morphology stratum, with per-stratum n: each stratum
+    is aggregate_summary over its instances' Warnsdorff records, and the
+    Overall row is `rows`, the summary over every instance."""
+    warnsdorff = [row.method for row in rows if row.method in WARNSDORFF_SLUGS]
+    strata = []
+    for stratum in ("Compact", "Elongated", "Irregular"):
+        ids = {i.id for i in instances if i.morphology_label == stratum}
+        subset = [r for r in records if r.instance_id in ids and r.method in warnsdorff]
+        summary = aggregate_summary(subset, warnsdorff) if subset else []
+        strata.append((stratum, len(ids), summary))
+    strata.append(("Overall", len(instances), rows))
     out = []
-    for label in strata:
-        ids = {iid for iid, lab in label_of.items() if lab == label}
-        row: dict = {"morphology": label, "n": len(ids)}
-        for slug in WARNSDORFF_SLUGS:
-            subset = [
-                r for r in records if r.method == slug and r.instance_id in ids
-            ]
-            if ids and subset:
-                hsr = 100.0 * sum(r.status == "HamiltonianSuccess" for r in subset) / len(ids)
-            else:
-                hsr = None
-            row[PLANNERS[slug].display] = hsr
-        out.append(row)
-    overall: dict = {"morphology": "Overall", "n": len(label_of)}
-    for slug in WARNSDORFF_SLUGS:
-        subset = [r for r in records if r.method == slug]
-        overall[PLANNERS[slug].display] = (
-            100.0 * sum(r.status == "HamiltonianSuccess" for r in subset) / len(label_of)
-            if subset
-            else None
-        )
-    out.append(overall)
+    for stratum, n, summary in strata:
+        hsr = {row.method: row.hsr_pct for row in summary}
+        columns = {PLANNERS[s].display: hsr.get(s) for s in WARNSDORFF_SLUGS}
+        out.append({"morphology": stratum, "n": n, **columns})
     return out
 
 
@@ -569,25 +505,28 @@ def write_report(
     instances = load_instances(dataset_path)
     records = load_results(results_path, instances)
     methods = sorted({r.method for r in records}, key=METHOD_ORDER.index)
-    rows = aggregate_summary(records_to_metrics(records), method_order=methods)
+    rows = aggregate_summary(records, method_order=methods)
+    by_method = {row.method: row for row in rows}
+    oracle = {"method": ORACLE_DISPLAY, "family": "Oracle", "hsr_pct": 100.0,
+              "ccr_pct": 100.0, "n": len(instances)}
+    tables = {
+        "feasibility": [oracle, *_table(rows, FEASIBILITY_COLUMNS)],
+        "quality": _table(rows, QUALITY_COLUMNS),
+        "warnsdorff": _table(
+            [by_method[s] for s in WARNSDORFF_SLUGS if s in by_method], WARNSDORFF_COLUMNS
+        ),
+    }
+    if strata == "morphology":
+        tables["morphology"] = morphology_table(records, instances, rows)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    feas = feasibility_table(rows, len(instances))
-    qual = quality_table(rows)
-    warns = warnsdorff_table(rows)
     ext = "md" if fmt == "markdown" else "csv"
-
-    written.append(_write_table(out_dir / f"feasibility.{ext}", fmt, feas))
-    written.append(_write_table(out_dir / f"quality.{ext}", fmt, qual))
-    if warns:
-        written.append(_write_table(out_dir / f"warnsdorff.{ext}", fmt, warns))
-    if strata == "morphology":
-        morph = morphology_table(records, instances)
-        written.append(_write_table(out_dir / f"morphology.{ext}", fmt, morph))
-
+    written = [
+        _write_table(out_dir / f"{name}.{ext}", fmt, table)
+        for name, table in tables.items()
+        if table
+    ]
     if plots_dir is not None:
         plots_dir = Path(plots_dir)
         plots_dir.mkdir(parents=True, exist_ok=True)
@@ -599,9 +538,7 @@ def write_report(
 
 
 def _write_table(path: Path, fmt: str, table: list[dict]) -> Path:
-    if not table:
-        raise InvalidParameterError("empty table")
-    cols = list(table[0].keys())
+    cols = list(table[0])
     if fmt == "csv":
         import csv
 
@@ -613,18 +550,10 @@ def _write_table(path: Path, fmt: str, table: list[dict]) -> Path:
     else:
         lines = ["| " + " | ".join(cols) + " |", "| " + " | ".join("---" for _ in cols) + " |"]
         for row in table:
-            cells = []
-            for k in cols:
-                v = row[k]
-                if isinstance(v, float):
-                    cells.append(_fmt(v, 2))
-                elif v is None:
-                    cells.append("-")
-                else:
-                    cells.append(str(v))
+            cells = [row[k] for k in cols]
+            cells = ["-" if v is None else f"{v:.2f}" if isinstance(v, float) else str(v) for v in cells]
             lines.append("| " + " | ".join(cells) + " |")
         path.write_text("\n".join(lines) + "\n")
-        return path
     return path
 
 
@@ -632,41 +561,42 @@ def _write_table(path: Path, fmt: str, table: list[dict]) -> Path:
 # Minimal deterministic SVG plots
 
 
-def _svg_header(w: int, h: int) -> list[str]:
-    return [
+def _write_svg(path: Path, w: int, h: int, body: list[str], title: str) -> Path:
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
         f'<rect width="{w}" height="{h}" fill="white"/>',
+        *body,
+        f'<text x="20" y="20" font-size="12">{title}</text>',
+        "</svg>",
     ]
+    path.write_text("\n".join(parts) + "\n")
+    return path
 
 
 def _write_hsr_bar_svg(path: Path, rows: list[SummaryRow]) -> Path:
     w, h = 900, 420
     margin, base_y = 60, 360
-    parts = _svg_header(w, h)
-    if rows:
-        bar_w = (w - 2 * margin) / len(rows) * 0.7
-        step = (w - 2 * margin) / len(rows)
-        for k, row in enumerate(rows):
-            x = margin + k * step
-            bar_h = (base_y - 40) * row.hsr_pct / 100.0
-            parts.append(
-                f'<rect x="{x:.1f}" y="{base_y - bar_h:.1f}" width="{bar_w:.1f}" '
-                f'height="{bar_h:.1f}" fill="#33689e"/>'
-            )
-            parts.append(
-                f'<text x="{x + bar_w / 2:.1f}" y="{base_y + 12}" font-size="8" '
-                f'text-anchor="end" transform="rotate(-45 {x + bar_w / 2:.1f} '
-                f'{base_y + 12})">{PLANNERS[row.method].display}</text>'
-            )
-            parts.append(
-                f'<text x="{x + bar_w / 2:.1f}" y="{base_y - bar_h - 4:.1f}" '
-                f'font-size="9" text-anchor="middle">{row.hsr_pct:.1f}</text>'
-            )
-    parts.append('<text x="20" y="20" font-size="12">Hamiltonian success rate (%)</text>')
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
-    return path
+    parts = []
+    bar_w = (w - 2 * margin) / len(rows) * 0.7
+    step = (w - 2 * margin) / len(rows)
+    for k, row in enumerate(rows):
+        x = margin + k * step
+        bar_h = (base_y - 40) * row.hsr_pct / 100.0
+        parts.append(
+            f'<rect x="{x:.1f}" y="{base_y - bar_h:.1f}" width="{bar_w:.1f}" '
+            f'height="{bar_h:.1f}" fill="#33689e"/>'
+        )
+        parts.append(
+            f'<text x="{x + bar_w / 2:.1f}" y="{base_y + 12}" font-size="8" '
+            f'text-anchor="end" transform="rotate(-45 {x + bar_w / 2:.1f} '
+            f'{base_y + 12})">{PLANNERS[row.method].display}</text>'
+        )
+        parts.append(
+            f'<text x="{x + bar_w / 2:.1f}" y="{base_y - bar_h - 4:.1f}" '
+            f'font-size="9" text-anchor="middle">{row.hsr_pct:.1f}</text>'
+        )
+    return _write_svg(path, w, h, parts, "Hamiltonian success rate (%)")
 
 
 def _write_revisits_scatter_svg(path: Path, rows: list[SummaryRow]) -> Path:
@@ -677,7 +607,7 @@ def _write_revisits_scatter_svg(path: Path, rows: list[SummaryRow]) -> Path:
         for row in rows
         if row.revisits_mean is not None and row.distance_mean is not None
     ]
-    parts = _svg_header(w, h)
+    parts = []
     if pts:
         max_x = max(p[0] for p in pts) or 1.0
         min_y = min(p[1] for p in pts)
@@ -690,10 +620,5 @@ def _write_revisits_scatter_svg(path: Path, rows: list[SummaryRow]) -> Path:
             parts.append(
                 f'<text x="{px + 6:.1f}" y="{py - 4:.1f}" font-size="8">{label}</text>'
             )
-    parts.append(
-        '<text x="20" y="20" font-size="12">Mean revisits vs normalized distance '
-        "(coverage-complete subset)</text>"
-    )
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
-    return path
+    title = "Mean revisits vs normalized distance (coverage-complete subset)"
+    return _write_svg(path, w, h, parts, title)

@@ -141,21 +141,26 @@ def compute_path_metrics(
 
 
 def aggregate_summary(
-    records: Iterable[tuple[str, str, PathMetrics]],
+    records: Iterable,
     method_order: Sequence[str] | None = None,
 ) -> list[SummaryRow]:
     """Per-method summary over a complete instance x method result matrix.
 
+    `records` are harness.ResultRecord: the summary reads their instance_id,
+    method, status, revisits, distance_norm, turns_rad and latency_ms.
     HSR and CCR are fractions over all instances; revisit/distance/turn
     statistics are conditional on the completed-coverage subset and use the
-    sample standard deviation. Missing (instance, method) cells raise
-    IncompleteMatrixError.
+    sample standard deviation. Missing or repeated (instance, method) cells
+    raise IncompleteMatrixError.
     """
-    by_method: dict[str, dict[str, PathMetrics]] = {}
+    by_method: dict[str, dict] = {}
     instance_ids: set[str] = set()
-    for instance_id, method, pm in records:
-        by_method.setdefault(method, {})[instance_id] = pm
-        instance_ids.add(instance_id)
+    for r in records:
+        cells = by_method.setdefault(r.method, {})
+        if r.instance_id in cells:
+            raise IncompleteMatrixError(f"repeated result cell {r.instance_id}:{r.method}")
+        cells[r.instance_id] = r
+        instance_ids.add(r.instance_id)
 
     methods = list(method_order) if method_order is not None else sorted(by_method)
     missing = []
@@ -172,11 +177,11 @@ def aggregate_summary(
     total = len(instance_ids)
     for method in methods:
         cells = by_method[method]
-        ham = sum(pm.status == STATUS_HAMILTONIAN for pm in cells.values())
+        ham = sum(r.status == STATUS_HAMILTONIAN for r in cells.values())
         covered = [
-            pm
-            for pm in cells.values()
-            if pm.status in (STATUS_HAMILTONIAN, STATUS_COVERAGE)
+            r
+            for r in cells.values()
+            if r.status in (STATUS_HAMILTONIAN, STATUS_COVERAGE)
         ]
         rows.append(
             SummaryRow(
@@ -185,13 +190,13 @@ def aggregate_summary(
                 hsr_pct=100.0 * ham / total,
                 ccr_pct=100.0 * len(covered) / total,
                 n_covered=len(covered),
-                revisits_mean=_mean([pm.revisits for pm in covered]),
-                revisits_sd=_sd([pm.revisits for pm in covered]),
-                distance_mean=_mean([pm.distance_norm for pm in covered]),
-                distance_sd=_sd([pm.distance_norm for pm in covered]),
-                turns_mean=_mean([pm.turns_rad for pm in covered]),
-                turns_sd=_sd([pm.turns_rad for pm in covered]),
-                latency_mean_ms=mean(pm.latency_ms for pm in cells.values()),
+                revisits_mean=_mean([r.revisits for r in covered]),
+                revisits_sd=_sd([r.revisits for r in covered]),
+                distance_mean=_mean([r.distance_norm for r in covered]),
+                distance_sd=_sd([r.distance_norm for r in covered]),
+                turns_mean=_mean([r.turns_rad for r in covered]),
+                turns_sd=_sd([r.turns_rad for r in covered]),
+                latency_mean_ms=mean(r.latency_ms for r in cells.values()),
             )
         )
     return rows

@@ -14,7 +14,6 @@ from hexcover.harness import (
     audit_dataset,
     generate_dataset,
     load_instances,
-    records_to_metrics,
     run_benchmark,
 )
 from hexcover.hexgeom import Point
@@ -69,7 +68,7 @@ def records(dataset_path, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def summary(records):
-    rows = aggregate_summary(records_to_metrics(records), METHOD_ORDER)
+    rows = aggregate_summary(records, METHOD_ORDER)
     return {r.method: r for r in rows}
 
 

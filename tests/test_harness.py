@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hexcover import harness
 from hexcover.cli import main as cli_main
 from hexcover.graphbuild import GenerationConfig
 from hexcover.harness import (
@@ -32,6 +33,15 @@ PINNED_RESULTS_DIGEST = "075151f3394d0a1fb8b79c61f5c69797471990608759eb1eebde6d5
 # six outside the size band, several with obstacle holes): every geometry
 # stage from sampling to base attachment, checked byte for byte.
 PINNED_SEEDS_0_47_SHA256 = "81bee7c5c5cec3e45208f0428ae6068588d4c5d097649bdf7c8a9f7f1c33d08d"
+# SHA-256 of the markdown report (`--strata morphology`) of all 17 methods on
+# that dataset; quality.md and warnsdorff.md are hashed without their
+# latency_mean_ms column, the one number that differs between runs.
+PINNED_SEEDS_0_47_REPORT_SHA256 = {
+    "feasibility.md": "d40fccb79b468a5ac9d757d0d653fe6de3a9df539f2cedc5445ebf95e8646f76",
+    "morphology.md": "a481a177ea2657201ec29868b8545b192f301ab64b2f92f0495a63c415dae3fd",
+    "quality.md": "6b2f3eb55860980073d8be6dc3505d27c7c4c61ef0be1875c0705a79d72282c4",
+    "warnsdorff.md": "d6b3f5982a69e39f13bc2f5cf5df259d9374f446b4de868f57275e49bf536519",
+}
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +49,13 @@ def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
     path = root / "instances.jsonl"
     manifest = generate_dataset(N_SMALL, seed=0, config=GenerationConfig(), out_path=path)
+    return path, manifest
+
+
+@pytest.fixture(scope="module")
+def seeds_0_47(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tail") / "tail.jsonl"
+    manifest = generate_dataset(40, 0, GenerationConfig(), path, workers=2)
     return path, manifest
 
 
@@ -197,13 +214,47 @@ class TestFileBoundary:
         digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
         assert digest == PINNED_RESULTS_DIGEST
 
-    def test_pinned_dataset_of_seeds_0_to_47(self, tmp_path):
-        manifest = generate_dataset(
-            40, 0, GenerationConfig(), tmp_path / "tail.jsonl", workers=2
-        )
+    def test_pinned_dataset_of_seeds_0_to_47(self, seeds_0_47):
+        _, manifest = seeds_0_47
         assert manifest.seeds_scanned == 48
         assert manifest.rejections == {"infeasible": 2, "size-band": 6}
         assert manifest.sha256 == PINNED_SEEDS_0_47_SHA256
+
+    def test_pinned_report_of_seeds_0_to_47(self, seeds_0_47, tmp_path):
+        dpath, _ = seeds_0_47
+        rpath, out = tmp_path / "r.jsonl", tmp_path / "rep"
+        run_benchmark(dpath, "all", rpath, workers=1)
+        write_report(rpath, dpath, out, strata="morphology")
+        digests = {
+            name: hashlib.sha256(
+                _drop_md_column((out / name).read_text(), "latency_mean_ms").encode()
+            ).hexdigest()
+            for name in PINNED_SEEDS_0_47_REPORT_SHA256
+        }
+        assert digests == PINNED_SEEDS_0_47_REPORT_SHA256
+
+    @pytest.mark.parametrize("edit", ["instance-missing", "cell-repeated"])
+    def test_report_refuses_results_that_do_not_cover_the_dataset_once(
+        self, dataset, results, tmp_path, capsys, edit
+    ):
+        dpath, _ = dataset
+        rpath, _ = results
+        lines = rpath.read_text().splitlines()
+        first = json.loads(lines[0])
+        if edit == "instance-missing":
+            names = first["instance_id"]
+            lines = [ln for ln in lines if json.loads(ln)["instance_id"] != names]
+        else:
+            lines.append(lines[0])
+            names = f"{first['instance_id']}:{first['method']}"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code = cli_main(["report", "--results", str(bad), "--dataset", str(dpath),
+                         "--out", str(tmp_path / "rep"), "--strata", "morphology"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert names in err[0]
 
     @pytest.mark.parametrize(
         "command", [["run", "--workers", "1"], ["run", "--workers", "2"], ["audit"]],
@@ -244,7 +295,7 @@ class TestFileBoundary:
             load_instances(old)
         res = _relabel(rpath, tmp_path / "r0.jsonl", 3, schema="hexcover-results/0")
         with pytest.raises(DatasetError, match=":3: schema"):
-            load_results(res)
+            load_results(res, load_instances(dpath))
 
     def test_unaudited_instance_rejected(self, dataset, tmp_path):
         dpath, _ = dataset
@@ -297,14 +348,11 @@ class TestReport:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 18  # oracle + 17
         # Re-aggregate from the results file and compare the parsed numbers.
-        from hexcover.harness import records_to_metrics
         from hexcover.metrics import aggregate_summary
 
-        records = load_results(rpath)
+        records = load_results(rpath, load_instances(dpath))
         methods = sorted({r.method for r in records}, key=METHOD_ORDER.index)
-        summary = {
-            r.method: r for r in aggregate_summary(records_to_metrics(records), methods)
-        }
+        summary = {r.method: r for r in aggregate_summary(records, methods)}
         from hexcover.planners import PLANNERS
 
         display_to_slug = {PLANNERS[s].display: s for s in PLANNERS}
@@ -351,6 +399,16 @@ def _relabel(path: Path, out: Path, lineno: int, **fields) -> Path:
     return out
 
 
+def _drop_md_column(md: str, col: str) -> str:
+    """A markdown table without column `col` (unchanged if it has none)."""
+    rows = [line[2:-2].split(" | ") for line in md.splitlines()]
+    if col in rows[0]:
+        k = rows[0].index(col)
+        for row in rows:
+            del row[k]
+    return "".join(f"| {' | '.join(row)} |\n" for row in rows)
+
+
 def _drop_column(csv_text: str, col: str) -> str:
     import csv
     import io
@@ -384,6 +442,16 @@ class TestCli:
         assert code == 1
         assert "valid:" in err
 
+    def test_repeated_method_is_validation_error(self, dataset, tmp_path, capsys):
+        path, _ = dataset
+        out = tmp_path / "x.jsonl"
+        code = cli_main(["run", "--dataset", str(path), "--methods", "morton,morton",
+                         "--out", str(out), "--workers", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:") and "morton" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "env, flag", [("abc", []), (None, ["--workers", "-1"])], ids=["env", "flag"]
     )
@@ -415,3 +483,37 @@ class TestCli:
                          "--workers", "1"]) == 0
         out = capsys.readouterr().out
         assert "wrote 2 instances" in out
+
+    @pytest.mark.parametrize(
+        "config, says",
+        [
+            ({"hex_raduis": 2.0}, "hex_raduis"),
+            ({"size_band": [28, 46, 50]}, "size_band"),
+            ({"size_band": 5}, "size_band"),
+            ({"family_mix": [["compact"]]}, "family_mix"),
+            ({"family_mix": [["coastal", 1.0]]}, "family_mix"),
+            ({"audit_budget": "abc"}, "audit_budget"),
+            ({"audit_budget": 0}, "audit_budget"),
+            ({"audit_budget": 2.5}, "audit_budget"),
+            ({"hex_radius": "nan"}, "hex_radius"),
+            ([{"hex_radius": 1.0}], "JSON object"),
+        ],
+        ids=["unknown-key", "band-of-3", "band-int", "mix-pair", "mix-family",
+             "budget-str", "budget-0", "budget-float", "radius-nan", "list"],
+    )
+    def test_bad_config_is_validation_error(
+        self, tmp_path, monkeypatch, capsys, config, says
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("generation started on a bad config")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        data = tmp_path / "d.jsonl"
+        code = cli_main(["generate", "--count", "1", "--config", str(cfg),
+                         "--out", str(data), "--workers", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:") and says in err[0]
+        assert not data.exists()

@@ -12,6 +12,7 @@ from conftest import (
 )
 
 from hexcover.graphbuild import LatticeFrame, graph_from_coords
+from hexcover.harness import ResultRecord
 from hexcover.hexgeom import OffsetCoord, Point
 from hexcover.metrics import (
     STATUS_COVERAGE,
@@ -19,7 +20,6 @@ from hexcover.metrics import (
     STATUS_HAMILTONIAN,
     IncompleteMatrixError,
     MalformedWalkError,
-    PathMetrics,
     aggregate_summary,
     compute_path_metrics,
     path_distance,
@@ -28,8 +28,10 @@ from hexcover.metrics import (
 )
 
 
-def pm(status, revisits=0, distance=1.0, turns=0.0, latency=0.5):
-    return PathMetrics(status, revisits, distance, turns, latency)
+def rec(instance_id, method, status, revisits=0, distance=1.0, turns=0.0, latency=0.5):
+    return ResultRecord(
+        instance_id, method, status, (), revisits, distance, turns, latency
+    )
 
 
 class TestValidatePath:
@@ -131,10 +133,10 @@ class TestTurns:
 class TestAggregate:
     def test_basic_rates_and_conditional_stats(self):
         records = [
-            ("i1", "alpha", pm(STATUS_HAMILTONIAN, 0, 1.0, 2.0)),
-            ("i2", "alpha", pm(STATUS_COVERAGE, 3, 2.0, 4.0)),
-            ("i1", "beta", pm(STATUS_FAIL, 0, 0.5, 1.0)),
-            ("i2", "beta", pm(STATUS_FAIL, 1, 0.7, 1.0)),
+            rec("i1", "alpha", STATUS_HAMILTONIAN, 0, 1.0, 2.0),
+            rec("i2", "alpha", STATUS_COVERAGE, 3, 2.0, 4.0),
+            rec("i1", "beta", STATUS_FAIL, 0, 0.5, 1.0),
+            rec("i2", "beta", STATUS_FAIL, 1, 0.7, 1.0),
         ]
         rows = aggregate_summary(records, method_order=["alpha", "beta"])
         alpha, beta = rows
@@ -152,24 +154,24 @@ class TestAggregate:
 
     def test_hsr_never_exceeds_ccr(self):
         records = [
-            ("i1", "m", pm(STATUS_HAMILTONIAN)),
-            ("i2", "m", pm(STATUS_COVERAGE, 2)),
-            ("i3", "m", pm(STATUS_FAIL)),
+            rec("i1", "m", STATUS_HAMILTONIAN),
+            rec("i2", "m", STATUS_COVERAGE, 2),
+            rec("i3", "m", STATUS_FAIL),
         ]
         (row,) = aggregate_summary(records)
         assert row.hsr_pct <= row.ccr_pct
 
     def test_incomplete_matrix_raises(self):
         records = [
-            ("i1", "alpha", pm(STATUS_HAMILTONIAN)),
-            ("i2", "alpha", pm(STATUS_HAMILTONIAN)),
-            ("i1", "beta", pm(STATUS_FAIL)),
+            rec("i1", "alpha", STATUS_HAMILTONIAN),
+            rec("i2", "alpha", STATUS_HAMILTONIAN),
+            rec("i1", "beta", STATUS_FAIL),
         ]
         with pytest.raises(IncompleteMatrixError, match="i2:beta"):
             aggregate_summary(records, method_order=["alpha", "beta"])
 
     def test_single_covered_instance_has_no_sd(self):
-        records = [("i1", "m", pm(STATUS_COVERAGE, 2))]
+        records = [rec("i1", "m", STATUS_COVERAGE, 2)]
         (row,) = aggregate_summary(records)
         assert row.revisits_mean == 2
         assert row.revisits_sd is None
