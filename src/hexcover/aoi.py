@@ -4,14 +4,17 @@ Three generator families produce outer rings as radial polygons around the
 origin; obstacle holes are inserted afterwards. Everything is driven by a
 single 64-bit seed split into independent Philox sub-streams, one per
 generation stage, so each stage is reproducible in isolation.
+
+numpy is imported by the functions that draw, not by the module: `audit`,
+`run` and `report` import this module but never draw, and so never pay for
+loading numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from hexcover.hexgeom import (
     InvalidParameterError,
@@ -23,6 +26,9 @@ from hexcover.hexgeom import (
     ring_edges,
     ring_signed_area,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FAMILY_COMPACT = "compact"
 FAMILY_ELONGATED = "elongated"
@@ -53,6 +59,8 @@ _TARGET_CELLS = (30.0, 50.0)
 
 def substream(seed: int, stage: int) -> np.random.Generator:
     """Independent deterministic RNG stream for one generation stage."""
+    import numpy as np
+
     if seed < 0:
         raise InvalidParameterError("seed must be a non-negative integer")
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, stage]))
@@ -90,6 +98,8 @@ def classify_morphology(p: PolygonWithHoles) -> MorphologyClass:
 
 def _radial_ring(rng: np.random.Generator, base_r: float, harmonics) -> tuple[Point, ...]:
     """Counterclockwise radial polygon r(theta) = base_r * (1 + sum of cosines)."""
+    import numpy as np
+
     thetas = np.linspace(0.0, 2.0 * math.pi, _RING_VERTICES, endpoint=False)
     radii = np.full(_RING_VERTICES, 1.0)
     for k, amp in harmonics:
@@ -106,6 +116,8 @@ def sample_aoi(family_hint: str, seed: int, scale: float) -> AoiShape:
     that tessellation at circumradius `scale` lands near the benchmark cell
     band; exact conformance is checked downstream, not here.
     """
+    import numpy as np
+
     if scale <= 0:
         raise InvalidParameterError("scale must be positive")
     if family_hint not in FAMILIES:

@@ -10,6 +10,7 @@ attached and the result is audited for Hamiltonian feasibility.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -36,6 +37,7 @@ from hexcover.hexgeom import (
     free_overlap_area,
     hexagon_area,
     min_rotated_rect,
+    neighbor_offsets,
     offset_to_center,
     point_in_ring,
     ring_edges,
@@ -69,15 +71,18 @@ class LatticeFrame:
     origin: Point
     angle: float
 
+    @functools.cached_property
+    def _cos_sin(self) -> tuple[float, float]:
+        # A graph load maps every cell through one frame: one cos and sin.
+        return math.cos(self.angle), math.sin(self.angle)
+
     def to_world(self, p: Point) -> Point:
-        ca, sa = math.cos(self.angle), math.sin(self.angle)
-        return Point(
-            self.origin.x + ca * p.x - sa * p.y,
-            self.origin.y + sa * p.x + ca * p.y,
-        )
+        ca, sa = self._cos_sin
+        (ox, oy), (x, y) = self.origin, p
+        return Point(ox + ca * x - sa * y, oy + sa * x + ca * y)
 
     def to_local(self, p: Point) -> Point:
-        ca, sa = math.cos(self.angle), math.sin(self.angle)
+        ca, sa = self._cos_sin
         dx, dy = p.x - self.origin.x, p.y - self.origin.y
         return Point(ca * dx + sa * dy, -sa * dx + ca * dy)
 
@@ -121,41 +126,42 @@ class CoverageGraph:
         self.positions = tuple(c.center for c in cells) + (base_pos, self.terminal_pos)
         if not self.base_links or not self.terminal_links:
             raise InvalidParameterError("base and terminal must link to at least one cell")
-        if max(self.base_links + self.terminal_links) >= n:
+        links = self.base_links + self.terminal_links
+        if min(links) < 0 or max(links) >= n:
             raise InvalidParameterError("link index out of range")
 
-        index = {c.coord: i for i, c in enumerate(cells)}
-        geometric: list[set[int]] = []
-        for cell in cells:
-            geometric.append({index[nb] for nb in face_neighbors(cell.coord) if nb in index})
+        coords = [c.coord for c in cells]
         if edges is None:
-            internal = [tuple(sorted(nbrs)) for nbrs in geometric]
-        else:
-            # An explicit edge list (e.g. from a dataset file) may only be a
-            # subset of the geometric face adjacency.
-            sets: list[set[int]] = [set() for _ in range(n)]
-            for a, b in edges:
-                if b not in geometric[a]:
-                    raise InvalidParameterError(
-                        f"edge ({a},{b}) fails the face-adjacency geometric test"
-                    )
-                sets[a].add(b)
-                sets[b].add(a)
-            internal = [tuple(sorted(s)) for s in sets]
+            # Plain (col, row) tuples hash and compare as the OffsetCoord keys do.
+            index = {c: i for i, c in enumerate(coords)}
+            edges = [
+                (i, j)
+                for i, (col, row) in enumerate(coords)
+                for dc, dr in neighbor_offsets(col)
+                if (j := index.get((col + dc, row + dr))) is not None
+            ]
+        # Every edge must join face-adjacent cells: an explicit edge list
+        # (e.g. from a dataset file) may only be a subset of that adjacency.
+        sets: list[set[int]] = [set() for _ in range(n)]
+        for a, b in edges:
+            if not (0 <= a < n and 0 <= b < n):
+                raise InvalidParameterError(f"edge ({a},{b}) index out of range")
+            (col, row), (col_b, row_b) = coords[a], coords[b]
+            if (col_b - col, row_b - row) not in neighbor_offsets(col):
+                raise InvalidParameterError(
+                    f"edge ({a},{b}) fails the face-adjacency geometric test"
+                )
+            sets[a].add(b)
+            sets[b].add(a)
+        internal = [tuple(sorted(s)) for s in sets]
         self.internal_adjacency = tuple(internal)
 
-        base_set = set(self.base_links)
-        term_set = set(self.terminal_links)
-        full: list[tuple[int, ...]] = []
-        for i in range(n):
-            row = list(internal[i])
-            if i in base_set:
-                row.append(n)
-            if i in term_set:
-                row.append(n + 1)
-            full.append(tuple(row))
-        full.append(self.base_links)
-        full.append(self.terminal_links)
+        # A linked cell's row ends with the base, then the terminal.
+        full = [*internal, self.base_links, self.terminal_links]
+        for i in set(self.base_links):
+            full[i] += (n,)
+        for i in set(self.terminal_links):
+            full[i] += (n + 1,)
         self.adjacency = tuple(full)
 
     def neighbors(self, node: int) -> tuple[int, ...]:
@@ -166,6 +172,13 @@ class CoverageGraph:
 
     def is_edge(self, a: int, b: int) -> bool:
         return b in self.adjacency[a]
+
+    @functools.cached_property
+    def base_radius(self) -> float:
+        """Largest cell-to-base distance, the scale of normalised path
+        lengths; computed on first use, which no planner makes."""
+        bx, by = self.base_pos
+        return max(math.hypot(c.center.x - bx, c.center.y - by) for c in self.cells)
 
 
 def graph_from_coords(

@@ -27,7 +27,7 @@ from hexcover.graphbuild import (
     choose_family,
     graph_from_coords,
 )
-from hexcover.hexgeom import InvalidParameterError, OffsetCoord, Point
+from hexcover.hexgeom import InvalidParameterError, Point
 from hexcover.metrics import (
     IncompleteMatrixError,
     SummaryRow,
@@ -40,6 +40,12 @@ from hexcover.planners import METHOD_ORDER, PLANNERS, WARNSDORFF_SLUGS, _spec, t
 DATASET_SCHEMA = "hexcover-dataset/2"
 RESULTS_SCHEMA = "hexcover-results/1"
 ORACLE_DISPLAY = "Exact DFS (oracle)"
+
+# `generate` gives up once this many seeds in a row are rejected, so that a
+# config no seed can pass ends in seconds instead of never. The longest run
+# of rejections under the default config in seeds 0-1151 is 3 (seeds
+# 373-375), so no dataset of those seeds comes near the bound.
+MAX_CONSECUTIVE_REJECTIONS = 200
 
 
 class DatasetError(ValueError):
@@ -119,7 +125,7 @@ def record_to_instance(rec: dict) -> LoadedInstance:
     A missing or ill-typed field raises DatasetError naming the instance.
     """
     try:
-        coords = [OffsetCoord(int(c[0]), int(c[1])) for c in rec["cells"]]
+        coords = [(int(c[0]), int(c[1])) for c in rec["cells"]]
         frame = LatticeFrame(
             Point(*rec["frame"]["origin"]), float(rec["frame"]["angle"])
         )
@@ -244,7 +250,9 @@ def generate_dataset(
     """Write `count` audited instances scanning seeds upward from `seed`.
 
     The admitted set is the first `count` audit-passing seeds in ascending
-    order, so the output is identical for any worker count.
+    order, so the output is identical for any worker count. After
+    MAX_CONSECUTIVE_REJECTIONS rejected seeds in a row it raises
+    InvalidParameterError and writes nothing.
     """
     if count <= 0:
         raise InvalidParameterError("count must be positive")
@@ -258,23 +266,37 @@ def generate_dataset(
     next_seed = seed
     cfg_dict = config.to_dict()
 
+    # Sampling draws from numpy. The workers fork from this process, so one
+    # import here spares each of them its own.
+    import numpy  # noqa: F401
+
     # Results are consumed in seed order from a bounded window of futures:
     # while one slow audit holds up the consumer, the other workers keep
     # building the seeds after it.
+    rejected_in_a_row = 0
     with ProcessPoolExecutor(max_workers=workers) as pool:
         window: deque = deque()
-        while len(records) < count:
+        while len(records) < count and rejected_in_a_row < MAX_CONSECUTIVE_REJECTIONS:
             while len(window) < 4 * workers:
                 window.append(pool.submit(_build_for_seed, (next_seed, cfg_dict)))
                 next_seed += 1
-            _s, kind, payload = window.popleft().result()
+            last_seed, kind, payload = window.popleft().result()
             if kind == "rej":
                 rejections[payload] = rejections.get(payload, 0) + 1
+                rejected_in_a_row += 1
             else:
                 records.append(payload)
                 label = payload["morphology"]["label"]
                 morphology[label] = morphology.get(label, 0) + 1
+                rejected_in_a_row = 0
         pool.shutdown(cancel_futures=True)
+    if len(records) < count:
+        tally = ", ".join(f"{r} {n}" for r, n in sorted(rejections.items()))
+        raise InvalidParameterError(
+            f"seeds {last_seed - rejected_in_a_row + 1}-{last_seed} were all rejected"
+            f" (rejections so far: {tally}): the generation config admits too few"
+            " instances"
+        )
 
     payload_text = "".join(_dump_line(rec) + "\n" for rec in records)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -59,11 +59,15 @@ def offset_to_center(c: OffsetCoord, h: float) -> Point:
     return Point(x, y)
 
 
+def neighbor_offsets(col: int) -> tuple[tuple[int, int], ...]:
+    """The 6 (dcol, drow) steps from a cell in column `col` to its face neighbours."""
+    return _ODD_COL_NEIGHBORS if (col & 1) else _EVEN_COL_NEIGHBORS
+
+
 def face_neighbors(c: OffsetCoord) -> list[OffsetCoord]:
     """The 6 face-adjacent lattice coordinates of `c`."""
     col, row = c
-    offsets = _ODD_COL_NEIGHBORS if (col & 1) else _EVEN_COL_NEIGHBORS
-    return [OffsetCoord(col + dc, row + dr) for dc, dr in offsets]
+    return [OffsetCoord(col + dc, row + dr) for dc, dr in neighbor_offsets(col)]
 
 
 # Unit-circle vertex directions, k * 60 degrees for k = 0..5.

@@ -88,15 +88,9 @@ def validate_path(g: CoverageGraph, walk: Sequence[int]) -> tuple[str, int]:
     return STATUS_FAIL, revisits
 
 
-def base_radius(g: CoverageGraph) -> float:
-    """Largest cell-to-base distance; the per-instance normalization scale."""
-    bx, by = g.base_pos
-    return max(math.hypot(c.center.x - bx, c.center.y - by) for c in g.cells)
-
-
 def path_distance(g: CoverageGraph, walk: Sequence[int]) -> float:
     """Total walk length in the base-centred, radius-normalized frame."""
-    r = base_radius(g)
+    r = g.base_radius
     pos = g.positions
     total = 0.0
     for a, b in zip(walk, walk[1:]):
@@ -151,7 +145,8 @@ def aggregate_summary(
     HSR and CCR are fractions over all instances; revisit/distance/turn
     statistics are conditional on the completed-coverage subset and use the
     sample standard deviation. Missing or repeated (instance, method) cells
-    raise IncompleteMatrixError.
+    raise IncompleteMatrixError, and so do no records for a method to
+    summarise.
     """
     by_method: dict[str, dict] = {}
     instance_ids: set[str] = set()
@@ -163,6 +158,8 @@ def aggregate_summary(
         instance_ids.add(r.instance_id)
 
     methods = list(method_order) if method_order is not None else sorted(by_method)
+    if methods and not instance_ids:
+        raise IncompleteMatrixError(f"no result records for {', '.join(methods)}")
     missing = []
     for method in methods:
         cells = by_method.get(method, {})

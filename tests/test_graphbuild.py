@@ -24,6 +24,7 @@ from hexcover.graphbuild import (
 )
 from hexcover.hexgeom import (
     InvalidGeometryError,
+    InvalidParameterError,
     OffsetCoord,
     Point,
     PolygonWithHoles,
@@ -446,3 +447,14 @@ class TestGraphFromCoords:
         for i in range(g.n):
             for j in g.cell_neighbors(i):
                 assert i in g.cell_neighbors(j)
+
+    @pytest.mark.parametrize(
+        "links, edges",
+        [([3], None), ([-1], None), ([2], [(-1, 0)]), ([2], [(0, 3)])],
+        ids=["link-past-end", "link-negative", "edge-negative", "edge-past-end"],
+    )
+    def test_index_out_of_range(self, links, edges):
+        # Cell -1 would wrap to cell 2, (1, 0), a face neighbour of cell 0.
+        coords = [OffsetCoord(0, 0), OffsetCoord(0, 1), OffsetCoord(1, 0)]
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            graph_from_coords(coords, 1.0, [0], links, Point(-2, 0), edges=edges)

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +46,28 @@ PINNED_SEEDS_0_47_REPORT_SHA256 = {
     "quality.md": "6b2f3eb55860980073d8be6dc3505d27c7c4c61ef0be1875c0705a79d72282c4",
     "warnsdorff.md": "d6b3f5982a69e39f13bc2f5cf5df259d9374f446b4de868f57275e49bf536519",
 }
+
+
+def run_python(code: str, *args: str, timeout: float) -> subprocess.CompletedProcess:
+    """`code` in a fresh interpreter that imports this checkout's hexcover.
+
+    On timeout the interpreter is killed with any pool workers it forked,
+    and the test fails.
+    """
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", code, *args]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=path), start_new_session=True,
+    ) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail(f"no exit within {timeout} s: {argv[3:]}")
+    return subprocess.CompletedProcess(argv, proc.returncode, out, err)
 
 
 @pytest.fixture(scope="module")
@@ -517,3 +543,39 @@ class TestCli:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:") and says in err[0]
         assert not data.exists()
+
+    def test_audit_run_report_never_import_numpy(self, dataset, tmp_path):
+        path, _ = dataset
+        res, rep = tmp_path / "r.jsonl", tmp_path / "rep"
+        code = """
+import contextlib, io, sys
+from hexcover.cli import main
+data, res, rep = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main(["--help"])
+    except SystemExit:
+        pass
+assert main(["audit", "--dataset", data]) == 0
+assert main(["run", "--dataset", data, "--methods", "all", "--workers", "1",
+             "--out", res]) == 0
+assert main(["report", "--results", res, "--dataset", data, "--out", rep,
+             "--strata", "morphology", "--plots", rep + "/plots"]) == 0
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+        proc = run_python(code, str(path), str(res), str(rep), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_generate_stops_when_no_seed_can_pass(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"size_band": [1000, 2000]}))
+        data = tmp_path / "d.jsonl"
+        code = "import sys; from hexcover.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = run_python(code, "generate", "--count", "1", "--config", str(cfg),
+                          "--out", str(data), "--workers", "2", timeout=60)
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 1
+        assert len(err) == 1 and err[0].startswith("error:") and "rejected" in err[0]
+        assert f"seeds 0-{harness.MAX_CONSECUTIVE_REJECTIONS - 1} " in err[0]
+        assert not data.exists()
+        assert not Path(str(data) + ".manifest.json").exists()

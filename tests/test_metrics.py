@@ -170,6 +170,10 @@ class TestAggregate:
         with pytest.raises(IncompleteMatrixError, match="i2:beta"):
             aggregate_summary(records, method_order=["alpha", "beta"])
 
+    def test_no_records_is_incomplete_matrix(self):
+        with pytest.raises(IncompleteMatrixError, match="morton"):
+            aggregate_summary([], ["morton"])
+
     def test_single_covered_instance_has_no_sd(self):
         records = [rec("i1", "m", STATUS_COVERAGE, 2)]
         (row,) = aggregate_summary(records)
