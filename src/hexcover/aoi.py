@@ -21,8 +21,9 @@ from hexcover.hexgeom import (
     Point,
     PolygonWithHoles,
     hexagon_area,
-    point_in_ring,
+    points_in_ring,
     polygon_metrics,
+    ring_array,
     ring_edges,
     ring_signed_area,
 )
@@ -173,7 +174,9 @@ def insert_obstacles(shape: AoiShape, seed: int) -> AoiShape:
     cell_proxy = math.sqrt(outer_area / (math.pi * 30.0))  # rough circumradius unit
     xs = [p.x for p in outer]
     ys = [p.y for p in outer]
-    holes = list(shape.polygon.holes)
+    # Every ring with its ring array, converted once for all candidates.
+    outer_pair = (outer, ring_array(outer))
+    holes = [(hole, ring_array(hole)) for hole in shape.polygon.holes]
     # Clearance tuned so shoreline-hugging holes carve narrow rim corridors
     # without strangling audit feasibility.
     clearance = 0.65 * cell_proxy
@@ -195,28 +198,33 @@ def insert_obstacles(shape: AoiShape, seed: int) -> AoiShape:
                 )
                 for k, w in enumerate(wobble)
             )
-            if _hole_admissible(ring, outer, holes, clearance, pad):
-                holes.append(ring)
+            arr = ring_array(ring)
+            if _hole_admissible((ring, arr), outer_pair, holes, clearance, pad):
+                holes.append((ring, arr))
                 break
 
     if len(holes) == len(shape.polygon.holes):
         return shape
-    polygon = PolygonWithHoles(outer, tuple(holes))
+    polygon = PolygonWithHoles(outer, tuple(hole for hole, _ in holes))
     polygon.validate()
     return AoiShape(polygon, classify_morphology(polygon), shape.seed, shape.family_hint)
 
 
-def _hole_admissible(ring, outer, holes, clearance: float, pad: float) -> bool:
-    for p in ring:
-        if not point_in_ring(p, outer):
+def _hole_admissible(candidate, outer, holes, clearance: float, pad: float) -> bool:
+    """Whether a candidate hole lies inside the outer ring and outside every
+    earlier hole, with `clearance` to each. The candidate, `outer` and each
+    of `holes` is a (points, ring array) pair."""
+    ring, arr = candidate
+    vertices = arr[:-1]
+    outer_ring, outer_arr = outer
+    for p, inside in zip(ring, points_in_ring(vertices, outer_arr)):
+        if not inside or _closer_than(p, outer_ring, clearance, pad):
             return False
-        if _closer_than(p, outer, clearance, pad):
-            return False
-    for other in holes:
-        for p in ring:
-            if point_in_ring(p, other) or _closer_than(p, other, clearance, pad):
+    for other, other_arr in holes:
+        for p, inside in zip(ring, points_in_ring(vertices, other_arr)):
+            if inside or _closer_than(p, other, clearance, pad):
                 return False
-        if any(point_in_ring(q, ring) for q in other):
+        if points_in_ring(other_arr[:-1], arr).any():
             return False
     return True
 

@@ -1,8 +1,9 @@
 """Command-line front-end: generate / audit / run / report.
 
 Exit codes: 0 success, 1 validation failure (infeasible dataset, unknown
-method, incomplete matrix, bad config), 2 I/O failure (missing or unreadable
-files, parse errors).
+method, incomplete matrix, bad config, a planner or metric that raised), 2 I/O
+failure (missing or unreadable files, parse errors, a dataset that does not
+match its manifest).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 from hexcover.graphbuild import GenerationConfig
 from hexcover.harness import (
     DatasetError,
+    EvaluationError,
     audit_dataset,
     generate_dataset,
     run_benchmark,
@@ -130,7 +132,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidParameterError, IncompleteMatrixError) as exc:
+    except (InvalidParameterError, IncompleteMatrixError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except DatasetError as exc:

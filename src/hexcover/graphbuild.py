@@ -39,9 +39,11 @@ from hexcover.hexgeom import (
     min_rotated_rect,
     neighbor_offsets,
     offset_to_center,
-    point_in_ring,
+    point_array,
+    points_in_ring,
+    ring_array,
+    ring_crossing_params,
     ring_edges,
-    segment_ring_crossing_params,
 )
 
 RETENTION_FRACTION = 0.5
@@ -236,6 +238,8 @@ def tessellate(aoi: AoiShape, h: float) -> HexMask:
 
     threshold = RETENTION_FRACTION * hexagon_area(h)
     kept = set()
+    far: list[OffsetCoord] = []
+    far_centers: list[Point] = []
     for col in range(col_lo, col_hi + 1):
         for row in range(row_lo, row_hi + 1):
             c = OffsetCoord(col, row)
@@ -243,11 +247,18 @@ def tessellate(aoi: AoiShape, h: float) -> HexMask:
             if center.x < x_lo or center.x > x_hi or center.y < y_lo or center.y > y_hi:
                 continue
             if c in near:
-                keep = free_overlap_area(center, h, local_poly) >= threshold
+                if free_overlap_area(center, h, local_poly) >= threshold:
+                    kept.add(c)
             else:
-                keep = local_poly.contains(center)
-            if keep:
-                kept.add(c)
+                far.append(c)
+                far_centers.append(center)
+    if far:
+        # Free space is inside the outer ring and outside every hole.
+        centers = point_array(far_centers)
+        free = points_in_ring(centers, ring_array(local_outer))
+        for hole in local_holes:
+            free &= ~points_in_ring(centers, ring_array(hole))
+        kept.update(c for c, keep in zip(far, free) if keep)
     if not kept:
         raise EmptyTessellationError("no cell reaches the retention threshold")
     return HexMask(frozenset(kept), frame, h)
@@ -328,12 +339,13 @@ def exterior_boundary(cells: frozenset[OffsetCoord] | set[OffsetCoord]) -> set[O
     return {c for c in cells if any(nb in outside for nb in face_neighbors(c))}
 
 
-def postprocess_mask(mask) -> frozenset[OffsetCoord]:
+def postprocess_mask(mask, *, with_boundary: bool = False):
     """Largest component, iterated dead-end removal, single exterior ring.
 
     Idempotent and strictly non-expanding. Raises DegenerateInstanceError if
     the rules empty the mask or the exterior boundary splits into more than
-    one piece.
+    one piece. Returns the cells as a frozenset, or with `with_boundary` the
+    pair (cells, exterior boundary), which attach_base then need not compute.
     """
     cells = set(OffsetCoord(*c) for c in mask)
     if not cells:
@@ -357,7 +369,7 @@ def postprocess_mask(mask) -> frozenset[OffsetCoord]:
     # Accessibility from the exterior border holds by construction: the mask
     # is one component and the boundary is part of it.
     assert all(comp & boundary for comp in _components(cells))
-    return frozenset(cells)
+    return (frozenset(cells), boundary) if with_boundary else frozenset(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -365,37 +377,50 @@ def postprocess_mask(mask) -> frozenset[OffsetCoord]:
 
 
 def line_of_sight(
-    launch: Point, target_center: Point, polygon: PolygonWithHoles, h: float
-) -> bool:
-    """True when the launch->cell segment reaches the target cell cleanly.
+    launch: Point, targets: Sequence[Point], polygon: PolygonWithHoles, h: float
+) -> list[bool]:
+    """Whether each launch->target segment reaches its target cell cleanly.
 
     The launch sits outside the survey area and approaches over open water,
     which is never an obstruction. Sight is blocked by coastline occlusion
     (the segment would cross the outer ring more than the one unavoidable
     entry) and by obstacle holes (measurable segment length inside one).
     """
-    outer_crossings = segment_ring_crossing_params(launch, target_center, polygon.outer)
-    if len(outer_crossings) > 1:
-        return False
+    ends = point_array(targets)
+    outer_cross, _ = ring_crossing_params(launch, ends, ring_array(polygon.outer))
+    clear = (outer_cross.sum(axis=1) <= 1).tolist()
     if not polygon.holes:
-        return True
-    params = [0.0, 1.0]
-    for ring in polygon.holes:
-        params.extend(segment_ring_crossing_params(launch, target_center, ring))
-    params.sort()
-    seg_len = math.hypot(target_center.x - launch.x, target_center.y - launch.y)
-    tol = 1e-7 * max(h, seg_len)
-    for t0, t1 in zip(params, params[1:]):
-        if (t1 - t0) * seg_len <= tol:
+        return clear
+    holes = [ring_array(hole) for hole in polygon.holes]
+    crossings = [ring_crossing_params(launch, ends, hole) for hole in holes]
+    # The midpoint of every measurable piece between crossings, and its target.
+    mids: list[tuple[float, float]] = []
+    owners: list[int] = []
+    for k, target in enumerate(targets):
+        if not clear[k]:
             continue
-        tm = 0.5 * (t0 + t1)
-        mid = Point(
-            launch.x + tm * (target_center.x - launch.x),
-            launch.y + tm * (target_center.y - launch.y),
-        )
-        if any(point_in_ring(mid, hole) for hole in polygon.holes):
-            return False
-    return True
+        params = [0.0, 1.0]
+        for cross, t in crossings:
+            params.extend(t[k, cross[k]].tolist())
+        params.sort()
+        seg_len = math.hypot(target.x - launch.x, target.y - launch.y)
+        tol = 1e-7 * max(h, seg_len)
+        for t0, t1 in zip(params, params[1:]):
+            if (t1 - t0) * seg_len <= tol:
+                continue
+            tm = 0.5 * (t0 + t1)
+            mids.append((
+                launch.x + tm * (target.x - launch.x),
+                launch.y + tm * (target.y - launch.y),
+            ))
+            owners.append(k)
+    if mids:
+        mid_points = point_array(mids)
+        for hole in holes:
+            for k, inside in zip(owners, points_in_ring(mid_points, hole)):
+                if inside:
+                    clear[k] = False
+    return clear
 
 
 def default_launch_point(aoi: AoiShape, h: float, seed: int) -> Point:
@@ -416,23 +441,28 @@ def default_launch_point(aoi: AoiShape, h: float, seed: int) -> Point:
 
 
 def attach_base(
-    mask: HexMask, aoi: AoiShape, seed: int, launch: Point | None = None
+    mask: HexMask,
+    aoi: AoiShape,
+    seed: int,
+    launch: Point | None = None,
+    boundary: set[OffsetCoord] | None = None,
 ) -> CoverageGraph:
     """Place the launch point and wire up base/terminal links.
 
     Both virtual nodes share the launch position and link to the same set of
     exterior-ring cells with a clear line of sight from the launch.
+    `boundary` is the mask's exterior boundary, computed here if not given.
     """
     coords = sorted(mask.coords)
     if launch is None:
         launch = default_launch_point(aoi, mask.h, seed)
-    boundary = exterior_boundary(set(coords))
+    if boundary is None:
+        boundary = exterior_boundary(mask.coords)
     index = {c: i for i, c in enumerate(coords)}
-    links = []
-    for c in sorted(boundary):
-        center = mask.frame.to_world(offset_to_center(c, mask.h))
-        if line_of_sight(launch, center, aoi.polygon, mask.h):
-            links.append(index[c])
+    outer_cells = sorted(boundary)
+    centers = [mask.frame.to_world(offset_to_center(c, mask.h)) for c in outer_cells]
+    sight = line_of_sight(launch, centers, aoi.polygon, mask.h)
+    links = [index[c] for c, clear in zip(outer_cells, sight) if clear]
     if not links:
         raise BaseAttachmentError("no outer-ring cell has line of sight from the launch")
     return graph_from_coords(coords, mask.h, links, links, launch, mask.frame)
@@ -546,7 +576,7 @@ def build_instance(family_hint: str, seed: int, config: GenerationConfig):
     try:
         shape = insert_obstacles(shape, seed)
         mask = tessellate(shape, config.hex_radius)
-        coords = postprocess_mask(mask.coords)
+        coords, boundary = postprocess_mask(mask.coords, with_boundary=True)
     except (InvalidGeometryError, EmptyTessellationError, DegenerateInstanceError) as exc:
         return Rejection(seed, family_hint, "degenerate", str(exc))
 
@@ -555,7 +585,7 @@ def build_instance(family_hint: str, seed: int, config: GenerationConfig):
         return Rejection(seed, family_hint, "size-band", f"{len(coords)} cells")
 
     try:
-        graph = attach_base(replace(mask, coords=coords), shape, seed)
+        graph = attach_base(replace(mask, coords=coords), shape, seed, boundary=boundary)
     except BaseAttachmentError as exc:
         return Rejection(seed, family_hint, "base-attachment", str(exc))
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
+import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -54,6 +56,10 @@ class DatasetError(ValueError):
 
 class EmptyDatasetError(DatasetError):
     pass
+
+
+class EvaluationError(RuntimeError):
+    """A planner or a metric raised while `run` evaluated an instance."""
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -198,10 +204,27 @@ def _audited(rec: dict) -> dict:
     return rec
 
 
+def _read_dataset(path: str | Path, convert) -> list:
+    """Every record of a dataset file, passed through `convert`, after the
+    file is checked against its manifest when `<path>.manifest.json` exists:
+    a manifest of another schema, or whose SHA-256 is not that of the file's
+    bytes, raises DatasetError."""
+    manifest_path = Path(str(path) + ".manifest.json")
+    if manifest_path.exists():
+        try:
+            manifest = json.loads(manifest_path.read_text())
+            version, sha256 = manifest["version"], manifest["sha256"]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise DatasetError(f"{manifest_path}: unreadable manifest: {exc!r}") from exc
+        if version != DATASET_SCHEMA:
+            raise DatasetError(f"{manifest_path}: schema {version!r} is not {DATASET_SCHEMA!r}")
+        if hashlib.sha256(Path(path).read_bytes()).hexdigest() != sha256:
+            raise DatasetError(f"{path}: SHA-256 does not match {manifest_path}")
+    return _read_jsonl(path, DATASET_SCHEMA, convert)
+
+
 def load_instances(path: str | Path) -> list[LoadedInstance]:
-    return _read_jsonl(
-        path, DATASET_SCHEMA, lambda rec: record_to_instance(_audited(rec))
-    )
+    return _read_dataset(path, lambda rec: record_to_instance(_audited(rec)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +251,30 @@ class DatasetManifest:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker soon after the process that started
+    it is gone.
+
+    A worker waits on its task queue, whose write end it also holds, so the
+    death of its parent, by SIGKILL say, never wakes it. A daemon thread
+    watches the parent's id instead: it changes when the worker is
+    reparented.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=_exit_with_parent, initargs=(os.getpid(),)
+    )
 
 
 def _build_for_seed(args: tuple[int, dict]):
@@ -274,7 +321,7 @@ def generate_dataset(
     # while one slow audit holds up the consumer, the other workers keep
     # building the seeds after it.
     rejected_in_a_row = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _pool(workers) as pool:
         window: deque = deque()
         while len(records) < count and rejected_in_a_row < MAX_CONSECUTIVE_REJECTIONS:
             while len(window) < 4 * workers:
@@ -386,8 +433,13 @@ def _evaluate_instance(args: tuple[dict, list[str]]) -> list[dict]:
     inst = record_to_instance(rec)
     out = []
     for method in methods:
-        result, ms = timed_plan(inst.graph, method)
-        pm = compute_path_metrics(inst.graph, result.walk, ms)
+        try:
+            result, ms = timed_plan(inst.graph, method)
+            pm = compute_path_metrics(inst.graph, result.walk, ms)
+        except Exception as exc:  # one line naming the cell, not a traceback
+            raise EvaluationError(
+                f"instance {inst.id}, method {method}: {type(exc).__name__}: {exc}"
+            ) from exc
         out.append(
             ResultRecord(
                 inst.id, method, pm.status, result.walk,
@@ -409,7 +461,7 @@ def run_benchmark(
     latency_ms are deterministic and independent of the worker count.
     """
     method_list = resolve_methods(methods)
-    raw_records = _read_jsonl(dataset_path, DATASET_SCHEMA, _audited)
+    raw_records = _read_dataset(dataset_path, _audited)
     workers = resolve_workers(workers)
     tasks = [(rec, method_list) for rec in raw_records]
     results: list[dict] = []
@@ -417,7 +469,7 @@ def run_benchmark(
         for task in tasks:
             results.extend(_evaluate_instance(task))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _pool(workers) as pool:
             for chunk in pool.map(_evaluate_instance, tasks, chunksize=4):
                 results.extend(chunk)
 

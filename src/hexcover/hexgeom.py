@@ -132,56 +132,98 @@ def point_in_ring(pt: Point, ring: Sequence[Point]) -> bool:
     return inside
 
 
-def segments_cross(p0: Point, p1: Point, q0: Point, q1: Point) -> bool:
-    """Proper-intersection test for open segments."""
-    # The four orientations are _orient's expression, written out: this test
-    # runs hundreds of thousands of times per dataset.
-    (px0, py0), (px1, py1), (qx0, qy0), (qx1, qy1) = p0, p1, q0, q1
-    qx, qy = qx1 - qx0, qy1 - qy0
-    d1 = qx * (py0 - qy0) - qy * (px0 - qx0)
-    d2 = qx * (py1 - qy0) - qy * (px1 - qx0)
-    if (d1 > 0) == (d2 > 0) or d1 == d2:
-        return False
-    px, py = px1 - px0, py1 - py0
-    d3 = px * (qy0 - py0) - py * (qx0 - px0)
-    d4 = px * (qy1 - py0) - py * (qx1 - px0)
-    return (d3 > 0) != (d4 > 0) and d3 != d4
-
-
 def _orient(a: Point, b: Point, c: Point) -> float:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def ring_is_simple(ring: Sequence[Point]) -> bool:
-    """Quadratic non-self-intersection check; fine for generator-sized rings."""
-    edges = list(ring_edges(ring))
-    n = len(edges)
-    for i, (a0, a1) in enumerate(edges):
-        # Every later edge but the next one, and for the first edge the last.
-        for b0, b1 in edges[i + 2 : n - 1 if i == 0 else n]:
-            if segments_cross(a0, a1, b0, b1):
-                return False
-    return True
+# ---------------------------------------------------------------------------
+# Array forms of the ring predicates
+#
+# Each one evaluates a scalar test over whole numpy arrays: every element is
+# the scalar expression over the same operands in the same order, and only
+# boolean results are reduced (any, all, parity), so every orientation,
+# crossing parameter and parity matches the scalar test bit for bit. The
+# scalar tests that no caller needs any more are kept in the tests as the
+# reference. numpy is imported inside the functions that call it, so that
+# importing this module does not load it.
 
 
-def segment_ring_crossing_params(p0: Point, p1: Point, ring: Sequence[Point]) -> list[float]:
-    """Parameters t in (0,1) where segment p0->p1 properly crosses ring edges."""
-    params: list[float] = []
-    (x0, y0), (x1, y1) = p0, p1
+def point_array(points: Sequence[Point]):
+    """The points as a float array of shape (m, 2)."""
+    import numpy as np
+
+    # A flat list converts several times faster than a list of Points.
+    return np.array([v for p in points for v in p], dtype=float).reshape(-1, 2)
+
+
+def ring_array(ring: Sequence[Point]):
+    """The ring as a float array of shape (n + 1, 2) whose last row repeats
+    the first: rows i and i + 1 are edge i of ring_edges. The array forms
+    take rings in this form, so a ring tested many times is converted once."""
+    return point_array([*ring, ring[0]])
+
+
+def crossing_matrix(p_ring, q_ring):
+    """Boolean matrix whose [i, j] is the proper-crossing test of edge i of
+    ring array `p_ring` with edge j of ring array `q_ring` (open segments)."""
+    px0, py0 = p_ring[:-1, 0, None], p_ring[:-1, 1, None]
+    px1, py1 = p_ring[1:, 0, None], p_ring[1:, 1, None]
+    qx0, qy0, qx1, qy1 = q_ring[:-1, 0], q_ring[:-1, 1], q_ring[1:, 0], q_ring[1:, 1]
+    # The orientations of p's ends about q, then of q's ends about p.
+    qx, qy = qx1 - qx0, qy1 - qy0
+    d1 = qx * (py0 - qy0) - qy * (px0 - qx0)
+    d2 = qx * (py1 - qy0) - qy * (px1 - qx0)
+    px, py = px1 - px0, py1 - py0
+    d3 = px * (qy0 - py0) - py * (qx0 - px0)
+    d4 = px * (qy1 - py0) - py * (qx1 - px0)
+    return ((d1 > 0) != (d2 > 0)) & (d1 != d2) & ((d3 > 0) != (d4 > 0)) & (d3 != d4)
+
+
+def points_in_ring(points, ring):
+    """Even-odd rule test of each row of the (m, 2) array `points` against
+    ring array `ring`, as point_in_ring decides it; boundary points are
+    undefined."""
+    import numpy as np
+
+    x, y = points[:, 0, None], points[:, 1, None]
+    x0, y0, x1, y1 = ring[:-1, 0], ring[:-1, 1], ring[1:, 0], ring[1:, 1]
+    straddles = (y0 > y) != (y1 > y)
+    # Only a straddling edge is tested, and its y1 - y0 is never zero.
+    frac = np.divide(y - y0, y1 - y0, out=np.zeros(straddles.shape), where=straddles)
+    flips = straddles & (x < x0 + frac * (x1 - x0))
+    return np.count_nonzero(flips, axis=1) % 2 == 1
+
+
+def ring_crossing_params(p0: Point, targets, ring):
+    """Which edges of ring array `ring` each open segment from p0 to a row
+    of the (k, 2) array `targets` properly crosses, and where: a boolean
+    (k, n) mask and, where it is set, the parameter t in (0, 1) of the
+    crossing along the segment."""
+    import numpy as np
+
+    x0, y0 = p0
+    x1, y1 = targets[:, 0, None], targets[:, 1, None]
+    ax, ay, bx, by = ring[:-1, 0], ring[:-1, 1], ring[1:, 0], ring[1:, 1]
+    # The orientations of the segment's ends about each edge, then of each
+    # edge's ends about the segment.
+    ex, ey = bx - ax, by - ay
+    d0 = ex * (y0 - ay) - ey * (x0 - ax)
+    d1 = ex * (y1 - ay) - ey * (x1 - ax)
     px, py = x1 - x0, y1 - y0
-    for (ax, ay), (bx, by) in ring_edges(ring):
-        # _orient(a, b, p0), _orient(a, b, p1), _orient(p0, p1, a), _orient(p0, p1, b).
-        ex, ey = bx - ax, by - ay
-        d0 = ex * (y0 - ay) - ey * (x0 - ax)
-        d1 = ex * (y1 - ay) - ey * (x1 - ax)
-        if (d0 > 0) == (d1 > 0) or d0 == d1:
-            continue
-        e0 = px * (ay - y0) - py * (ax - x0)
-        e1 = px * (by - y0) - py * (bx - x0)
-        if (e0 > 0) == (e1 > 0) or e0 == e1:
-            continue
-        params.append(d0 / (d0 - d1))
-    return params
+    e0 = px * (ay - y0) - py * (ax - x0)
+    e1 = px * (by - y0) - py * (bx - x0)
+    cross = ((d0 > 0) != (d1 > 0)) & (d0 != d1) & ((e0 > 0) != (e1 > 0)) & (e0 != e1)
+    params = np.divide(d0, d0 - d1, out=np.zeros(cross.shape), where=cross)
+    return cross, params
+
+
+def ring_is_simple(ring) -> bool:
+    """Whether no two edges of ring array `ring` cross, adjacent ones aside."""
+    import numpy as np
+
+    cross = np.triu(crossing_matrix(ring, ring), 2)
+    cross[0, -1] = False  # the first and the last edge meet at vertex 0
+    return not cross.any()
 
 
 @dataclass(frozen=True)
@@ -206,22 +248,20 @@ class PolygonWithHoles:
 
     def validate(self) -> None:
         """Full structural check: simplicity, containment, hole disjointness."""
-        if not _outer_ring_is_simple(self.outer):
+        outer = ring_array(self.outer)
+        if not ring_is_simple(outer):
             raise InvalidGeometryError("outer ring self-intersects")
-        outer_edges = list(ring_edges(self.outer))
-        for hole in self.holes:
+        holes = [ring_array(hole) for hole in self.holes]
+        for hole in holes:
             if not ring_is_simple(hole):
                 raise InvalidGeometryError("hole ring self-intersects")
-            for p in hole:
-                if not point_in_ring(p, self.outer):
-                    raise InvalidGeometryError("hole vertex outside outer ring")
-            for a, b in ring_edges(hole):
-                for c, d in outer_edges:
-                    if segments_cross(a, b, c, d):
-                        raise InvalidGeometryError("hole crosses outer ring")
-        for i in range(len(self.holes)):
-            for j in range(i + 1, len(self.holes)):
-                if _rings_interact(self.holes[i], self.holes[j]):
+            if not points_in_ring(hole[:-1], outer).all():
+                raise InvalidGeometryError("hole vertex outside outer ring")
+            if crossing_matrix(hole, outer).any():
+                raise InvalidGeometryError("hole crosses outer ring")
+        for i in range(len(holes)):
+            for j in range(i + 1, len(holes)):
+                if _rings_interact(holes[i], holes[j]):
                     raise InvalidGeometryError("holes are not pairwise disjoint")
 
     @functools.cached_property
@@ -259,16 +299,14 @@ def _same_ring_memo(fn):
     return memo
 
 
-# An AOI's outer ring is checked when it is sampled and again after its holes
-# are inserted; this one memo serves outer rings only, so holes never evict it.
-_outer_ring_is_simple = _same_ring_memo(ring_is_simple)
-
-
-def _rings_interact(a: Sequence[Point], b: Sequence[Point]) -> bool:
-    if any(point_in_ring(p, b) for p in a) or any(point_in_ring(p, a) for p in b):
-        return True
-    b_edges = list(ring_edges(b))
-    return any(segments_cross(p, q, r, s) for p, q in ring_edges(a) for r, s in b_edges)
+def _rings_interact(a, b) -> bool:
+    """Whether ring arrays `a` and `b` overlap: a vertex of one inside the
+    other, or crossing edges."""
+    return (
+        points_in_ring(a[:-1], b).any()
+        or points_in_ring(b[:-1], a).any()
+        or crossing_matrix(a, b).any()
+    )
 
 
 # ---------------------------------------------------------------------------

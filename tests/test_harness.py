@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -579,3 +580,111 @@ assert "numpy" not in sys.modules, "numpy was imported"
         assert f"seeds 0-{harness.MAX_CONSECUTIVE_REJECTIONS - 1} " in err[0]
         assert not data.exists()
         assert not Path(str(data) + ".manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["audit", "run", "report"])
+    def test_dataset_checked_against_manifest(
+        self, dataset, results, tmp_path, capsys, command
+    ):
+        # A relabelled stratum still parses and is still audited feasible:
+        # only the manifest's SHA-256 can tell the file was edited.
+        dpath, _ = dataset
+        rpath, _ = results
+        rec = json.loads(dpath.read_text().splitlines()[2])
+        label = "Irregular" if rec["morphology"]["label"] != "Irregular" else "Compact"
+        edited = _relabel(dpath, tmp_path / "d.jsonl", 3,
+                          morphology={**rec["morphology"], "label": label})
+        manifest = Path(str(dpath) + ".manifest.json").read_text()
+        Path(str(edited) + ".manifest.json").write_text(manifest)
+        argv = {
+            "audit": ["audit", "--dataset", str(edited)],
+            "run": ["run", "--dataset", str(edited), "--out", str(tmp_path / "r.jsonl")],
+            "report": ["report", "--results", str(rpath), "--dataset", str(edited),
+                       "--out", str(tmp_path / "rep")],
+        }[command]
+        code = cli_main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and "SHA-256" in err[0]
+        assert not (tmp_path / "r.jsonl").exists()
+        assert not (tmp_path / "rep").exists()
+
+    def test_manifest_schema_checked(self, dataset, tmp_path, capsys):
+        dpath, _ = dataset
+        copy = tmp_path / "d.jsonl"
+        copy.write_bytes(dpath.read_bytes())
+        manifest = json.loads(Path(str(dpath) + ".manifest.json").read_text())
+        manifest["version"] = "hexcover-dataset/1"
+        Path(str(copy) + ".manifest.json").write_text(json.dumps(manifest))
+        code = cli_main(["audit", "--dataset", str(copy)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and "schema 'hexcover-dataset/1'" in err[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("stage", ["timed_plan", "compute_path_metrics"])
+    def test_raising_planner_or_metric_is_one_error_line(
+        self, dataset, tmp_path, monkeypatch, capsys, stage, workers
+    ):
+        dpath, _ = dataset
+        victim = json.loads(dpath.read_text().splitlines()[3])
+        real = getattr(harness, stage)
+
+        def faulty(graph, *args):
+            if list(graph.base_pos) == victim["base"]:
+                raise ZeroDivisionError("injected fault")
+            return real(graph, *args)
+
+        # The pool forks its workers, so they inherit the patched name.
+        monkeypatch.setattr(harness, stage, faulty)
+        out = tmp_path / "r.jsonl"
+        code = cli_main(["run", "--dataset", str(dpath), "--methods", "morton",
+                         "--out", str(out), "--workers", str(workers)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"instance {victim['id']}" in err[0] and "ZeroDivisionError" in err[0]
+        assert not out.exists()
+
+
+def _live_group_members(pgid: int) -> list[int]:
+    """PIDs of the processes of group `pgid` that have not exited (zombies
+    have exited)."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # the process ended while the table was read
+        state, _ppid, group = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(group) == pgid and state != "Z":
+            pids.append(int(entry.name))
+    return pids
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process table in /proc")
+def test_pool_workers_exit_when_generate_is_killed(tmp_path):
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "hexcover.cli", "generate", "--count", "1000",
+            "--out", str(tmp_path / "d.jsonl"), "--workers", "2"]
+    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                            env=dict(os.environ, PYTHONPATH=path), start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(_live_group_members(proc.pid)) < 3:  # the command and its 2 workers
+            assert time.monotonic() < deadline, "the pool workers never started"
+            time.sleep(0.1)
+        proc.kill()  # SIGKILL to the command alone: it can clean nothing up
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while _live_group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert _live_group_members(proc.pid) == [], "pool workers outlived generate"
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=10)
