@@ -34,7 +34,7 @@ from hexcover.hexgeom import (
     Point,
     PolygonWithHoles,
     face_neighbors,
-    free_overlap_area,
+    free_overlap_areas,
     hexagon_area,
     min_rotated_rect,
     neighbor_offsets,
@@ -212,9 +212,10 @@ def tessellate(aoi: AoiShape, h: float) -> HexMask:
 
     The lattice is mounted in the minimum-rotated-rectangle frame of the
     outer ring: origin at the rectangle centre, columns along the long side.
-    Only the cells near some ring edge are clipped (see _cells_near_rings);
-    every other cell lies wholly inside or outside each ring, so its overlap
-    is its whole hexagon or nothing, and its centre decides it.
+    Only the cells near some ring edge are clipped (see _cells_near_rings),
+    all in one free_overlap_areas call; every other cell lies wholly inside
+    or outside each ring, so its overlap is its whole hexagon or nothing,
+    and its centre decides it.
     """
     if h <= 0:
         raise InvalidParameterError("hex radius must be positive")
@@ -236,8 +237,9 @@ def tessellate(aoi: AoiShape, h: float) -> HexMask:
     pad = 1e-9 * (h + max(map(abs, xs + ys)))
     near = _cells_near_rings((local_outer, *local_holes), h, pad)
 
-    threshold = RETENTION_FRACTION * hexagon_area(h)
     kept = set()
+    clipped: list[OffsetCoord] = []
+    clipped_centers: list[Point] = []
     far: list[OffsetCoord] = []
     far_centers: list[Point] = []
     for col in range(col_lo, col_hi + 1):
@@ -247,11 +249,15 @@ def tessellate(aoi: AoiShape, h: float) -> HexMask:
             if center.x < x_lo or center.x > x_hi or center.y < y_lo or center.y > y_hi:
                 continue
             if c in near:
-                if free_overlap_area(center, h, local_poly) >= threshold:
-                    kept.add(c)
+                clipped.append(c)
+                clipped_centers.append(center)
             else:
                 far.append(c)
                 far_centers.append(center)
+    if clipped:
+        areas = free_overlap_areas(point_array(clipped_centers), h, local_poly)
+        retained = areas >= RETENTION_FRACTION * hexagon_area(h)
+        kept.update(c for c, keep in zip(clipped, retained) if keep)
     if far:
         # Free space is inside the outer ring and outside every hole.
         centers = point_array(far_centers)

@@ -204,27 +204,53 @@ def _audited(rec: dict) -> dict:
     return rec
 
 
-def _read_dataset(path: str | Path, convert) -> list:
-    """Every record of a dataset file, passed through `convert`, after the
-    file is checked against its manifest when `<path>.manifest.json` exists:
-    a manifest of another schema, or whose SHA-256 is not that of the file's
-    bytes, raises DatasetError."""
+def _read_manifest(path: str | Path, schema: str, key: str):
+    """Field `key` of the manifest `<path>.manifest.json`, or None when there
+    is no manifest; an unreadable manifest or one of another schema raises
+    DatasetError."""
     manifest_path = Path(str(path) + ".manifest.json")
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text())
-            version, sha256 = manifest["version"], manifest["sha256"]
-        except (ValueError, TypeError, KeyError) as exc:
-            raise DatasetError(f"{manifest_path}: unreadable manifest: {exc!r}") from exc
-        if version != DATASET_SCHEMA:
-            raise DatasetError(f"{manifest_path}: schema {version!r} is not {DATASET_SCHEMA!r}")
-        if hashlib.sha256(Path(path).read_bytes()).hexdigest() != sha256:
-            raise DatasetError(f"{path}: SHA-256 does not match {manifest_path}")
-    return _read_jsonl(path, DATASET_SCHEMA, convert)
+    if not manifest_path.exists():
+        return None
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        version, value = manifest["version"], manifest[key]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DatasetError(f"{manifest_path}: unreadable manifest: {exc!r}") from exc
+    if version != schema:
+        raise DatasetError(f"{manifest_path}: schema {version!r} is not {schema!r}")
+    return value
 
 
-def load_instances(path: str | Path) -> list[LoadedInstance]:
-    return _read_dataset(path, lambda rec: record_to_instance(_audited(rec)))
+def _read_dataset(
+    path: str | Path, convert, sha256: str | None = None
+) -> tuple[list, str]:
+    """Every record of a dataset file, passed through `convert`, and the
+    SHA-256 of the file's bytes.
+
+    The file is checked first against its manifest when
+    `<path>.manifest.json` exists, and against `sha256` when given: a
+    manifest of another schema, or a SHA-256 that is not that of the file's
+    bytes, raises DatasetError.
+    """
+    try:
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except FileNotFoundError:
+        raise DatasetError(f"file not found: {path}") from None
+    manifest_sha256 = _read_manifest(path, DATASET_SCHEMA, "sha256")
+    if manifest_sha256 not in (None, digest):
+        raise DatasetError(f"{path}: SHA-256 does not match {path}.manifest.json")
+    if sha256 not in (None, digest):
+        raise DatasetError(
+            f"{path}: SHA-256 {digest[:12]}... is not {sha256[:12]}..., the dataset"
+            " the results were run on"
+        )
+    return _read_jsonl(path, DATASET_SCHEMA, convert), digest
+
+
+def load_instances(path: str | Path, sha256: str | None = None) -> list[LoadedInstance]:
+    """The instances of a dataset file; with `sha256`, only if the file's
+    bytes have that SHA-256."""
+    return _read_dataset(path, lambda rec: record_to_instance(_audited(rec)), sha256)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +332,8 @@ def generate_dataset(
     config.validate()
     workers = resolve_workers(workers)
     out_path = Path(out_path)
+    # An output directory that cannot be made fails before any seed is built.
+    out_path.parent.mkdir(parents=True, exist_ok=True)
 
     records: list[dict] = []
     rejections: dict[str, int] = {}
@@ -346,7 +374,6 @@ def generate_dataset(
         )
 
     payload_text = "".join(_dump_line(rec) + "\n" for rec in records)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(payload_text)
     digest = hashlib.sha256(payload_text.encode()).hexdigest()
     manifest = DatasetManifest(
@@ -458,11 +485,17 @@ def run_benchmark(
     """Evaluate every requested method on every instance.
 
     Output records are sorted by (instance_id, method); all fields except
-    latency_ms are deterministic and independent of the worker count.
+    latency_ms are deterministic and independent of the worker count. With
+    `out_path`, the records are written there and `<out_path>.manifest.json`
+    names the results schema and the dataset's SHA-256.
     """
     method_list = resolve_methods(methods)
-    raw_records = _read_dataset(dataset_path, _audited)
+    raw_records, dataset_sha256 = _read_dataset(dataset_path, _audited)
     workers = resolve_workers(workers)
+    if out_path is not None:
+        # An output directory that cannot be made fails before any plan runs.
+        out_path = Path(out_path)
+        out_path.parent.mkdir(parents=True, exist_ok=True)
     tasks = [(rec, method_list) for rec in raw_records]
     results: list[dict] = []
     if workers == 1:
@@ -476,9 +509,11 @@ def run_benchmark(
     results.sort(key=lambda r: (r["instance_id"], r["method"]))
     records = [ResultRecord.from_dict(r) for r in results]
     if out_path is not None:
-        out_path = Path(out_path)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text("".join(_dump_line(r) + "\n" for r in results))
+        manifest = {"version": RESULTS_SCHEMA, "dataset_sha256": dataset_sha256}
+        Path(str(out_path) + ".manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        )
     return records
 
 
@@ -576,7 +611,9 @@ def write_report(
         raise InvalidParameterError("format must be 'markdown' or 'csv'")
     if strata not in (None, "morphology"):
         raise InvalidParameterError("only morphology strata are supported")
-    instances = load_instances(dataset_path)
+    # Results whose manifest names another dataset are refused.
+    sha256 = _read_manifest(results_path, RESULTS_SCHEMA, "dataset_sha256")
+    instances = load_instances(dataset_path, sha256)
     records = load_results(results_path, instances)
     methods = sorted({r.method for r in records}, key=METHOD_ORDER.index)
     rows = aggregate_summary(records, method_order=methods)

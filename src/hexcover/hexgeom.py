@@ -110,6 +110,10 @@ def ring_signed_area(ring: Sequence[Point]) -> float:
     return 0.5 * acc
 
 
+def _counterclockwise(ring: Sequence[Point]) -> Sequence[Point]:
+    return list(reversed(ring)) if ring_signed_area(ring) < 0 else ring
+
+
 def ring_perimeter(ring: Sequence[Point]) -> float:
     acc = 0.0
     for (x0, y0), (x1, y1) in ring_edges(ring):
@@ -266,8 +270,8 @@ class PolygonWithHoles:
 
     @functools.cached_property
     def _clip_subjects(self) -> tuple[Sequence[Point], ...]:
-        """The outer ring and each reversed hole, oriented as clip_area_convex
-        orients a subject; computed once per polygon, not once per clip."""
+        """The outer ring and each reversed hole, each counterclockwise, as
+        hexagon_clip_areas takes a subject; computed once per polygon."""
         rings = (self.outer, *(list(reversed(hole)) for hole in self.holes))
         return tuple(_counterclockwise(ring) for ring in rings)
 
@@ -406,63 +410,102 @@ def polygon_metrics(p: PolygonWithHoles) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Convex clipping (used for cell/free-space overlap areas)
+# Hexagon clipping (cell/free-space overlap areas)
+#
+# Sutherland-Hodgman reentrant polygon clipping (Sutherland & Hodgman, CACM
+# 17(1), 1974) of one subject ring against the hexagons of many cells at
+# once. The vertices of every clipped ring sit in flat x/y arrays with a
+# ring id per vertex, ring after ring. Each clip stage evaluates the scalar
+# orientation and crossing expressions per vertex and compacts the output in
+# ring order, so every clipped vertex is bit-identical to clipping one
+# hexagon at a time. The shoelace sum is the one float reduction, and it
+# runs one column at a time, in edge order, as ring_signed_area adds.
 
 
-def clip_area_convex(subject: Sequence[Point], clip: Sequence[Point]) -> float:
-    """Area of subject ∩ clip where `clip` is convex and counterclockwise.
+def _ring_layout(rid):
+    """For flat ring storage with non-decreasing ring ids `rid`: the index
+    of each vertex's successor in its own ring, and the index of each
+    non-empty ring's first vertex and one past its last."""
+    import numpy as np
 
-    Sutherland-Hodgman against each clip edge; the possibly-degenerate
-    output ring still carries the exact intersection area, which is all
-    callers need.
+    n = len(rid)
+    new_ring = np.empty(n, dtype=bool)
+    new_ring[:1] = True
+    np.not_equal(rid[1:], rid[:-1], out=new_ring[1:])
+    starts = np.flatnonzero(new_ring)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1:] = n
+    succ = np.arange(1, n + 1)
+    succ[ends - 1] = starts
+    return succ, starts, ends
+
+
+def hexagon_clip_areas(ring: Sequence[Point], centers, h: float):
+    """Area of the counterclockwise `ring` inside the hexagon of circumradius
+    `h` at each row of the (m, 2) array `centers`, as an array of m areas.
+
+    A clipped ring of fewer than 3 vertices has area 0.0, and a negative
+    area of a degenerate output ring is taken as 0.0.
     """
-    return _clip_area_ccw(_counterclockwise(subject), clip)
+    import numpy as np
+
+    m, n = len(centers), len(ring)
+    sx, sy = point_array(ring).T
+    x, y = np.tile(sx, m), np.tile(sy, m)
+    rid = np.repeat(np.arange(m), n)
+    # The hexagon vertices as hexagon_ring computes them.
+    cx, cy = centers[:, 0], centers[:, 1]
+    hx = [cx + h * ux for ux, _ in _HEX_UNIT]
+    hy = [cy + h * uy for _, uy in _HEX_UNIT]
+    for k in range(6):
+        ax, ay = hx[k], hy[k]
+        ex, ey = (hx[(k + 1) % 6] - ax)[rid], (hy[(k + 1) % 6] - ay)[rid]
+        sides = ex * (y - ay[rid]) - ey * (x - ax[rid])
+        succ, _, _ = _ring_layout(rid)
+        succ_sides = sides[succ]
+        keep = sides >= 0
+        cross = keep != (succ_sides >= 0)
+        # Each vertex emits itself if kept, then the point where its edge
+        # crosses the clip line.
+        emit = keep.astype(np.intp) + cross
+        slot = np.cumsum(emit) - emit
+        out_rid = np.repeat(rid, emit)
+        out_x, out_y = np.empty(len(out_rid)), np.empty(len(out_rid))
+        out_x[slot[keep]], out_y[slot[keep]] = x[keep], y[keep]
+        p = np.flatnonzero(cross)
+        q = succ[p]
+        t = sides[p] / (sides[p] - succ_sides[p])
+        at = slot[p] + keep[p]
+        out_x[at] = x[p] + t * (x[q] - x[p])
+        out_y[at] = y[p] + t * (y[q] - y[p])
+        x, y, rid = out_x, out_y, out_rid
+
+    succ, starts, ends = _ring_layout(rid)
+    terms = x * y[succ] - x[succ] * y
+    # Row j of the table holds term j of every ring, zero past its end.
+    counts = np.bincount(rid, minlength=m)
+    table = np.zeros((counts.max(initial=0), m))
+    table[np.arange(len(rid)) - np.repeat(starts, ends - starts), rid] = terms
+    acc = np.zeros(m)
+    for column in table:
+        acc += column
+    area = 0.5 * acc
+    area[counts < 3] = 0.0
+    return np.maximum(area, 0.0)
 
 
-def _counterclockwise(ring: Sequence[Point]) -> Sequence[Point]:
-    return list(reversed(ring)) if ring_signed_area(ring) < 0 else ring
+def free_overlap_areas(centers, h: float, polygon: PolygonWithHoles):
+    """Area of the hexagon at each row of the (m, 2) array `centers` covered
+    by free space (outer minus holes), as an array of m areas."""
+    import numpy as np
 
-
-def _clip_area_ccw(ring: Sequence[Point], clip: Sequence[Point]) -> float:
-    for a, b in ring_edges(clip):
-        if not ring:
-            return 0.0
-        ring = _clip_halfplane(ring, a, b)
-    if len(ring) < 3:
-        return 0.0
-    return max(ring_signed_area(ring), 0.0)
-
-
-def _clip_halfplane(ring: Sequence[Point], a: Point, b: Point) -> Sequence[Point]:
-    ax, ay = a
-    ex, ey = b[0] - ax, b[1] - ay
-    # _orient(a, b, p) of every vertex, the same expression written out.
-    sides = [ex * (y - ay) - ey * (x - ax) for x, y in ring]
-    if min(sides) >= 0:
-        return ring  # every vertex kept, no edge leaves the half-plane
-    if max(sides) < 0:
-        return []
-    out: list[Point] = []
-    for p, q, ps, qs in zip(ring, ring[1:] + ring[:1], sides, sides[1:] + sides[:1]):
-        if ps >= 0:
-            out.append(p)
-            if qs >= 0:
-                continue
-        elif qs < 0:
-            continue
-        # The edge crosses the clip line: add the crossing point.
-        t = ps / (ps - qs)
-        out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return out
-
-
-def free_overlap_area(center: Point, h: float, polygon: PolygonWithHoles) -> float:
-    """Area of the hexagon at `center` covered by free space (outer minus holes)."""
-    hexagon = hexagon_ring(center, h)
     outer, *holes = polygon._clip_subjects
-    area = _clip_area_ccw(outer, hexagon)
-    if area == 0.0:
-        return 0.0
-    for hole in holes:
-        area -= _clip_area_ccw(hole, hexagon)
-    return max(area, 0.0)
+    area = hexagon_clip_areas(outer, centers, h)
+    rows = np.flatnonzero(area != 0.0)
+    if holes and len(rows):
+        part, near = area[rows], centers[rows]
+        for hole in holes:
+            part -= hexagon_clip_areas(hole, near, h)
+        area[rows] = part
+    return np.maximum(area, 0.0)

@@ -1,10 +1,11 @@
-"""The array forms of the ring predicates against their scalar references.
+"""The array forms of the ring predicates and of the hexagon clip against
+their scalar references.
 
 Each array form must evaluate its scalar test element by element, so the two
-are compared for exact equality, crossing parameters included, on rings that
-stress the floating-point corner cases: random rings, nearly collinear
-vertices, horizontal edges, repeated vertices, and query points that sit on
-ring vertices.
+are compared for exact equality, crossing parameters and clipped areas
+included, on rings that stress the floating-point corner cases: random
+rings, nearly collinear vertices, horizontal edges, repeated vertices, query
+points that sit on ring vertices, and subject vertices on hexagon edges.
 """
 
 import os
@@ -15,10 +16,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hexcover import hexgeom
+from hexcover import graphbuild, hexgeom
+from hexcover.aoi import insert_obstacles, sample_aoi
+from hexcover.graphbuild import GenerationConfig, choose_family
 from hexcover.hexgeom import (
     Point,
+    PolygonWithHoles,
     crossing_matrix,
+    free_overlap_areas,
+    hexagon_clip_areas,
+    hexagon_ring,
     point_array,
     point_in_ring,
     points_in_ring,
@@ -26,6 +33,7 @@ from hexcover.hexgeom import (
     ring_crossing_params,
     ring_edges,
     ring_is_simple,
+    ring_signed_area,
 )
 
 # ---------------------------------------------------------------------------
@@ -74,6 +82,69 @@ def segment_ring_crossing_params(p0, p1, ring) -> list[float]:
             continue
         params.append(d0 / (d0 - d1))
     return params
+
+
+def clip_halfplane(ring, a, b):
+    """Sutherland-Hodgman: the part of `ring` left of the line a->b."""
+    ax, ay = a
+    ex, ey = b[0] - ax, b[1] - ay
+    # _orient(a, b, p) of every vertex, the same expression written out.
+    sides = [ex * (y - ay) - ey * (x - ax) for x, y in ring]
+    if min(sides) >= 0:
+        return ring  # every vertex kept, no edge leaves the half-plane
+    if max(sides) < 0:
+        return []
+    out = []
+    for p, q, ps, qs in zip(ring, ring[1:] + ring[:1], sides, sides[1:] + sides[:1]):
+        if ps >= 0:
+            out.append(p)
+            if qs >= 0:
+                continue
+        elif qs < 0:
+            continue
+        # The edge crosses the clip line: add the crossing point.
+        t = ps / (ps - qs)
+        out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def clip_rings(ring, clip):
+    """The subject ring after each clip edge of the convex counterclockwise
+    `clip`, in order."""
+    rings = []
+    for a, b in ring_edges(clip):
+        if not ring:
+            break
+        ring = clip_halfplane(ring, a, b)
+        rings.append(ring)
+    return rings
+
+
+def clip_area_ccw(ring, clip) -> float:
+    ring = clip_rings(ring, clip)[-1]
+    if len(ring) < 3:
+        return 0.0
+    return max(ring_signed_area(ring), 0.0)
+
+
+def counterclockwise(ring):
+    return list(reversed(ring)) if ring_signed_area(ring) < 0 else ring
+
+
+def clip_area_convex(subject, clip) -> float:
+    """Area of subject ∩ clip where `clip` is convex and counterclockwise."""
+    return clip_area_ccw(counterclockwise(subject), clip)
+
+
+def free_overlap_area(center, h, polygon) -> float:
+    """Area of the hexagon at `center` covered by free space (outer minus holes)."""
+    hexagon = hexagon_ring(center, h)
+    area = clip_area_convex(polygon.outer, hexagon)
+    if area == 0.0:
+        return 0.0
+    for hole in polygon.holes:
+        area -= clip_area_convex(list(reversed(hole)), hexagon)
+    return max(area, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,3 +260,162 @@ def test_import_does_not_load_numpy(module):
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# The hexagon clip
+
+
+def star_ring(rng):
+    """A random star-shaped counterclockwise ring around a random centre."""
+    n = int(rng.integers(3, 48))
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    radii = rng.uniform(0.5, 4.0, n)
+    cx, cy = rng.uniform(-3.0, 3.0, 2)
+    return [
+        Point(float(cx + r * np.cos(a)), float(cy + r * np.sin(a)))
+        for a, r in zip(angles, radii)
+    ]
+
+
+def clip_centres(ring, rng):
+    """Hexagon centres on the subject's vertices, across its edges, wholly
+    inside it and wholly outside it, plus random ones near it."""
+    xs, ys = [p.x for p in ring], [p.y for p in ring]
+    cx, cy = sum(xs) / len(xs), sum(ys) / len(ys)
+    centres = list(ring)
+    for (x0, y0), (x1, y1) in ring_edges(ring):
+        t = float(rng.uniform(0.1, 0.9))
+        centres.append(Point(x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+    centres.append(Point(cx, cy))
+    centres.append(Point(max(xs) + 10.0, cy))
+    box = rng.uniform((min(xs) - 1.0, min(ys) - 1.0), (max(xs) + 1.0, max(ys) + 1.0), (20, 2))
+    return centres + [Point(float(x), float(y)) for x, y in box]
+
+
+def assert_clips_match(ring, centres, h):
+    got = hexagon_clip_areas(ring, point_array(centres), h).tolist()
+    want = [clip_area_ccw(ring, hexagon_ring(c, h)) for c in centres]
+    assert got == want
+    assert [np.copysign(1.0, a) for a in got] == [np.copysign(1.0, a) for a in want]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_hexagon_clip_areas_match_scalar_on_star_rings(seed):
+    rng = np.random.default_rng([seed, 7])
+    ring = star_ring(rng)
+    # A small hexagon fits inside the ring; a large one holds all of it.
+    for h in (0.05, 0.7, float(rng.uniform(0.2, 2.0)), 12.0):
+        assert_clips_match(ring, clip_centres(ring, rng), h)
+
+
+def test_subject_vertices_on_hexagon_edges():
+    # Subject vertices are the hexagon's own vertices and points of its
+    # edges, so some orientations are exactly 0.0; some vertices repeat and
+    # some are collinear.
+    h, centre = 1.0, Point(0.25, -0.5)
+    hexagon = hexagon_ring(centre, h)
+    edge_points = [
+        Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+        for a, b in ring_edges(hexagon)
+        for t in (0.25, 0.5)
+    ]
+    subjects = [
+        hexagon,
+        [*hexagon[:3], hexagon[2], *hexagon[3:]],
+        edge_points,
+        # Outside the hexagon, one edge on a hexagon edge.
+        [hexagon[0], Point(hexagon[0].x + 2.0, hexagon[0].y - 1.0), hexagon[5]][::-1],
+        # The hexagon's box, corners and edge midpoints.
+        counterclockwise([Point(-0.75, -1.5), Point(1.25, -1.5), Point(1.25, 0.5),
+                          Point(0.25, 0.5), Point(-0.75, 0.5)]),
+    ]
+    zero_sides = 0
+    for ring in subjects:
+        assert ring_signed_area(ring) > 0
+        for a, b in ring_edges(hexagon):
+            ex, ey = b[0] - a[0], b[1] - a[1]
+            zero_sides += any(ex * (y - a[1]) - ey * (x - a[0]) == 0.0 for x, y in ring)
+        shifted = [centre, Point(centre.x + 1.5 * h, centre.y), Point(centre.x, centre.y + h)]
+        assert_clips_match(ring, shifted + list(ring), h)
+    assert zero_sides >= 12
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_collinear_and_repeated_subject_vertices(seed):
+    rng = np.random.default_rng([seed, 11])
+    ring = star_ring(rng)
+    padded = []
+    for (x0, y0), (x1, y1) in ring_edges(ring):
+        padded.append(Point(x0, y0))
+        if rng.uniform() < 0.3:
+            padded.append(Point(x0, y0))
+        if rng.uniform() < 0.5:
+            padded.append(Point(0.5 * (x0 + x1), 0.5 * (y0 + y1)))
+    assert_clips_match(padded, clip_centres(padded, rng), 0.8)
+
+
+def test_rows_that_empty_mid_clip_or_end_short():
+    # Thin slivers and triangles touching the hexagon from outside lose
+    # every vertex after a later stage for some centres. A clip stage turns
+    # a ring of 3 or more vertices into none or into 3 or more, so only a
+    # subject of 1 or 2 vertices ends the clip with 1 or 2.
+    rng = np.random.default_rng(5)
+    h = 1.0
+    emptied_mid, short = 0, 0
+    subjects = [
+        [Point(-3.0, 0.0), Point(3.0, -0.01), Point(3.0, 0.01)],
+        [Point(1.0, 0.0), Point(3.0, -1.0), Point(3.0, 1.0)],
+        [Point(0.5, 0.8660254037844386), Point(-0.5, 3.0), Point(1.5, 3.0)],
+        [Point(0.1, 0.2)],
+        [Point(-0.3, 0.1), Point(0.4, -0.2)],
+        [Point(-2.0, 0.1), Point(2.0, -0.2)],
+    ]
+    for ring in subjects:
+        ring = counterclockwise(ring)
+        centres = [Point(0.0, 0.0), *ring, *(
+            Point(float(x), float(y)) for x, y in rng.uniform(-3.0, 3.0, (200, 2))
+        )]
+        for c in centres:
+            rings = clip_rings(ring, hexagon_ring(c, h))
+            emptied_mid += len(rings) < 6 and len(rings) > 1
+            short += len(rings) == 6 and 0 < len(rings[-1]) < 3
+        assert_clips_match(ring, centres, h)
+    assert emptied_mid > 0 and short > 0
+
+
+def test_free_overlap_areas_with_clipped_holes():
+    outer = tuple(star_ring(np.random.default_rng(3)))
+    box = lambda x, y, d: (Point(x, y), Point(x, y + d), Point(x + d, y + d), Point(x + d, y))
+    cx = sum(p.x for p in outer) / len(outer)
+    cy = sum(p.y for p in outer) / len(outer)
+    poly = PolygonWithHoles(outer, (box(cx - 0.4, cy - 0.4, 0.5), box(cx + 0.2, cy, 0.3)))
+    poly.validate()
+    rng = np.random.default_rng(4)
+    centres = [Point(cx, cy), *poly.holes[0], *poly.holes[1], *outer] + [
+        Point(float(x), float(y)) for x, y in rng.uniform(cx - 2.0, cx + 2.0, (60, 2))
+    ]
+    for h in (0.2, 0.6):
+        got = free_overlap_areas(point_array(centres), h, poly).tolist()
+        assert got == [free_overlap_area(c, h, poly) for c in centres]
+
+
+def test_every_near_cell_of_pipeline_seeds(monkeypatch):
+    calls = []
+    real = graphbuild.free_overlap_areas
+
+    def record(centers, h, polygon):
+        areas = real(centers, h, polygon)
+        calls.append((centers, h, polygon, areas))
+        return areas
+
+    monkeypatch.setattr(graphbuild, "free_overlap_areas", record)
+    config = GenerationConfig()
+    for seed in range(200):
+        shape = sample_aoi(choose_family(seed, config), seed, config.scale)
+        graphbuild.tessellate(insert_obstacles(shape, seed), config.hex_radius)
+    assert len(calls) == 200
+    assert sum(bool(poly.holes) for _, _, poly, _ in calls) >= 120
+    for centers, h, poly, areas in calls:
+        want = [free_overlap_area(Point(x, y), h, poly) for x, y in centers.tolist()]
+        assert areas.tolist() == want

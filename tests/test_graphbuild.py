@@ -2,6 +2,7 @@ import math
 
 import pytest
 from conftest import aoi_from_ring, edge_lengths_ok
+from test_array_forms import free_overlap_area
 
 from hexcover.aoi import FAMILIES, insert_obstacles, sample_aoi
 from hexcover.graphbuild import (
@@ -29,7 +30,6 @@ from hexcover.hexgeom import (
     Point,
     PolygonWithHoles,
     SQRT3,
-    free_overlap_area,
     hexagon_area,
     hexagon_ring,
     min_rotated_rect,

@@ -645,6 +645,59 @@ assert "numpy" not in sys.modules, "numpy was imported"
         assert f"instance {victim['id']}" in err[0] and "ZeroDivisionError" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "run"])
+    def test_uncreatable_out_fails_before_any_work(
+        self, dataset, tmp_path, monkeypatch, capsys, command
+    ):
+        dpath, _ = dataset
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "x.jsonl")
+        started = []
+
+        def work(*args):
+            started.append(args)
+            raise AssertionError("work started")
+
+        # generate builds seeds only in its pool; run plans every cell.
+        if command == "generate":
+            monkeypatch.setattr(harness, "_pool", work)
+            argv = ["generate", "--count", "3", "--out", out, "--workers", "1"]
+        else:
+            monkeypatch.setattr(harness, "timed_plan", work)
+            argv = ["run", "--dataset", str(dpath), "--out", out, "--workers", "1"]
+        code = cli_main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and str(blocker) in err[0]
+        assert started == []
+
+    def test_run_writes_results_manifest(self, dataset, results):
+        (dpath, manifest), (rpath, _) = dataset, results
+        on_disk = json.loads(Path(str(rpath) + ".manifest.json").read_text())
+        assert on_disk == {"version": "hexcover-results/1", "dataset_sha256": manifest.sha256}
+
+    def test_report_refuses_results_of_another_dataset(self, dataset, results, tmp_path, capsys):
+        # The relabelled copy carries a fresh manifest of its own, so only the
+        # results manifest can tell that the results were run on another file.
+        dpath, _ = dataset
+        rpath, _ = results
+        rec = json.loads(dpath.read_text().splitlines()[0])
+        label = "Irregular" if rec["morphology"]["label"] != "Irregular" else "Compact"
+        edited = _relabel(dpath, tmp_path / "d.jsonl", 1,
+                          morphology={**rec["morphology"], "label": label})
+        manifest = json.loads(Path(str(dpath) + ".manifest.json").read_text())
+        manifest["sha256"] = hashlib.sha256(edited.read_bytes()).hexdigest()
+        Path(str(edited) + ".manifest.json").write_text(json.dumps(manifest))
+        assert cli_main(["audit", "--dataset", str(edited)]) == 0
+        capsys.readouterr()
+        code = cli_main(["report", "--results", str(rpath), "--dataset", str(edited),
+                         "--out", str(tmp_path / "rep")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and "SHA-256" in err[0]
+        assert not (tmp_path / "rep").exists()
+
 
 def _live_group_members(pgid: int) -> list[int]:
     """PIDs of the processes of group `pgid` that have not exited (zombies

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_array_forms import clip_area_convex, free_overlap_area
 
 from hexcover.aoi import FAMILIES, sample_aoi
 from hexcover.hexgeom import (
@@ -14,10 +15,8 @@ from hexcover.hexgeom import (
     OffsetCoord,
     Point,
     PolygonWithHoles,
-    clip_area_convex,
     convex_hull,
     face_neighbors,
-    free_overlap_area,
     hex_vertices,
     hexagon_area,
     hexagon_ring,
