@@ -24,7 +24,6 @@ from hexcover.hexgeom import (
     points_in_ring,
     polygon_metrics,
     ring_array,
-    ring_edges,
     ring_signed_area,
 )
 
@@ -49,6 +48,11 @@ STREAM_BASE = 3
 _RING_VERTICES = 44
 _HOLE_VERTICES = 14
 _HOLE_RETRIES = 12
+# Clockwise unit directions of a hole's vertices.
+_HOLE_DIRECTIONS = tuple(
+    (math.cos(-2.0 * math.pi * k / _HOLE_VERTICES), math.sin(-2.0 * math.pi * k / _HOLE_VERTICES))
+    for k in range(_HOLE_VERTICES)
+)
 # Hole-free instances are disproportionately easy for every heuristic, so
 # they are drawn less often than holed ones.
 _HOLE_COUNT_WEIGHTS = (0.15, 0.35, 0.25, 0.25)
@@ -190,13 +194,10 @@ def insert_obstacles(shape: AoiShape, seed: int) -> AoiShape:
             rho = math.sqrt(cells_eaten * hexagon_area(cell_proxy) / math.pi)
             cx = rng.uniform(min(xs), max(xs))
             cy = rng.uniform(min(ys), max(ys))
-            wobble = rng.uniform(0.88, 1.12, _HOLE_VERTICES)
+            wobble = rng.uniform(0.88, 1.12, _HOLE_VERTICES).tolist()
             ring = tuple(
-                Point(
-                    cx + rho * w * math.cos(-2.0 * math.pi * k / _HOLE_VERTICES),
-                    cy + rho * w * math.sin(-2.0 * math.pi * k / _HOLE_VERTICES),
-                )
-                for k, w in enumerate(wobble)
+                Point(cx + rho * w * ux, cy + rho * w * uy)
+                for w, (ux, uy) in zip(wobble, _HOLE_DIRECTIONS)
             )
             arr = ring_array(ring)
             if _hole_admissible((ring, arr), outer_pair, holes, clearance, pad):
@@ -216,39 +217,50 @@ def _hole_admissible(candidate, outer, holes, clearance: float, pad: float) -> b
     of `holes` is a (points, ring array) pair."""
     ring, arr = candidate
     vertices = arr[:-1]
-    outer_ring, outer_arr = outer
-    for p, inside in zip(ring, points_in_ring(vertices, outer_arr)):
-        if not inside or _closer_than(p, outer_ring, clearance, pad):
+    if not points_in_ring(vertices, outer[1]).all():
+        return False
+    if _closer_than(candidate, outer, clearance, pad):
+        return False
+    for other in holes:
+        other_arr = other[1]
+        if points_in_ring(vertices, other_arr).any():
             return False
-    for other, other_arr in holes:
-        for p, inside in zip(ring, points_in_ring(vertices, other_arr)):
-            if inside or _closer_than(p, other, clearance, pad):
-                return False
+        if _closer_than(candidate, other, clearance, pad):
+            return False
         if points_in_ring(other_arr[:-1], arr).any():
             return False
     return True
 
 
-def _closer_than(p: Point, ring, clearance: float, pad: float) -> bool:
-    """Whether some edge of `ring` lies closer than `clearance` to `p`.
+def _closer_than(candidate, ring, clearance: float, pad: float) -> bool:
+    """Whether some edge of `ring` lies closer than `clearance` to some
+    vertex of `candidate`; each is a (points, ring array) pair.
 
-    The same decision as `min(distance to each edge) < clearance`, without
-    the minimum: it stops at the first closer edge, and skips an edge whose
-    box, widened by `clearance + pad`, does not reach `p`. `pad` must exceed
-    the rounding error of a computed distance, so that no skipped edge could
-    have computed closer than `clearance`.
+    The same decision as `min(distance of each vertex to each edge) <
+    clearance`. One array pass skips every (vertex, edge) pair whose edge
+    box, widened by `clearance + pad`, does not reach the vertex; only
+    booleans are computed there. The pairs left are measured by the scalar
+    distance. `pad` must exceed the rounding error of a computed distance,
+    so that no skipped pair could have computed closer than `clearance`.
     """
-    px, py = p
+    import numpy as np
+
+    points, points_arr = candidate
+    ring_points, arr = ring
     reach = clearance + pad
-    for a, b in ring_edges(ring):
-        (ax, ay), (bx, by) = a, b
-        if px - reach > ax and px - reach > bx or px + reach < ax and px + reach < bx:
-            continue
-        if py - reach > ay and py - reach > by or py + reach < ay and py + reach < by:
-            continue
-        if _dist_point_segment(p, a, b) < clearance:
-            return True
-    return False
+    px, py = points_arr[:-1, 0, None], points_arr[:-1, 1, None]
+    ax, ay, bx, by = arr[:-1, 0], arr[:-1, 1], arr[1:, 0], arr[1:, 1]
+    near = ~(
+        (px - reach > ax) & (px - reach > bx)
+        | (px + reach < ax) & (px + reach < bx)
+        | (py - reach > ay) & (py - reach > by)
+        | (py + reach < ay) & (py + reach < by)
+    )
+    n = len(ring_points)
+    return any(
+        _dist_point_segment(points[i], ring_points[j], ring_points[(j + 1) % n]) < clearance
+        for i, j in np.argwhere(near).tolist()
+    )
 
 
 def _dist_point_segment(p: Point, a: Point, b: Point) -> float:

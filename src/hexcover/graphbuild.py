@@ -33,7 +33,6 @@ from hexcover.hexgeom import (
     OffsetCoord,
     Point,
     PolygonWithHoles,
-    face_neighbors,
     free_overlap_areas,
     hexagon_area,
     min_rotated_rect,
@@ -297,7 +296,19 @@ def _cells_near_rings(rings, h: float, pad: float) -> set[tuple[int, int]]:
 # Mask post-processing
 
 
-def _components(cells: set[OffsetCoord]) -> list[set[OffsetCoord]]:
+def _neighbor_table(cells) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """Each cell's face neighbours in `cells`, as (col, row) tuples."""
+    return {
+        (col, row): [
+            nb for dc, dr in neighbor_offsets(col) if (nb := (col + dc, row + dr)) in cells
+        ]
+        for col, row in cells
+    }
+
+
+def _components(cells, table) -> list[set[tuple[int, int]]]:
+    """The face-connected components of `cells`, walked over the neighbour
+    table of a superset of them."""
     unseen = set(cells)
     comps = []
     while unseen:
@@ -307,7 +318,7 @@ def _components(cells: set[OffsetCoord]) -> list[set[OffsetCoord]]:
         while frontier:
             nxt = []
             for c in frontier:
-                for nb in face_neighbors(c):
+                for nb in table[c]:
                     if nb in unseen and nb not in comp:
                         comp.add(nb)
                         nxt.append(nb)
@@ -317,65 +328,71 @@ def _components(cells: set[OffsetCoord]) -> list[set[OffsetCoord]]:
     return comps
 
 
-def _mask_degree(c: OffsetCoord, cells: set[OffsetCoord]) -> int:
-    return sum(nb in cells for nb in face_neighbors(c))
-
-
 def exterior_boundary(cells: frozenset[OffsetCoord] | set[OffsetCoord]) -> set[OffsetCoord]:
     """Mask cells adjacent to the unbounded complement region."""
     if not cells:
         return set()
-    cols = [c.col for c in cells]
-    rows = [c.row for c in cells]
+    cols = [c[0] for c in cells]
+    rows = [c[1] for c in cells]
     lo_c, hi_c = min(cols) - 1, max(cols) + 1
     lo_r, hi_r = min(rows) - 1, max(rows) + 1
-    start = OffsetCoord(lo_c, lo_r)
+    start = (lo_c, lo_r)
     outside = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for c in frontier:
-            for nb in face_neighbors(c):
+        for col, row in frontier:
+            for dc, dr in neighbor_offsets(col):
+                nb = (col + dc, row + dr)
                 if nb in outside or nb in cells:
                     continue
-                if lo_c <= nb.col <= hi_c and lo_r <= nb.row <= hi_r:
+                if lo_c <= nb[0] <= hi_c and lo_r <= nb[1] <= hi_r:
                     outside.add(nb)
                     nxt.append(nb)
         frontier = nxt
-    return {c for c in cells if any(nb in outside for nb in face_neighbors(c))}
+    return {
+        c
+        for c in cells
+        if any((c[0] + dc, c[1] + dr) in outside for dc, dr in neighbor_offsets(c[0]))
+    }
 
 
 def postprocess_mask(mask, *, with_boundary: bool = False):
     """Largest component, iterated dead-end removal, single exterior ring.
 
-    Idempotent and strictly non-expanding. Raises DegenerateInstanceError if
-    the rules empty the mask or the exterior boundary splits into more than
-    one piece. Returns the cells as a frozenset, or with `with_boundary` the
-    pair (cells, exterior boundary), which attach_base then need not compute.
+    Idempotent and strictly non-expanding. Every rule reads one table of
+    each cell's neighbours in the mask. Of equal-size largest components the
+    one with the least cell is kept. Raises DegenerateInstanceError if the
+    rules empty the mask or the exterior boundary splits into more than one
+    piece. Returns the cells as a frozenset of OffsetCoord, or with
+    `with_boundary` the pair (cells, exterior boundary), which attach_base
+    then need not compute.
     """
-    cells = set(OffsetCoord(*c) for c in mask)
+    cells = {(col, row) for col, row in mask}
     if not cells:
         raise DegenerateInstanceError("empty mask")
+    table = _neighbor_table(cells)
 
-    comps = sorted(_components(cells), key=lambda comp: (-len(comp), min(comp)))
+    comps = sorted(_components(cells, table), key=lambda comp: (-len(comp), min(comp)))
     cells = comps[0]
 
     # Dead-end stubs: removing one can expose another, so run to a fixed point.
     while True:
-        dead = [c for c in cells if _mask_degree(c, cells) == 1]
+        dead = [c for c in cells if sum(nb in cells for nb in table[c]) == 1]
         if not dead:
             break
         cells -= set(dead)
     if not cells:
         raise DegenerateInstanceError("dead-end removal emptied the mask")
 
-    boundary = exterior_boundary(cells)
-    if len(_components(set(boundary))) != 1:
+    # The mask is one component and the boundary part of it, so every cell
+    # is reachable from the exterior border. The boundary of a face-connected
+    # mask is one piece; the check guards that.
+    coords = frozenset(OffsetCoord(col, row) for col, row in cells)
+    boundary = exterior_boundary(coords)
+    if len(_components(boundary, table)) != 1:
         raise DegenerateInstanceError("exterior boundary is not a single ring")
-    # Accessibility from the exterior border holds by construction: the mask
-    # is one component and the boundary is part of it.
-    assert all(comp & boundary for comp in _components(cells))
-    return (frozenset(cells), boundary) if with_boundary else frozenset(cells)
+    return (coords, boundary) if with_boundary else coords
 
 
 # ---------------------------------------------------------------------------

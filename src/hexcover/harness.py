@@ -9,6 +9,7 @@ a payload checksum, so a dataset can be regenerated and verified bit for bit.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import threading
@@ -180,19 +181,24 @@ def _read_jsonl(path: str | Path, schema: str, convert) -> list:
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"file not found: {path}")
-    out = []
     with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                found = rec.get("schema") if isinstance(rec, dict) else None
-                if found != schema:
-                    raise ValueError(f"schema {found!r} is not {schema!r}")
-                out.append(convert(rec))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+        return _parse_jsonl(path, fh, schema, convert)
+
+
+def _parse_jsonl(path: Path, lines, schema: str, convert) -> list:
+    """_read_jsonl over the text lines `lines` of the file at `path`."""
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            found = rec.get("schema") if isinstance(rec, dict) else None
+            if found != schema:
+                raise ValueError(f"schema {found!r} is not {schema!r}")
+            out.append(convert(rec))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
     if not out:
         raise EmptyDatasetError(f"{path}: file contains no records")
     return out
@@ -233,9 +239,10 @@ def _read_dataset(
     bytes, raises DatasetError.
     """
     try:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        data = Path(path).read_bytes()
     except FileNotFoundError:
         raise DatasetError(f"file not found: {path}") from None
+    digest = hashlib.sha256(data).hexdigest()
     manifest_sha256 = _read_manifest(path, DATASET_SCHEMA, "sha256")
     if manifest_sha256 not in (None, digest):
         raise DatasetError(f"{path}: SHA-256 does not match {path}.manifest.json")
@@ -244,7 +251,10 @@ def _read_dataset(
             f"{path}: SHA-256 {digest[:12]}... is not {sha256[:12]}..., the dataset"
             " the results were run on"
         )
-    return _read_jsonl(path, DATASET_SCHEMA, convert), digest
+    # The bytes already read, decoded and split into lines as opening the
+    # file in text mode would.
+    lines = io.TextIOWrapper(io.BytesIO(data))
+    return _parse_jsonl(Path(path), lines, DATASET_SCHEMA, convert), digest
 
 
 def load_instances(path: str | Path, sha256: str | None = None) -> list[LoadedInstance]:

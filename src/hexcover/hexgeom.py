@@ -361,27 +361,34 @@ def min_rotated_rect(points: Sequence[Point]) -> MinRotatedRect:
     outer ring's rectangle serves sampling, morphology after hole insertion
     and the lattice frame, so the last tuple's result is reused.
     """
+    import numpy as np
+
     hull = convex_hull(points)
     if len(hull) < 3:
         raise InvalidGeometryError("rotated rectangle needs non-collinear input")
-    best = None
-    m = len(hull)
-    for i in range(m):
-        px, py = hull[i]
-        qx, qy = hull[(i + 1) % m]
+    # The unit direction of every hull edge, in hull order.
+    dirs = []
+    for (px, py), (qx, qy) in ring_edges(hull):
         ex, ey = qx - px, qy - py
         norm = math.hypot(ex, ey)
-        if norm == 0:
-            continue
-        ux, uy = ex / norm, ey / norm
-        ss = [x * ux + y * uy for x, y in hull]
-        ts = [-x * uy + y * ux for x, y in hull]
-        smin, smax, tmin, tmax = min(ss), max(ss), min(ts), max(ts)
-        area = (smax - smin) * (tmax - tmin)
-        if best is None or area < best[0]:
-            best = (area, ux, uy, smin, smax, tmin, tmax)
-    assert best is not None
-    _, ux, uy, smin, smax, tmin, tmax = best
+        if norm != 0:
+            dirs.append((ex / norm, ey / norm))
+    # Row k holds the projections of every hull point on edge direction k
+    # and on its normal, each the scalar expression. A min or max of floats
+    # is exact in any order but for the sign of a zero, and a zero extreme
+    # is only ever added to or subtracted from the other, non-zero one (a
+    # hull's projections are never all equal), where its sign cannot show.
+    u = np.array(dirs)
+    ux, uy = u[:, 0, None], u[:, 1, None]
+    x, y = point_array(hull).T
+    ss = x * ux + y * uy
+    ts = -x * uy + y * ux
+    smin, smax, tmin, tmax = ss.min(axis=1), ss.max(axis=1), ts.min(axis=1), ts.max(axis=1)
+    area = (smax - smin) * (tmax - tmin)
+    # argmin keeps the first of equal areas: ties go to the first edge.
+    k = int(np.argmin(area))
+    ux, uy = dirs[k]
+    smin, smax, tmin, tmax = (float(v[k]) for v in (smin, smax, tmin, tmax))
     sc, tc = 0.5 * (smin + smax), 0.5 * (tmin + tmax)
     center = Point(sc * ux - tc * uy, sc * uy + tc * ux)
     ds, dt = smax - smin, tmax - tmin

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_array_forms import closer_than as _closer_than
 
 from hexcover.aoi import (
     FAMILIES,
@@ -18,7 +19,6 @@ from hexcover.aoi import (
     label_from,
     sample_aoi,
     substream,
-    _closer_than,
     _dist_point_segment,
 )
 from hexcover.hexgeom import (

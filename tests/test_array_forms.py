@@ -1,13 +1,16 @@
-"""The array forms of the ring predicates and of the hexagon clip against
-their scalar references.
+"""The array forms of the ring predicates, the hexagon clip, the hole
+clearance test and the rotating calipers against their scalar references.
 
 Each array form must evaluate its scalar test element by element, so the two
-are compared for exact equality, crossing parameters and clipped areas
-included, on rings that stress the floating-point corner cases: random
-rings, nearly collinear vertices, horizontal edges, repeated vertices, query
-points that sit on ring vertices, and subject vertices on hexagon edges.
+are compared for exact equality, crossing parameters, clipped areas and
+rectangles included, on rings that stress the floating-point corner cases:
+random rings, nearly collinear vertices, horizontal edges, repeated vertices,
+query points that sit on ring vertices, subject vertices on hexagon edges,
+clearances equal to a least distance, edges that tie on area, and vertices
+at -0.0.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -16,16 +19,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hexcover import graphbuild, hexgeom
-from hexcover.aoi import insert_obstacles, sample_aoi
+from hexcover import aoi, graphbuild, hexgeom
+from hexcover.aoi import _closer_than, _dist_point_segment, insert_obstacles, sample_aoi
 from hexcover.graphbuild import GenerationConfig, choose_family
 from hexcover.hexgeom import (
+    MinRotatedRect,
     Point,
     PolygonWithHoles,
+    convex_hull,
     crossing_matrix,
     free_overlap_areas,
     hexagon_clip_areas,
     hexagon_ring,
+    min_rotated_rect,
     point_array,
     point_in_ring,
     points_in_ring,
@@ -145,6 +151,83 @@ def free_overlap_area(center, h, polygon) -> float:
     for hole in polygon.holes:
         area -= clip_area_convex(list(reversed(hole)), hexagon)
     return max(area, 0.0)
+
+
+def closer_than(p, ring, clearance: float, pad: float) -> bool:
+    """Whether some edge of `ring` lies closer than `clearance` to `p`,
+    stopping at the first closer edge and skipping an edge whose box,
+    widened by `clearance + pad`, does not reach `p`."""
+    px, py = p
+    reach = clearance + pad
+    for a, b in ring_edges(ring):
+        (ax, ay), (bx, by) = a, b
+        if px - reach > ax and px - reach > bx or px + reach < ax and px + reach < bx:
+            continue
+        if py - reach > ay and py - reach > by or py + reach < ay and py + reach < by:
+            continue
+        if _dist_point_segment(p, a, b) < clearance:
+            return True
+    return False
+
+
+def hole_admissible(candidate, outer, holes, clearance: float, pad: float) -> bool:
+    """The hole test vertex by vertex, each against one ring at a time."""
+    ring, arr = candidate
+    vertices = arr[:-1]
+    outer_ring, outer_arr = outer
+    for p, inside in zip(ring, points_in_ring(vertices, outer_arr)):
+        if not inside or closer_than(p, outer_ring, clearance, pad):
+            return False
+    for other, other_arr in holes:
+        for p, inside in zip(ring, points_in_ring(vertices, other_arr)):
+            if inside or closer_than(p, other, clearance, pad):
+                return False
+        if points_in_ring(other_arr[:-1], arr).any():
+            return False
+    return True
+
+
+def caliper_extremes(hull):
+    """For each hull edge in order, with a non-zero length: its unit
+    direction and the extremes (smin, smax, tmin, tmax) of the hull's
+    projections on it and on its normal."""
+    out = []
+    m = len(hull)
+    for i in range(m):
+        px, py = hull[i]
+        qx, qy = hull[(i + 1) % m]
+        ex, ey = qx - px, qy - py
+        norm = math.hypot(ex, ey)
+        if norm == 0:
+            continue
+        ux, uy = ex / norm, ey / norm
+        ss = [x * ux + y * uy for x, y in hull]
+        ts = [-x * uy + y * ux for x, y in hull]
+        out.append(((ux, uy), (min(ss), max(ss), min(ts), max(ts))))
+    return out
+
+
+def scalar_min_rotated_rect(points) -> MinRotatedRect:
+    """Rotating calipers, one hull edge at a time; ties on area keep the
+    first edge."""
+    hull = convex_hull(points)
+    best = None
+    for (ux, uy), (smin, smax, tmin, tmax) in caliper_extremes(hull):
+        area = (smax - smin) * (tmax - tmin)
+        if best is None or area < best[0]:
+            best = (area, ux, uy, smin, smax, tmin, tmax)
+    _, ux, uy, smin, smax, tmin, tmax = best
+    sc, tc = 0.5 * (smin + smax), 0.5 * (tmin + tmax)
+    center = Point(sc * ux - tc * uy, sc * uy + tc * ux)
+    ds, dt = smax - smin, tmax - tmin
+    if ds >= dt:
+        axis, long_side, short_side = (ux, uy), ds, dt
+    else:
+        axis, long_side, short_side = (-uy, ux), dt, ds
+    ax, ay = axis
+    if ay < 0 or (ay == 0 and ax < 0):
+        ax, ay = -ax, -ay
+    return MinRotatedRect(center, Point(ax, ay), long_side, short_side)
 
 
 # ---------------------------------------------------------------------------
@@ -419,3 +502,132 @@ def test_every_near_cell_of_pipeline_seeds(monkeypatch):
     for centers, h, poly, areas in calls:
         want = [free_overlap_area(Point(x, y), h, poly) for x, y in centers.tolist()]
         assert areas.tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# Hole clearance
+
+
+def pipeline_shapes(seeds=range(200)):
+    config = GenerationConfig()
+    for seed in seeds:
+        shape = sample_aoi(choose_family(seed, config), seed, config.scale)
+        yield seed, shape
+
+
+def min_distance(points, ring) -> float:
+    return min(_dist_point_segment(p, a, b) for p in points for a, b in ring_edges(ring))
+
+
+def test_closer_than_matches_minimum_distance():
+    # The array pass must decide `min(distance) < clearance` over every
+    # (point, edge) pair, also at a clearance equal to the minimum or one
+    # float above it.
+    rng = np.random.default_rng(9)
+    for seed, shape in pipeline_shapes(range(12)):
+        shape = insert_obstacles(shape, seed)
+        outer = shape.polygon.outer
+        pad = 1e-9 * (1.0 + max(abs(v) for p in outer for v in p))
+        xs, ys = [p.x for p in outer], [p.y for p in outer]
+        for ring in (outer, *shape.polygon.holes):
+            pair = (ring, ring_array(ring))
+            for m in (1, 3, 14):
+                for _ in range(10):
+                    pts = [
+                        Point(float(x), float(y))
+                        for x, y in rng.uniform((min(xs), min(ys)), (max(xs), max(ys)), (m, 2))
+                    ]
+                    d = min_distance(pts, ring)
+                    for c in (0.05, 0.4, 1.0, d, math.nextafter(d, math.inf)):
+                        assert _closer_than((pts, ring_array(pts)), pair, c, pad) == (d < c)
+
+
+def test_hole_admissible_matches_scalar_on_pipeline_candidates(monkeypatch):
+    # Every candidate hole of seeds 0-199, at the pipeline's clearance and
+    # at the candidate's own least vertex-edge distance d and the float
+    # above it, where the decision flips.
+    calls = []
+    real = aoi._hole_admissible
+
+    def record(candidate, outer, holes, clearance, pad):
+        admitted = real(candidate, outer, holes, clearance, pad)
+        calls.append((candidate, outer, list(holes), clearance, pad, admitted))
+        return admitted
+
+    monkeypatch.setattr(aoi, "_hole_admissible", record)
+    for seed, shape in pipeline_shapes():
+        insert_obstacles(shape, seed)
+    admitted, flips = 0, 0
+    for candidate, outer, holes, clearance, pad, got in calls:
+        assert got == hole_admissible(candidate, outer, holes, clearance, pad)
+        admitted += got
+        d = min(min_distance(candidate[0], ring) for ring, _ in (outer, *holes))
+        at_d = []
+        for c in (d, math.nextafter(d, math.inf)):
+            want = hole_admissible(candidate, outer, holes, c, pad)
+            assert real(candidate, outer, holes, c, pad) == want
+            at_d.append(want)
+        flips += at_d == [True, False]
+    assert len(calls) > 300 and 100 < admitted < len(calls)
+    assert flips > 100
+
+
+# ---------------------------------------------------------------------------
+# Calipers
+
+
+def rect_fields(rect):
+    """Every float of a MinRotatedRect, as float.hex, so -0.0 is not 0.0."""
+    return [float(v).hex() for v in (*rect.center, *rect.axis, rect.long_side, rect.short_side)]
+
+
+def assert_rects_match(points):
+    # A list is never memoised, so each call computes afresh.
+    assert rect_fields(min_rotated_rect(list(points))) == rect_fields(
+        scalar_min_rotated_rect(points)
+    )
+
+
+def test_min_rotated_rect_matches_scalar_on_pipeline_rings():
+    for seed, shape in pipeline_shapes():
+        assert_rects_match(shape.polygon.outer)
+        for hole in insert_obstacles(shape, seed).polygon.holes:
+            assert_rects_match(hole)
+
+
+def test_min_rotated_rect_ties_keep_the_first_edge():
+    # Every edge of a square gives the same area, and each would give the
+    # square another axis: (1, 0), (0, 1), (1, -0.0) or (-0.0, 1).
+    for x0, y0, w, h in ((0.0, 0.0, 1.0, 1.0), (-0.5, -0.5, 1.0, 1.0), (0.1, 0.3, 2.0, 2.0),
+                         (-3.0, 1.0, 3.0, 1.0), (2.0, -1.0, 1.0, 3.0), (-0.1, -0.2, 0.2, 0.4)):
+        ring = [Point(x0, y0), Point(x0 + w, y0), Point(x0 + w, y0 + h), Point(x0, y0 + h)]
+        areas = [
+            (smax - smin) * (tmax - tmin)
+            for _, (smin, smax, tmin, tmax) in caliper_extremes(convex_hull(ring))
+        ]
+        assert areas.count(min(areas)) >= 2
+        assert_rects_match(ring)
+    square = [Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0), Point(0.0, 1.0)]
+    assert min_rotated_rect(square).axis == (1.0, 0.0)
+
+
+def test_min_rotated_rect_with_signed_zero_vertices():
+    # Vertices at +-0.0 project to zeros of either sign; the extremes of
+    # some edge are -0.0, yet the rectangle is the scalar one bit for bit.
+    z, nz = 0.0, -0.0
+    rings = [
+        [Point(a, b), Point(1.0, c), Point(1.0, 1.0), Point(d, 1.0)]
+        for a in (z, nz) for b in (z, nz) for c in (z, nz) for d in (z, nz)
+    ]
+    rings += [
+        [Point(1.0, a), Point(b, 1.0), Point(-1.0, c), Point(d, -1.0)]
+        for a in (z, nz) for b in (z, nz) for c in (z, nz) for d in (z, nz)
+    ]
+    rings += [[Point(-2.0, nz), Point(nz, -1.0), Point(2.0, z), Point(z, 1.0), Point(nz, 0.5)]]
+    negative_zero_extremes = 0
+    for ring in rings:
+        for _, extremes in caliper_extremes(convex_hull(ring)):
+            negative_zero_extremes += any(math.copysign(1.0, v) < 0 for v in extremes if v == 0)
+        assert_rects_match(ring)
+        assert_rects_match(ring[::-1])
+    assert negative_zero_extremes > 0

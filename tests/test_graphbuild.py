@@ -1,9 +1,12 @@
+import hashlib
 import math
+import random
 
 import pytest
 from conftest import aoi_from_ring, edge_lengths_ok
 from test_array_forms import free_overlap_area
 
+from hexcover import graphbuild
 from hexcover.aoi import FAMILIES, insert_obstacles, sample_aoi
 from hexcover.graphbuild import (
     BaseAttachmentError,
@@ -30,6 +33,7 @@ from hexcover.hexgeom import (
     Point,
     PolygonWithHoles,
     SQRT3,
+    face_neighbors,
     hexagon_area,
     hexagon_ring,
     min_rotated_rect,
@@ -257,6 +261,190 @@ class TestExteriorBoundary:
             assert (c not in boundary) == interior
 
 
+
+# ---------------------------------------------------------------------------
+# Mask post-processing against the reference: the per-cell face_neighbors
+# walks that the neighbour table replaced.
+
+
+def reference_components(cells):
+    unseen = set(cells)
+    comps = []
+    while unseen:
+        start = min(unseen)
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for c in frontier:
+                for nb in face_neighbors(c):
+                    if nb in unseen and nb not in comp:
+                        comp.add(nb)
+                        nxt.append(nb)
+            frontier = nxt
+        comps.append(comp)
+        unseen -= comp
+    return comps
+
+
+def reference_exterior_boundary(cells):
+    if not cells:
+        return set()
+    cols = [c.col for c in cells]
+    rows = [c.row for c in cells]
+    lo_c, hi_c = min(cols) - 1, max(cols) + 1
+    lo_r, hi_r = min(rows) - 1, max(rows) + 1
+    start = OffsetCoord(lo_c, lo_r)
+    outside = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for nb in face_neighbors(c):
+                if nb in outside or nb in cells:
+                    continue
+                if lo_c <= nb.col <= hi_c and lo_r <= nb.row <= hi_r:
+                    outside.add(nb)
+                    nxt.append(nb)
+        frontier = nxt
+    return {c for c in cells if any(nb in outside for nb in face_neighbors(c))}
+
+
+def reference_postprocess_mask(mask, boundary_of=reference_exterior_boundary):
+    cells = set(OffsetCoord(*c) for c in mask)
+    if not cells:
+        raise DegenerateInstanceError("empty mask")
+    comps = sorted(reference_components(cells), key=lambda comp: (-len(comp), min(comp)))
+    cells = comps[0]
+    while True:
+        dead = [c for c in cells if sum(nb in cells for nb in face_neighbors(c)) == 1]
+        if not dead:
+            break
+        cells -= set(dead)
+    if not cells:
+        raise DegenerateInstanceError("dead-end removal emptied the mask")
+    boundary = boundary_of(cells)
+    if len(reference_components(set(boundary))) != 1:
+        raise DegenerateInstanceError("exterior boundary is not a single ring")
+    assert all(comp & boundary for comp in reference_components(cells))
+    return frozenset(cells), boundary
+
+
+def postprocess_outcome(fn, mask):
+    """The cells and boundary, sorted with their types shown, or the error."""
+    try:
+        cells, boundary = fn(mask)
+    except DegenerateInstanceError as exc:
+        return f"DegenerateInstanceError: {exc}"
+    return repr(sorted(cells)), repr(sorted(boundary)), type(cells), type(boundary)
+
+
+def assert_postprocess_matches(mask):
+    got = postprocess_outcome(lambda m: postprocess_mask(m, with_boundary=True), mask)
+    assert got == postprocess_outcome(reference_postprocess_mask, mask)
+    cells = frozenset(OffsetCoord(*c) for c in mask)
+    assert repr(sorted(exterior_boundary(cells))) == repr(
+        sorted(reference_exterior_boundary(cells))
+    )
+    return got
+
+
+def hex_disc(centre, radius):
+    """The cells within `radius` steps of `centre`."""
+    disc = {OffsetCoord(*centre)}
+    for _ in range(radius):
+        disc |= {nb for c in disc for nb in face_neighbors(c)}
+    return disc
+
+
+class TestPostprocessMatchesReference:
+    def test_every_tessellated_mask_of_pipeline_seeds(self):
+        config = GenerationConfig()
+        for seed in range(200):
+            shape = sample_aoi(choose_family(seed, config), seed, config.scale)
+            mask = tessellate(insert_obstacles(shape, seed), config.hex_radius)
+            assert_postprocess_matches(mask.coords)
+
+    def test_random_small_masks(self):
+        rng = random.Random(3)
+        errors = set()
+        for _ in range(400):
+            w, h = rng.randint(1, 7), rng.randint(1, 7)
+            mask = {(c, r) for c in range(w) for r in range(h) if rng.random() < 0.65}
+            if not mask:
+                continue
+            got = assert_postprocess_matches(mask)
+            if isinstance(got, str):
+                errors.add(got)
+        assert errors == {"DegenerateInstanceError: dead-end removal emptied the mask"}
+
+    def test_empty_mask(self):
+        assert assert_postprocess_matches(set()) == "DegenerateInstanceError: empty mask"
+
+    def test_equal_size_largest_components_keep_the_least_cell(self):
+        # The band holds the least cell, the block does not hold the greatest.
+        band = {OffsetCoord(c, r) for c in range(10) for r in range(2)}
+        block = {OffsetCoord(c, r) for c in range(2, 7) for r in range(5, 9)}
+        assert len(band) == len(block) and max(band) > max(block)
+        for mask in (band | block, block | band):
+            cells, _ = postprocess_mask(mask, with_boundary=True)
+            assert cells == frozenset(band)
+            assert_postprocess_matches(mask)
+
+    def test_stub_chains_expose_further_stubs(self):
+        blob = hex_disc((0, 0), 2)
+        antenna = {OffsetCoord(0, r) for r in range(3, 8)}
+        # A fork: two stubs on one stem, which becomes a chain once they go.
+        fork = {OffsetCoord(0, r) for r in (-3, -4, -5)} | {
+            OffsetCoord(1, -5), OffsetCoord(-1, -5)
+        }
+        whole = blob | antenna | fork
+        degree = lambda c: sum(nb in whole for nb in face_neighbors(c))
+        assert [degree(c) for c in sorted(fork)] == [1, 3, 2, 2, 1]
+        assert degree(OffsetCoord(0, 7)) == 1 and degree(OffsetCoord(0, 3)) == 2
+        for mask in (blob | antenna, blob | fork, whole):
+            cells, _ = postprocess_mask(mask, with_boundary=True)
+            assert cells == frozenset(blob)
+            assert_postprocess_matches(mask)
+        # Both ends of a path go at once: a path of 3 keeps its middle cell,
+        # a path of 2 or 4 empties.
+        path = [OffsetCoord(c, 0) for c in range(4)]
+        assert postprocess_mask(path[:3]) == frozenset(path[1:2])
+        for mask in (path[:2], path):
+            assert_postprocess_matches(mask)
+            with pytest.raises(DegenerateInstanceError, match="emptied"):
+                postprocess_mask(mask)
+
+    def test_hole_touching_the_exterior(self):
+        disc = hex_disc((0, 0), 3)
+        cavity = hex_disc((0, 0), 1)
+        channel = {OffsetCoord(0, -2), OffsetCoord(0, -3)}
+        mask = disc - cavity - channel
+        cells, boundary = postprocess_mask(mask, with_boundary=True)
+        assert cells == frozenset(mask)
+        # The cells lining the cavity are on the exterior boundary.
+        assert {nb for c in cavity for nb in face_neighbors(c)} & cells <= boundary
+        assert_postprocess_matches(mask)
+        # Closed off, the cavity is a hole and its lining is interior.
+        closed = disc - cavity
+        assert not postprocess_mask(closed, with_boundary=True)[1] & hex_disc((0, 0), 2)
+        assert_postprocess_matches(closed)
+
+    def test_boundary_in_two_pieces_is_rejected(self, monkeypatch):
+        # The exterior boundary of a face-connected mask is one piece, so
+        # only a substituted boundary can split; both must refuse it alike.
+        disc = hex_disc((0, 0), 2)
+        split = lambda cells: {OffsetCoord(-2, 0), OffsetCoord(2, 0)}
+        monkeypatch.setattr(graphbuild, "exterior_boundary", split)
+        want = "DegenerateInstanceError: exterior boundary is not a single ring"
+        assert postprocess_outcome(reference_postprocess_mask, disc) != want
+        assert postprocess_outcome(
+            lambda m: reference_postprocess_mask(m, boundary_of=split), disc
+        ) == want
+        assert postprocess_outcome(
+            lambda m: graphbuild.postprocess_mask(m, with_boundary=True), disc
+        ) == want
+
 class TestAttachBase:
     def test_single_cell_mask(self):
         coord = OffsetCoord(0, 0)
@@ -458,3 +646,55 @@ class TestGraphFromCoords:
         coords = [OffsetCoord(0, 0), OffsetCoord(0, 1), OffsetCoord(1, 0)]
         with pytest.raises(InvalidParameterError, match="out of range"):
             graph_from_coords(coords, 1.0, [0], links, Point(-2, 0), edges=edges)
+
+
+# ---------------------------------------------------------------------------
+# Stage products, pinned
+
+
+def _hex(values) -> str:
+    # float.hex tells 0.0 from -0.0 and every last bit apart.
+    return ",".join(float(v).hex() for v in values)
+
+
+def stage_products(seed: int, config: GenerationConfig = GenerationConfig()) -> str:
+    """One line per generation stage for `seed`: the polygon after hole
+    insertion, its morphology, the tessellated mask and its frame, and the
+    post-processed cells with their exterior boundary, or the rejection."""
+    family = choose_family(seed, config)
+    lines = []
+    try:
+        shape = insert_obstacles(sample_aoi(family, seed, config.scale), seed)
+        for ring in (shape.polygon.outer, *shape.polygon.holes):
+            lines.append("ring " + _hex(v for p in ring for v in p))
+        m = shape.morphology
+        lines.append(f"morphology {m.label} {_hex((m.compactness, m.aspect))}")
+        mask = tessellate(shape, config.hex_radius)
+        lines.append(f"mask {sorted(mask.coords)}")
+        frame = mask.frame
+        lines.append(f"frame {_hex((*frame.origin, frame.angle, mask.h))}")
+        cells, boundary = postprocess_mask(mask.coords, with_boundary=True)
+        lines.append(f"cells {sorted(cells)}")
+        lines.append(f"boundary {sorted(boundary)}")
+    except (InvalidGeometryError, EmptyTessellationError, DegenerateInstanceError) as exc:
+        lines.append(f"rejected {type(exc).__name__}: {exc}")
+    return "\n".join(lines)
+
+
+def stage_products_digest(seeds) -> str:
+    h = hashlib.sha256()
+    for seed in seeds:
+        h.update(f"seed {seed}\n{stage_products(seed)}\n".encode())
+    return h.hexdigest()
+
+
+# The digest of the straightforward per-cell and per-vertex loops, which the
+# tests keep as references. A change to what is generated moves it on
+# purpose and updates it here; a shortcut must leave it as it is.
+PINNED_STAGE_PRODUCTS_0_199 = "1de4a1d3785866639de31d43eed193efcdf18e41ba454ce03d167ced9134bf17"
+
+
+def test_stage_products_pinned_seeds_0_199():
+    # Every generation shortcut must be exact: the products of each stage,
+    # compared bit for bit, are those of the straightforward computation.
+    assert stage_products_digest(range(200)) == PINNED_STAGE_PRODUCTS_0_199

@@ -1,6 +1,9 @@
+import builtins
 import hashlib
+import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -160,6 +163,34 @@ class TestAudit:
         bad.write_text('{"id": "x"}\nnot json\n')
         with pytest.raises(DatasetError, match=":1:"):
             load_instances(bad)
+
+    def test_dataset_file_opened_once(self, dataset, monkeypatch):
+        # The SHA-256 and the records come from one read of the file.
+        path, _ = dataset
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
+                opened.append(args)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert len(load_instances(path)) == N_SMALL
+        assert len(opened) == 1
+
+    def test_blank_lines_skipped_and_counted(self, dataset, tmp_path):
+        path, _ = dataset
+        lines = path.read_text().splitlines()
+        ids = [i.id for i in load_instances(path)]
+        padded = tmp_path / "padded.jsonl"
+        for sep in (b"\n", b"\r\n"):
+            padded.write_bytes(sep.join(s.encode() for s in ["", lines[0], "  ", *lines[1:], ""]))
+            assert [i.id for i in load_instances(padded)] == ids
+            padded.write_bytes(sep.join(s.encode() for s in ["", lines[0], " ", "{", *lines[1:]]))
+            with pytest.raises(DatasetError, match=f"^{re.escape(str(padded))}:4: "):
+                load_instances(padded)
 
 
 class TestRun:
