@@ -42,7 +42,6 @@ from hexcover.hexgeom import (
     polygon_metrics,
 )
 from hexcover.metrics import (
-    PathMetrics,
     SummaryRow,
     aggregate_summary,
     compute_path_metrics,
@@ -54,12 +53,10 @@ from hexcover.oracle import AuditResult, brute_force_enumerate, hamiltonian_audi
 from hexcover.planners import (
     METHOD_ORDER,
     PLANNERS,
-    PlannerId,
     PlanResult,
     WarnsdorffConfig,
     bfs_shortest_path,
     plan,
-    planner_id,
     timed_plan,
 )
 

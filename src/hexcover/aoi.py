@@ -66,8 +66,8 @@ def substream(seed: int, stage: int) -> np.random.Generator:
     """Independent deterministic RNG stream for one generation stage."""
     import numpy as np
 
-    if seed < 0:
-        raise InvalidParameterError("seed must be a non-negative integer")
+    if not 0 <= seed < 2**128:  # the Philox key is 128 bits
+        raise InvalidParameterError(f"seed {seed} is outside [0, 2**128)")
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, stage]))
 
 

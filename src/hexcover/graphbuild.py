@@ -3,9 +3,9 @@
 The lattice frame is anchored at the centre of the minimum rotated rectangle
 of the outer ring, with the column axis along the rectangle's long side. A
 cell is retained when at least half of its hexagon lies in free space. The
-retained mask is cleaned up (largest component, iterated dead-end removal,
-single exterior ring), then the launch point and the two virtual nodes are
-attached and the result is audited for Hamiltonian feasibility.
+retained mask is cleaned up (largest component, iterated dead-end removal),
+then the launch point and the two virtual nodes are attached and the result
+is audited for Hamiltonian feasibility.
 """
 
 from __future__ import annotations
@@ -307,8 +307,7 @@ def _neighbor_table(cells) -> dict[tuple[int, int], list[tuple[int, int]]]:
 
 
 def _components(cells, table) -> list[set[tuple[int, int]]]:
-    """The face-connected components of `cells`, walked over the neighbour
-    table of a superset of them."""
+    """The face-connected components of `cells`, walked over their neighbour table."""
     unseen = set(cells)
     comps = []
     while unseen:
@@ -357,16 +356,19 @@ def exterior_boundary(cells: frozenset[OffsetCoord] | set[OffsetCoord]) -> set[O
     }
 
 
-def postprocess_mask(mask, *, with_boundary: bool = False):
-    """Largest component, iterated dead-end removal, single exterior ring.
+def postprocess_mask(mask) -> frozenset[OffsetCoord]:
+    """Largest component, then iterated dead-end removal.
 
-    Idempotent and strictly non-expanding. Every rule reads one table of
-    each cell's neighbours in the mask. Of equal-size largest components the
-    one with the least cell is kept. Raises DegenerateInstanceError if the
-    rules empty the mask or the exterior boundary splits into more than one
-    piece. Returns the cells as a frozenset of OffsetCoord, or with
-    `with_boundary` the pair (cells, exterior boundary), which attach_base
-    then need not compute.
+    Idempotent and strictly non-expanding. Both rules read one table of each
+    cell's neighbours in the mask. Of equal-size largest components the one
+    with the least cell is kept. Raises DegenerateInstanceError if the rules
+    empty the mask.
+
+    The result is face-connected (dead-end removal takes only leaves), so
+    its exterior boundary is one ring: three hexagons meet at every lattice
+    vertex, each two of them sharing a face, so the mask cells on
+    consecutive edges of the connected curve between the mask and the
+    unbounded complement are the same cell or face neighbours.
     """
     cells = {(col, row) for col, row in mask}
     if not cells:
@@ -384,15 +386,7 @@ def postprocess_mask(mask, *, with_boundary: bool = False):
         cells -= set(dead)
     if not cells:
         raise DegenerateInstanceError("dead-end removal emptied the mask")
-
-    # The mask is one component and the boundary part of it, so every cell
-    # is reachable from the exterior border. The boundary of a face-connected
-    # mask is one piece; the check guards that.
-    coords = frozenset(OffsetCoord(col, row) for col, row in cells)
-    boundary = exterior_boundary(coords)
-    if len(_components(boundary, table)) != 1:
-        raise DegenerateInstanceError("exterior boundary is not a single ring")
-    return (coords, boundary) if with_boundary else coords
+    return frozenset(OffsetCoord(col, row) for col, row in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -468,21 +462,17 @@ def attach_base(
     aoi: AoiShape,
     seed: int,
     launch: Point | None = None,
-    boundary: set[OffsetCoord] | None = None,
 ) -> CoverageGraph:
     """Place the launch point and wire up base/terminal links.
 
     Both virtual nodes share the launch position and link to the same set of
     exterior-ring cells with a clear line of sight from the launch.
-    `boundary` is the mask's exterior boundary, computed here if not given.
     """
     coords = sorted(mask.coords)
     if launch is None:
         launch = default_launch_point(aoi, mask.h, seed)
-    if boundary is None:
-        boundary = exterior_boundary(mask.coords)
     index = {c: i for i, c in enumerate(coords)}
-    outer_cells = sorted(boundary)
+    outer_cells = sorted(exterior_boundary(mask.coords))
     centers = [mask.frame.to_world(offset_to_center(c, mask.h)) for c in outer_cells]
     sight = line_of_sight(launch, centers, aoi.polygon, mask.h)
     links = [index[c] for c, clear in zip(outer_cells, sight) if clear]
@@ -599,7 +589,7 @@ def build_instance(family_hint: str, seed: int, config: GenerationConfig):
     try:
         shape = insert_obstacles(shape, seed)
         mask = tessellate(shape, config.hex_radius)
-        coords, boundary = postprocess_mask(mask.coords, with_boundary=True)
+        coords = postprocess_mask(mask.coords)
     except (InvalidGeometryError, EmptyTessellationError, DegenerateInstanceError) as exc:
         return Rejection(seed, family_hint, "degenerate", str(exc))
 
@@ -608,7 +598,7 @@ def build_instance(family_hint: str, seed: int, config: GenerationConfig):
         return Rejection(seed, family_hint, "size-band", f"{len(coords)} cells")
 
     try:
-        graph = attach_base(replace(mask, coords=coords), shape, seed, boundary=boundary)
+        graph = attach_base(replace(mask, coords=coords), shape, seed)
     except BaseAttachmentError as exc:
         return Rejection(seed, family_hint, "base-attachment", str(exc))
 

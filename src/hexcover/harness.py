@@ -405,7 +405,7 @@ def generate_dataset(
 # Audit
 
 
-def audit_dataset(path: str | Path, budget: int | None = None) -> dict:
+def audit_dataset(path: str | Path) -> dict:
     """Re-run the exact oracle on every instance; report failures."""
     from hexcover.oracle import hamiltonian_audit
 
@@ -413,7 +413,7 @@ def audit_dataset(path: str | Path, budget: int | None = None) -> dict:
     infeasible = []
     inconclusive = []
     for inst in instances:
-        res = hamiltonian_audit(inst.graph, budget=budget)
+        res = hamiltonian_audit(inst.graph)
         if res.feasible is None:
             inconclusive.append(inst.id)
         elif not res.feasible:
@@ -472,17 +472,13 @@ def _evaluate_instance(args: tuple[dict, list[str]]) -> list[dict]:
     for method in methods:
         try:
             result, ms = timed_plan(inst.graph, method)
-            pm = compute_path_metrics(inst.graph, result.walk, ms)
+            status, revisits, distance, turns = compute_path_metrics(inst.graph, result.walk)
         except Exception as exc:  # one line naming the cell, not a traceback
             raise EvaluationError(
                 f"instance {inst.id}, method {method}: {type(exc).__name__}: {exc}"
             ) from exc
-        out.append(
-            ResultRecord(
-                inst.id, method, pm.status, result.walk,
-                pm.revisits, pm.distance_norm, pm.turns_rad, pm.latency_ms,
-            ).to_dict()
-        )
+        record = ResultRecord(inst.id, method, status, result.walk, revisits, distance, turns, ms)
+        out.append(record.to_dict())
     return out
 
 
@@ -532,14 +528,16 @@ def load_results(
 ) -> list[ResultRecord]:
     """Parse a results file and re-grade every walk against `instances`.
 
-    A walk of no instance, not a walk at all (MalformedWalkError), or not
-    grading to its stored status and revisits fails the load at its line; a
-    file with no record for some instance raises IncompleteMatrixError.
+    A record of an unknown method, a walk of no instance, not a walk at all
+    (MalformedWalkError), or not grading to its stored status and revisits
+    fails the load at its line; a file with no record for some instance
+    raises IncompleteMatrixError.
     """
     graphs = {i.id: i.graph for i in instances}
 
     def convert(r: dict) -> ResultRecord:
         rec = ResultRecord.from_dict(r)
+        _spec(rec.method)  # refuses a method that is no planner
         g = graphs.get(rec.instance_id)
         if g is None:
             raise ValueError(f"unknown instance {rec.instance_id}")

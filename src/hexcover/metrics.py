@@ -35,15 +35,6 @@ class IncompleteMatrixError(ValueError):
 
 
 @dataclass(frozen=True)
-class PathMetrics:
-    status: str
-    revisits: int
-    distance_norm: float
-    turns_rad: float
-    latency_ms: float
-
-
-@dataclass(frozen=True)
 class SummaryRow:
     method: str
     n_instances: int
@@ -121,17 +112,11 @@ def path_turns(g: CoverageGraph, walk: Sequence[int]) -> float:
     return total
 
 
-def compute_path_metrics(
-    g: CoverageGraph, walk: Sequence[int], latency_ms: float = 0.0
-) -> PathMetrics:
+def compute_path_metrics(g: CoverageGraph, walk: Sequence[int]) -> tuple[str, int, float, float]:
+    """(status, revisits, distance_norm, turns_rad), in ResultRecord field order."""
     status, revisits = validate_path(g, walk)
-    return PathMetrics(
-        status=status,
-        revisits=revisits,
-        distance_norm=path_distance(g, walk) if len(walk) > 1 else 0.0,
-        turns_rad=path_turns(g, walk),
-        latency_ms=latency_ms,
-    )
+    distance = path_distance(g, walk) if len(walk) > 1 else 0.0
+    return status, revisits, distance, path_turns(g, walk)
 
 
 def aggregate_summary(

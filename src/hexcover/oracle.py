@@ -32,10 +32,6 @@ class AuditResult:
     nodes_expanded: int
     elapsed_ms: float
 
-    @property
-    def inconclusive(self) -> bool:
-        return self.feasible is None
-
 
 class _Budget(Exception):
     pass

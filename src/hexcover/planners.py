@@ -34,12 +34,6 @@ FAMILY_SPACE_FILLING = "SpaceFilling"
 
 
 @dataclass(frozen=True)
-class PlannerId:
-    family: str
-    variant: str
-
-
-@dataclass(frozen=True)
 class PlanResult:
     """A planned walk; `metrics.validate_path` grades it.
 
@@ -683,8 +677,7 @@ RECONNECTION_SLUGS = tuple(
 )
 
 
-def _spec(planner: PlannerId | str) -> PlannerSpec:
-    slug = planner.variant if isinstance(planner, PlannerId) else planner
+def _spec(slug: str) -> PlannerSpec:
     spec = PLANNERS.get(slug)
     if spec is None:
         raise InvalidParameterError(
@@ -693,18 +686,14 @@ def _spec(planner: PlannerId | str) -> PlannerSpec:
     return spec
 
 
-def planner_id(slug: str) -> PlannerId:
-    return PlannerId(_spec(slug).family, slug)
-
-
-def plan(g: CoverageGraph, planner: PlannerId | str) -> PlanResult:
+def plan(g: CoverageGraph, slug: str) -> PlanResult:
     """Dispatch one heuristic on one graph."""
-    return _spec(planner).run(g)
+    return _spec(slug).run(g)
 
 
-def timed_plan(g: CoverageGraph, planner: PlannerId | str) -> tuple[PlanResult, float]:
+def timed_plan(g: CoverageGraph, slug: str) -> tuple[PlanResult, float]:
     """plan() wrapped in a monotonic clock around the planner body only."""
-    spec = _spec(planner)
+    spec = _spec(slug)
     t0 = time.perf_counter()
     result = spec.run(g)
     return result, (time.perf_counter() - t0) * 1000.0

@@ -94,6 +94,9 @@ class TestSampling:
             sample_aoi("weird", 1, 1.0)
         with pytest.raises(InvalidParameterError):
             substream(-1, 0)
+        with pytest.raises(InvalidParameterError):
+            substream(2**128, 0)
+        substream(2**128 - 1, 0)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_outer_rings_valid(self, family):

@@ -6,7 +6,6 @@ import pytest
 from conftest import aoi_from_ring, edge_lengths_ok
 from test_array_forms import free_overlap_area
 
-from hexcover import graphbuild
 from hexcover.aoi import FAMILIES, insert_obstacles, sample_aoi
 from hexcover.graphbuild import (
     BaseAttachmentError,
@@ -310,7 +309,7 @@ def reference_exterior_boundary(cells):
     return {c for c in cells if any(nb in outside for nb in face_neighbors(c))}
 
 
-def reference_postprocess_mask(mask, boundary_of=reference_exterior_boundary):
+def reference_postprocess_mask(mask):
     cells = set(OffsetCoord(*c) for c in mask)
     if not cells:
         raise DegenerateInstanceError("empty mask")
@@ -323,9 +322,9 @@ def reference_postprocess_mask(mask, boundary_of=reference_exterior_boundary):
         cells -= set(dead)
     if not cells:
         raise DegenerateInstanceError("dead-end removal emptied the mask")
-    boundary = boundary_of(cells)
-    if len(reference_components(set(boundary))) != 1:
-        raise DegenerateInstanceError("exterior boundary is not a single ring")
+    boundary = reference_exterior_boundary(cells)
+    # The exterior boundary of a face-connected mask is one ring.
+    assert len(reference_components(boundary)) == 1
     assert all(comp & boundary for comp in reference_components(cells))
     return frozenset(cells), boundary
 
@@ -339,8 +338,13 @@ def postprocess_outcome(fn, mask):
     return repr(sorted(cells)), repr(sorted(boundary)), type(cells), type(boundary)
 
 
+def postprocess_with_boundary(mask):
+    cells = postprocess_mask(mask)
+    return cells, exterior_boundary(cells)
+
+
 def assert_postprocess_matches(mask):
-    got = postprocess_outcome(lambda m: postprocess_mask(m, with_boundary=True), mask)
+    got = postprocess_outcome(postprocess_with_boundary, mask)
     assert got == postprocess_outcome(reference_postprocess_mask, mask)
     cells = frozenset(OffsetCoord(*c) for c in mask)
     assert repr(sorted(exterior_boundary(cells))) == repr(
@@ -387,8 +391,7 @@ class TestPostprocessMatchesReference:
         block = {OffsetCoord(c, r) for c in range(2, 7) for r in range(5, 9)}
         assert len(band) == len(block) and max(band) > max(block)
         for mask in (band | block, block | band):
-            cells, _ = postprocess_mask(mask, with_boundary=True)
-            assert cells == frozenset(band)
+            assert postprocess_mask(mask) == frozenset(band)
             assert_postprocess_matches(mask)
 
     def test_stub_chains_expose_further_stubs(self):
@@ -403,8 +406,7 @@ class TestPostprocessMatchesReference:
         assert [degree(c) for c in sorted(fork)] == [1, 3, 2, 2, 1]
         assert degree(OffsetCoord(0, 7)) == 1 and degree(OffsetCoord(0, 3)) == 2
         for mask in (blob | antenna, blob | fork, whole):
-            cells, _ = postprocess_mask(mask, with_boundary=True)
-            assert cells == frozenset(blob)
+            assert postprocess_mask(mask) == frozenset(blob)
             assert_postprocess_matches(mask)
         # Both ends of a path go at once: a path of 3 keeps its middle cell,
         # a path of 2 or 4 empties.
@@ -420,30 +422,33 @@ class TestPostprocessMatchesReference:
         cavity = hex_disc((0, 0), 1)
         channel = {OffsetCoord(0, -2), OffsetCoord(0, -3)}
         mask = disc - cavity - channel
-        cells, boundary = postprocess_mask(mask, with_boundary=True)
+        cells, boundary = postprocess_with_boundary(mask)
         assert cells == frozenset(mask)
         # The cells lining the cavity are on the exterior boundary.
         assert {nb for c in cavity for nb in face_neighbors(c)} & cells <= boundary
         assert_postprocess_matches(mask)
         # Closed off, the cavity is a hole and its lining is interior.
         closed = disc - cavity
-        assert not postprocess_mask(closed, with_boundary=True)[1] & hex_disc((0, 0), 2)
+        assert not postprocess_with_boundary(closed)[1] & hex_disc((0, 0), 2)
         assert_postprocess_matches(closed)
 
-    def test_boundary_in_two_pieces_is_rejected(self, monkeypatch):
-        # The exterior boundary of a face-connected mask is one piece, so
-        # only a substituted boundary can split; both must refuse it alike.
-        disc = hex_disc((0, 0), 2)
-        split = lambda cells: {OffsetCoord(-2, 0), OffsetCoord(2, 0)}
-        monkeypatch.setattr(graphbuild, "exterior_boundary", split)
-        want = "DegenerateInstanceError: exterior boundary is not a single ring"
-        assert postprocess_outcome(reference_postprocess_mask, disc) != want
-        assert postprocess_outcome(
-            lambda m: reference_postprocess_mask(m, boundary_of=split), disc
-        ) == want
-        assert postprocess_outcome(
-            lambda m: graphbuild.postprocess_mask(m, with_boundary=True), disc
-        ) == want
+    @pytest.mark.parametrize("first_col", [0, 1], ids=["even", "odd"])
+    def test_every_mask_of_a_box_has_a_one_ring_boundary(self, first_col):
+        # Every subset of a 4-column x 3-row box, whose first column is even
+        # or odd: the result equals the reference, and whatever survives has
+        # an exterior boundary in one face-connected piece.
+        box = [(c, r) for c in range(first_col, first_col + 4) for r in range(3)]
+        survivors = 0
+        for bits in range(1 << len(box)):
+            mask = {cell for k, cell in enumerate(box) if bits >> k & 1}
+            got = postprocess_outcome(postprocess_with_boundary, mask)
+            assert got == postprocess_outcome(reference_postprocess_mask, mask)
+            if not isinstance(got, str):
+                survivors += 1
+                boundary = exterior_boundary(postprocess_mask(mask))
+                assert len(reference_components(boundary)) == 1
+        assert survivors > 1000
+
 
 class TestAttachBase:
     def test_single_cell_mask(self):
@@ -673,7 +678,7 @@ def stage_products(seed: int, config: GenerationConfig = GenerationConfig()) -> 
         lines.append(f"mask {sorted(mask.coords)}")
         frame = mask.frame
         lines.append(f"frame {_hex((*frame.origin, frame.angle, mask.h))}")
-        cells, boundary = postprocess_mask(mask.coords, with_boundary=True)
+        cells, boundary = postprocess_with_boundary(mask.coords)
         lines.append(f"cells {sorted(cells)}")
         lines.append(f"boundary {sorted(boundary)}")
     except (InvalidGeometryError, EmptyTessellationError, DegenerateInstanceError) as exc:

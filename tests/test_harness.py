@@ -130,6 +130,15 @@ class TestGenerate:
         with pytest.raises(InvalidParameterError):
             generate_dataset(0, 0, GenerationConfig(), tmp_path / "x.jsonl")
 
+    def test_seed_past_the_philox_key_is_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        code = cli_main(["generate", "--count", "1", "--seed", str(2**128),
+                         "--out", str(data), "--workers", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:") and "2**128" in err[0]
+        assert not data.exists()
+
 
 class TestAudit:
     def test_fresh_dataset_fully_feasible(self, dataset):
@@ -378,6 +387,23 @@ class TestFileBoundary:
         assert code == 2
         assert len(err) == 1 and err[0].startswith(f"error: {bad}:1:")
         assert "not adjacent" in err[0]
+
+    def test_unknown_method_in_results_is_one_error_line(
+        self, dataset, results, tmp_path, capsys
+    ):
+        dpath, _ = dataset
+        rpath, _ = results
+        lines = rpath.read_text().splitlines()
+        foreign = json.dumps({**json.loads(lines[0]), "method": "foo"})
+        bad = tmp_path / "foreign.jsonl"
+        bad.write_text("\n".join([*lines, foreign]) + "\n")
+        code = cli_main(["report", "--results", str(bad), "--dataset", str(dpath),
+                         "--out", str(tmp_path / "rep")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}:{len(lines) + 1}:")
+        assert "'foo'" in err[0]
+        assert not (tmp_path / "rep").exists()
 
 
 class TestReport:

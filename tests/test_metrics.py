@@ -184,9 +184,10 @@ class TestAggregate:
 class TestComputePathMetrics:
     def test_full_record(self):
         g = chain_graph(3)
-        out = compute_path_metrics(g, [g.base_node, 0, 1, 2, g.terminal_node], 1.25)
-        assert out.status == STATUS_HAMILTONIAN
-        assert out.revisits == 0
-        assert out.distance_norm > 0
-        assert out.turns_rad >= 0
-        assert out.latency_ms == 1.25
+        status, revisits, distance_norm, turns_rad = compute_path_metrics(
+            g, [g.base_node, 0, 1, 2, g.terminal_node]
+        )
+        assert status == STATUS_HAMILTONIAN
+        assert revisits == 0
+        assert distance_norm > 0
+        assert turns_rad >= 0

@@ -33,7 +33,6 @@ from hexcover.planners import (
     plan_stc,
     plan_warnsdorff,
     plan_wavefront,
-    planner_id,
     spiral_order,
     timed_plan,
     wavefront_labels,
@@ -416,14 +415,6 @@ class TestDispatch:
         g = chain_graph(3)
         with pytest.raises(InvalidParameterError, match="valid:"):
             plan(g, "dijkstra")
-        with pytest.raises(InvalidParameterError):
-            planner_id("nope")
-
-    def test_planner_id_roundtrip(self):
-        pid = planner_id("warnsdorff-ti-index")
-        assert pid.family == "Graph"
-        g = chain_graph(3)
-        assert graded(g, plan(g, pid)) == STATUS_HAMILTONIAN
 
     def test_timed_plan_returns_latency(self):
         g = chain_graph(3)
