@@ -63,9 +63,7 @@ def _cmd_audit(args) -> int:
     print(f"feasible: {report['feasible']}")
     for iid in report["infeasible_ids"]:
         print(f"INFEASIBLE: {iid}")
-    for iid in report["inconclusive_ids"]:
-        print(f"INCONCLUSIVE: {iid}")
-    if report["infeasible_ids"] or report["inconclusive_ids"]:
+    if report["infeasible_ids"]:
         return EXIT_VALIDATION
     return EXIT_OK
 

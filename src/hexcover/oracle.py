@@ -4,8 +4,11 @@
 backtracking over bitmask states, accelerated by soundness-preserving pruning
 rules and a low-residual-degree child ordering. The cut-cell rule follows
 F. Rubin, "A Search Procedure for Hamilton Paths and Circuits", J. ACM 21(4),
-1974. `brute_force_enumerate` is an independent cross-check that walks every
-adjacency-valid cell permutation with no ordering heuristics and no pruning.
+1974. The rare instance the search leaves open after DFS_NODE_CAP nodes goes
+to `frontier_audit`, a frontier dynamic program whose cost follows the width
+of the lattice, not search luck. `brute_force_enumerate` is an independent
+cross-check that walks every adjacency-valid cell permutation with no
+ordering heuristics and no pruning.
 """
 
 from __future__ import annotations
@@ -24,10 +27,17 @@ ALL_PRUNES = frozenset({PRUNE_CONNECTIVITY, PRUNE_LOW_DEGREE, PRUNE_TERMINAL, PR
 
 BRUTE_FORCE_MAX_CELLS = 12
 
+# DFS nodes before `hamiltonian_audit` hands an undecided instance to the
+# frontier DP. The DFS decides 99.8 % of the audited pipeline seeds of
+# 0-11,999 within it (median 39 nodes); past it, the DP is cheaper than
+# the rest of the DFS on each of the remaining 18.
+DFS_NODE_CAP = 2_000
+_DONE = -1  # frontier_audit's mate entry for a node of degree 2
+
 
 @dataclass(frozen=True)
 class AuditResult:
-    feasible: bool | None  # None means the search budget ran out
+    feasible: bool | None  # None only when a budget ran out; unbudgeted, always decided
     witness: tuple[int, ...] | None
     nodes_expanded: int
     elapsed_ms: float
@@ -117,9 +127,31 @@ def hamiltonian_audit(
 ) -> AuditResult:
     """Decide whether a base->terminal path visiting every cell once exists.
 
-    Exact when run to completion. With a node-expansion budget the result may
-    be inconclusive (feasible=None) but never a false negative. The pruning
-    set only discards provably dead branches:
+    Runs the pruned depth-first search of `_dfs` for up to DFS_NODE_CAP
+    nodes; if that leaves the question open, `frontier_audit` settles it.
+    Both are exact, so without a budget the result is always decided, and
+    `nodes_expanded` counts the DFS nodes plus the DP's frontier states.
+    A budget bounds that sum: past it the result is inconclusive
+    (feasible=None) but never a false negative.
+    """
+    start = time.perf_counter()
+    adj = _adjacency_masks(g)
+    if not _connected(adj, g.n):
+        return AuditResult(False, None, 0, _ms(start))
+    limit = DFS_NODE_CAP if budget is None else min(budget, DFS_NODE_CAP)
+    feasible, witness, nodes = _dfs(g, adj, limit, prunes)
+    if feasible is None and (budget is None or nodes <= budget):
+        dp = frontier_audit(g, None if budget is None else budget - nodes)
+        feasible, witness, nodes = dp.feasible, dp.witness, nodes + dp.nodes_expanded
+    return AuditResult(feasible, witness, nodes, _ms(start))
+
+
+def _dfs(
+    g: CoverageGraph, adj: list[int], limit: int, prunes: frozenset
+) -> tuple[bool | None, tuple[int, ...] | None, int]:
+    """Depth-first search over bitmask states; None past `limit` nodes.
+
+    The pruning set only discards provably dead branches:
 
     - connectivity: every unvisited cell must stay reachable from the current
       cell through unvisited cells;
@@ -128,23 +160,26 @@ def hamiltonian_audit(
       may have none;
     - terminal-reach: some unvisited cell adjacent to the terminal must
       remain, or the path cannot end;
-    - cut-cell: see `_cut_cells_admit`. Its Tarjan pass costs more than the
-      other rules together, and a search that never backtracks gains nothing
-      from it, so it runs only once some child has returned False.
+    - cut-cell: see `_cut_cells_admit`.
+
+    Only terminal-reach, an O(1) test, runs at every node. The other three
+    cost a pass over the unvisited cells, and a search that never backtracks
+    gains nothing from them, so they run only once some child has returned
+    False. A prune cuts only subtrees without a solution, so the first
+    witness in search order is the same under any pruning set.
 
     Children are ordered by ascending residual degree, then index, which
     makes nodes_expanded reproducible.
     """
-    start = time.perf_counter()
     n = g.n
-    adj = _adjacency_masks(g)
-    if not _connected(adj, n):
-        return AuditResult(False, None, 0, _ms(start))
-
     full = (1 << n) - 1
     term_mask = 0
     for t in g.terminal_links:
         term_mask |= 1 << t
+    terminal_reach = PRUNE_TERMINAL in prunes
+    low_degree = PRUNE_LOW_DEGREE in prunes
+    connectivity = PRUNE_CONNECTIVITY in prunes
+    cut_cell = PRUNE_CUT in prunes
 
     expanded = 0
     backtracked = False
@@ -153,49 +188,48 @@ def hamiltonian_audit(
     def dfs(v: int, visited: int) -> bool:
         nonlocal expanded, backtracked
         expanded += 1
-        if budget is not None and expanded > budget:
+        if expanded > limit:
             raise _Budget
         if visited == full:
             return bool(term_mask >> v & 1)
 
         unvisited = full & ~visited
-        if PRUNE_TERMINAL in prunes and not (unvisited & term_mask):
+        if terminal_reach and not (unvisited & term_mask):
             return False
 
-        if PRUNE_LOW_DEGREE in prunes:
-            zero = low = 0
-            m = unvisited
-            while m:
-                b = m & -m
-                u = b.bit_length() - 1
-                m ^= b
-                d = (adj[u] & unvisited & ~b).bit_count()
-                if d == 0:
-                    zero += 1
-                if d <= 1:
-                    low += 1
-            if zero >= 2 or low > 2:
-                return False
-
-        if PRUNE_CONNECTIVITY in prunes:
-            frontier = adj[v] & unvisited
-            reach = frontier
-            while frontier:
-                nxt = 0
-                m = frontier
+        if backtracked:
+            if low_degree:
+                zero = low = 0
+                m = unvisited
                 while m:
                     b = m & -m
-                    nxt |= adj[b.bit_length() - 1]
+                    u = b.bit_length() - 1
                     m ^= b
-                frontier = nxt & unvisited & ~reach
-                reach |= frontier
-            if reach != unvisited:
-                return False
+                    d = (adj[u] & unvisited & ~b).bit_count()
+                    if d == 0:
+                        zero += 1
+                    if d <= 1:
+                        low += 1
+                if zero >= 2 or low > 2:
+                    return False
 
-        if backtracked and PRUNE_CUT in prunes and not _cut_cells_admit(
-            v, unvisited, adj, term_mask
-        ):
-            return False
+            if connectivity:
+                frontier = adj[v] & unvisited
+                reach = frontier
+                while frontier:
+                    nxt = 0
+                    m = frontier
+                    while m:
+                        b = m & -m
+                        nxt |= adj[b.bit_length() - 1]
+                        m ^= b
+                    frontier = nxt & unvisited & ~reach
+                    reach |= frontier
+                if reach != unvisited:
+                    return False
+
+            if cut_cell and not _cut_cells_admit(v, unvisited, adj, term_mask):
+                return False
 
         cands = []
         m = adj[v] & unvisited
@@ -220,12 +254,110 @@ def hamiltonian_audit(
         for s in starts:
             path.append(s)
             if dfs(s, 1 << s):
-                walk = (g.base_node, *path, g.terminal_node)
-                return AuditResult(True, walk, expanded, _ms(start))
+                return True, (g.base_node, *path, g.terminal_node), expanded
             path.pop()
     except _Budget:
-        return AuditResult(None, None, expanded, _ms(start))
+        return None, None, expanded
+    return False, None, expanded
+
+
+def frontier_audit(g: CoverageGraph, budget: int | None = None) -> AuditResult:
+    """Frontier ("mate") dynamic program over the edges, in cell-index order.
+
+    A base->terminal path through every cell is a Hamiltonian cycle of the
+    cells plus the two virtual nodes that uses the base-terminal edge, so the
+    search starts from that edge alone and decides, edge by edge, whether to
+    take each of the others (Knuth, TAOCP 4A, 7.1.4, SIMPATH; Kawahara et
+    al., IEICE Trans. Fundamentals E100-A(9), 2017). A state holds one entry
+    per node, which encodes its degree and mate: the node itself at degree 0,
+    the far end of its path fragment at degree 1, _DONE at degree 2. A node
+    leaves the frontier after its last edge and must then have degree 2, so
+    off the frontier every live state holds the same entries (_DONE behind
+    it, the node itself ahead of it). States that agree on the frontier are
+    therefore equal and merge, keeping the first; the cost follows the
+    frontier width, which the column order of the cell indices keeps to a
+    few cells. Each state keeps a chain of the edges it took, from which the
+    witness is read back.
+
+    `nodes_expanded` counts the states expanded, edge by edge; past `budget`
+    of them the result is inconclusive.
+    """
+    start = time.perf_counter()
+    n = g.n
+    base, term = g.base_node, g.terminal_node
+    edges = sorted(
+        [(i, j) for i in range(n) for j in g.cell_neighbors(i) if j > i]
+        + [(c, base) for c in g.base_links]
+        + [(c, term) for c in g.terminal_links]
+    )
+    last: dict[int, int] = {}
+    for k, (u, v) in enumerate(edges):
+        last[u] = last[v] = k
+    if len(last) < n + 2:  # a node without edges lies on no cycle
+        return AuditResult(False, None, 0, _ms(start))
+    leaving: list[tuple[int, ...]] = [
+        tuple(w for w in e if last[w] == k) for k, e in enumerate(edges)
+    ]
+
+    mates = list(range(n + 2))
+    mates[base], mates[term] = term, base
+    layer: dict[tuple[int, ...], tuple | None] = {tuple(mates): None}
+    expanded = 0
+    for k, (u, v) in enumerate(edges):
+        expanded += len(layer)
+        if budget is not None and expanded > budget:
+            return AuditResult(None, None, expanded, _ms(start))
+        gone = leaving[k]
+        nxt: dict[tuple[int, ...], tuple | None] = {}
+        for state, taken in layer.items():
+            if all(state[w] == _DONE for w in gone) and state not in nxt:
+                nxt[state] = taken
+            mu, mv = state[u], state[v]
+            if mu == _DONE or mv == _DONE:
+                continue
+            if mu == v:
+                # Closing a fragment into a cycle is a success only when
+                # every other node already has degree 2.
+                if state.count(_DONE) == n:
+                    chain = (k, taken)
+                    return AuditResult(
+                        True, _cycle_walk(g, edges, chain), expanded, _ms(start)
+                    )
+                continue
+            t = list(state)
+            if mu != u:
+                t[u] = _DONE
+            if mv != v:
+                t[v] = _DONE
+            t[mu], t[mv] = mv, mu
+            if all(t[w] == _DONE for w in gone):
+                key = tuple(t)
+                if key not in nxt:
+                    nxt[key] = (k, taken)
+        layer = nxt
+        if not layer:
+            break
     return AuditResult(False, None, expanded, _ms(start))
+
+
+def _cycle_walk(
+    g: CoverageGraph, edges: list[tuple[int, int]], chain: tuple
+) -> tuple[int, ...]:
+    """The base->terminal walk along the cycle of the taken edges."""
+    nbrs: dict[int, list[int]] = {}
+    while chain is not None:
+        k, chain = chain
+        u, v = edges[k]
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    walk = [g.base_node]
+    prev, v = g.base_node, nbrs[g.base_node][0]
+    while v != g.terminal_node:
+        walk.append(v)
+        a, b = nbrs[v]
+        prev, v = v, b if a == prev else a
+    walk.append(v)
+    return tuple(walk)
 
 
 def brute_force_enumerate(g: CoverageGraph) -> AuditResult:

@@ -592,8 +592,9 @@ def morton_code(qx: int, qy: int) -> int:
 def morton_order(g: CoverageGraph, bits: int = 16) -> list[int]:
     xs = [g.positions[i].x for i in range(g.n)]
     ys = [g.positions[i].y for i in range(g.n)]
-    span_x = max(xs) - min(xs)
-    span_y = max(ys) - min(ys)
+    lo_x, lo_y = min(xs), min(ys)
+    span_x = max(xs) - lo_x
+    span_y = max(ys) - lo_y
     top = (1 << bits) - 1
 
     def quantize(v: float, lo: float, span: float) -> int:
@@ -603,8 +604,8 @@ def morton_order(g: CoverageGraph, bits: int = 16) -> list[int]:
 
     keyed = []
     for i in range(g.n):
-        qx = quantize(xs[i], min(xs), span_x)
-        qy = quantize(ys[i], min(ys), span_y)
+        qx = quantize(xs[i], lo_x, span_x)
+        qy = quantize(ys[i], lo_y, span_y)
         keyed.append((morton_code(qx, qy), i))
     keyed.sort()
     return [i for _, i in keyed]

@@ -1,9 +1,11 @@
+import hashlib
+import json
 import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import chain_graph, random_small_graph, ring6_graph
+from conftest import block_graph, chain_graph, random_small_graph, ring6_graph
 
 from hexcover.aoi import insert_obstacles, sample_aoi
 from hexcover.graphbuild import (
@@ -18,13 +20,20 @@ from hexcover.hexgeom import InvalidParameterError, OffsetCoord, Point
 from hexcover.metrics import STATUS_HAMILTONIAN, validate_path
 from hexcover.oracle import (
     ALL_PRUNES,
+    DFS_NODE_CAP,
     PRUNE_CONNECTIVITY,
     PRUNE_CUT,
     PRUNE_LOW_DEGREE,
     PRUNE_TERMINAL,
     brute_force_enumerate,
+    frontier_audit,
     hamiltonian_audit,
 )
+
+# Seeds of 0-199 whose graphs reach the audit, and the SHA-256 of their
+# [seed, feasible, witness] rows as compact JSON.
+AUDITED_SEEDS_0_199 = 174
+PINNED_WITNESSES_0_199 = "e31cde1c668e8c151d4c628f51625a2d8e6066f2b287be5b0f240931e379452c"
 
 
 def spur_ring_graph(base_coord, terminal_coord):
@@ -224,3 +233,112 @@ class TestCutCellOnPipelineSeeds:
         before = hamiltonian_audit(g, prunes=ALL_PRUNES - {PRUNE_CUT})
         assert res.nodes_expanded == before.nodes_expanded == g.n
         assert res.witness == before.witness
+
+
+class TestPrunesKeepTheWitness:
+    """A prune cuts only subtrees without a solution, so the first witness in
+    search order, not just the decision, is the same under any pruning set."""
+
+    def test_every_rule_returns_the_unpruned_witness(self):
+        rng = np.random.default_rng(20261019)
+        feasible = 0
+        for _ in range(300):
+            g = random_small_graph(rng, max_cells=12)
+            bare = hamiltonian_audit(g, prunes=frozenset())
+            feasible += bool(bare.feasible)
+            for rules in [*(frozenset({r}) for r in ALL_PRUNES), ALL_PRUNES]:
+                res = hamiltonian_audit(g, prunes=rules)
+                assert (res.feasible, res.witness) == (bare.feasible, bare.witness)
+        assert 20 < feasible < 280
+
+    def test_witnesses_of_seeds_0_199_pinned(self):
+        # Taken before the low-degree and connectivity rules waited for the
+        # first dead end: a prune change that reorders the search fails here.
+        lo, hi = GenerationConfig().size_band
+        rows = []
+        for seed in range(200):
+            try:
+                g = seed_graph(seed)
+            except ValueError:  # degenerate shape or no base attachment
+                continue
+            if lo <= g.n <= hi:
+                res = hamiltonian_audit(g)
+                rows.append([seed, res.feasible, res.witness])
+        assert len(rows) == AUDITED_SEEDS_0_199
+        blob = json.dumps(rows, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == PINNED_WITNESSES_0_199
+
+
+class TestFrontierDp:
+    """`frontier_audit` on its own, without the DFS in front of it."""
+
+    def test_agreement_2000_graphs_up_to_12_cells(self):
+        rng = np.random.default_rng(71)
+        disagreements = feasible = 0
+        for _ in range(2000):
+            g = random_small_graph(rng, max_cells=12)
+            dp = frontier_audit(g)
+            disagreements += dp.feasible != brute_force_enumerate(g).feasible
+            if dp.feasible:
+                feasible += 1
+                assert validate_path(g, dp.witness) == (STATUS_HAMILTONIAN, 0)
+            else:
+                assert dp.witness is None
+        assert disagreements == 0
+        assert 100 < feasible < 1900
+
+    def test_fixtures(self):
+        for g in (chain_graph(1), chain_graph(3), ring6_graph()):
+            res = frontier_audit(g)
+            assert res.feasible is True
+            assert validate_path(g, res.witness) == (STATUS_HAMILTONIAN, 0)
+        g = spur_ring_graph(OffsetCoord(0, 1), OffsetCoord(0, 2))
+        assert frontier_audit(g).feasible is False
+        g = graph_from_coords(
+            [OffsetCoord(0, 0), OffsetCoord(5, 5)], 1.0, [0], [1], Point(-2, 0)
+        )
+        res = frontier_audit(g)
+        assert (res.feasible, res.witness) == (False, None)
+
+    @pytest.mark.parametrize("seed", [7, 44, 62, 342, 1, 2, 3, 6, 8, 9])
+    def test_agrees_with_dfs_on_pipeline_seeds(self, seed):
+        # 7, 44, 62 and 342 are the infeasible seeds of 0-399.
+        g = seed_graph(seed)
+        dp = frontier_audit(g)
+        assert dp.feasible == hamiltonian_audit(g).feasible
+        if dp.feasible:
+            assert validate_path(g, dp.witness) == (STATUS_HAMILTONIAN, 0)
+
+    def test_budget_ends_inconclusive(self):
+        g = block_graph(4, 4, terminal_links=[15])
+        res = frontier_audit(g, budget=3)
+        assert (res.feasible, res.witness) == (None, None)
+        assert res.nodes_expanded > 3
+        assert frontier_audit(g).feasible is not None
+
+
+class TestAuditTail:
+    """Pipeline seeds the DFS cannot settle in DFS_NODE_CAP nodes."""
+
+    @pytest.mark.parametrize("seed", [1114, 7190, 9865])
+    def test_feasible_with_hamiltonian_witness(self, seed):
+        g = seed_graph(seed)
+        res = hamiltonian_audit(g)
+        assert res.feasible is True
+        assert res.nodes_expanded > DFS_NODE_CAP
+        assert validate_path(g, res.witness) == (STATUS_HAMILTONIAN, 0)
+        assert res.elapsed_ms < 10_000
+        again = hamiltonian_audit(g)
+        assert (again.witness, again.nodes_expanded) == (res.witness, res.nodes_expanded)
+
+    @pytest.mark.parametrize("seed", [3205, 6261, 10756])
+    def test_infeasible(self, seed):
+        res = hamiltonian_audit(seed_graph(seed))
+        assert res.feasible is False
+        assert res.nodes_expanded > DFS_NODE_CAP
+        assert res.elapsed_ms < 10_000
+
+    def test_budget_bounds_dfs_and_dp_together(self):
+        g = seed_graph(3205)
+        res = hamiltonian_audit(g, budget=DFS_NODE_CAP + 100)
+        assert res.feasible is None and res.witness is None
