@@ -495,7 +495,6 @@ class GenerationConfig:
         ("irregular", 0.32),
         ("elongated", 0.12),
     )
-    audit_budget: int = 2_000_000
 
     def validate(self) -> None:
         if not all(math.isfinite(v) and v > 0 for v in (self.hex_radius, self.scale)):
@@ -507,8 +506,6 @@ class GenerationConfig:
         total = sum(w for _, w in self.family_mix)
         if abs(total - 1.0) > 1e-9:
             raise InvalidParameterError("family mix weights must sum to 1")
-        if self.audit_budget < 1:
-            raise InvalidParameterError("audit_budget must be at least 1")
 
     def to_dict(self) -> dict:
         return {
@@ -516,7 +513,6 @@ class GenerationConfig:
             "scale": self.scale,
             "size_band": list(self.size_band),
             "family_mix": [[f, w] for f, w in self.family_mix],
-            "audit_budget": self.audit_budget,
         }
 
     @classmethod
@@ -533,7 +529,6 @@ class GenerationConfig:
             "scale": float,
             "size_band": lambda band: tuple(map(operator.index, band)),
             "family_mix": lambda mix: tuple((f, float(w)) for f, w in mix),
-            "audit_budget": operator.index,
         }
         kwargs = {}
         for key, value in d.items():
@@ -562,7 +557,7 @@ class Instance:
 class Rejection:
     seed: int
     family_hint: str
-    reason: str  # degenerate | size-band | base-attachment | infeasible | audit-inconclusive
+    reason: str  # degenerate | size-band | base-attachment | infeasible
     detail: str = ""
 
 
@@ -602,9 +597,6 @@ def build_instance(family_hint: str, seed: int, config: GenerationConfig):
     except BaseAttachmentError as exc:
         return Rejection(seed, family_hint, "base-attachment", str(exc))
 
-    audit = hamiltonian_audit(graph, budget=config.audit_budget)
-    if audit.feasible is None:
-        return Rejection(seed, family_hint, "audit-inconclusive", f"{audit.nodes_expanded} nodes")
-    if not audit.feasible:
+    if not hamiltonian_audit(graph).feasible:
         return Rejection(seed, family_hint, "infeasible")
     return Instance(f"hx{seed:010d}", seed, shape, graph, config.hex_radius, True)

@@ -28,6 +28,7 @@ from hexcover.graphbuild import (
     Rejection,
     build_instance,
     choose_family,
+    exterior_boundary,
     graph_from_coords,
 )
 from hexcover.hexgeom import InvalidParameterError, Point
@@ -129,7 +130,9 @@ class LoadedInstance:
 def record_to_instance(rec: dict) -> LoadedInstance:
     """The instance a dataset record describes.
 
-    A missing or ill-typed field raises DatasetError naming the instance.
+    A missing or ill-typed field raises DatasetError naming the instance, as
+    do links that `attach_base` could not have made: base and terminal links
+    that differ, or a link to a cell off the exterior boundary.
     """
     try:
         coords = [(int(c[0]), int(c[1])) for c in rec["cells"]]
@@ -145,6 +148,14 @@ def record_to_instance(rec: dict) -> LoadedInstance:
             frame,
             edges=[tuple(e) for e in rec["edges"]],
         )
+        if graph.base_links != graph.terminal_links:
+            raise DatasetError(f"instance {rec['id']}: base_links and terminal_links differ")
+        boundary = exterior_boundary(set(coords))
+        for i in graph.base_links:
+            if graph.cells[i].coord not in boundary:
+                raise DatasetError(
+                    f"instance {rec['id']}: link {i} is not an exterior-boundary cell"
+                )
         for cell, stored in zip(graph.cells, sorted(rec["cells"])):
             if cell.center.x != stored[2] or cell.center.y != stored[3]:
                 raise DatasetError(f"instance {rec['id']}: stored centroid mismatch")
@@ -415,9 +426,6 @@ def audit_dataset(path: str | Path) -> dict:
         "total": len(instances),
         "feasible": len(instances) - len(infeasible),
         "infeasible_ids": infeasible,
-        # Always empty: without a budget the audit decides every instance.
-        # Acceptance criterion 2 still reads the key.
-        "inconclusive_ids": [],
     }
 
 

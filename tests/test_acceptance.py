@@ -92,7 +92,6 @@ def test_criterion_2_audit_gate(dataset_path):
         audit["total"] == ACCEPT_COUNT
         and audit["feasible"] == ACCEPT_COUNT
         and not audit["infeasible_ids"]
-        and not audit["inconclusive_ids"]
     )
     report(
         "criterion 2 (audit gate)",

@@ -590,7 +590,6 @@ class TestBuildInstance:
             "size-band",
             "base-attachment",
             "infeasible",
-            "audit-inconclusive",
         }
 
     def test_size_band_rejection(self):

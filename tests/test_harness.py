@@ -14,7 +14,7 @@ import pytest
 
 from hexcover import harness
 from hexcover.cli import main as cli_main
-from hexcover.graphbuild import GenerationConfig
+from hexcover.graphbuild import GenerationConfig, exterior_boundary
 from hexcover.harness import (
     DatasetError,
     EmptyDatasetError,
@@ -560,13 +560,19 @@ class TestCli:
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"size_band": [28, 46], "audit_budget": 500000}))
+        cfg.write_text(json.dumps({"size_band": [28, 46]}))
         data = tmp_path / "d.jsonl"
         assert cli_main(["generate", "--count", "2", "--seed", "7",
                          "--config", str(cfg), "--out", str(data),
                          "--workers", "1"]) == 0
         out = capsys.readouterr().out
         assert "wrote 2 instances" in out
+
+    def test_readme_config_example_is_the_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Generation config", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+        assert json.loads(block) == GenerationConfig().to_dict()
 
     @pytest.mark.parametrize(
         "config, says",
@@ -576,14 +582,12 @@ class TestCli:
             ({"size_band": 5}, "size_band"),
             ({"family_mix": [["compact"]]}, "family_mix"),
             ({"family_mix": [["coastal", 1.0]]}, "family_mix"),
-            ({"audit_budget": "abc"}, "audit_budget"),
-            ({"audit_budget": 0}, "audit_budget"),
-            ({"audit_budget": 2.5}, "audit_budget"),
+            ({"audit_budget": 2000000}, "audit_budget"),
             ({"hex_radius": "nan"}, "hex_radius"),
             ([{"hex_radius": 1.0}], "JSON object"),
         ],
         ids=["unknown-key", "band-of-3", "band-int", "mix-pair", "mix-family",
-             "budget-str", "budget-0", "budget-float", "radius-nan", "list"],
+             "budget-key", "radius-nan", "list"],
     )
     def test_bad_config_is_validation_error(
         self, tmp_path, monkeypatch, capsys, config, says
@@ -662,6 +666,47 @@ assert "numpy" not in sys.modules, "numpy was imported"
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:") and "SHA-256" in err[0]
+        assert not (tmp_path / "r.jsonl").exists()
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("tamper", ["interior-link", "split-links"])
+    @pytest.mark.parametrize("command", ["audit", "run", "report"])
+    def test_links_attach_base_cannot_make_are_refused(
+        self, dataset, results, tmp_path, capsys, command, tamper
+    ):
+        # With no manifest beside the file, only the record can show the
+        # edit. Both edits add a link and drop none, so the instance stays
+        # feasible and every stored walk grades as before.
+        dpath, _ = dataset
+        rpath, _ = results
+        for lineno, line in enumerate(dpath.read_text().splitlines(), start=1):
+            rec = json.loads(line)
+            cells = [tuple(c[:2]) for c in rec["cells"]]
+            boundary = exterior_boundary(set(cells))
+            interior = [i for i, c in enumerate(cells) if c not in boundary]
+            unlinked = [i for i, c in enumerate(cells)
+                        if c in boundary and i not in rec["base_links"]]
+            if interior and unlinked:
+                break
+        if tamper == "interior-link":
+            links = sorted(rec["base_links"] + interior[:1])
+            fields = {"base_links": links, "terminal_links": links}
+        else:
+            fields = {"terminal_links": sorted(rec["base_links"] + unlinked[:1])}
+        edited = _relabel(dpath, tmp_path / "d.jsonl", lineno, **fields)
+        res = tmp_path / "res.jsonl"
+        res.write_bytes(rpath.read_bytes())
+        argv = {
+            "audit": ["audit", "--dataset", str(edited)],
+            "run": ["run", "--dataset", str(edited), "--out", str(tmp_path / "r.jsonl")],
+            "report": ["report", "--results", str(res), "--dataset", str(edited),
+                       "--out", str(tmp_path / "rep")],
+        }[command]
+        code = cli_main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"instance {rec['id']}: " in err[0]
         assert not (tmp_path / "r.jsonl").exists()
         assert not (tmp_path / "rep").exists()
 
