@@ -29,14 +29,13 @@ from hexcover.harness import (
     write_report,
 )
 from hexcover.hexgeom import (
-    HexCell,
     InvalidGeometryError,
     InvalidParameterError,
     OffsetCoord,
     Point,
     PolygonWithHoles,
     face_neighbors,
-    hex_vertices,
+    hexagon_ring,
     min_rotated_rect,
     offset_to_center,
     polygon_metrics,

@@ -21,13 +21,13 @@ from hexcover.aoi import (
     STREAM_BASE,
     STREAM_FAMILY,
     AoiShape,
+    MorphologyClass,
     insert_obstacles,
     sample_aoi,
     substream,
 )
 from hexcover.hexgeom import (
     SQRT3,
-    HexCell,
     InvalidGeometryError,
     InvalidParameterError,
     OffsetCoord,
@@ -98,70 +98,59 @@ class HexMask:
 class CoverageGraph:
     """Immutable benchmark graph: indexed cells plus virtual base/terminal nodes.
 
-    Cells are indexed 0..n-1 in (col, row) lexicographic order; the base node
-    is n and the terminal node n+1. Both virtual nodes share one physical
-    position and one set of linked outer-ring cells. `positions` holds the
-    point of every node id, the two virtual nodes included.
+    Cells are indexed 0..n-1 in (col, row) lexicographic order, and two cells
+    are joined exactly when they are face-adjacent. The base node is n and
+    the terminal node n+1. Both virtual nodes share one physical position and
+    one set of linked outer-ring cells. `coords` holds the lattice coordinate
+    of every cell and `positions` the point of every node id, the two virtual
+    nodes included.
     """
 
     def __init__(
         self,
-        cells: tuple[HexCell, ...],
-        base_pos: Point,
-        base_links: tuple[int, ...],
-        terminal_links: tuple[int, ...],
+        coords,
         h: float,
-        frame: LatticeFrame | None = None,
-        edges: Sequence[tuple[int, int]] | None = None,
+        base_links,
+        terminal_links,
+        base_pos: Point,
+        frame: LatticeFrame,
     ):
-        self.cells = cells
+        self.coords = coords = tuple(sorted(OffsetCoord(*c) for c in coords))
         self.h = h
         self.frame = frame
         self.base_pos = base_pos
-        self.terminal_pos = base_pos
-        self.base_links = tuple(sorted(base_links))
-        self.terminal_links = tuple(sorted(terminal_links))
-        self.n = n = len(cells)
+        self.base_links = tuple(sorted(set(base_links)))
+        self.terminal_links = tuple(sorted(set(terminal_links)))
+        self.n = n = len(coords)
         self.base_node = n
         self.terminal_node = n + 1
-        self.positions = tuple(c.center for c in cells) + (base_pos, self.terminal_pos)
+        centers = (frame.to_world(offset_to_center(c, h)) for c in coords)
+        self.positions = (*centers, base_pos, base_pos)
         if not self.base_links or not self.terminal_links:
             raise InvalidParameterError("base and terminal must link to at least one cell")
         links = self.base_links + self.terminal_links
         if min(links) < 0 or max(links) >= n:
             raise InvalidParameterError("link index out of range")
 
-        coords = [c.coord for c in cells]
-        if edges is None:
-            # Plain (col, row) tuples hash and compare as the OffsetCoord keys do.
-            index = {c: i for i, c in enumerate(coords)}
-            edges = [
-                (i, j)
-                for i, (col, row) in enumerate(coords)
+        # Plain (col, row) tuples hash and compare as the OffsetCoord keys do.
+        index = {c: i for i, c in enumerate(coords)}
+        if len(index) < n:
+            raise InvalidParameterError("repeated cell coordinate")
+        internal = [
+            tuple(sorted(
+                j
                 for dc, dr in neighbor_offsets(col)
                 if (j := index.get((col + dc, row + dr))) is not None
-            ]
-        # Every edge must join face-adjacent cells: an explicit edge list
-        # (e.g. from a dataset file) may only be a subset of that adjacency.
-        sets: list[set[int]] = [set() for _ in range(n)]
-        for a, b in edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise InvalidParameterError(f"edge ({a},{b}) index out of range")
-            (col, row), (col_b, row_b) = coords[a], coords[b]
-            if (col_b - col, row_b - row) not in neighbor_offsets(col):
-                raise InvalidParameterError(
-                    f"edge ({a},{b}) fails the face-adjacency geometric test"
-                )
-            sets[a].add(b)
-            sets[b].add(a)
-        internal = [tuple(sorted(s)) for s in sets]
+            ))
+            for col, row in coords
+        ]
         self.internal_adjacency = tuple(internal)
 
         # A linked cell's row ends with the base, then the terminal.
         full = [*internal, self.base_links, self.terminal_links]
-        for i in set(self.base_links):
+        for i in self.base_links:
             full[i] += (n,)
-        for i in set(self.terminal_links):
+        for i in self.terminal_links:
             full[i] += (n + 1,)
         self.adjacency = tuple(full)
 
@@ -179,7 +168,7 @@ class CoverageGraph:
         """Largest cell-to-base distance, the scale of normalised path
         lengths; computed on first use, which no planner makes."""
         bx, by = self.base_pos
-        return max(math.hypot(c.center.x - bx, c.center.y - by) for c in self.cells)
+        return max(math.hypot(x - bx, y - by) for x, y in self.positions[: self.n])
 
 
 def graph_from_coords(
@@ -189,17 +178,10 @@ def graph_from_coords(
     terminal_links,
     base_pos: Point,
     frame: LatticeFrame | None = None,
-    edges: Sequence[tuple[int, int]] | None = None,
 ) -> CoverageGraph:
     """Build a graph straight from lattice coordinates (fixtures, file loads)."""
-    ordered = sorted(OffsetCoord(*c) for c in coords)
     fr = frame or LatticeFrame(Point(0.0, 0.0), 0.0)
-    cells = tuple(
-        HexCell(c, fr.to_world(offset_to_center(c, h)), h) for c in ordered
-    )
-    return CoverageGraph(
-        cells, base_pos, tuple(base_links), tuple(terminal_links), h, fr, edges
-    )
+    return CoverageGraph(coords, h, base_links, terminal_links, base_pos, fr)
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +527,14 @@ class GenerationConfig:
 
 @dataclass(frozen=True)
 class Instance:
+    """An admitted instance: what a dataset record holds, and all it holds."""
+
     id: str
     seed: int
-    aoi: AoiShape
-    graph: CoverageGraph
+    family_hint: str
+    morphology: MorphologyClass
     hex_radius: float
-    audited_feasible: bool
+    graph: CoverageGraph
 
 
 @dataclass(frozen=True)
@@ -599,4 +583,6 @@ def build_instance(family_hint: str, seed: int, config: GenerationConfig):
 
     if not hamiltonian_audit(graph).feasible:
         return Rejection(seed, family_hint, "infeasible")
-    return Instance(f"hx{seed:010d}", seed, shape, graph, config.hex_radius, True)
+    return Instance(
+        f"hx{seed:010d}", seed, shape.family_hint, shape.morphology, config.hex_radius, graph
+    )

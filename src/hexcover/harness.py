@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from hexcover.aoi import MorphologyClass
 from hexcover.graphbuild import (
-    CoverageGraph,
     GenerationConfig,
     Instance,
     LatticeFrame,
@@ -90,92 +90,74 @@ def resolve_workers(workers: int | None) -> int:
 
 def instance_to_record(inst: Instance) -> dict:
     g = inst.graph
-    edges = []
-    for i in range(g.n):
-        for j in g.cell_neighbors(i):
-            if i < j:
-                edges.append([i, j])
-    m = inst.aoi.morphology
+    m = inst.morphology
     return {
         "schema": DATASET_SCHEMA,
         "id": inst.id,
         "seed": inst.seed,
-        "family_hint": inst.aoi.family_hint,
+        "family_hint": inst.family_hint,
         "morphology": {"label": m.label, "compactness": m.compactness, "aspect": m.aspect},
         "hex_radius": inst.hex_radius,
         "frame": {"origin": [g.frame.origin.x, g.frame.origin.y], "angle": g.frame.angle},
-        "cells": [[c.coord.col, c.coord.row, c.center.x, c.center.y] for c in g.cells],
-        "edges": edges,
-        "base": [g.base_pos.x, g.base_pos.y],
-        "terminal": [g.terminal_pos.x, g.terminal_pos.y],
+        "cells": [[col, row, x, y] for (col, row), (x, y) in zip(g.coords, g.positions)],
+        "edges": [[i, j] for i in range(g.n) for j in g.cell_neighbors(i) if i < j],
+        "base": [*g.base_pos],
+        "terminal": [*g.base_pos],
         "base_links": list(g.base_links),
         "terminal_links": list(g.terminal_links),
-        "audited_feasible": inst.audited_feasible,
+        "audited_feasible": True,
     }
 
 
-@dataclass(frozen=True)
-class LoadedInstance:
-    id: str
-    seed: int
-    family_hint: str
-    morphology_label: str
-    compactness: float
-    aspect: float
-    hex_radius: float
-    audited_feasible: bool
-    graph: CoverageGraph
-
-
-def record_to_instance(rec: dict) -> LoadedInstance:
+def record_to_instance(rec: dict) -> Instance:
     """The instance a dataset record describes.
 
-    A missing or ill-typed field raises DatasetError naming the instance, as
-    do links that `attach_base` could not have made: base and terminal links
-    that differ, or a link to a cell off the exterior boundary.
+    The instance is built from the record's id, seed, family, morphology,
+    hex_radius, frame, base, cell coordinates and base_links, the last for
+    both link sets. Every other field is derived from those, so the record
+    is refused unless `instance_to_record` writes it back unchanged. A link
+    to a cell off the exterior boundary is refused too: `attach_base` links
+    only those cells. Each refusal raises DatasetError naming the instance
+    and the first field at fault.
     """
+    name = f"instance {rec.get('id')}"
     try:
-        coords = [(int(c[0]), int(c[1])) for c in rec["cells"]]
-        frame = LatticeFrame(
-            Point(*rec["frame"]["origin"]), float(rec["frame"]["angle"])
-        )
+        m, frame, h = rec["morphology"], rec["frame"], float(rec["hex_radius"])
         graph = graph_from_coords(
-            coords,
-            float(rec["hex_radius"]),
+            [(int(c[0]), int(c[1])) for c in rec["cells"]],
+            h,
             rec["base_links"],
-            rec["terminal_links"],
-            Point(*rec["base"]),
-            frame,
-            edges=[tuple(e) for e in rec["edges"]],
+            rec["base_links"],
+            Point(*map(float, rec["base"])),
+            LatticeFrame(Point(*map(float, frame["origin"])), float(frame["angle"])),
         )
-        if graph.base_links != graph.terminal_links:
-            raise DatasetError(f"instance {rec['id']}: base_links and terminal_links differ")
-        boundary = exterior_boundary(set(coords))
-        for i in graph.base_links:
-            if graph.cells[i].coord not in boundary:
-                raise DatasetError(
-                    f"instance {rec['id']}: link {i} is not an exterior-boundary cell"
-                )
-        for cell, stored in zip(graph.cells, sorted(rec["cells"])):
-            if cell.center.x != stored[2] or cell.center.y != stored[3]:
-                raise DatasetError(f"instance {rec['id']}: stored centroid mismatch")
-        return LoadedInstance(
-            id=rec["id"],
-            seed=int(rec["seed"]),
-            family_hint=rec["family_hint"],
-            morphology_label=rec["morphology"]["label"],
-            compactness=float(rec["morphology"]["compactness"]),
-            aspect=float(rec["morphology"]["aspect"]),
-            hex_radius=float(rec["hex_radius"]),
-            audited_feasible=bool(rec["audited_feasible"]),
-            graph=graph,
+        inst = Instance(
+            str(rec["id"]),
+            int(rec["seed"]),
+            str(rec["family_hint"]),
+            MorphologyClass(str(m["label"]), float(m["compactness"]), float(m["aspect"])),
+            h,
+            graph,
         )
-    except (DatasetError, InvalidParameterError):
-        raise
     except KeyError as exc:
-        raise DatasetError(f"instance {rec.get('id')}: missing field {exc}") from exc
+        raise DatasetError(f"{name}: missing field {exc}") from exc
+    except InvalidParameterError as exc:
+        raise DatasetError(f"{name}: {exc}") from exc
     except (TypeError, ValueError, IndexError) as exc:
-        raise DatasetError(f"instance {rec.get('id')}: ill-typed field: {exc}") from exc
+        raise DatasetError(f"{name}: ill-typed field: {exc}") from exc
+    written = instance_to_record(inst)
+    if written != rec:
+        missing = [k for k in written if k not in rec]
+        if missing:
+            raise DatasetError(f"{name}: missing field {missing[0]!r}")
+        key = next(k for k in rec if k not in written or written[k] != rec[k])
+        problem = "does not round-trip" if key in written else "is not a dataset field"
+        raise DatasetError(f"{name}: field {key!r} {problem}")
+    boundary = exterior_boundary(frozenset(graph.coords))
+    for i in graph.base_links:
+        if graph.coords[i] not in boundary:
+            raise DatasetError(f"{name}: link {i} is not an exterior-boundary cell")
+    return inst
 
 
 def _dump_line(obj: dict) -> str:
@@ -268,7 +250,7 @@ def _read_dataset(
     return _parse_jsonl(Path(path), lines, DATASET_SCHEMA, convert), digest
 
 
-def load_instances(path: str | Path, sha256: str | None = None) -> list[LoadedInstance]:
+def load_instances(path: str | Path, sha256: str | None = None) -> list[Instance]:
     """The instances of a dataset file; with `sha256`, only if the file's
     bytes have that SHA-256."""
     return _read_dataset(path, lambda rec: record_to_instance(_audited(rec)), sha256)[0]
@@ -527,7 +509,7 @@ def run_benchmark(
 
 
 def load_results(
-    path: str | Path, instances: Sequence[LoadedInstance]
+    path: str | Path, instances: Sequence[Instance]
 ) -> list[ResultRecord]:
     """Parse a results file and re-grade every walk against `instances`.
 
@@ -586,7 +568,7 @@ def _table(rows: Iterable[SummaryRow], columns: Sequence[str]) -> list[dict]:
 
 def morphology_table(
     records: list[ResultRecord],
-    instances: Sequence[LoadedInstance],
+    instances: Sequence[Instance],
     rows: list[SummaryRow],
 ) -> list[dict]:
     """Warnsdorff HSR per morphology stratum, with per-stratum n: each stratum
@@ -595,7 +577,7 @@ def morphology_table(
     warnsdorff = [row.method for row in rows if row.method in WARNSDORFF_SLUGS]
     strata = []
     for stratum in ("Compact", "Elongated", "Irregular"):
-        ids = {i.id for i in instances if i.morphology_label == stratum}
+        ids = {i.id for i in instances if i.morphology.label == stratum}
         subset = [r for r in records if r.instance_id in ids and r.method in warnsdorff]
         summary = aggregate_summary(subset, warnsdorff) if subset else []
         strata.append((stratum, len(ids), summary))

@@ -38,13 +38,6 @@ class Point(NamedTuple):
     y: float
 
 
-@dataclass(frozen=True)
-class HexCell:
-    coord: OffsetCoord
-    center: Point
-    circumradius: float
-
-
 # Neighbor offsets depend on column parity (odd columns are shifted down).
 _EVEN_COL_NEIGHBORS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, 1))
 _ODD_COL_NEIGHBORS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, -1), (-1, -1))
@@ -74,13 +67,9 @@ def face_neighbors(c: OffsetCoord) -> list[OffsetCoord]:
 _HEX_UNIT = tuple((math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)) for k in range(6))
 
 
-def hex_vertices(cell: HexCell) -> list[Point]:
-    """The 6 vertices in counterclockwise order, first vertex at angle 0."""
-    return hexagon_ring(cell.center, cell.circumradius)
-
-
 def hexagon_ring(center: Point, h: float) -> list[Point]:
-    """Vertex ring of a flat-top hexagon without building a HexCell."""
+    """The 6 vertices of a flat-top hexagon in counterclockwise order, first
+    vertex at angle 0."""
     cx, cy = center
     return [Point(cx + h * ux, cy + h * uy) for ux, uy in _HEX_UNIT]
 

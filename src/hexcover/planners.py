@@ -145,11 +145,11 @@ def _visit_order_walk(g: CoverageGraph, order: Sequence[int]) -> PlanResult:
 def sweep_rows(g: CoverageGraph) -> list[list[int]]:
     """Sweep rows bottom-up, each ordered by principal-axis (column) position."""
     rows: dict[int, list[int]] = {}
-    for i, cell in enumerate(g.cells):
-        rows.setdefault(cell.coord.row, []).append(i)
+    for i, c in enumerate(g.coords):
+        rows.setdefault(c.row, []).append(i)
     out = []
     for r in sorted(rows):
-        out.append(sorted(rows[r], key=lambda i: (g.cells[i].coord.col, i)))
+        out.append(sorted(rows[r], key=lambda i: (g.coords[i].col, i)))
     return out
 
 

@@ -148,7 +148,7 @@ def test_criterion_5_warnsdorff_ordering(summary):
 
 
 def test_criterion_6_morphology_stratification(records, instances):
-    label_of = {i.id: i.morphology_label for i in instances}
+    label_of = {i.id: i.morphology.label for i in instances}
     rates = {}
     for label in ("Compact", "Irregular"):
         ids = {iid for iid, lab in label_of.items() if lab == label}
@@ -215,7 +215,7 @@ def test_criterion_8_status_contracts(records, instances):
 def test_criterion_9_metric_invariances(instances):
     inst = instances[0]
     g0 = inst.graph
-    coords = [c.coord for c in g0.cells]
+    coords = list(g0.coords)
     walk = hamiltonian_audit(g0).witness
 
     d0 = path_distance(g0, walk)
@@ -326,7 +326,7 @@ def test_distribution_sanity_morphology_prior(instances):
     # Soft shape prior: Compact most frequent, Elongated least frequent.
     counts = defaultdict(int)
     for inst in instances:
-        counts[inst.morphology_label] += 1
+        counts[inst.morphology.label] += 1
     ok = (
         counts["Compact"] == max(counts.values())
         and counts["Elongated"] == min(counts.values())

@@ -458,7 +458,7 @@ class TestAttachBase:
         g = attach_base(mask, aoi, seed=1)
         assert g.base_links == (0,)
         assert g.terminal_links == (0,)
-        assert g.base_pos == g.terminal_pos
+        assert g.positions[g.base_node] == g.positions[g.terminal_node]
 
     def test_convex_aoi_links_entire_visible_ring(self):
         # Convex AOI: every outer-ring cell admits an unoccluded approach
@@ -562,7 +562,7 @@ class TestBuildInstance:
         assert type(a) is type(b)
         if isinstance(a, Instance):
             assert a.id == b.id
-            assert [c.coord for c in a.graph.cells] == [c.coord for c in b.graph.cells]
+            assert a.graph.coords == b.graph.coords
             assert a.graph.base_links == b.graph.base_links
 
     def test_pipeline_products_over_seed_range(self):
@@ -577,11 +577,11 @@ class TestBuildInstance:
             admitted += 1
             g = out.graph
             assert 28 <= g.n <= 46
-            assert out.audited_feasible
+            assert isinstance(out, Instance)
             assert edge_lengths_ok(g)
             assert set(g.base_links) == set(g.terminal_links)
-            boundary = exterior_boundary({c.coord for c in g.cells})
-            ordered = sorted(c.coord for c in g.cells)
+            boundary = exterior_boundary(set(g.coords))
+            ordered = sorted(g.coords)
             for i in g.base_links:
                 assert ordered[i] in boundary
         assert admitted >= 10
@@ -622,7 +622,7 @@ class TestGraphFromCoords:
     def test_cells_sorted_and_indexed(self):
         coords = [OffsetCoord(1, 0), OffsetCoord(0, 0), OffsetCoord(0, 1)]
         g = graph_from_coords(coords, 1.0, [0], [2], Point(-2, 0))
-        assert [c.coord for c in g.cells] == sorted(coords)
+        assert list(g.coords) == sorted(coords)
         assert g.base_node == 3
         assert g.terminal_node == 4
         assert g.neighbors(g.base_node) == (0,)
@@ -640,16 +640,12 @@ class TestGraphFromCoords:
             for j in g.cell_neighbors(i):
                 assert i in g.cell_neighbors(j)
 
-    @pytest.mark.parametrize(
-        "links, edges",
-        [([3], None), ([-1], None), ([2], [(-1, 0)]), ([2], [(0, 3)])],
-        ids=["link-past-end", "link-negative", "edge-negative", "edge-past-end"],
-    )
-    def test_index_out_of_range(self, links, edges):
+    @pytest.mark.parametrize("links", [[3], [-1]], ids=["link-past-end", "link-negative"])
+    def test_index_out_of_range(self, links):
         # Cell -1 would wrap to cell 2, (1, 0), a face neighbour of cell 0.
         coords = [OffsetCoord(0, 0), OffsetCoord(0, 1), OffsetCoord(1, 0)]
         with pytest.raises(InvalidParameterError, match="out of range"):
-            graph_from_coords(coords, 1.0, [0], links, Point(-2, 0), edges=edges)
+            graph_from_coords(coords, 1.0, [0], links, Point(-2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,8 @@ class TestGenerate:
         assert len(instances) == N_SMALL
         for inst in instances:
             assert 28 <= inst.graph.n <= 46
-            assert inst.audited_feasible
+        for line in path.read_text().splitlines():
+            assert json.loads(line)["audited_feasible"] is True
 
     def test_manifest_contents(self, dataset):
         path, manifest = dataset
@@ -150,16 +151,15 @@ class TestAudit:
 
     def test_mutated_dataset_detected(self, dataset, tmp_path, capsys):
         path, _ = dataset
-        lines = path.read_text().splitlines()
-        rec = json.loads(lines[0])
-        # Isolate cell 0: the graph becomes disconnected, hence infeasible.
-        rec["edges"] = [e for e in rec["edges"] if 0 not in e]
-        mutated = tmp_path / "mutated.jsonl"
-        mutated.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+        rec = json.loads(path.read_text().splitlines()[0])
+        # One shared link: a path cannot start and end at the same cell, so
+        # the record loads but its instance is infeasible.
+        b = rec["base_links"][0]
+        mutated = _relabel(path, tmp_path / "m.jsonl", 1, base_links=[b], terminal_links=[b])
         code = cli_main(["audit", "--dataset", str(mutated)])
         out = capsys.readouterr().out
         assert code == 1
-        assert rec["id"] in out
+        assert f"INFEASIBLE: {rec['id']}" in out
 
     def test_empty_dataset_rejected(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -574,6 +574,13 @@ class TestCli:
         block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
         assert json.loads(block) == GenerationConfig().to_dict()
 
+    def test_readme_library_example_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library use", 1)[1]
+        block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines()[-1] == "True"
+
     @pytest.mark.parametrize(
         "config, says",
         [
@@ -699,6 +706,58 @@ assert "numpy" not in sys.modules, "numpy was imported"
         argv = {
             "audit": ["audit", "--dataset", str(edited)],
             "run": ["run", "--dataset", str(edited), "--out", str(tmp_path / "r.jsonl")],
+            "report": ["report", "--results", str(res), "--dataset", str(edited),
+                       "--out", str(tmp_path / "rep")],
+        }[command]
+        code = cli_main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"instance {rec['id']}: " in err[0]
+        assert not (tmp_path / "r.jsonl").exists()
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize(
+        "tamper",
+        ["dropped-edge", "moved-terminal", "repeated-cell", "reversed-links",
+         "edge-out-of-range", "extra-key", "link-out-of-range", "radius-0"],
+    )
+    @pytest.mark.parametrize("command", ["audit", "run-1", "run-2", "report"])
+    def test_records_that_do_not_round_trip_are_refused(
+        self, dataset, results, tmp_path, capsys, command, tamper
+    ):
+        # A record loads only if instance_to_record writes it back unchanged.
+        # With no manifest beside the file, only the record can show the edit.
+        dpath, _ = dataset
+        rpath, _ = results
+        lineno, rec = next(
+            (k, rec) for k, line in enumerate(dpath.read_text().splitlines(), start=1)
+            if len((rec := json.loads(line))["base_links"]) > 1
+        )
+        n, edges, cells = len(rec["cells"]), rec["edges"], rec["cells"]
+        # The repeated cell is the last cell again, as index n, joined to the
+        # last cell's neighbours: its edges and links stay face-adjacent and
+        # in range.
+        last = [[min(e), n] for e in edges if n - 1 in e]
+        fields = {
+            "dropped-edge": {"edges": edges[1:]},
+            "moved-terminal": {"terminal": [1e6, 1e6]},
+            "repeated-cell": {"cells": [*cells, cells[-1]], "edges": edges + last},
+            "reversed-links": {"base_links": rec["base_links"][::-1],
+                               "terminal_links": rec["terminal_links"][::-1]},
+            "edge-out-of-range": {"edges": [*edges, [0, n]]},
+            "extra-key": {"note": "edited"},
+            "link-out-of-range": {"base_links": [999], "terminal_links": [999]},
+            "radius-0": {"hex_radius": 0.0},
+        }[tamper]
+        edited = _relabel(dpath, tmp_path / "d.jsonl", lineno, **fields)
+        res = tmp_path / "res.jsonl"
+        res.write_bytes(rpath.read_bytes())
+        run = ["run", "--dataset", str(edited), "--out", str(tmp_path / "r.jsonl")]
+        argv = {
+            "audit": ["audit", "--dataset", str(edited)],
+            "run-1": [*run, "--workers", "1"],
+            "run-2": [*run, "--workers", "2"],
             "report": ["report", "--results", str(res), "--dataset", str(edited),
                        "--out", str(tmp_path / "rep")],
         }[command]

@@ -9,7 +9,6 @@ from hexcover.aoi import FAMILIES, sample_aoi
 from hexcover.hexgeom import (
     GEOM_TOL,
     SQRT3,
-    HexCell,
     InvalidGeometryError,
     InvalidParameterError,
     OffsetCoord,
@@ -17,7 +16,6 @@ from hexcover.hexgeom import (
     PolygonWithHoles,
     convex_hull,
     face_neighbors,
-    hex_vertices,
     hexagon_area,
     hexagon_ring,
     min_rotated_rect,
@@ -103,25 +101,22 @@ class TestLattice:
 
 class TestHexVertices:
     def test_angle_zero_vertex(self):
-        cell = HexCell(OffsetCoord(0, 0), Point(0.0, 0.0), 1.0)
-        vx = hex_vertices(cell)
+        vx = hexagon_ring(Point(0.0, 0.0), 1.0)
         assert vx[0] == pytest.approx((1.0, 0.0), abs=GEOM_TOL)
 
     def test_all_vertices_on_circumcircle(self):
-        cell = HexCell(OffsetCoord(0, 0), Point(2.0, -1.0), 1.0)
-        for v in hex_vertices(cell):
-            assert dist(v, cell.center) == pytest.approx(1.0, abs=GEOM_TOL)
+        center = Point(2.0, -1.0)
+        for v in hexagon_ring(center, 1.0):
+            assert dist(v, center) == pytest.approx(1.0, abs=GEOM_TOL)
 
     def test_edge_length_equals_circumradius(self):
         # Regular hexagon: side equals circumradius.
-        cell = HexCell(OffsetCoord(0, 0), Point(0.0, 0.0), 1.0)
-        vx = hex_vertices(cell)
+        vx = hexagon_ring(Point(0.0, 0.0), 1.0)
         for i in range(6):
             assert dist(vx[i], vx[(i + 1) % 6]) == pytest.approx(1.0, abs=GEOM_TOL)
 
     def test_counterclockwise(self):
-        cell = HexCell(OffsetCoord(0, 0), Point(0.0, 0.0), 2.0)
-        assert ring_signed_area(hex_vertices(cell)) > 0
+        assert ring_signed_area(hexagon_ring(Point(0.0, 0.0), 2.0)) > 0
 
 
 class TestPolygonMetrics:

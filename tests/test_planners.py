@@ -114,7 +114,7 @@ class TestSweeps:
         # serpentine's natural last cell; hand-traced order.
         g = self.make_patch(base_links=(0,), terminal_links=(8,))
         res = plan(g, "boustrophedon")
-        coords = [c.coord for c in g.cells]
+        coords = list(g.coords)
         idx = {c: i for i, c in enumerate(coords)}
         serpentine = [
             idx[OffsetCoord(0, 0)], idx[OffsetCoord(1, 0)], idx[OffsetCoord(2, 0)],
@@ -132,8 +132,8 @@ class TestSweeps:
         # direction; fly-backs happen in the reconnection segments.
         order = linear_sweep_order(g, "row-oneway")
         for r in range(3):
-            row_targets = [i for i in order if g.cells[i].coord.row == r]
-            cols = [g.cells[i].coord.col for i in row_targets]
+            row_targets = [i for i in order if g.coords[i].row == r]
+            cols = [g.coords[i].col for i in row_targets]
             assert cols == sorted(cols)
 
     def test_segment_snake_equals_boustrophedon_on_convex_patch(self):
@@ -147,7 +147,7 @@ class TestSweeps:
         order = interleaved_sweep_order(g, "row-interleave")
         seen_rows = []
         for v in order:
-            r = g.cells[v].coord.row
+            r = g.coords[v].row
             if r not in seen_rows:
                 seen_rows.append(r)
         assert seen_rows == [0, 2, 1, 3]
