@@ -53,7 +53,6 @@ from hexcover.planners import (
     METHOD_ORDER,
     PLANNERS,
     PlanResult,
-    WarnsdorffConfig,
     bfs_shortest_path,
     plan,
     timed_plan,

@@ -529,12 +529,17 @@ class GenerationConfig:
 class Instance:
     """An admitted instance: what a dataset record holds, and all it holds."""
 
-    id: str
     seed: int
     family_hint: str
     morphology: MorphologyClass
     hex_radius: float
     graph: CoverageGraph
+
+    @property
+    def id(self) -> str:
+        """`hx` and the seed in ten digits: the name records, results and
+        reports give the instance."""
+        return f"hx{self.seed:010d}"
 
 
 @dataclass(frozen=True)
@@ -583,6 +588,4 @@ def build_instance(family_hint: str, seed: int, config: GenerationConfig):
 
     if not hamiltonian_audit(graph).feasible:
         return Rejection(seed, family_hint, "infeasible")
-    return Instance(
-        f"hx{seed:010d}", seed, shape.family_hint, shape.morphology, config.hex_radius, graph
-    )
+    return Instance(seed, shape.family_hint, shape.morphology, config.hex_radius, graph)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from hexcover.aoi import MorphologyClass
+from hexcover.aoi import MorphologyClass, label_from
 from hexcover.graphbuild import (
     GenerationConfig,
     Instance,
@@ -112,13 +112,14 @@ def instance_to_record(inst: Instance) -> dict:
 def record_to_instance(rec: dict) -> Instance:
     """The instance a dataset record describes.
 
-    The instance is built from the record's id, seed, family, morphology,
-    hex_radius, frame, base, cell coordinates and base_links, the last for
-    both link sets. Every other field is derived from those, so the record
-    is refused unless `instance_to_record` writes it back unchanged. A link
-    to a cell off the exterior boundary is refused too: `attach_base` links
-    only those cells. Each refusal raises DatasetError naming the instance
-    and the first field at fault.
+    The instance is built from the record's seed, family, compactness,
+    aspect, hex_radius, frame, base, cell coordinates and base_links, the
+    last for both link sets. Every other field, the id and the morphology
+    label among them, is derived from those, so the record is refused unless
+    `instance_to_record` writes it back unchanged. A link to a cell off the
+    exterior boundary is refused too: `attach_base` links only those cells.
+    Each refusal raises DatasetError naming the instance and the first field
+    at fault.
     """
     name = f"instance {rec.get('id')}"
     try:
@@ -131,11 +132,11 @@ def record_to_instance(rec: dict) -> Instance:
             Point(*map(float, rec["base"])),
             LatticeFrame(Point(*map(float, frame["origin"])), float(frame["angle"])),
         )
+        compactness, aspect = float(m["compactness"]), float(m["aspect"])
         inst = Instance(
-            str(rec["id"]),
             int(rec["seed"]),
             str(rec["family_hint"]),
-            MorphologyClass(str(m["label"]), float(m["compactness"]), float(m["aspect"])),
+            MorphologyClass(label_from(compactness, aspect), compactness, aspect),
             h,
             graph,
         )
@@ -229,7 +230,8 @@ def _read_dataset(
     The file is checked first against its manifest when
     `<path>.manifest.json` exists, and against `sha256` when given: a
     manifest of another schema, or a SHA-256 that is not that of the file's
-    bytes, raises DatasetError.
+    bytes, raises DatasetError. So does a record whose id an earlier record
+    already has.
     """
     try:
         data = Path(path).read_bytes()
@@ -244,10 +246,18 @@ def _read_dataset(
             f"{path}: SHA-256 {digest[:12]}... is not {sha256[:12]}..., the dataset"
             " the results were run on"
         )
+    seen: set[str] = set()
+
+    def once(rec: dict):
+        if rec["id"] in seen:
+            raise DatasetError(f"instance {rec['id']}: id already used by an earlier record")
+        seen.add(rec["id"])
+        return convert(rec)
+
     # The bytes already read, decoded and split into lines as opening the
     # file in text mode would.
     lines = io.TextIOWrapper(io.BytesIO(data))
-    return _parse_jsonl(Path(path), lines, DATASET_SCHEMA, convert), digest
+    return _parse_jsonl(Path(path), lines, DATASET_SCHEMA, once), digest
 
 
 def load_instances(path: str | Path, sha256: str | None = None) -> list[Instance]:

@@ -4,7 +4,20 @@ Seven families: linear sweeps, interleaved sweeps, contour/spiral traversals,
 spanning-tree coverage, graph-based local search (four Warnsdorff variants
 plus DFS-Backtrack), wavefront descent, and a Morton space-filling order.
 Everything is a pure function of the graph; where a rule needs a tie-break
-the package-wide default is ascending node index.
+the package-wide default is ascending node index. The registry at the end is
+the only place that names a variant: each of its entries calls one planner
+with the arguments that make that variant.
+
+Within a family the members differ along one or two axes. A sweep is a row
+sequence (all rows bottom-up, or `interleaved_row_sequence`) times a row
+traversal (serpentine, one-way, or segment by segment). Warnsdorff,
+DFS-Backtrack and Wavefront share one greedy loop; each gives its candidate
+key, its dead-end rule (stop, hop back through visited cells, or bridge to
+the highest remaining label) and the nodes it may leave through to the
+terminal. DFS-Backtrack is Warnsdorff-EP (index) that backtracks at a dead
+end instead of stopping. EP counts the terminal in a candidate's residual
+degree only at the last move, when a single candidate is left, so never
+counting it picks the same cell.
 
 Sweep rows deserve a note: the tessellation lattice is mounted with columns
 along the long axis of the instance, so a "row" in the sweep sense is simply
@@ -42,12 +55,6 @@ class PlanResult:
 
     walk: tuple[int, ...]
     fail_reason: str | None = None
-
-
-@dataclass(frozen=True)
-class WarnsdorffConfig:
-    tie_break: str  # "index" | "distance"
-    policy: str  # "EP" | "TI"
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +121,10 @@ def _euclid(g: CoverageGraph, a: int, b: int) -> float:
     return math.hypot(pb.x - pa.x, pb.y - pa.y)
 
 
-def _extend_to(g: CoverageGraph, walk: list[int], targets) -> bool:
-    """Append the shortest internal path from walk head to the nearest target."""
-    path = _bfs(g, walk[-1], targets, _internal_only(g))
+def _extend_to(g: CoverageGraph, walk: list[int], targets, allowed=None) -> bool:
+    """Append the shortest path from walk head to the nearest target whose
+    intermediate nodes pass `allowed` (by default, any cell)."""
+    path = _bfs(g, walk[-1], targets, allowed or _internal_only(g))
     if path is None:
         return False
     walk.extend(path[1:])
@@ -147,17 +155,11 @@ def sweep_rows(g: CoverageGraph) -> list[list[int]]:
     rows: dict[int, list[int]] = {}
     for i, c in enumerate(g.coords):
         rows.setdefault(c.row, []).append(i)
-    out = []
-    for r in sorted(rows):
-        out.append(sorted(rows[r], key=lambda i: (g.coords[i].col, i)))
-    return out
+    return [sorted(rows[r], key=lambda i: (g.coords[i].col, i)) for r in sorted(rows)]
 
 
 def _first_row_left_start(g: CoverageGraph, rows: list[list[int]]) -> bool:
-    first = rows[0]
-    d_left = _euclid(g, g.base_node, first[0])
-    d_right = _euclid(g, g.base_node, first[-1])
-    return d_left <= d_right
+    return _euclid(g, g.base_node, rows[0][0]) <= _euclid(g, g.base_node, rows[0][-1])
 
 
 def _segments(g: CoverageGraph, row: list[int]) -> list[list[int]]:
@@ -175,74 +177,48 @@ def _row_order(row: list[int], leftward: bool) -> list[int]:
     return row if leftward else list(reversed(row))
 
 
-def _snake_segments_order(g: CoverageGraph, rows: list[list[int]], row_sequence) -> list[int]:
-    """Visit each row's segments nearest-end-first from the current position."""
-    order: list[int] = []
-    pos = g.base_node
-    for ri in row_sequence:
-        pending = _segments(g, rows[ri])
-        while pending:
-            best = None
-            for k, seg in enumerate(pending):
-                d_head = _euclid(g, pos, seg[0])
-                d_tail = _euclid(g, pos, seg[-1])
-                forward = d_head <= d_tail
-                d = min(d_head, d_tail)
-                key = (d, seg[0])
-                if best is None or key < best[0]:
-                    best = (key, k, forward)
-            _, k, forward = best
-            seg = pending.pop(k)
-            seg = seg if forward else list(reversed(seg))
-            order.extend(seg)
-            pos = seg[-1]
-    return order
-
-
-def linear_sweep_order(g: CoverageGraph, variant: str) -> list[int]:
-    rows = sweep_rows(g)
-    leftward = _first_row_left_start(g, rows)
-    if variant == "boustrophedon":
-        order = []
-        for k, row in enumerate(rows):
-            order.extend(_row_order(row, leftward if k % 2 == 0 else not leftward))
-        return order
-    if variant == "row-oneway":
-        # Fixed row direction; the fly-back is the reconnection between rows.
-        order = []
-        for row in rows:
-            order.extend(_row_order(row, leftward))
-        return order
-    if variant == "segment-snake":
-        return _snake_segments_order(g, rows, range(len(rows)))
-    raise InvalidParameterError(f"unknown linear sweep variant {variant!r}")
-
-
-def plan_linear_sweep(g: CoverageGraph, variant: str) -> PlanResult:
-    return _visit_order_walk(g, linear_sweep_order(g, variant))
-
-
 def interleaved_row_sequence(k: int) -> list[int]:
     """Even-indexed rows ascending, then odd-indexed rows ascending."""
     return list(range(0, k, 2)) + list(range(1, k, 2))
 
 
-def interleaved_sweep_order(g: CoverageGraph, variant: str) -> list[int]:
+def serpentine_order(g: CoverageGraph, row_sequence: Callable[[int], Sequence[int]]) -> list[int]:
+    """Rows in `row_sequence(row count)` order, alternating direction.
+
+    The first row runs from its end nearer the base.
+    """
     rows = sweep_rows(g)
-    seq = interleaved_row_sequence(len(rows))
-    if variant == "row-interleave":
-        leftward = _first_row_left_start(g, rows)
-        order = []
-        for pos, ri in enumerate(seq):
-            order.extend(_row_order(rows[ri], leftward if pos % 2 == 0 else not leftward))
-        return order
-    if variant == "seg-interleave":
-        return _snake_segments_order(g, rows, seq)
-    raise InvalidParameterError(f"unknown interleaved variant {variant!r}")
+    leftward = _first_row_left_start(g, rows)
+    order = []
+    for pos, ri in enumerate(row_sequence(len(rows))):
+        order.extend(_row_order(rows[ri], leftward == (pos % 2 == 0)))
+    return order
 
 
-def plan_interleaved(g: CoverageGraph, variant: str) -> PlanResult:
-    return _visit_order_walk(g, interleaved_sweep_order(g, variant))
+def row_oneway_order(g: CoverageGraph) -> list[int]:
+    """Every row bottom-up in the first row's direction; the fly-back is the
+    reconnection between rows."""
+    rows = sweep_rows(g)
+    leftward = _first_row_left_start(g, rows)
+    return [i for row in rows for i in _row_order(row, leftward)]
+
+
+def segment_order(g: CoverageGraph, row_sequence: Callable[[int], Sequence[int]]) -> list[int]:
+    """Visit each row's segments nearest-end-first from the current position."""
+    rows = sweep_rows(g)
+    order: list[int] = []
+    pos = g.base_node
+    for ri in row_sequence(len(rows)):
+        pending = _segments(g, rows[ri])
+        while pending:
+            seg = min(pending, key=lambda s: (
+                min(_euclid(g, pos, s[0]), _euclid(g, pos, s[-1])), s[0]))
+            pending.remove(seg)
+            if _euclid(g, pos, seg[0]) > _euclid(g, pos, seg[-1]):
+                seg = seg[::-1]
+            order.extend(seg)
+            pos = seg[-1]
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -279,24 +255,13 @@ def _angular_ring_order(g: CoverageGraph, ring: list[int], around, start_near: i
     return keyed[k:] + keyed[:k]
 
 
-def spiral_order(g: CoverageGraph, variant: str) -> list[int]:
-    """Ring visit order for the two spiral variants (inward or outward)."""
-    rings = onion_rings(g)
-    if variant == "spiral-inward":
-        sequence = rings
-        prev = g.base_node
-    elif variant == "spiral-outward":
-        sequence = list(reversed(rings))
-        cx, cy = _centroid(g, range(g.n))
-        prev = min(
-            sequence[0],
-            key=lambda i: (math.hypot(g.positions[i].x - cx, g.positions[i].y - cy), i),
-        )
-    else:
-        raise InvalidParameterError(f"unknown spiral variant {variant!r}")
+def _spiral_order(g: CoverageGraph, rings: list[list[int]], prev: int) -> list[int]:
+    """Each ring in angular order around the centroid of the cells not yet
+    traversed, starting at the cell nearest the previous ring's last cell
+    (`prev` for the first ring)."""
     order: list[int] = []
     not_traversed = set(range(g.n))
-    for ring in sequence:
+    for ring in rings:
         ordered = _angular_ring_order(g, ring, _centroid(g, sorted(not_traversed)), prev)
         order.extend(ordered)
         prev = ordered[-1]
@@ -304,34 +269,40 @@ def spiral_order(g: CoverageGraph, variant: str) -> list[int]:
     return order
 
 
-def plan_contour(g: CoverageGraph, variant: str) -> PlanResult:
-    if variant in ("spiral-inward", "spiral-outward"):
-        return _visit_order_walk(g, spiral_order(g, variant))
+def spiral_inward_order(g: CoverageGraph) -> list[int]:
+    """Outermost ring first, entered nearest the base."""
+    return _spiral_order(g, onion_rings(g), g.base_node)
 
-    if variant == "boundary-peel":
-        rings = onion_rings(g)
-        # Adjacency-first layer traversal with BFS reconnections.
-        walk = [g.base_node]
-        for ring in rings:
-            pending = set(ring)
-            while pending:
-                v = walk[-1]
-                nxt = None
-                if v != g.base_node:
-                    for j in g.cell_neighbors(v):
-                        if j in pending:
-                            nxt = j
-                            break
-                if nxt is not None:
-                    walk.append(nxt)
-                elif not _extend_to(g, walk, pending):
-                    return PlanResult(tuple(walk), "unreachable-cell")
-                pending.discard(walk[-1])
-        if not _extend_to(g, walk, (g.terminal_node,)):
-            return PlanResult(tuple(walk), "terminal-unreachable")
-        return PlanResult(tuple(walk))
 
-    raise InvalidParameterError(f"unknown contour variant {variant!r}")
+def spiral_outward_order(g: CoverageGraph) -> list[int]:
+    """Innermost ring first, entered at its cell nearest the centroid."""
+    rings = onion_rings(g)[::-1]
+    cx, cy = _centroid(g, range(g.n))
+    start = min(
+        rings[0],
+        key=lambda i: (math.hypot(g.positions[i].x - cx, g.positions[i].y - cy), i),
+    )
+    return _spiral_order(g, rings, start)
+
+
+def plan_boundary_peel(g: CoverageGraph) -> PlanResult:
+    """Adjacency-first layer traversal with BFS reconnections."""
+    walk = [g.base_node]
+    for ring in onion_rings(g):
+        pending = set(ring)
+        while pending:
+            v = walk[-1]
+            nxt = None
+            if v != g.base_node:
+                nxt = next((j for j in g.cell_neighbors(v) if j in pending), None)
+            if nxt is not None:
+                walk.append(nxt)
+            elif not _extend_to(g, walk, pending):
+                return PlanResult(tuple(walk), "unreachable-cell")
+            pending.discard(walk[-1])
+    if not _extend_to(g, walk, (g.terminal_node,)):
+        return PlanResult(tuple(walk), "terminal-unreachable")
+    return PlanResult(tuple(walk))
 
 
 # ---------------------------------------------------------------------------
@@ -342,42 +313,38 @@ def _stc_root(g: CoverageGraph) -> int:
     return min(range(g.n), key=lambda i: (_euclid(g, g.base_node, i), i))
 
 
-def _bfs_tree(g: CoverageGraph, root: int) -> tuple[dict[int, list[int]], set[int]]:
+def _bfs_tree(g: CoverageGraph, root: int) -> dict[int, list[int]]:
+    """Children of every cell reached from `root`, in BFS order."""
     children: dict[int, list[int]] = {root: []}
-    reached = {root}
     queue = deque([root])
     while queue:
         u = queue.popleft()
         for w in g.cell_neighbors(u):
-            if w in reached:
-                continue
-            reached.add(w)
-            children[u].append(w)
-            children.setdefault(w, [])
-            queue.append(w)
-    return children, reached
+            if w not in children:
+                children[u].append(w)
+                children[w] = []
+                queue.append(w)
+    return children
 
 
-def _distance_biased_tree(g: CoverageGraph, root: int) -> tuple[dict[int, list[int]], set[int]]:
+def _distance_biased_tree(g: CoverageGraph, root: int) -> dict[int, list[int]]:
     """Grow the tree nearest-cell-first, measured from the root position."""
     children: dict[int, list[int]] = {root: []}
-    reached = {root}
     heap: list[tuple[float, int, int]] = []
     for w in g.cell_neighbors(root):
         heapq.heappush(heap, (_euclid(g, root, w), w, root))
     while heap:
         _, w, parent = heapq.heappop(heap)
-        if w in reached:
+        if w in children:
             continue
-        reached.add(w)
         children[parent].append(w)
-        children.setdefault(w, [])
+        children[w] = []
         for x in g.cell_neighbors(w):
-            if x not in reached:
+            if x not in children:
                 heapq.heappush(heap, (_euclid(g, root, x), x, w))
     for u in children:
         children[u].sort()
-    return children, reached
+    return children
 
 
 def _circumnavigate(children: dict[int, list[int]], root: int) -> list[int]:
@@ -394,124 +361,127 @@ def _circumnavigate(children: dict[int, list[int]], root: int) -> list[int]:
     return seq
 
 
-def plan_stc(g: CoverageGraph, variant: str) -> PlanResult:
-    root = _stc_root(g)
-    if variant == "stc-tree":
-        children, reached = _bfs_tree(g, root)
-        if len(reached) != g.n:
-            return PlanResult((g.base_node,), "tree-not-spanning")
-    elif variant == "stc-like":
-        children, reached = _distance_biased_tree(g, root)
-    else:
-        raise InvalidParameterError(f"unknown STC variant {variant!r}")
-
+def _stc_walk(g: CoverageGraph, root: int, children: dict[int, list[int]]) -> PlanResult:
+    """Base to `root`, around the tree, shortest paths to any cell the tree
+    missed, then to the terminal."""
     walk = [g.base_node]
     if not _extend_to(g, walk, (root,)):
         return PlanResult(tuple(walk), "unreachable-cell")
     walk.extend(_circumnavigate(children, root)[1:])
-
-    if variant == "stc-like":
-        uncovered = set(range(g.n)) - set(walk)
-        while uncovered:
-            if not _extend_to(g, walk, uncovered):
-                return PlanResult(tuple(walk), "unreachable-cell")
-            uncovered -= set(walk)
-
+    uncovered = set(range(g.n)) - set(walk)
+    while uncovered:
+        if not _extend_to(g, walk, uncovered):
+            return PlanResult(tuple(walk), "unreachable-cell")
+        uncovered -= set(walk)
     if not _extend_to(g, walk, (g.terminal_node,)):
         return PlanResult(tuple(walk), "terminal-unreachable")
     return PlanResult(tuple(walk))
 
 
+def plan_stc_tree(g: CoverageGraph) -> PlanResult:
+    """Circumnavigate a BFS spanning tree; fails when the tree cannot span."""
+    root = _stc_root(g)
+    children = _bfs_tree(g, root)
+    if len(children) != g.n:
+        return PlanResult((g.base_node,), "tree-not-spanning")
+    return _stc_walk(g, root, children)
+
+
+def plan_stc_like(g: CoverageGraph) -> PlanResult:
+    """Circumnavigate a distance-biased tree, then reconnect to what it missed."""
+    root = _stc_root(g)
+    return _stc_walk(g, root, _distance_biased_tree(g, root))
+
+
 # ---------------------------------------------------------------------------
-# Family 5: Warnsdorff variants and DFS-Backtrack
+# Families 5 and 6: Warnsdorff variants, DFS-Backtrack and wavefront descent
 
 
-def plan_warnsdorff(g: CoverageGraph, cfg: WarnsdorffConfig) -> PlanResult:
-    """Greedy minimum-residual-degree traversal; no backtracking.
+def _greedy(
+    g: CoverageGraph,
+    walk: list[int],
+    key: Callable[[int, int, int], tuple],
+    reconnect: Callable[[int, set[int]], list[int] | None] | None,
+    leave_via: Callable[[int], bool],
+) -> PlanResult:
+    """Extend `walk` one cell at a time until every cell is visited, then exit.
 
-    The terminal stays out of the candidate set while targets remain. The
-    policy decides whether terminal adjacency still counts inside the
-    residual degree (TI) or is suppressed until the endgame (EP). Because a
-    dead end terminates immediately, its walk never grades as
-    CoverageSuccess: it either finishes revisit-free or fails.
+    From the walk head `v`, the next cell is the unvisited neighbor `j` of
+    least `key(v, j, d)`, where `d` is the residual degree of `j`: its
+    unvisited neighbor cells. At a dead end, `reconnect(v, visited)` gives a
+    path from `v` whose cells count as visited. Without `reconnect` the walk
+    fails as a `dead-end`; when it finds no path, with `unreachable-cells`.
+    The exit is the shortest path to the terminal whose intermediate nodes
+    pass `leave_via`.
     """
-    if cfg.tie_break not in ("index", "distance") or cfg.policy not in ("EP", "TI"):
-        raise InvalidParameterError(f"bad Warnsdorff config {cfg}")
-    term = g.terminal_node
-    visited = {g.base_node}
-    walk = [g.base_node]
-    v = g.base_node
-    targets_left = g.n
-    while targets_left > 0:
-        cands = [j for j in g.neighbors(v) if j not in visited and j != term]
-        if not cands:
-            return PlanResult(tuple(walk), "dead-end")
+    n = g.n
+    adjacency, cells = g.adjacency, g.internal_adjacency
+    visited = set(walk[1:])
+    v = walk[-1]
+    while len(visited) < n:
         best_key = None
-        best = -1
-        for j in cands:
+        for j in adjacency[v]:
+            if j >= n or j in visited:
+                continue
             d = 0
-            for k in g.neighbors(j):
-                if k in visited or k == v:
-                    continue
-                if k == term and cfg.policy == "EP" and targets_left > 1:
-                    continue
-                d += 1
-            tie = j if cfg.tie_break == "index" else _euclid(g, v, j)
-            key = (d, tie, j)
-            if best_key is None or key < best_key:
-                best_key, best = key, j
-        visited.add(best)
-        walk.append(best)
-        v = best
-        targets_left -= 1
-    if term in g.neighbors(v):
-        walk.append(term)
-        return PlanResult(tuple(walk))
-    return PlanResult(tuple(walk), "terminal-unreachable")
-
-
-def plan_dfs_backtrack(g: CoverageGraph) -> PlanResult:
-    """Greedy extension with BFS backtracking over the visited subgraph."""
-    visited: set[int] = set()
-    walk = [g.base_node]
-    v = g.base_node
-    while len(visited) < g.n:
-        cands = [j for j in g.neighbors(v) if j < g.n and j not in visited]
-        if cands:
-            best = min(
-                cands,
-                key=lambda j: (
-                    sum(
-                        1
-                        for k in g.cell_neighbors(j)
-                        if k not in visited and k != v
-                    ),
-                    j,
-                ),
-            )
+            for k in cells[j]:
+                if k not in visited:
+                    d += 1
+            j_key = key(v, j, d)
+            if best_key is None or j_key < best_key:
+                best_key, best = j_key, j
+        if best_key is not None:
             visited.add(best)
             walk.append(best)
             v = best
             continue
-        # Dead end: hop back through visited cells to the nearest node that
-        # still has an unexplored branch.
-        anchors = {
-            u
-            for u in visited
-            if any(w not in visited for w in g.cell_neighbors(u))
-        }
-        path = _bfs(g, v, anchors, lambda node: node < g.n and node in visited)
+        path = reconnect(v, visited) if reconnect else None
         if path is None:
-            return PlanResult(tuple(walk), "unreachable-cells")
+            return PlanResult(tuple(walk), "unreachable-cells" if reconnect else "dead-end")
         walk.extend(path[1:])
+        visited.update(path[1:])
         v = path[-1]
-    if not _extend_to(g, walk, (g.terminal_node,)):
+    if not _extend_to(g, walk, (g.terminal_node,), leave_via):
         return PlanResult(tuple(walk), "terminal-unreachable")
     return PlanResult(tuple(walk))
 
 
-# ---------------------------------------------------------------------------
-# Family 6: wavefront descent
+def _warnsdorff_key(g: CoverageGraph, terminal_inclusive: bool, by_distance: bool):
+    """Residual degree, plus one for a terminal-linked cell under TI, then
+    step length when `by_distance`, then node index."""
+    term_links = set(g.terminal_links) if terminal_inclusive else ()
+    if by_distance:
+        return lambda v, j, d: (d + (j in term_links), _euclid(g, v, j), j)
+    return lambda v, j, d: (d + (j in term_links), j)
+
+
+def plan_warnsdorff(g: CoverageGraph, terminal_inclusive: bool, by_distance: bool) -> PlanResult:
+    """Greedy minimum-residual-degree traversal; no backtracking.
+
+    The terminal stays out of the candidate set while targets remain, and
+    the walk must step from its last cell straight onto the terminal.
+    Terminal adjacency counts inside the residual degree under TI and not
+    under EP. (The EP rule counts it at the last move only, where a single
+    candidate is left, so it never changes a choice.) The tie-break is node
+    index, or Euclidean step length when `by_distance`. Because a dead end
+    terminates immediately, its walk never grades as CoverageSuccess: it
+    either finishes revisit-free or fails.
+    """
+    key = _warnsdorff_key(g, terminal_inclusive, by_distance)
+    return _greedy(g, [g.base_node], key, None, lambda _node: False)
+
+
+def plan_dfs_backtrack(g: CoverageGraph) -> PlanResult:
+    """Warnsdorff-EP (index) with BFS backtracking over the visited subgraph."""
+
+    def backtrack(v: int, visited: set[int]) -> list[int] | None:
+        # Hop back through visited cells to the nearest one that still has
+        # an unexplored branch.
+        anchors = {u for u in visited if any(w not in visited for w in g.cell_neighbors(u))}
+        return _bfs(g, v, anchors, visited.__contains__)
+
+    key = _warnsdorff_key(g, False, False)
+    return _greedy(g, [g.base_node], key, backtrack, _internal_only(g))
 
 
 def wavefront_labels(g: CoverageGraph) -> list[int]:
@@ -539,41 +509,24 @@ def plan_wavefront(g: CoverageGraph) -> PlanResult:
     cell, marking traversed cells as covered.
     """
     labels = wavefront_labels(g)
-    entry = min(g.base_links, key=lambda j: (-labels[j], j))
-    walk = [g.base_node, entry]
-    visited = {entry}
-    v = entry
-    while len(visited) < g.n:
-        cands = [j for j in g.cell_neighbors(v) if j not in visited]
-        if cands:
-            best = min(
-                cands,
-                key=lambda j: (
-                    -labels[j],
-                    sum(1 for k in g.cell_neighbors(j) if k not in visited and k != v),
-                    _euclid(g, v, j),
-                    j,
-                ),
-            )
-            visited.add(best)
-            walk.append(best)
-            v = best
-            continue
+
+    def connector(v: int, visited: set[int]) -> list[int] | None:
         # The connector goes to the highest label that is still reachable.
         remaining = [j for j in range(g.n) if j not in visited]
         for top in sorted({labels[j] for j in remaining}, reverse=True):
-            path = _bfs(g, v, {j for j in remaining if labels[j] == top},
-                        _internal_only(g))
+            path = _bfs(g, v, {j for j in remaining if labels[j] == top}, _internal_only(g))
             if path is not None:
-                break
-        else:
-            return PlanResult(tuple(walk), "unreachable-cells")
-        walk.extend(path[1:])
-        visited.update(path[1:])
-        v = path[-1]
-    if not _extend_to(g, walk, (g.terminal_node,)):
-        return PlanResult(tuple(walk), "terminal-unreachable")
-    return PlanResult(tuple(walk))
+                return path
+        return None
+
+    entry = min(g.base_links, key=lambda j: (-labels[j], j))
+    return _greedy(
+        g,
+        [g.base_node, entry],
+        lambda v, j, d: (-labels[j], d, _euclid(g, v, j), j),
+        connector,
+        _internal_only(g),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -611,10 +564,6 @@ def morton_order(g: CoverageGraph, bits: int = 16) -> list[int]:
     return [i for _, i in keyed]
 
 
-def plan_morton(g: CoverageGraph) -> PlanResult:
-    return _visit_order_walk(g, morton_order(g))
-
-
 # ---------------------------------------------------------------------------
 # Registry and dispatch
 
@@ -630,34 +579,34 @@ class PlannerSpec:
 def _registry() -> dict[str, PlannerSpec]:
     entries = [
         ("boustrophedon", FAMILY_LINEAR_SWEEP, "Boustrophedon",
-         lambda g: plan_linear_sweep(g, "boustrophedon")),
+         lambda g: _visit_order_walk(g, serpentine_order(g, range))),
         ("row-oneway", FAMILY_LINEAR_SWEEP, "Row-OneWay",
-         lambda g: plan_linear_sweep(g, "row-oneway")),
+         lambda g: _visit_order_walk(g, row_oneway_order(g))),
         ("segment-snake", FAMILY_LINEAR_SWEEP, "Segment-Snake",
-         lambda g: plan_linear_sweep(g, "segment-snake")),
+         lambda g: _visit_order_walk(g, segment_order(g, range))),
         ("row-interleave", FAMILY_INTERLEAVED, "Row-Interleave",
-         lambda g: plan_interleaved(g, "row-interleave")),
+         lambda g: _visit_order_walk(g, serpentine_order(g, interleaved_row_sequence))),
         ("seg-interleave", FAMILY_INTERLEAVED, "Seg.-Interleave",
-         lambda g: plan_interleaved(g, "seg-interleave")),
+         lambda g: _visit_order_walk(g, segment_order(g, interleaved_row_sequence))),
         ("spiral-inward", FAMILY_CONTOUR, "Spiral-Inward",
-         lambda g: plan_contour(g, "spiral-inward")),
+         lambda g: _visit_order_walk(g, spiral_inward_order(g))),
         ("spiral-outward", FAMILY_CONTOUR, "Spiral-Outward",
-         lambda g: plan_contour(g, "spiral-outward")),
-        ("boundary-peel", FAMILY_CONTOUR, "Boundary-Peel",
-         lambda g: plan_contour(g, "boundary-peel")),
-        ("stc-tree", FAMILY_STC, "STC-Tree", lambda g: plan_stc(g, "stc-tree")),
-        ("stc-like", FAMILY_STC, "STC-Like", lambda g: plan_stc(g, "stc-like")),
+         lambda g: _visit_order_walk(g, spiral_outward_order(g))),
+        ("boundary-peel", FAMILY_CONTOUR, "Boundary-Peel", plan_boundary_peel),
+        ("stc-tree", FAMILY_STC, "STC-Tree", plan_stc_tree),
+        ("stc-like", FAMILY_STC, "STC-Like", plan_stc_like),
         ("warnsdorff-ep-index", FAMILY_GRAPH, "Warnsdorff-EP (index)",
-         lambda g: plan_warnsdorff(g, WarnsdorffConfig("index", "EP"))),
+         lambda g: plan_warnsdorff(g, terminal_inclusive=False, by_distance=False)),
         ("warnsdorff-ep-dist", FAMILY_GRAPH, "Warnsdorff-EP (dist.)",
-         lambda g: plan_warnsdorff(g, WarnsdorffConfig("distance", "EP"))),
+         lambda g: plan_warnsdorff(g, terminal_inclusive=False, by_distance=True)),
         ("warnsdorff-ti-index", FAMILY_GRAPH, "Warnsdorff-TI (index)",
-         lambda g: plan_warnsdorff(g, WarnsdorffConfig("index", "TI"))),
+         lambda g: plan_warnsdorff(g, terminal_inclusive=True, by_distance=False)),
         ("warnsdorff-ti-dist", FAMILY_GRAPH, "Warnsdorff-TI (dist.)",
-         lambda g: plan_warnsdorff(g, WarnsdorffConfig("distance", "TI"))),
+         lambda g: plan_warnsdorff(g, terminal_inclusive=True, by_distance=True)),
         ("dfs-backtrack", FAMILY_GRAPH, "DFS-Backtrack", plan_dfs_backtrack),
         ("wavefront-hex", FAMILY_WAVEFRONT, "Wavefront-Hex", plan_wavefront),
-        ("morton", FAMILY_SPACE_FILLING, "Morton Z-order", plan_morton),
+        ("morton", FAMILY_SPACE_FILLING, "Morton Z-order",
+         lambda g: _visit_order_walk(g, morton_order(g))),
     ]
     return {slug: PlannerSpec(slug, fam, disp, fn) for slug, fam, disp, fn in entries}
 

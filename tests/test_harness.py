@@ -41,6 +41,10 @@ PINNED_RESULTS_DIGEST = "075151f3394d0a1fb8b79c61f5c69797471990608759eb1eebde6d5
 # six outside the size band, several with obstacle holes): every geometry
 # stage from sampling to base attachment, checked byte for byte.
 PINNED_SEEDS_0_47_SHA256 = "81bee7c5c5cec3e45208f0428ae6068588d4c5d097649bdf7c8a9f7f1c33d08d"
+# The non-latency results digest of all 17 methods on that dataset.
+PINNED_SEEDS_0_47_RESULTS_DIGEST = (
+    "de6c7ceca2f7fc0b3cf748ec3ad56aff80e32ab28968ceab02aff196a3573a93"
+)
 # SHA-256 of the markdown report (`--strata morphology`) of all 17 methods on
 # that dataset; quality.md and warnsdorff.md are hashed without their
 # latency_mean_ms column, the one number that differs between runs.
@@ -271,15 +275,7 @@ class TestFileBoundary:
         rpath, _ = results
         assert manifest.sha256 == PINNED_DATASET_SHA256
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DATASET_SHA256
-        rows = sorted(
-            json.dumps(
-                {k: v for k, v in json.loads(line).items() if k != "latency_ms"},
-                sort_keys=True, separators=(",", ":"),
-            )
-            for line in rpath.read_text().splitlines()
-        )
-        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
-        assert digest == PINNED_RESULTS_DIGEST
+        assert _results_digest(rpath) == PINNED_RESULTS_DIGEST
 
     def test_pinned_dataset_of_seeds_0_to_47(self, seeds_0_47):
         _, manifest = seeds_0_47
@@ -291,6 +287,7 @@ class TestFileBoundary:
         dpath, _ = seeds_0_47
         rpath, out = tmp_path / "r.jsonl", tmp_path / "rep"
         run_benchmark(dpath, "all", rpath, workers=1)
+        assert _results_digest(rpath) == PINNED_SEEDS_0_47_RESULTS_DIGEST
         write_report(rpath, dpath, out, strata="morphology")
         digests = {
             name: hashlib.sha256(
@@ -483,6 +480,18 @@ def _relabel(path: Path, out: Path, lineno: int, **fields) -> Path:
     return out
 
 
+def _results_digest(path: Path) -> str:
+    """SHA-256 of a results file's sorted non-latency lines."""
+    rows = sorted(
+        json.dumps(
+            {k: v for k, v in json.loads(line).items() if k != "latency_ms"},
+            sort_keys=True, separators=(",", ":"),
+        )
+        for line in path.read_text().splitlines()
+    )
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
 def _drop_md_column(md: str, col: str) -> str:
     """A markdown table without column `col` (unchanged if it has none)."""
     rows = [line[2:-2].split(" | ") for line in md.splitlines()]
@@ -653,8 +662,9 @@ assert "numpy" not in sys.modules, "numpy was imported"
     def test_dataset_checked_against_manifest(
         self, dataset, results, tmp_path, capsys, command
     ):
-        # A relabelled stratum still parses and is still audited feasible:
-        # only the manifest's SHA-256 can tell the file was edited.
+        # The manifest is checked before any record is read: a relabelled
+        # stratum, which the record's own round trip would refuse too, is
+        # refused for its SHA-256.
         dpath, _ = dataset
         rpath, _ = results
         rec = json.loads(dpath.read_text().splitlines()[2])
@@ -720,14 +730,16 @@ assert "numpy" not in sys.modules, "numpy was imported"
     @pytest.mark.parametrize(
         "tamper",
         ["dropped-edge", "moved-terminal", "repeated-cell", "reversed-links",
-         "edge-out-of-range", "extra-key", "link-out-of-range", "radius-0"],
+         "edge-out-of-range", "extra-key", "link-out-of-range", "radius-0",
+         "relabelled-stratum", "edited-id", "repeated-id"],
     )
     @pytest.mark.parametrize("command", ["audit", "run-1", "run-2", "report"])
     def test_records_that_do_not_round_trip_are_refused(
         self, dataset, results, tmp_path, capsys, command, tamper
     ):
-        # A record loads only if instance_to_record writes it back unchanged.
-        # With no manifest beside the file, only the record can show the edit.
+        # A record loads only if instance_to_record writes it back unchanged,
+        # and only if no earlier record has its id. With no manifest beside
+        # the file, only the records can show the edit.
         dpath, _ = dataset
         rpath, _ = results
         lineno, rec = next(
@@ -739,6 +751,7 @@ assert "numpy" not in sys.modules, "numpy was imported"
         # last cell's neighbours: its edges and links stay face-adjacent and
         # in range.
         last = [[min(e), n] for e in edges if n - 1 in e]
+        label = "Irregular" if rec["morphology"]["label"] != "Irregular" else "Compact"
         fields = {
             "dropped-edge": {"edges": edges[1:]},
             "moved-terminal": {"terminal": [1e6, 1e6]},
@@ -749,8 +762,14 @@ assert "numpy" not in sys.modules, "numpy was imported"
             "extra-key": {"note": "edited"},
             "link-out-of-range": {"base_links": [999], "terminal_links": [999]},
             "radius-0": {"hex_radius": 0.0},
+            "relabelled-stratum": {"morphology": {**rec["morphology"], "label": label}},
+            "edited-id": {"id": "hx9999999999"},
+            "repeated-id": {},
         }[tamper]
         edited = _relabel(dpath, tmp_path / "d.jsonl", lineno, **fields)
+        if tamper == "repeated-id":
+            with edited.open("a") as fh:
+                fh.write(json.dumps(rec) + "\n")
         res = tmp_path / "res.jsonl"
         res.write_bytes(rpath.read_bytes())
         run = ["run", "--dataset", str(edited), "--out", str(tmp_path / "r.jsonl")]
@@ -765,7 +784,7 @@ assert "numpy" not in sys.modules, "numpy was imported"
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:")
-        assert f"instance {rec['id']}: " in err[0]
+        assert f"instance {fields.get('id', rec['id'])}: " in err[0]
         assert not (tmp_path / "r.jsonl").exists()
         assert not (tmp_path / "rep").exists()
 
@@ -839,14 +858,13 @@ assert "numpy" not in sys.modules, "numpy was imported"
         assert on_disk == {"version": "hexcover-results/1", "dataset_sha256": manifest.sha256}
 
     def test_report_refuses_results_of_another_dataset(self, dataset, results, tmp_path, capsys):
-        # The relabelled copy carries a fresh manifest of its own, so only the
+        # The edited copy carries a fresh manifest of its own, so only the
         # results manifest can tell that the results were run on another file.
         dpath, _ = dataset
         rpath, _ = results
         rec = json.loads(dpath.read_text().splitlines()[0])
-        label = "Irregular" if rec["morphology"]["label"] != "Irregular" else "Compact"
-        edited = _relabel(dpath, tmp_path / "d.jsonl", 1,
-                          morphology={**rec["morphology"], "label": label})
+        family = "compact" if rec["family_hint"] != "compact" else "irregular"
+        edited = _relabel(dpath, tmp_path / "d.jsonl", 1, family_hint=family)
         manifest = json.loads(Path(str(dpath) + ".manifest.json").read_text())
         manifest["sha256"] = hashlib.sha256(edited.read_bytes()).hexdigest()
         Path(str(edited) + ".manifest.json").write_text(json.dumps(manifest))

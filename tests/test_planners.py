@@ -20,23 +20,40 @@ from hexcover.planners import (
     PLANNERS,
     RECONNECTION_SLUGS,
     WARNSDORFF_SLUGS,
-    WarnsdorffConfig,
     bfs_shortest_path,
     interleaved_row_sequence,
-    interleaved_sweep_order,
-    linear_sweep_order,
     morton_code,
     morton_order,
     onion_rings,
     plan,
     plan_dfs_backtrack,
-    plan_stc,
+    plan_stc_tree,
     plan_warnsdorff,
     plan_wavefront,
-    spiral_order,
+    row_oneway_order,
+    serpentine_order,
+    spiral_outward_order,
     timed_plan,
     wavefront_labels,
 )
+
+
+# What each planner returns on the two-cell disconnected fixture: why it
+# gave up, and the walk so far (base node 2, then cell 0).
+DISCONNECTED_FAILURES = {
+    "stc-tree": ("tree-not-spanning", (2,)),
+    **{slug: ("dead-end", (2, 0)) for slug in (
+        "warnsdorff-ep-index", "warnsdorff-ep-dist",
+        "warnsdorff-ti-index", "warnsdorff-ti-dist",
+    )},
+    "dfs-backtrack": ("unreachable-cells", (2, 0)),
+    "wavefront-hex": ("unreachable-cells", (2, 0)),
+    **{slug: ("unreachable-cell", (2, 0)) for slug in (
+        "boustrophedon", "row-oneway", "segment-snake", "row-interleave",
+        "seg-interleave", "spiral-inward", "spiral-outward", "boundary-peel",
+        "stc-like", "morton",
+    )},
+}
 
 
 def graded(g, res):
@@ -130,7 +147,7 @@ class TestSweeps:
         assert graded(g, res) in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
         # The planned order sweeps every row in the same (west-to-east)
         # direction; fly-backs happen in the reconnection segments.
-        order = linear_sweep_order(g, "row-oneway")
+        order = row_oneway_order(g)
         for r in range(3):
             row_targets = [i for i in order if g.coords[i].row == r]
             cols = [g.coords[i].col for i in row_targets]
@@ -144,7 +161,7 @@ class TestSweeps:
         # 4-row patch: rows targeted in the order 0, 2, 1, 3.
         assert interleaved_row_sequence(4) == [0, 2, 1, 3]
         g = self.make_patch(cols=3, rows=4, base_links=(0,), terminal_links=(0,))
-        order = interleaved_sweep_order(g, "row-interleave")
+        order = serpentine_order(g, interleaved_row_sequence)
         seen_rows = []
         for v in order:
             r = g.coords[v].row
@@ -191,7 +208,7 @@ class TestContour:
         for inst in instances:
             g = inst.graph
             rings = onion_rings(g)
-            order = spiral_order(g, "spiral-outward")
+            order = spiral_outward_order(g)
             assert order[0] in rings[-1]
             cx = sum(g.positions[i].x for i in range(g.n)) / g.n
             cy = sum(g.positions[i].y for i in range(g.n)) / g.n
@@ -214,7 +231,7 @@ class TestStc:
         g = graph_from_coords(
             [OffsetCoord(c, 0) for c in range(4)], 1.0, [0], [0], Point(-2.0, 0.0)
         )
-        res = plan_stc(g, "stc-tree")
+        res = plan_stc_tree(g)
         assert res.walk == (g.base_node, 0, 1, 2, 3, 2, 1, 0, g.terminal_node)
         status, revisits = validate_path(g, res.walk)
         assert status == STATUS_COVERAGE
@@ -226,14 +243,6 @@ class TestStc:
             _, revisits = validate_path(inst.graph, res.walk)
             assert revisits >= inst.graph.n - 1
 
-    def test_stc_tree_fails_on_disconnected_fixture(self):
-        g = graph_from_coords(
-            [OffsetCoord(0, 0), OffsetCoord(4, 4)], 1.0, [0], [0], Point(-2.0, 0.0)
-        )
-        res = plan_stc(g, "stc-tree")
-        assert graded(g, res) == STATUS_FAIL
-        assert res.fail_reason == "tree-not-spanning"
-
     def test_both_variants_cover(self, instances):
         for inst in instances:
             for slug in ("stc-tree", "stc-like"):
@@ -244,9 +253,9 @@ class TestStc:
 class TestWarnsdorff:
     def test_path_graph_all_configs_succeed(self):
         g = chain_graph(4)
-        for tie in ("index", "distance"):
-            for policy in ("EP", "TI"):
-                res = plan_warnsdorff(g, WarnsdorffConfig(tie, policy))
+        for by_distance in (False, True):
+            for terminal_inclusive in (False, True):
+                res = plan_warnsdorff(g, terminal_inclusive, by_distance)
                 assert graded(g, res) == STATUS_HAMILTONIAN
                 assert res.walk == (g.base_node, 0, 1, 2, 3, g.terminal_node)
 
@@ -275,8 +284,8 @@ class TestWarnsdorff:
 
     def test_ep_vs_ti_discrimination(self):
         g, a, j1, j2 = self.ep_ti_fixture()
-        ep = plan_warnsdorff(g, WarnsdorffConfig("index", "EP"))
-        ti = plan_warnsdorff(g, WarnsdorffConfig("index", "TI"))
+        ep = plan_warnsdorff(g, terminal_inclusive=False, by_distance=False)
+        ti = plan_warnsdorff(g, terminal_inclusive=True, by_distance=False)
         assert ep.walk[1] == a and ti.walk[1] == a
         assert ep.walk[2] == j1  # endpoint-aware: d=(1,2)
         assert ti.walk[2] == j2  # terminal-inclusive: d=(2,2), index tie-break
@@ -289,11 +298,6 @@ class TestWarnsdorff:
                 if graded(inst.graph, res) == STATUS_HAMILTONIAN:
                     status, revisits = validate_path(inst.graph, res.walk)
                     assert status == STATUS_HAMILTONIAN and revisits == 0
-
-    def test_rejects_bad_config(self):
-        g = chain_graph(3)
-        with pytest.raises(InvalidParameterError):
-            plan_warnsdorff(g, WarnsdorffConfig("euclid", "EP"))
 
 
 class TestDfsBacktrack:
@@ -321,6 +325,19 @@ class TestDfsBacktrack:
         assert graded(g, res) == STATUS_COVERAGE
         expected = (g.base_node, a, b_, c, e, c, d, c, b_, a, g.terminal_node)
         assert res.walk == expected
+
+    def test_is_warnsdorff_ep_index_until_a_dead_end(self, instances):
+        # DFS-Backtrack takes EP(index)'s step, and only backtracks where EP
+        # stops at a dead end: a Hamiltonian EP walk is DFS-Backtrack's walk.
+        hamiltonian = {"warnsdorff-ep-index": 0, "dfs-backtrack": 0}
+        for inst in instances:
+            walks = {slug: plan(inst.graph, slug) for slug in hamiltonian}
+            for slug, res in walks.items():
+                hamiltonian[slug] += graded(inst.graph, res) == STATUS_HAMILTONIAN
+            if graded(inst.graph, walks["warnsdorff-ep-index"]) == STATUS_HAMILTONIAN:
+                assert walks["dfs-backtrack"].walk == walks["warnsdorff-ep-index"].walk
+        assert hamiltonian["warnsdorff-ep-index"] > 0
+        assert hamiltonian["dfs-backtrack"] == hamiltonian["warnsdorff-ep-index"]
 
     def test_covers_admitted_instances(self, instances):
         for inst in instances:
@@ -405,6 +422,17 @@ class TestDispatch:
                 res = plan(inst.graph, slug)
                 failed = graded(inst.graph, res) == STATUS_FAIL
                 assert (res.fail_reason is not None) == failed, slug
+
+    @pytest.mark.parametrize("slug", PLANNERS)
+    def test_fail_reason_on_disconnected_fixture(self, slug):
+        # Two cells far apart, the second reachable from nothing: each
+        # planner names its own way of giving up.
+        g = graph_from_coords(
+            [OffsetCoord(0, 0), OffsetCoord(4, 4)], 1.0, [0], [0], Point(-2.0, 0.0)
+        )
+        res = plan(g, slug)
+        assert graded(g, res) == STATUS_FAIL
+        assert (res.fail_reason, res.walk) == DISCONNECTED_FAILURES[slug]
 
     def test_dispatch_deterministic(self, instances):
         g = instances[1].graph
