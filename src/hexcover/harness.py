@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from hexcover.aoi import MorphologyClass, label_from
 from hexcover.graphbuild import (
@@ -165,24 +166,25 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _read_jsonl(path: str | Path, schema: str, convert) -> list:
-    """Every record of a JSON-Lines file of `schema`, passed through `convert`.
+def _read_jsonl(path: str | Path, schema: str, convert, check=None) -> tuple[list, str]:
+    """Every record of a JSON-Lines file of `schema`, passed through `convert`,
+    and the SHA-256 of the file's bytes.
 
-    A record of another schema or a parse or `convert` failure raises
+    The file is read once, and `check(sha256)` runs before any record is
+    parsed. A record of another schema or a parse or `convert` failure raises
     DatasetError naming `<path>:<line>:`; a file without records raises
     EmptyDatasetError.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"file not found: {path}")
-    with path.open() as fh:
-        return _parse_jsonl(path, fh, schema, convert)
-
-
-def _parse_jsonl(path: Path, lines, schema: str, convert) -> list:
-    """_read_jsonl over the text lines `lines` of the file at `path`."""
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise DatasetError(f"file not found: {path}") from None
+    digest = hashlib.sha256(data).hexdigest()
+    if check is not None:
+        check(digest)
     out = []
-    for lineno, line in enumerate(lines, start=1):
+    # Decoded and split into lines as a file opened in text mode would be.
+    for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(data)), start=1):
         if not line.strip():
             continue
         try:
@@ -195,7 +197,7 @@ def _parse_jsonl(path: Path, lines, schema: str, convert) -> list:
             raise DatasetError(f"{path}:{lineno}: {exc}") from exc
     if not out:
         raise EmptyDatasetError(f"{path}: file contains no records")
-    return out
+    return out, digest
 
 
 def _audited(rec: dict) -> dict:
@@ -221,31 +223,21 @@ def _read_manifest(path: str | Path, schema: str, key: str):
     return value
 
 
-def _read_dataset(
-    path: str | Path, convert, sha256: str | None = None
-) -> tuple[list, str]:
-    """Every record of a dataset file, passed through `convert`, and the
-    SHA-256 of the file's bytes.
-
-    The file is checked first against its manifest when
-    `<path>.manifest.json` exists, and against `sha256` when given: a
-    manifest of another schema, or a SHA-256 that is not that of the file's
-    bytes, raises DatasetError. So does a record whose id an earlier record
-    already has.
+def _read_dataset(path: str | Path, convert, sha256: str | None = None) -> tuple[list, str]:
+    """_read_jsonl of a dataset file. A manifest of another schema, a SHA-256
+    other than that in `<path>.manifest.json` or `sha256`, or a record whose
+    id an earlier record already has raises DatasetError.
     """
-    try:
-        data = Path(path).read_bytes()
-    except FileNotFoundError:
-        raise DatasetError(f"file not found: {path}") from None
-    digest = hashlib.sha256(data).hexdigest()
-    manifest_sha256 = _read_manifest(path, DATASET_SCHEMA, "sha256")
-    if manifest_sha256 not in (None, digest):
-        raise DatasetError(f"{path}: SHA-256 does not match {path}.manifest.json")
-    if sha256 not in (None, digest):
-        raise DatasetError(
-            f"{path}: SHA-256 {digest[:12]}... is not {sha256[:12]}..., the dataset"
-            " the results were run on"
-        )
+
+    def check(digest: str) -> None:
+        if _read_manifest(path, DATASET_SCHEMA, "sha256") not in (None, digest):
+            raise DatasetError(f"{path}: SHA-256 does not match {path}.manifest.json")
+        if sha256 not in (None, digest):
+            raise DatasetError(
+                f"{path}: SHA-256 {digest[:12]}... is not {sha256[:12]}..., the dataset"
+                " the results were run on"
+            )
+
     seen: set[str] = set()
 
     def once(rec: dict):
@@ -254,10 +246,7 @@ def _read_dataset(
         seen.add(rec["id"])
         return convert(rec)
 
-    # The bytes already read, decoded and split into lines as opening the
-    # file in text mode would.
-    lines = io.TextIOWrapper(io.BytesIO(data))
-    return _parse_jsonl(Path(path), lines, DATASET_SCHEMA, once), digest
+    return _read_jsonl(path, DATASET_SCHEMA, once, check)
 
 
 def load_instances(path: str | Path, sha256: str | None = None) -> list[Instance]:
@@ -310,20 +299,39 @@ def _exit_with_parent(parent: int) -> None:
     threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
-def _pool(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(
-        max_workers=workers, initializer=_exit_with_parent, initargs=(os.getpid(),)
-    )
+def _in_order(fn, tasks: Iterable, workers: int) -> Iterator:
+    """`fn(task)` for each of `tasks`, in task order.
+
+    At 1 worker this is `map(fn, tasks)` in this process. Otherwise a pool of
+    `workers` processes keeps 4 x `workers` tasks ahead of the consumer, so
+    while one slow task holds the consumer up the others go on with the
+    tasks after it. A consumer that stops early, and so drops the generator,
+    cancels the tasks not begun.
+    """
+    if workers == 1:
+        yield from map(fn, tasks)
+        return
+    pool = ProcessPoolExecutor(workers, initializer=_exit_with_parent, initargs=(os.getpid(),))
+    window: deque = deque()
+    try:
+        for task in tasks:
+            window.append(pool.submit(fn, task))
+            if len(window) == 4 * workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)  # waits for the tasks already begun
 
 
-def _build_for_seed(args: tuple[int, dict]):
-    seed, config_dict = args
-    config = GenerationConfig.from_dict(config_dict)
-    family = choose_family(seed, config)
-    out = build_instance(family, seed, config)
+def _build_for_seed(task: tuple[int, GenerationConfig]) -> tuple[int, str, str | None]:
+    """(seed, morphology label, dataset line) for a seed that is admitted,
+    (seed, rejection reason, None) for one that is not."""
+    seed, config = task
+    out = build_instance(choose_family(seed, config), seed, config)
     if isinstance(out, Rejection):
-        return seed, "rej", out.reason
-    return seed, "ok", instance_to_record(out)
+        return seed, out.reason, None
+    return seed, out.morphology.label, _dump_line(instance_to_record(out)) + "\n"
 
 
 def generate_dataset(
@@ -342,43 +350,36 @@ def generate_dataset(
     """
     if count <= 0:
         raise InvalidParameterError("count must be positive")
-    config.validate()
+    cfg_dict = config.to_dict()
+    config = GenerationConfig.from_dict(cfg_dict)  # validated, typed as the manifest reads back
     workers = resolve_workers(workers)
     out_path = Path(out_path)
     # An output directory that cannot be made fails before any seed is built.
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
-    records: list[dict] = []
-    rejections: dict[str, int] = {}
-    morphology: dict[str, int] = {}
-    next_seed = seed
-    cfg_dict = config.to_dict()
+    lines: list[str] = []
+    rejections: Counter = Counter()
+    morphology: Counter = Counter()
+    rejected_in_a_row = 0
 
-    # Sampling draws from numpy. The workers fork from this process, so one
+    # Sampling draws from numpy. Pool workers fork from this process, so one
     # import here spares each of them its own.
     import numpy  # noqa: F401
 
-    # Results are consumed in seed order from a bounded window of futures:
-    # while one slow audit holds up the consumer, the other workers keep
-    # building the seeds after it.
-    rejected_in_a_row = 0
-    with _pool(workers) as pool:
-        window: deque = deque()
-        while len(records) < count and rejected_in_a_row < MAX_CONSECUTIVE_REJECTIONS:
-            while len(window) < 4 * workers:
-                window.append(pool.submit(_build_for_seed, (next_seed, cfg_dict)))
-                next_seed += 1
-            last_seed, kind, payload = window.popleft().result()
-            if kind == "rej":
-                rejections[payload] = rejections.get(payload, 0) + 1
-                rejected_in_a_row += 1
-            else:
-                records.append(payload)
-                label = payload["morphology"]["label"]
-                morphology[label] = morphology.get(label, 0) + 1
-                rejected_in_a_row = 0
-        pool.shutdown(cancel_futures=True)
-    if len(records) < count:
+    tasks = ((s, config) for s in itertools.count(seed))
+    for last_seed, outcome, line in _in_order(_build_for_seed, tasks, workers):
+        if line is None:
+            rejections[outcome] += 1
+            rejected_in_a_row += 1
+            if rejected_in_a_row == MAX_CONSECUTIVE_REJECTIONS:
+                break
+        else:
+            lines.append(line)
+            morphology[outcome] += 1
+            rejected_in_a_row = 0
+            if len(lines) == count:
+                break
+    if len(lines) < count:
         tally = ", ".join(f"{r} {n}" for r, n in sorted(rejections.items()))
         raise InvalidParameterError(
             f"seeds {last_seed - rejected_in_a_row + 1}-{last_seed} were all rejected"
@@ -386,7 +387,7 @@ def generate_dataset(
             " instances"
         )
 
-    payload_text = "".join(_dump_line(rec) + "\n" for rec in records)
+    payload_text = "".join(lines)
     out_path.write_text(payload_text)
     digest = hashlib.sha256(payload_text.encode()).hexdigest()
     manifest = DatasetManifest(
@@ -460,20 +461,21 @@ def resolve_methods(methods: Sequence[str] | str) -> list[str]:
     return out
 
 
-def _evaluate_instance(args: tuple[dict, list[str]]) -> list[dict]:
-    rec, methods = args
-    inst = record_to_instance(rec)
+def _evaluate_instances(task: tuple[list[dict], list[str]]) -> list[dict]:
+    records, methods = task
     out = []
-    for method in methods:
-        try:
-            result, ms = timed_plan(inst.graph, method)
-            status, revisits, distance, turns = compute_path_metrics(inst.graph, result.walk)
-        except Exception as exc:  # one line naming the cell, not a traceback
-            raise EvaluationError(
-                f"instance {inst.id}, method {method}: {type(exc).__name__}: {exc}"
-            ) from exc
-        record = ResultRecord(inst.id, method, status, result.walk, revisits, distance, turns, ms)
-        out.append(record.to_dict())
+    for inst in map(record_to_instance, records):
+        for method in methods:
+            try:
+                result, ms = timed_plan(inst.graph, method)
+                status, revisits, distance, turns = compute_path_metrics(inst.graph, result.walk)
+            except Exception as exc:  # one line naming the cell, not a traceback
+                raise EvaluationError(
+                    f"instance {inst.id}, method {method}: {type(exc).__name__}: {exc}"
+                ) from exc
+            walk = result.walk
+            record = ResultRecord(inst.id, method, status, walk, revisits, distance, turns, ms)
+            out.append(record.to_dict())
     return out
 
 
@@ -497,15 +499,10 @@ def run_benchmark(
         # An output directory that cannot be made fails before any plan runs.
         out_path = Path(out_path)
         out_path.parent.mkdir(parents=True, exist_ok=True)
-    tasks = [(rec, method_list) for rec in raw_records]
-    results: list[dict] = []
-    if workers == 1:
-        for task in tasks:
-            results.extend(_evaluate_instance(task))
-    else:
-        with _pool(workers) as pool:
-            for chunk in pool.map(_evaluate_instance, tasks, chunksize=4):
-                results.extend(chunk)
+    # Four instances a task: one a task spends about 5 % more of the wall time
+    # on pool round trips (1000 instances, 2 workers on 2 CPUs).
+    tasks = [(raw_records[i : i + 4], method_list) for i in range(0, len(raw_records), 4)]
+    results = [r for chunk in _in_order(_evaluate_instances, tasks, workers) for r in chunk]
 
     results.sort(key=lambda r: (r["instance_id"], r["method"]))
     records = [ResultRecord.from_dict(r) for r in results]
@@ -542,7 +539,7 @@ def load_results(
             )
         return rec
 
-    records = _read_jsonl(path, RESULTS_SCHEMA, convert)
+    records, _ = _read_jsonl(path, RESULTS_SCHEMA, convert)
     missing = sorted(graphs.keys() - {r.instance_id for r in records})
     if missing:
         head = ", ".join(missing[:5])

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from hexcover.graphbuild import CoverageGraph
 from hexcover.hexgeom import InvalidParameterError
 
-PRUNE_CONNECTIVITY = "connectivity"
 PRUNE_LOW_DEGREE = "low-degree"
 PRUNE_TERMINAL = "terminal-reach"
 PRUNE_CUT = "cut-cell"
-ALL_PRUNES = frozenset({PRUNE_CONNECTIVITY, PRUNE_LOW_DEGREE, PRUNE_TERMINAL, PRUNE_CUT})
+ALL_PRUNES = frozenset({PRUNE_LOW_DEGREE, PRUNE_TERMINAL, PRUNE_CUT})
 
 BRUTE_FORCE_MAX_CELLS = 12
 
@@ -150,16 +149,15 @@ def _dfs(
 
     The pruning set only discards provably dead branches:
 
-    - connectivity: every unvisited cell must stay reachable from the current
-      cell through unvisited cells;
     - low-degree: among unvisited cells, only the next move and the final
       cell may have at most one unvisited neighbor, and only the final cell
       may have none;
     - terminal-reach: some unvisited cell adjacent to the terminal must
       remain, or the path cannot end;
-    - cut-cell: see `_cut_cells_admit`.
+    - cut-cell: see `_cut_cells_admit`; among what it refuses is every state
+      that leaves an unvisited cell unreachable from the current one.
 
-    Only terminal-reach, an O(1) test, runs at every node. The other three
+    Only terminal-reach, an O(1) test, runs at every node. The other two
     cost a pass over the unvisited cells, and a search that never backtracks
     gains nothing from them, so they run only once some child has returned
     False. A prune cuts only subtrees without a solution, so the first
@@ -175,7 +173,6 @@ def _dfs(
         term_mask |= 1 << t
     terminal_reach = PRUNE_TERMINAL in prunes
     low_degree = PRUNE_LOW_DEGREE in prunes
-    connectivity = PRUNE_CONNECTIVITY in prunes
     cut_cell = PRUNE_CUT in prunes
 
     expanded = 0
@@ -208,21 +205,6 @@ def _dfs(
                     if d <= 1:
                         low += 1
                 if zero >= 2 or low > 2:
-                    return False
-
-            if connectivity:
-                frontier = adj[v] & unvisited
-                reach = frontier
-                while frontier:
-                    nxt = 0
-                    m = frontier
-                    while m:
-                        b = m & -m
-                        nxt |= adj[b.bit_length() - 1]
-                        m ^= b
-                    frontier = nxt & unvisited & ~reach
-                    reach |= frontier
-                if reach != unvisited:
                     return False
 
             if cut_cell and not _cut_cells_admit(v, unvisited, adj, term_mask):

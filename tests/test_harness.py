@@ -115,6 +115,29 @@ class TestGenerate:
         generate_dataset(N_SMALL, seed=0, config=GenerationConfig(), out_path=par, workers=3)
         assert path.read_bytes() == par.read_bytes()
 
+    def test_one_worker_starts_no_pool(self, dataset, tmp_path, monkeypatch):
+        path, _ = dataset
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started at 1 worker")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        serial = tmp_path / "serial.jsonl"
+        generate_dataset(N_SMALL, seed=0, config=GenerationConfig(), out_path=serial, workers=1)
+        assert serial.read_bytes() == path.read_bytes()
+
+    def test_one_worker_builds_no_seed_past_the_last(self, tmp_path, monkeypatch):
+        built = []
+        real = harness.build_instance
+
+        def counting(family, seed, config):
+            built.append(seed)
+            return real(family, seed, config)
+
+        monkeypatch.setattr(harness, "build_instance", counting)
+        manifest = generate_dataset(N_SMALL, 0, GenerationConfig(), tmp_path / "d.jsonl", workers=1)
+        assert built == list(range(manifest.seeds_scanned))
+
     def test_size_band_and_audit_flags(self, dataset):
         path, _ = dataset
         instances = load_instances(path)
@@ -608,10 +631,12 @@ class TestCli:
     def test_bad_config_is_validation_error(
         self, tmp_path, monkeypatch, capsys, config, says
     ):
-        def no_pool(*args, **kwargs):
+        def no_build(*args):
             raise AssertionError("generation started on a bad config")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        # Every seed is built through this name, in the command's process or
+        # in a forked pool worker, which inherits the patch.
+        monkeypatch.setattr(harness, "build_instance", no_build)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         data = tmp_path / "d.jsonl"
@@ -839,9 +864,9 @@ assert "numpy" not in sys.modules, "numpy was imported"
             started.append(args)
             raise AssertionError("work started")
 
-        # generate builds seeds only in its pool; run plans every cell.
+        # generate builds every seed; run plans every cell.
         if command == "generate":
-            monkeypatch.setattr(harness, "_pool", work)
+            monkeypatch.setattr(harness, "build_instance", work)
             argv = ["generate", "--count", "3", "--out", out, "--workers", "1"]
         else:
             monkeypatch.setattr(harness, "timed_plan", work)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import zlib
@@ -21,7 +22,6 @@ from hexcover.metrics import STATUS_HAMILTONIAN, validate_path
 from hexcover.oracle import (
     ALL_PRUNES,
     DFS_NODE_CAP,
-    PRUNE_CONNECTIVITY,
     PRUNE_CUT,
     PRUNE_LOW_DEGREE,
     PRUNE_TERMINAL,
@@ -34,6 +34,8 @@ from hexcover.oracle import (
 # [seed, feasible, witness] rows as compact JSON.
 AUDITED_SEEDS_0_199 = 174
 PINNED_WITNESSES_0_199 = "e31cde1c668e8c151d4c628f51625a2d8e6066f2b287be5b0f240931e379452c"
+# The SHA-256 of their [seed, feasible, nodes_expanded] rows, likewise.
+PINNED_NODES_0_199 = "55c287e9acfd017a235080cb5bf75062a3c300ef0dfb7c1f79c30ef4e8e12ec6"
 
 
 def spur_ring_graph(base_coord, terminal_coord):
@@ -61,6 +63,21 @@ def seed_graph(seed):
     mask = tessellate(shape, cfg.hex_radius)
     coords = postprocess_mask(mask.coords)
     return attach_base(replace(mask, coords=coords), shape, seed)
+
+
+@functools.lru_cache(maxsize=1)
+def audits_of_seeds_0_199() -> list:
+    """(seed, audit) of every seed of 0-199 whose graph reaches the audit."""
+    lo, hi = GenerationConfig().size_band
+    rows = []
+    for seed in range(200):
+        try:
+            g = seed_graph(seed)
+        except ValueError:  # degenerate shape or no base attachment
+            continue
+        if lo <= g.n <= hi:
+            rows.append((seed, hamiltonian_audit(g)))
+    return rows
 
 
 class TestAudit:
@@ -174,9 +191,7 @@ class TestBruteForceAgreement:
 class TestPruningSoundness:
     """Each pruning rule must never change the decision, only the node count."""
 
-    @pytest.mark.parametrize(
-        "rule", [PRUNE_CONNECTIVITY, PRUNE_LOW_DEGREE, PRUNE_TERMINAL, PRUNE_CUT]
-    )
+    @pytest.mark.parametrize("rule", [PRUNE_LOW_DEGREE, PRUNE_TERMINAL, PRUNE_CUT])
     def test_rule_decision_equivalence(self, rule):
         rng = np.random.default_rng(zlib.crc32(rule.encode()))
         for _ in range(150):
@@ -241,19 +256,19 @@ class TestPrunesKeepTheWitness:
     def test_witnesses_of_seeds_0_199_pinned(self):
         # Taken before the low-degree and connectivity rules waited for the
         # first dead end: a prune change that reorders the search fails here.
-        lo, hi = GenerationConfig().size_band
-        rows = []
-        for seed in range(200):
-            try:
-                g = seed_graph(seed)
-            except ValueError:  # degenerate shape or no base attachment
-                continue
-            if lo <= g.n <= hi:
-                res = hamiltonian_audit(g)
-                rows.append([seed, res.feasible, res.witness])
+        rows = [[seed, res.feasible, res.witness] for seed, res in audits_of_seeds_0_199()]
         assert len(rows) == AUDITED_SEEDS_0_199
         blob = json.dumps(rows, separators=(",", ":")).encode()
         assert hashlib.sha256(blob).hexdigest() == PINNED_WITNESSES_0_199
+
+    def test_nodes_of_seeds_0_199_pinned(self):
+        # A prune that decides only states another rule already refuses
+        # leaves every node count as it is; one that cuts more moves them.
+        rows = [
+            [seed, res.feasible, res.nodes_expanded] for seed, res in audits_of_seeds_0_199()
+        ]
+        blob = json.dumps(rows, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == PINNED_NODES_0_199
 
 
 class TestFrontierDp:
