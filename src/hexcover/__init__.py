@@ -1,61 +1,52 @@
-"""hexcover: coverage path planning benchmark on irregular hexagonal graphs."""
+"""hexcover: coverage path planning benchmark on irregular hexagonal graphs.
 
-from hexcover.aoi import (
-    AoiShape,
-    MorphologyClass,
-    classify_morphology,
-    insert_obstacles,
-    sample_aoi,
-)
-from hexcover.graphbuild import (
-    CoverageGraph,
-    GenerationConfig,
-    Instance,
-    Rejection,
-    attach_base,
-    build_instance,
-    graph_from_coords,
-    postprocess_mask,
-    tessellate,
-)
-from hexcover.harness import (
-    DatasetManifest,
-    ResultRecord,
-    audit_dataset,
-    generate_dataset,
-    load_instances,
-    load_results,
-    run_benchmark,
-    write_report,
-)
-from hexcover.hexgeom import (
-    InvalidGeometryError,
-    InvalidParameterError,
-    OffsetCoord,
-    Point,
-    PolygonWithHoles,
-    face_neighbors,
-    hexagon_ring,
-    min_rotated_rect,
-    offset_to_center,
-    polygon_metrics,
-)
-from hexcover.metrics import (
-    SummaryRow,
-    aggregate_summary,
-    compute_path_metrics,
-    path_distance,
-    path_turns,
-    validate_path,
-)
-from hexcover.oracle import AuditResult, brute_force_enumerate, hamiltonian_audit
-from hexcover.planners import (
-    METHOD_ORDER,
-    PLANNERS,
-    PlanResult,
-    bfs_shortest_path,
-    plan,
-    timed_plan,
-)
+The package root imports none of its modules. Each exported name is looked
+up in `_EXPORTS` on first use (PEP 562), which imports the one module that
+defines it, so `from hexcover import plan` loads `planners` and what it
+needs, and `hexcover --help` loads only `hexcover.cli`. `from hexcover import
+aoi` still imports the submodule.
+"""
 
+import importlib
+
+_EXPORTS = {
+    "aoi": (
+        "AoiShape", "MorphologyClass", "classify_morphology", "insert_obstacles",
+        "sample_aoi",
+    ),
+    "graphbuild": (
+        "CoverageGraph", "GenerationConfig", "Instance", "Rejection", "attach_base",
+        "build_instance", "graph_from_coords", "postprocess_mask", "tessellate",
+    ),
+    "harness": (
+        "DatasetManifest", "ResultRecord", "audit_dataset", "generate_dataset",
+        "load_instances", "load_results", "run_benchmark", "write_report",
+    ),
+    "hexgeom": (
+        "InvalidGeometryError", "InvalidParameterError", "OffsetCoord", "Point",
+        "PolygonWithHoles", "face_neighbors", "hexagon_ring", "min_rotated_rect",
+        "offset_to_center", "polygon_metrics",
+    ),
+    "metrics": (
+        "SummaryRow", "aggregate_summary", "compute_path_metrics", "path_distance",
+        "path_turns", "validate_path",
+    ),
+    "oracle": ("AuditResult", "brute_force_enumerate", "hamiltonian_audit"),
+    "planners": (
+        "METHOD_ORDER", "PLANNERS", "PlanResult", "bfs_shortest_path", "plan", "timed_plan",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # An AttributeError here lets `from hexcover import <submodule>` fall
+    # back to importing the submodule.
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value

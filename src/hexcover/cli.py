@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 validation failure (infeasible dataset, unknown
 method, incomplete matrix, bad config, a planner or metric that raised), 2 I/O
 failure (missing or unreadable files, parse errors, a dataset that does not
 match its manifest).
+
+This module imports the rest of the package only after the arguments parse,
+and each command imports what it runs, so `--help` and a usage error load
+nothing but `argparse` and this module.
 """
 
 from __future__ import annotations
@@ -13,24 +17,15 @@ import json
 import sys
 from pathlib import Path
 
-from hexcover.graphbuild import GenerationConfig
-from hexcover.harness import (
-    DatasetError,
-    EvaluationError,
-    audit_dataset,
-    generate_dataset,
-    run_benchmark,
-    write_report,
-)
-from hexcover.hexgeom import InvalidParameterError
-from hexcover.metrics import IncompleteMatrixError
-
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
-def _load_config(path: str | None) -> GenerationConfig:
+def _load_config(path: str | None):
+    from hexcover.graphbuild import GenerationConfig
+    from hexcover.harness import DatasetError
+
     if path is None:
         return GenerationConfig()
     try:
@@ -43,6 +38,8 @@ def _load_config(path: str | None) -> GenerationConfig:
 
 
 def _cmd_generate(args) -> int:
+    from hexcover.harness import generate_dataset
+
     config = _load_config(args.config)
     manifest = generate_dataset(
         args.count, args.seed, config, args.out, workers=args.workers
@@ -58,6 +55,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from hexcover.harness import audit_dataset
+
     report = audit_dataset(args.dataset)
     print(f"instances: {report['total']}")
     print(f"feasible: {report['feasible']}")
@@ -69,6 +68,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from hexcover.harness import run_benchmark
+
     methods = args.methods.split(",") if args.methods != "all" else "all"
     records = run_benchmark(args.dataset, methods, args.out, workers=args.workers)
     print(f"wrote {len(records)} result records to {args.out}")
@@ -76,6 +77,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from hexcover.harness import write_report
+
     written = write_report(
         args.results,
         args.dataset,
@@ -128,6 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    from hexcover.harness import DatasetError, EvaluationError
+    from hexcover.hexgeom import InvalidParameterError
+    from hexcover.metrics import IncompleteMatrixError
+
     try:
         return args.fn(args)
     except (InvalidParameterError, IncompleteMatrixError, EvaluationError) as exc:

@@ -310,32 +310,48 @@ def _components(cells, table) -> list[set[tuple[int, int]]]:
 
 
 def exterior_boundary(cells: frozenset[OffsetCoord] | set[OffsetCoord]) -> set[OffsetCoord]:
-    """Mask cells adjacent to the unbounded complement region."""
+    """Mask cells adjacent to the unbounded complement region.
+
+    The complement is flood-filled inside the cells' bounding box grown by
+    one, held as one integer: box column k takes bits k*s .. k*s + height - 1
+    with s = height + 1, and the bit left over between columns stays clear,
+    so no shift carries a row off one column into the next. A cell's
+    neighbours are 1 and s bits away, and s + 1 or s - 1 bits away as its
+    column is even or odd (`neighbor_offsets`).
+    """
     if not cells:
         return set()
+    cells = list(cells)  # one order for cols, rows and bits
     cols = [c[0] for c in cells]
     rows = [c[1] for c in cells]
-    lo_c, hi_c = min(cols) - 1, max(cols) + 1
-    lo_r, hi_r = min(rows) - 1, max(rows) + 1
-    start = (lo_c, lo_r)
-    outside = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for col, row in frontier:
-            for dc, dr in neighbor_offsets(col):
-                nb = (col + dc, row + dr)
-                if nb in outside or nb in cells:
-                    continue
-                if lo_c <= nb[0] <= hi_c and lo_r <= nb[1] <= hi_r:
-                    outside.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    return {
-        c
-        for c in cells
-        if any((c[0] + dc, c[1] + dr) in outside for dc, dr in neighbor_offsets(c[0]))
-    }
+    lo_c, lo_r = min(cols) - 1, min(rows) - 1
+    height = max(rows) - lo_r + 2
+    s = height + 1
+    bits = [(col - lo_c) * s + row - lo_r for col, row in zip(cols, rows)]
+    column = (1 << height) - 1
+    even = odd = 0
+    for k in range(max(cols) - lo_c + 2):
+        if (lo_c + k) & 1:
+            odd |= column << k * s
+        else:
+            even |= column << k * s
+    occupied = 0
+    for i in bits:
+        occupied |= 1 << i
+    free = (even | odd) & ~occupied
+
+    def grow(x: int) -> int:
+        e, o = x & even, x & odd
+        return (
+            x | x << 1 | x >> 1 | x << s | x >> s
+            | e << (s + 1) | e >> (s - 1) | o << (s - 1) | o >> (s + 1)
+        )
+
+    outside, seen = 1, 0  # bit 0 is the box corner (lo_c, lo_r), never a cell
+    while outside != seen:
+        seen, outside = outside, grow(outside) & free
+    touched = grow(outside)
+    return {c for c, i in zip(cells, bits) if touched >> i & 1}
 
 
 def postprocess_mask(mask) -> frozenset[OffsetCoord]:

@@ -16,7 +16,6 @@ import os
 import threading
 import time
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -66,13 +65,16 @@ class EvaluationError(RuntimeError):
 
 
 def resolve_workers(workers: int | None) -> int:
-    """`workers` if given, else `HEXCOVER_WORKERS`, else one per CPU.
+    """`workers` if given, else `HEXCOVER_WORKERS`, else one per CPU this
+    process may run on.
 
     A count below 1 or a non-integer `HEXCOVER_WORKERS` is rejected.
     """
     if workers is None:
         env = os.environ.get("HEXCOVER_WORKERS")
         if not env:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
             return max(1, os.cpu_count() or 1)
         try:
             workers = int(env)
@@ -311,6 +313,8 @@ def _in_order(fn, tasks: Iterable, workers: int) -> Iterator:
     if workers == 1:
         yield from map(fn, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(workers, initializer=_exit_with_parent, initargs=(os.getpid(),))
     window: deque = deque()
     try:
@@ -362,9 +366,11 @@ def generate_dataset(
     morphology: Counter = Counter()
     rejected_in_a_row = 0
 
-    # Sampling draws from numpy. Pool workers fork from this process, so one
-    # import here spares each of them its own.
+    # Sampling draws from numpy and admission runs the oracle. Pool workers
+    # fork from this process, so one import here spares each of them its own.
     import numpy  # noqa: F401
+
+    import hexcover.oracle  # noqa: F401
 
     tasks = ((s, config) for s in itertools.count(seed))
     for last_seed, outcome, line in _in_order(_build_for_seed, tasks, workers):

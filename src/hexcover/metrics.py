@@ -14,7 +14,6 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from statistics import mean, stdev
 from typing import Iterable, Sequence
 
 from hexcover.graphbuild import CoverageGraph
@@ -155,6 +154,16 @@ def aggregate_summary(
         head = ", ".join(f"{i}:{m}" for i, m in missing[:5])
         raise IncompleteMatrixError(f"{len(missing)} missing result cells ({head} ...)")
 
+    # Imported here, not with the module: `audit` and `run` load this module
+    # but never aggregate.
+    from statistics import mean, stdev
+
+    def _mean(xs: list) -> float | None:
+        return mean(xs) if xs else None
+
+    def _sd(xs: list) -> float | None:
+        return stdev(xs) if len(xs) >= 2 else None
+
     rows = []
     total = len(instance_ids)
     for method in methods:
@@ -183,10 +192,3 @@ def aggregate_summary(
         )
     return rows
 
-
-def _mean(xs: list) -> float | None:
-    return mean(xs) if xs else None
-
-
-def _sd(xs: list) -> float | None:
-    return stdev(xs) if len(xs) >= 2 else None

@@ -1,4 +1,5 @@
 import builtins
+import concurrent.futures
 import hashlib
 import io
 import json
@@ -121,7 +122,7 @@ class TestGenerate:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started at 1 worker")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         serial = tmp_path / "serial.jsonl"
         generate_dataset(N_SMALL, seed=0, config=GenerationConfig(), out_path=serial, workers=1)
         assert serial.read_bytes() == path.read_bytes()
@@ -586,6 +587,14 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "worker" in err[0].lower()
 
+    def test_default_workers_are_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.delenv("HEXCOVER_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert harness.resolve_workers(None) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert harness.resolve_workers(None) == 8
+
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code = cli_main(["audit", "--dataset", str(tmp_path / "nope.jsonl")])
         assert code == 2
@@ -667,6 +676,46 @@ assert main(["report", "--results", res, "--dataset", data, "--out", rep,
 assert "numpy" not in sys.modules, "numpy was imported"
 """
         proc = run_python(code, str(path), str(res), str(rep), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_each_command_imports_only_what_it_runs(self, dataset, tmp_path):
+        data = str(dataset[0])
+        code = """
+import contextlib, io, json, sys
+from hexcover.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+        def modules(*argv: str) -> set[str]:
+            proc = run_python(code, *argv, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            exit_code, loaded = json.loads(proc.stdout)
+            assert exit_code == 0
+            return set(loaded)
+
+        pool = {"concurrent.futures.process", "multiprocessing"}
+        ours = {m for m in modules("--help") if m.split(".")[0] == "hexcover"}
+        assert ours == {"hexcover", "hexcover.cli"}
+        assert not modules("audit", "--dataset", data) & (pool | {"statistics"})
+        assert not modules("run", "--dataset", data, "--methods", "all", "--workers", "1",
+                           "--out", str(tmp_path / "r.jsonl")) & pool
+        assert not modules("generate", "--count", "2", "--workers", "1",
+                           "--out", str(tmp_path / "d.jsonl")) & pool
+
+    def test_every_exported_name_imports(self):
+        code = """
+import hexcover
+for name in hexcover.__all__:
+    exec(f"from hexcover import {name}")
+from hexcover import aoi
+assert aoi.__name__ == "hexcover.aoi"
+"""
+        proc = run_python(code, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
     def test_generate_stops_when_no_seed_can_pass(self, tmp_path):
