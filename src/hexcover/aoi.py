@@ -101,8 +101,10 @@ def classify_morphology(p: PolygonWithHoles) -> MorphologyClass:
     return MorphologyClass(label_from(c, aspect), c, aspect)
 
 
-def _radial_ring(rng: np.random.Generator, base_r: float, harmonics) -> tuple[Point, ...]:
-    """Counterclockwise radial polygon r(theta) = base_r * (1 + sum of cosines)."""
+def _radial_ring(rng: np.random.Generator, harmonics, rx: float, ry: float) -> tuple[Point, ...]:
+    """Counterclockwise radial polygon (rx r cos t, ry r sin t), where r(t) =
+    max(0.25, 1 + sum of amp cos(k t + phase)) over the (k, amp) `harmonics`;
+    each phase is drawn as its harmonic comes up."""
     import numpy as np
 
     thetas = np.linspace(0.0, 2.0 * math.pi, _RING_VERTICES, endpoint=False)
@@ -110,8 +112,11 @@ def _radial_ring(rng: np.random.Generator, base_r: float, harmonics) -> tuple[Po
     for k, amp in harmonics:
         phase = rng.uniform(0.0, 2.0 * math.pi)
         radii += amp * np.cos(k * thetas + phase)
-    radii = np.maximum(radii, 0.25) * base_r
-    return tuple(Point(float(r * math.cos(t)), float(r * math.sin(t))) for r, t in zip(radii, thetas))
+    radii = np.maximum(radii, 0.25)
+    return tuple(
+        Point(float(rx * r * math.cos(t)), float(ry * r * math.sin(t)))
+        for r, t in zip(radii, thetas)
+    )
 
 
 def sample_aoi(family_hint: str, seed: int, scale: float) -> AoiShape:
@@ -134,26 +139,19 @@ def sample_aoi(family_hint: str, seed: int, scale: float) -> AoiShape:
     if family_hint == FAMILY_COMPACT:
         base_r = math.sqrt(area_target / math.pi)
         harmonics = [(k, rng.uniform(0.02, 0.09) * 2.0 / k) for k in (2, 3, 4)]
-        ring = _radial_ring(rng, base_r, harmonics)
+        ring = _radial_ring(rng, harmonics, base_r, base_r)
     elif family_hint == FAMILY_IRREGULAR:
         base_r = math.sqrt(area_target / math.pi)
         ks = rng.choice(np.arange(3, 8), size=3, replace=False)
         harmonics = [(int(k), rng.uniform(0.10, 0.24)) for k in ks]
-        ring = _radial_ring(rng, base_r, harmonics)
+        ring = _radial_ring(rng, harmonics, base_r, base_r)
     else:
         aspect_t = rng.uniform(2.15, 3.1)
         b = math.sqrt(area_target / (math.pi * aspect_t))
-        a = aspect_t * b
-        thetas = np.linspace(0.0, 2.0 * math.pi, _RING_VERTICES, endpoint=False)
-        radii = np.full(_RING_VERTICES, 1.0)
-        for k in (3, 4, 5):
-            amp = rng.uniform(0.01, 0.05)
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            radii += amp * np.cos(k * thetas + phase)
-        ring = tuple(
-            Point(float(a * r * math.cos(t)), float(b * r * math.sin(t)))
-            for r, t in zip(radii, thetas)
-        )
+        # A generator, so each amplitude is drawn just before its phase; the
+        # radii stay at or above 1 - 3 * 0.05, so the floor never applies.
+        harmonics = ((k, rng.uniform(0.01, 0.05)) for k in (3, 4, 5))
+        ring = _radial_ring(rng, harmonics, aspect_t * b, b)
 
     polygon = PolygonWithHoles(ring)
     polygon.validate()

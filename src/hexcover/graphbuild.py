@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -103,7 +102,8 @@ class CoverageGraph:
     the terminal node n+1. Both virtual nodes share one physical position and
     one set of linked outer-ring cells. `coords` holds the lattice coordinate
     of every cell and `positions` the point of every node id, the two virtual
-    nodes included.
+    nodes included. `adjacency[v]` holds the ascending neighbours of node v,
+    and `internal_adjacency[i]` the neighbour cells of cell i.
     """
 
     def __init__(
@@ -153,15 +153,6 @@ class CoverageGraph:
         for i in self.terminal_links:
             full[i] += (n + 1,)
         self.adjacency = tuple(full)
-
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        return self.adjacency[node]
-
-    def cell_neighbors(self, i: int) -> tuple[int, ...]:
-        return self.internal_adjacency[i]
-
-    def is_edge(self, a: int, b: int) -> bool:
-        return b in self.adjacency[a]
 
     @functools.cached_property
     def base_radius(self) -> float:
@@ -483,6 +474,14 @@ def attach_base(
 # Full instance pipeline
 
 
+def _json_number(value, kind=(int, float)):
+    """`value` if it is a JSON number of Python type `kind`: JSON true and
+    false load as bools, which Python counts as ints."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{value!r} is not a JSON number of the right type")
+    return value
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     hex_radius: float = 1.0
@@ -523,10 +522,10 @@ class GenerationConfig:
         if not isinstance(d, dict):
             raise InvalidParameterError("generation config must be a JSON object")
         convert = {
-            "hex_radius": float,
-            "scale": float,
-            "size_band": lambda band: tuple(map(operator.index, band)),
-            "family_mix": lambda mix: tuple((f, float(w)) for f, w in mix),
+            "hex_radius": lambda value: float(_json_number(value)),
+            "scale": lambda value: float(_json_number(value)),
+            "size_band": lambda band: tuple(_json_number(b, int) for b in band),
+            "family_mix": lambda mix: tuple((f, float(_json_number(w))) for f, w in mix),
         }
         kwargs = {}
         for key, value in d.items():

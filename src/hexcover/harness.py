@@ -103,7 +103,7 @@ def instance_to_record(inst: Instance) -> dict:
         "hex_radius": inst.hex_radius,
         "frame": {"origin": [g.frame.origin.x, g.frame.origin.y], "angle": g.frame.angle},
         "cells": [[col, row, x, y] for (col, row), (x, y) in zip(g.coords, g.positions)],
-        "edges": [[i, j] for i in range(g.n) for j in g.cell_neighbors(i) if i < j],
+        "edges": [[i, j] for i in range(g.n) for j in g.internal_adjacency[i] if i < j],
         "base": [*g.base_pos],
         "terminal": [*g.base_pos],
         "base_links": list(g.base_links),

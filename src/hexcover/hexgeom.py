@@ -257,13 +257,6 @@ class PolygonWithHoles:
                 if _rings_interact(holes[i], holes[j]):
                     raise InvalidGeometryError("holes are not pairwise disjoint")
 
-    @functools.cached_property
-    def _clip_subjects(self) -> tuple[Sequence[Point], ...]:
-        """The outer ring and each reversed hole, each counterclockwise, as
-        hexagon_clip_areas takes a subject; computed once per polygon."""
-        rings = (self.outer, *(list(reversed(hole)) for hole in self.holes))
-        return tuple(_counterclockwise(ring) for ring in rings)
-
     def contains(self, pt: Point) -> bool:
         """Point lies in free space: inside outer, outside every hole."""
         if not point_in_ring(pt, self.outer):
@@ -496,7 +489,10 @@ def free_overlap_areas(centers, h: float, polygon: PolygonWithHoles):
     by free space (outer minus holes), as an array of m areas."""
     import numpy as np
 
-    outer, *holes = polygon._clip_subjects
+    # The outer ring and each reversed hole, each counterclockwise, as
+    # hexagon_clip_areas takes a subject.
+    outer = _counterclockwise(polygon.outer)
+    holes = [_counterclockwise(list(reversed(hole))) for hole in polygon.holes]
     area = hexagon_clip_areas(outer, centers, h)
     rows = np.flatnonzero(area != 0.0)
     if holes and len(rows):

@@ -10,15 +10,12 @@ uniform scaling of the instance.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from hexcover.graphbuild import CoverageGraph
-
-log = logging.getLogger(__name__)
 
 STATUS_HAMILTONIAN = "HamiltonianSuccess"
 STATUS_COVERAGE = "CoverageSuccess"
@@ -64,7 +61,7 @@ def validate_path(g: CoverageGraph, walk: Sequence[int]) -> tuple[str, int]:
         if node >= g.n:
             raise MalformedWalkError("virtual node inside the walk body")
     for a, b in zip(walk, walk[1:]):
-        if not g.is_edge(a, b):
+        if b not in g.adjacency[a]:
             raise MalformedWalkError(f"nodes {a} and {b} are not adjacent")
 
     counts = Counter(v for v in walk if v < g.n)
@@ -96,8 +93,7 @@ def path_turns(g: CoverageGraph, walk: Sequence[int]) -> float:
     for a, b in zip(walk, walk[1:]):
         pa, pb = pos[a], pos[b]
         dx, dy = pb.x - pa.x, pb.y - pa.y
-        if dx == 0.0 and dy == 0.0:
-            log.debug("zero-length segment %s->%s contributes no turn", a, b)
+        if dx == 0.0 and dy == 0.0:  # a zero-length segment has no heading
             continue
         headings.append(math.atan2(dy, dx))
     total = 0.0

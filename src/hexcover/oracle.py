@@ -52,7 +52,7 @@ def _adjacency_masks(g: CoverageGraph) -> list[int]:
     masks = []
     for i in range(g.n):
         m = 0
-        for j in g.cell_neighbors(i):
+        for j in g.internal_adjacency[i]:
             m |= 1 << j
         masks.append(m)
     return masks
@@ -266,7 +266,7 @@ def frontier_audit(g: CoverageGraph) -> AuditResult:
     n = g.n
     base, term = g.base_node, g.terminal_node
     edges = sorted(
-        [(i, j) for i in range(n) for j in g.cell_neighbors(i) if j > i]
+        [(i, j) for i in range(n) for j in g.internal_adjacency[i] if j > i]
         + [(c, base) for c in g.base_links]
         + [(c, term) for c in g.terminal_links]
     )
@@ -359,7 +359,7 @@ def brute_force_enumerate(g: CoverageGraph) -> AuditResult:
         expanded += 1
         if len(visited) == n:
             return v in term
-        for j in g.cell_neighbors(v):
+        for j in g.internal_adjacency[v]:
             if j in visited:
                 continue
             visited.add(j)

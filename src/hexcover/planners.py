@@ -19,6 +19,11 @@ end instead of stopping. EP counts the terminal in a candidate's residual
 degree only at the last move, when a single candidate is left, so never
 counting it picks the same cell.
 
+Every order-driven planner runs on one walker, the two STC planners included
+(over the circumnavigation of their tree). The walker steps to the next
+target when it is adjacent, and otherwise takes the shortest path through
+cells.
+
 Sweep rows deserve a note: the tessellation lattice is mounted with columns
 along the long axis of the instance, so a "row" in the sweep sense is simply
 the offset row index, and ordering a row by column equals ordering it by the
@@ -77,7 +82,7 @@ def _bfs(
     while layer and not hits:
         nxt = []
         for u in layer:
-            for w in g.neighbors(u):
+            for w in g.adjacency[u]:
                 if w in parent:
                     continue
                 if w in targets:
@@ -135,9 +140,7 @@ def _visit_order_walk(g: CoverageGraph, order: Sequence[int]) -> PlanResult:
     """Enter from base, honour `order` with shortest-path reconnections, exit."""
     walk = [g.base_node]
     for target in order:
-        if target == walk[-1]:
-            continue
-        if target in g.neighbors(walk[-1]) and walk[-1] != g.base_node:
+        if target in g.adjacency[walk[-1]]:
             walk.append(target)
         elif not _extend_to(g, walk, (target,)):
             return PlanResult(tuple(walk), "unreachable-cell")
@@ -166,7 +169,7 @@ def _segments(g: CoverageGraph, row: list[int]) -> list[list[int]]:
     """Maximal runs of face-adjacent cells within one column-ordered row."""
     segs: list[list[int]] = []
     for i in row:
-        if segs and i in g.cell_neighbors(segs[-1][-1]):
+        if segs and i in g.internal_adjacency[segs[-1][-1]]:
             segs[-1].append(i)
         else:
             segs.append([i])
@@ -231,7 +234,7 @@ def onion_rings(g: CoverageGraph) -> list[list[int]]:
     rings = []
     while remaining:
         ring = sorted(
-            i for i in remaining if sum(j in remaining for j in g.cell_neighbors(i)) < 6
+            i for i in remaining if sum(j in remaining for j in g.internal_adjacency[i]) < 6
         )
         rings.append(ring)
         remaining -= set(ring)
@@ -294,7 +297,7 @@ def plan_boundary_peel(g: CoverageGraph) -> PlanResult:
             v = walk[-1]
             nxt = None
             if v != g.base_node:
-                nxt = next((j for j in g.cell_neighbors(v) if j in pending), None)
+                nxt = next((j for j in g.internal_adjacency[v] if j in pending), None)
             if nxt is not None:
                 walk.append(nxt)
             elif not _extend_to(g, walk, pending):
@@ -319,7 +322,7 @@ def _bfs_tree(g: CoverageGraph, root: int) -> dict[int, list[int]]:
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for w in g.cell_neighbors(u):
+        for w in g.internal_adjacency[u]:
             if w not in children:
                 children[u].append(w)
                 children[w] = []
@@ -331,7 +334,7 @@ def _distance_biased_tree(g: CoverageGraph, root: int) -> dict[int, list[int]]:
     """Grow the tree nearest-cell-first, measured from the root position."""
     children: dict[int, list[int]] = {root: []}
     heap: list[tuple[float, int, int]] = []
-    for w in g.cell_neighbors(root):
+    for w in g.internal_adjacency[root]:
         heapq.heappush(heap, (_euclid(g, root, w), w, root))
     while heap:
         _, w, parent = heapq.heappop(heap)
@@ -339,7 +342,7 @@ def _distance_biased_tree(g: CoverageGraph, root: int) -> dict[int, list[int]]:
             continue
         children[parent].append(w)
         children[w] = []
-        for x in g.cell_neighbors(w):
+        for x in g.internal_adjacency[w]:
             if x not in children:
                 heapq.heappush(heap, (_euclid(g, root, x), x, w))
     for u in children:
@@ -362,20 +365,13 @@ def _circumnavigate(children: dict[int, list[int]], root: int) -> list[int]:
 
 
 def _stc_walk(g: CoverageGraph, root: int, children: dict[int, list[int]]) -> PlanResult:
-    """Base to `root`, around the tree, shortest paths to any cell the tree
-    missed, then to the terminal."""
-    walk = [g.base_node]
-    if not _extend_to(g, walk, (root,)):
-        return PlanResult(tuple(walk), "unreachable-cell")
-    walk.extend(_circumnavigate(children, root)[1:])
-    uncovered = set(range(g.n)) - set(walk)
-    while uncovered:
-        if not _extend_to(g, walk, uncovered):
-            return PlanResult(tuple(walk), "unreachable-cell")
-        uncovered -= set(walk)
-    if not _extend_to(g, walk, (g.terminal_node,)):
-        return PlanResult(tuple(walk), "terminal-unreachable")
-    return PlanResult(tuple(walk))
+    """Around the tree from `root`, then every cell the tree missed.
+
+    A tree spans the component of its root, so a missed cell lies in another
+    component and the walk fails there as `unreachable-cell`.
+    """
+    missed = [i for i in range(g.n) if i not in children]
+    return _visit_order_walk(g, _circumnavigate(children, root) + missed)
 
 
 def plan_stc_tree(g: CoverageGraph) -> PlanResult:
@@ -477,7 +473,7 @@ def plan_dfs_backtrack(g: CoverageGraph) -> PlanResult:
     def backtrack(v: int, visited: set[int]) -> list[int] | None:
         # Hop back through visited cells to the nearest one that still has
         # an unexplored branch.
-        anchors = {u for u in visited if any(w not in visited for w in g.cell_neighbors(u))}
+        anchors = {u for u in visited if any(w not in visited for w in g.internal_adjacency[u])}
         return _bfs(g, v, anchors, visited.__contains__)
 
     key = _warnsdorff_key(g, False, False)
@@ -493,7 +489,7 @@ def wavefront_labels(g: CoverageGraph) -> list[int]:
         queue.append(t)
     while queue:
         u = queue.popleft()
-        for w in g.cell_neighbors(u):
+        for w in g.internal_adjacency[u]:
             if labels[w] == -1:
                 labels[w] = labels[u] + 1
                 queue.append(w)

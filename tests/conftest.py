@@ -71,7 +71,7 @@ def random_walk(g: CoverageGraph, rng: np.random.Generator, max_len=60) -> list[
     node = int(rng.choice(g.base_links))
     walk.append(node)
     for _ in range(int(rng.integers(0, max_len))):
-        nbrs = [x for x in g.neighbors(node) if x != g.base_node]
+        nbrs = [x for x in g.adjacency[node] if x != g.base_node]
         if not nbrs:
             break
         node = int(rng.choice(nbrs))
@@ -100,7 +100,7 @@ def edge_lengths_ok(g: CoverageGraph) -> bool:
     """Every cell-cell edge passes the sqrt(3)*h centroid-distance test."""
     target = math.sqrt(3.0) * g.h
     for i in range(g.n):
-        for j in g.cell_neighbors(i):
+        for j in g.internal_adjacency[i]:
             pi, pj = g.positions[i], g.positions[j]
             if abs(math.hypot(pj.x - pi.x, pj.y - pi.y) - target) > 1e-9 * target:
                 return False

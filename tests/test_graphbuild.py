@@ -625,8 +625,8 @@ class TestGraphFromCoords:
         assert list(g.coords) == sorted(coords)
         assert g.base_node == 3
         assert g.terminal_node == 4
-        assert g.neighbors(g.base_node) == (0,)
-        assert 4 in g.neighbors(2)
+        assert g.adjacency[g.base_node] == (0,)
+        assert 4 in g.adjacency[2]
 
     def test_adjacency_symmetric(self):
         g = graph_from_coords(
@@ -637,8 +637,8 @@ class TestGraphFromCoords:
             Point(-2, 0),
         )
         for i in range(g.n):
-            for j in g.cell_neighbors(i):
-                assert i in g.cell_neighbors(j)
+            for j in g.internal_adjacency[i]:
+                assert i in g.internal_adjacency[j]
 
     @pytest.mark.parametrize("links", [[3], [-1]], ids=["link-past-end", "link-negative"])
     def test_index_out_of_range(self, links):

@@ -399,7 +399,7 @@ class TestFileBoundary:
         rpath, _ = results
         rec = json.loads(rpath.read_text().splitlines()[0])
         g = next(i.graph for i in load_instances(dpath) if i.id == rec["instance_id"])
-        off_base = next(i for i in range(g.n) if not g.is_edge(g.base_node, i))
+        off_base = next(i for i in range(g.n) if i not in g.adjacency[g.base_node])
         walk = [g.base_node, off_base, *rec["walk"][2:]]
         bad = _relabel(rpath, tmp_path / "malformed.jsonl", 1, walk=walk)
         code = cli_main(["report", "--results", str(bad), "--dataset", str(dpath),
@@ -633,9 +633,16 @@ class TestCli:
             ({"audit_budget": 2000000}, "audit_budget"),
             ({"hex_radius": "nan"}, "hex_radius"),
             ([{"hex_radius": 1.0}], "JSON object"),
+            # JSON values that Python would coerce to a valid config.
+            ({"hex_radius": "1.0"}, "hex_radius"),
+            ({"scale": True}, "scale"),
+            ({"size_band": [True, 46]}, "size_band"),
+            ({"family_mix": [["compact", "0.56"], ["irregular", 0.32], ["elongated", 0.12]]},
+             "family_mix"),
         ],
         ids=["unknown-key", "band-of-3", "band-int", "mix-pair", "mix-family",
-             "budget-key", "radius-nan", "list"],
+             "budget-key", "radius-nan", "list", "radius-string", "scale-bool",
+             "band-bool", "mix-weight-string"],
     )
     def test_bad_config_is_validation_error(
         self, tmp_path, monkeypatch, capsys, config, says
@@ -698,14 +705,18 @@ print(json.dumps([code, sorted(sys.modules)]))
             assert exit_code == 0
             return set(loaded)
 
-        pool = {"concurrent.futures.process", "multiprocessing"}
+        # No one-process command starts a pool or logs.
+        unused = {"concurrent.futures.process", "multiprocessing", "logging"}
         ours = {m for m in modules("--help") if m.split(".")[0] == "hexcover"}
         assert ours == {"hexcover", "hexcover.cli"}
-        assert not modules("audit", "--dataset", data) & (pool | {"statistics"})
+        assert not modules("audit", "--dataset", data) & (unused | {"statistics"})
+        res = str(tmp_path / "r.jsonl")
         assert not modules("run", "--dataset", data, "--methods", "all", "--workers", "1",
-                           "--out", str(tmp_path / "r.jsonl")) & pool
+                           "--out", res) & unused
+        assert not modules("report", "--results", res, "--dataset", data,
+                           "--out", str(tmp_path / "rep")) & unused
         assert not modules("generate", "--count", "2", "--workers", "1",
-                           "--out", str(tmp_path / "d.jsonl")) & pool
+                           "--out", str(tmp_path / "d.jsonl")) & unused
 
     def test_every_exported_name_imports(self):
         code = """

@@ -38,7 +38,7 @@ from hexcover.planners import (
 )
 
 
-# What each planner returns on the two-cell disconnected fixture: why it
+# What each planner returns on the far fixture, two cells far apart: why it
 # gave up, and the walk so far (base node 2, then cell 0).
 DISCONNECTED_FAILURES = {
     "stc-tree": ("tree-not-spanning", (2,)),
@@ -53,6 +53,32 @@ DISCONNECTED_FAILURES = {
         "seg-interleave", "spiral-inward", "spiral-outward", "boundary-peel",
         "stc-like", "morton",
     )},
+}
+
+# The same on the split fixture: cells 0 and 1, and apart from them cells 2
+# and 3, launched beyond cells 2 and 3 (base node 4). Only cell 0 is linked,
+# so the cell nearest the launch, STC's root, cannot be reached, and neither
+# can the first target of a sweep.
+SPLIT_FAILURES = {
+    "stc-tree": ("tree-not-spanning", (4,)),
+    **{slug: ("dead-end", (4, 0, 1)) for slug in (
+        "warnsdorff-ep-index", "warnsdorff-ep-dist",
+        "warnsdorff-ti-index", "warnsdorff-ti-dist",
+    )},
+    "dfs-backtrack": ("unreachable-cells", (4, 0, 1)),
+    "wavefront-hex": ("unreachable-cells", (4, 0, 1)),
+    **{slug: ("unreachable-cell", (4,)) for slug in (
+        "boustrophedon", "row-oneway", "segment-snake", "row-interleave",
+        "seg-interleave", "spiral-inward", "stc-like",
+    )},
+    **{slug: ("unreachable-cell", (4, 0, 1)) for slug in (
+        "spiral-outward", "boundary-peel", "morton",
+    )},
+}
+
+DISCONNECTED_FIXTURES = {
+    "far": ([(0, 0), (4, 4)], Point(-2.0, 0.0), DISCONNECTED_FAILURES),
+    "split": ([(0, 0), (1, 0), (5, 0), (5, 1)], Point(9.0, 0.0), SPLIT_FAILURES),
 }
 
 
@@ -96,7 +122,7 @@ class TestBfsShortestPath:
         path = bfs_shortest_path(g, frm, to, lambda v: v < g.n)
         assert len(path) == 4
         first_step_options = [
-            v for v in g.cell_neighbors(frm)
+            v for v in g.internal_adjacency[frm]
         ]
         assert path[1] == min(set(first_step_options) & set(path))
         assert path[1] == min(v for v in first_step_options if v in path)
@@ -365,7 +391,7 @@ class TestWavefront:
             for t in inst.graph.terminal_links:
                 assert labels[t] == 0
             for i in range(inst.graph.n):
-                for j in inst.graph.cell_neighbors(i):
+                for j in inst.graph.internal_adjacency[i]:
                     assert abs(labels[i] - labels[j]) <= 1
 
     def test_covers_admitted_instances(self, instances):
@@ -423,16 +449,19 @@ class TestDispatch:
                 failed = graded(inst.graph, res) == STATUS_FAIL
                 assert (res.fail_reason is not None) == failed, slug
 
-    @pytest.mark.parametrize("slug", PLANNERS)
-    def test_fail_reason_on_disconnected_fixture(self, slug):
-        # Two cells far apart, the second reachable from nothing: each
-        # planner names its own way of giving up.
-        g = graph_from_coords(
-            [OffsetCoord(0, 0), OffsetCoord(4, 4)], 1.0, [0], [0], Point(-2.0, 0.0)
-        )
+    @pytest.mark.parametrize(
+        "fixture, slug",
+        [pytest.param("far", slug, id=slug) for slug in PLANNERS]
+        + [pytest.param("split", slug, id=f"split-{slug}") for slug in PLANNERS],
+    )
+    def test_fail_reason_on_disconnected_fixture(self, fixture, slug):
+        # Cells that part of the graph cannot reach: each planner names its
+        # own way of giving up.
+        cells, launch, failures = DISCONNECTED_FIXTURES[fixture]
+        g = graph_from_coords([OffsetCoord(*c) for c in cells], 1.0, [0], [0], launch)
         res = plan(g, slug)
         assert graded(g, res) == STATUS_FAIL
-        assert (res.fail_reason, res.walk) == DISCONNECTED_FAILURES[slug]
+        assert (res.fail_reason, res.walk) == failures[slug]
 
     def test_dispatch_deterministic(self, instances):
         g = instances[1].graph
