@@ -500,6 +500,8 @@ class GenerationConfig:
             raise InvalidParameterError(f"invalid size_band {list(self.size_band)}")
         if any(family not in FAMILIES for family, _ in self.family_mix):
             raise InvalidParameterError(f"family_mix families must be among {FAMILIES}")
+        if not all(math.isfinite(w) and w >= 0 for _, w in self.family_mix):
+            raise InvalidParameterError("family_mix weights must be finite and non-negative")
         total = sum(w for _, w in self.family_mix)
         if abs(total - 1.0) > 1e-9:
             raise InvalidParameterError("family mix weights must sum to 1")

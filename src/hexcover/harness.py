@@ -164,8 +164,12 @@ def record_to_instance(rec: dict) -> Instance:
     return inst
 
 
+# json.dumps with these options builds a new encoder on every call.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _LINE_ENCODER.encode(obj)
 
 
 def _read_jsonl(path: str | Path, schema: str, convert, check=None) -> tuple[list, str]:
@@ -443,10 +447,6 @@ class ResultRecord:
     turns_rad: float
     latency_ms: float
 
-    def to_dict(self) -> dict:
-        # vars(), not asdict(): asdict deep-copies every walk node, ~100x slower.
-        return {"schema": RESULTS_SCHEMA, **vars(self)}
-
     @classmethod
     def from_dict(cls, r: dict) -> "ResultRecord":
         return cls(
@@ -479,9 +479,11 @@ def _evaluate_instances(task: tuple[list[dict], list[str]]) -> list[dict]:
                 raise EvaluationError(
                     f"instance {inst.id}, method {method}: {type(exc).__name__}: {exc}"
                 ) from exc
-            walk = result.walk
-            record = ResultRecord(inst.id, method, status, walk, revisits, distance, turns, ms)
-            out.append(record.to_dict())
+            out.append({
+                "schema": RESULTS_SCHEMA, "instance_id": inst.id, "method": method,
+                "status": status, "walk": result.walk, "revisits": revisits,
+                "distance_norm": distance, "turns_rad": turns, "latency_ms": ms,
+            })
     return out
 
 

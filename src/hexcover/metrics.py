@@ -10,8 +10,7 @@ uniform scaling of the instance.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
+from math import atan2, hypot, pi, tau
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -53,65 +52,83 @@ def validate_path(g: CoverageGraph, walk: Sequence[int]) -> tuple[str, int]:
     distinct cells visited. A structurally broken walk (wrong start, virtual
     node in the middle, non-adjacent consecutive pair) raises
     MalformedWalkError rather than returning Fail, because it indicates a
-    planner bug, not a planner failure.
+    planner bug, not a planner failure. A virtual node anywhere in the body
+    is reported before the first non-adjacent pair.
     """
     if not walk or walk[0] != g.base_node:
         raise MalformedWalkError("walk must start at the base node")
-    for node in walk[1:-1]:
-        if node >= g.n:
+    n = g.n
+    adjacency = g.adjacency
+    a = walk[0]
+    gap = None
+    for b in walk[1:-1]:
+        if b >= n:
             raise MalformedWalkError("virtual node inside the walk body")
-    for a, b in zip(walk, walk[1:]):
-        if b not in g.adjacency[a]:
-            raise MalformedWalkError(f"nodes {a} and {b} are not adjacent")
+        if gap is None and b not in adjacency[a]:
+            gap = (a, b)
+        a = b
+    end = walk[-1]
+    if gap is None and len(walk) > 1 and end not in adjacency[a]:
+        gap = (a, end)
+    if gap is not None:
+        raise MalformedWalkError(f"nodes {gap[0]} and {gap[1]} are not adjacent")
 
-    counts = Counter(v for v in walk if v < g.n)
-    revisits = sum(counts.values()) - len(counts)
-    covered = len(counts) == g.n
-    ends_at_terminal = len(walk) > 1 and walk[-1] == g.terminal_node
-    if covered and ends_at_terminal and revisits == 0:
-        return STATUS_HAMILTONIAN, 0
-    if covered and ends_at_terminal:
-        return STATUS_COVERAGE, revisits
+    # Only the first node (the base) and the last can be virtual.
+    visits = len(walk) - 1 - (len(walk) > 1 and end >= n)
+    distinct = len(set(walk)) - 1 - (end == g.terminal_node)
+    revisits = visits - distinct
+    if distinct == n and end == g.terminal_node:
+        return (STATUS_HAMILTONIAN, 0) if revisits == 0 else (STATUS_COVERAGE, revisits)
     return STATUS_FAIL, revisits
+
+
+def _length_and_turns(g: CoverageGraph, walk: Sequence[int]) -> tuple[float, float]:
+    """Raw walk length and cumulative absolute heading change, in one pass.
+
+    A zero-length step has no heading, so it adds no turn.
+    """
+    if len(walk) < 2:
+        return 0.0, 0.0
+    pos = g.positions
+    length = turns = 0.0
+    heading = None
+    ax, ay = pos[walk[0]]
+    for v in walk[1:]:
+        bx, by = pos[v]
+        dx = bx - ax
+        dy = by - ay
+        length += hypot(dx, dy)
+        if dx != 0.0 or dy != 0.0:
+            h = atan2(dy, dx)
+            if heading is not None:
+                d = h - heading
+                while d <= -pi:
+                    d += tau
+                while d > pi:
+                    d -= tau
+                turns += abs(d)
+            heading = h
+        ax = bx
+        ay = by
+    return length, turns
 
 
 def path_distance(g: CoverageGraph, walk: Sequence[int]) -> float:
     """Total walk length in the base-centred, radius-normalized frame."""
-    r = g.base_radius
-    pos = g.positions
-    total = 0.0
-    for a, b in zip(walk, walk[1:]):
-        pa, pb = pos[a], pos[b]
-        total += math.hypot(pb.x - pa.x, pb.y - pa.y)
-    return total / r
+    return _length_and_turns(g, walk)[0] / g.base_radius
 
 
 def path_turns(g: CoverageGraph, walk: Sequence[int]) -> float:
     """Cumulative absolute heading change in radians along the walk."""
-    pos = g.positions
-    headings = []
-    for a, b in zip(walk, walk[1:]):
-        pa, pb = pos[a], pos[b]
-        dx, dy = pb.x - pa.x, pb.y - pa.y
-        if dx == 0.0 and dy == 0.0:  # a zero-length segment has no heading
-            continue
-        headings.append(math.atan2(dy, dx))
-    total = 0.0
-    for h0, h1 in zip(headings, headings[1:]):
-        d = h1 - h0
-        while d <= -math.pi:
-            d += 2.0 * math.pi
-        while d > math.pi:
-            d -= 2.0 * math.pi
-        total += abs(d)
-    return total
+    return _length_and_turns(g, walk)[1]
 
 
 def compute_path_metrics(g: CoverageGraph, walk: Sequence[int]) -> tuple[str, int, float, float]:
     """(status, revisits, distance_norm, turns_rad), in ResultRecord field order."""
     status, revisits = validate_path(g, walk)
-    distance = path_distance(g, walk) if len(walk) > 1 else 0.0
-    return status, revisits, distance, path_turns(g, walk)
+    length, turns = _length_and_turns(g, walk)
+    distance = length / g.base_radius if len(walk) > 1 else 0.0
+    return status, revisits, distance, turns
 
 
 def aggregate_summary(

@@ -529,12 +529,22 @@ def plan_wavefront(g: CoverageGraph) -> PlanResult:
 # Family 7: Morton space-filling order
 
 
+def _spread_byte(b: int) -> int:
+    """The byte `b` with its bit i moved to bit 2i."""
+    b = (b | b << 4) & 0x0F0F
+    b = (b | b << 2) & 0x3333
+    return (b | b << 1) & 0x5555
+
+
+_BYTE_SPREAD = tuple(map(_spread_byte, range(256)))
+
+
 def morton_code(qx: int, qy: int) -> int:
-    """Interleave the bits of `qx` (even positions) and `qy` (odd positions)."""
+    """Interleave the bits of non-negative `qx` (even positions) and `qy`
+    (odd positions), a byte of each at a time."""
     code = 0
-    for b in range(max(qx, qy).bit_length()):
-        code |= ((qx >> b) & 1) << (2 * b)
-        code |= ((qy >> b) & 1) << (2 * b + 1)
+    for s in range(0, max(qx, qy).bit_length(), 8):
+        code |= (_BYTE_SPREAD[qx >> s & 255] | _BYTE_SPREAD[qy >> s & 255] << 1) << 2 * s
     return code
 
 

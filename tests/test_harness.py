@@ -639,10 +639,13 @@ class TestCli:
             ({"size_band": [True, 46]}, "size_band"),
             ({"family_mix": [["compact", "0.56"], ["irregular", 0.32], ["elongated", 0.12]]},
              "family_mix"),
+            # Weights that sum to 1 (or compare as if they did) but are no shares.
+            ({"family_mix": [["compact", 1.5], ["irregular", -0.5]]}, "family_mix"),
+            ({"family_mix": [["compact", float("nan")], ["irregular", 1.0]]}, "family_mix"),
         ],
         ids=["unknown-key", "band-of-3", "band-int", "mix-pair", "mix-family",
              "budget-key", "radius-nan", "list", "radius-string", "scale-bool",
-             "band-bool", "mix-weight-string"],
+             "band-bool", "mix-weight-string", "mix-negative", "mix-nan"],
     )
     def test_bad_config_is_validation_error(
         self, tmp_path, monkeypatch, capsys, config, says

@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, find, given, settings
+from hypothesis import strategies as st
 from conftest import (
     RING6_COORDS,
     chain_graph,
@@ -26,6 +29,154 @@ from hexcover.metrics import (
     path_turns,
     validate_path,
 )
+
+# ---------------------------------------------------------------------------
+# Three-pass references: the grader and the two metric loops that
+# compute_path_metrics replaced with one grading loop and one measuring loop.
+
+
+def ref_validate_path(g, walk):
+    if not walk or walk[0] != g.base_node:
+        raise MalformedWalkError("walk must start at the base node")
+    for node in walk[1:-1]:
+        if node >= g.n:
+            raise MalformedWalkError("virtual node inside the walk body")
+    for a, b in zip(walk, walk[1:]):
+        if b not in g.adjacency[a]:
+            raise MalformedWalkError(f"nodes {a} and {b} are not adjacent")
+
+    counts = Counter(v for v in walk if v < g.n)
+    revisits = sum(counts.values()) - len(counts)
+    covered = len(counts) == g.n
+    ends_at_terminal = len(walk) > 1 and walk[-1] == g.terminal_node
+    if covered and ends_at_terminal and revisits == 0:
+        return STATUS_HAMILTONIAN, 0
+    if covered and ends_at_terminal:
+        return STATUS_COVERAGE, revisits
+    return STATUS_FAIL, revisits
+
+
+def ref_path_distance(g, walk):
+    r = g.base_radius
+    pos = g.positions
+    total = 0.0
+    for a, b in zip(walk, walk[1:]):
+        pa, pb = pos[a], pos[b]
+        total += math.hypot(pb.x - pa.x, pb.y - pa.y)
+    return total / r
+
+
+def ref_path_turns(g, walk):
+    pos = g.positions
+    headings = []
+    for a, b in zip(walk, walk[1:]):
+        pa, pb = pos[a], pos[b]
+        dx, dy = pb.x - pa.x, pb.y - pa.y
+        if dx == 0.0 and dy == 0.0:
+            continue
+        headings.append(math.atan2(dy, dx))
+    total = 0.0
+    for h0, h1 in zip(headings, headings[1:]):
+        d = h1 - h0
+        while d <= -math.pi:
+            d += 2.0 * math.pi
+        while d > math.pi:
+            d -= 2.0 * math.pi
+        total += abs(d)
+    return total
+
+
+def ref_compute_path_metrics(g, walk):
+    status, revisits = ref_validate_path(g, walk)
+    distance = ref_path_distance(g, walk) if len(walk) > 1 else 0.0
+    return status, revisits, distance, ref_path_turns(g, walk)
+
+
+def outcome(fn, g, walk):
+    """What `fn(g, walk)` returns, floats as float.hex so that -0.0 and the
+    last bit show, or the type and message of what it raises."""
+    try:
+        value = fn(g, walk)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    values = value if isinstance(value, tuple) else (value,)
+    return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+
+PATCH = [OffsetCoord(c, r) for c in range(4) for r in range(4)]
+
+
+@st.composite
+def graph_walks(draw):
+    """A random small lattice graph and a walk on it: a random adjacent
+    walk from the base, then sometimes a few nodes overwritten (out of
+    range, virtual or non-adjacent, the start among them) or the walk cut
+    to no node or one. The base sits on a cell centre in about half the
+    graphs, so stepping between the base and that cell has zero length."""
+    coords = draw(st.lists(st.sampled_from(PATCH), min_size=1, max_size=8, unique=True))
+    n = len(coords)
+    links = st.lists(st.integers(0, n - 1), min_size=1, max_size=3)
+    base_links, terminal_links = draw(links), draw(links)
+    g = graph_from_coords(coords, 1.0, base_links, terminal_links, Point(-3.0, -3.0))
+    if draw(st.booleans()):
+        on_cell = g.positions[draw(st.integers(0, n - 1))]
+        g = graph_from_coords(coords, 1.0, base_links, terminal_links, on_cell)
+    walk = [g.base_node]
+    for k in draw(st.lists(st.integers(0, 5), max_size=24)):
+        nbrs = g.adjacency[walk[-1]]
+        walk.append(nbrs[k % len(nbrs)])
+    for _ in range(draw(st.integers(0, 2))):
+        walk[draw(st.integers(0, len(walk) - 1))] = draw(st.integers(-1, n + 2))
+    if draw(st.integers(0, 9)) == 0:
+        walk = walk[: draw(st.integers(0, 1))]
+    return g, walk
+
+
+def raised(fn, case):
+    """The message of the MalformedWalkError `fn(*case)` raises, or None."""
+    try:
+        fn(*case)
+    except MalformedWalkError as exc:
+        return str(exc)
+    return None
+
+
+def has_zero_length_step(g, walk):
+    pos = g.positions
+    return any(
+        0 <= a < len(pos) and 0 <= b < len(pos) and pos[a] == pos[b]
+        for a, b in zip(walk, walk[1:])
+    )
+
+
+def _zero_step_case():
+    g = graph_from_coords([OffsetCoord(c, 0) for c in range(3)], 1.0, [0], [2],
+                          Point(0.0, 0.0))
+    return g, [g.base_node, 0, 1, 0, g.base_node]
+
+
+class TestAgainstThreePassReference:
+    @settings(max_examples=400, deadline=None)
+    @given(graph_walks())
+    @example(_zero_step_case())
+    def test_one_pass_forms_equal_the_reference(self, case):
+        g, walk = case
+        for fn, ref in [
+            (compute_path_metrics, ref_compute_path_metrics),
+            (validate_path, ref_validate_path),
+            (path_distance, ref_path_distance),
+            (path_turns, ref_path_turns),
+        ]:
+            assert outcome(fn, g, walk) == outcome(ref, g, walk), fn.__name__
+
+    def test_walks_include_zero_length_steps(self):
+        assert has_zero_length_step(*_zero_step_case())
+        find(graph_walks(), lambda case: has_zero_length_step(*case)
+             and raised(ref_validate_path, case) is None)
+
+    @pytest.mark.parametrize("message", ["must start", "virtual node", "not adjacent"])
+    def test_walks_include_each_malformation(self, message):
+        find(graph_walks(), lambda case: message in (raised(ref_validate_path, case) or ""))
 
 
 def rec(instance_id, method, status, revisits=0, distance=1.0, turns=0.0, latency=0.5):
@@ -73,6 +224,11 @@ class TestValidatePath:
         g = chain_graph(3)
         with pytest.raises(MalformedWalkError):
             validate_path(g, [g.base_node, 0, g.base_node, 0, 1])
+
+    def test_virtual_node_is_reported_before_an_earlier_gap(self):
+        g = chain_graph(3)
+        with pytest.raises(MalformedWalkError, match="virtual node"):
+            validate_path(g, [g.base_node, 0, 2, 1, g.base_node, 0])
 
     def test_agreement_with_naive_checker(self):
         rng = np.random.default_rng(42)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from conftest import block_graph, chain_graph, ring6_graph
 
 from hexcover.graphbuild import (
@@ -400,12 +402,30 @@ class TestWavefront:
             assert graded(inst.graph, res) in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
 
 
+def ref_morton_code(qx: int, qy: int) -> int:
+    """The per-bit interleaving loop the byte-spread table replaced."""
+    code = 0
+    for b in range(max(qx, qy).bit_length()):
+        code |= ((qx >> b) & 1) << (2 * b)
+        code |= ((qy >> b) & 1) << (2 * b + 1)
+    return code
+
+
 class TestMorton:
     def test_interleaving_definition(self):
         assert morton_code(0, 0) == 0
         assert morton_code(1, 0) == 1
         assert morton_code(0, 1) == 2
         assert morton_code(1, 1) == 3
+
+    @given(st.integers(0, 2**40), st.integers(0, 2**40))
+    @example(0, 0)
+    @example(2**16 - 1, 2**16 - 1)
+    @example(2**16 - 1, 2**16)
+    @example(2**16, 0)
+    @example(0, 2**16)
+    def test_matches_the_per_bit_loop(self, qx, qy):
+        assert morton_code(qx, qy) == ref_morton_code(qx, qy)
 
     def test_quantization_width_does_not_change_order(self, instances):
         for inst in instances:
