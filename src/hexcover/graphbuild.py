@@ -124,7 +124,15 @@ class CoverageGraph:
         self.n = n = len(coords)
         self.base_node = n
         self.terminal_node = n + 1
-        centers = (frame.to_world(offset_to_center(c, h)) for c in coords)
+        if coords and h <= 0:
+            raise InvalidParameterError(f"circumradius must be positive, got {h}")
+        # offset_to_center, then frame.to_world, expression for expression.
+        col_w, row_h = 1.5 * h, SQRT3 * h
+        (ox, oy), (ca, sa) = frame.origin, frame._cos_sin
+        centers = []
+        for col, row in coords:
+            x, y = col_w * col, row_h * (row - 0.5 * (col & 1))
+            centers.append(Point(ox + ca * x - sa * y, oy + sa * x + ca * y))
         self.positions = (*centers, base_pos, base_pos)
         if not self.base_links or not self.terminal_links:
             raise InvalidParameterError("base and terminal must link to at least one cell")
@@ -133,17 +141,19 @@ class CoverageGraph:
             raise InvalidParameterError("link index out of range")
 
         # Plain (col, row) tuples hash and compare as the OffsetCoord keys do.
+        # The offsets ascend and so do the indices of ascending coordinates,
+        # so each row of neighbours comes out ascending.
         index = {c: i for i, c in enumerate(coords)}
         if len(index) < n:
             raise InvalidParameterError("repeated cell coordinate")
-        internal = [
-            tuple(sorted(
-                j
-                for dc, dr in neighbor_offsets(col)
-                if (j := index.get((col + dc, row + dr))) is not None
-            ))
-            for col, row in coords
-        ]
+        internal = []
+        for col, row in coords:
+            nbrs = []
+            for dc, dr in neighbor_offsets(col):
+                j = index.get((col + dc, row + dr))
+                if j is not None:
+                    nbrs.append(j)
+            internal.append(tuple(nbrs))
         self.internal_adjacency = tuple(internal)
 
         # A linked cell's row ends with the base, then the terminal.
@@ -209,34 +219,40 @@ def tessellate(aoi: AoiShape, h: float) -> HexMask:
     pad = 1e-9 * (h + max(map(abs, xs + ys)))
     near = _cells_near_rings((local_outer, *local_holes), h, pad)
 
+    # Centres are offset_to_center's expressions on plain numbers; only the
+    # kept cells become OffsetCoords.
+    col_w, row_h = 1.5 * h, SQRT3 * h
     kept = set()
-    clipped: list[OffsetCoord] = []
-    clipped_centers: list[Point] = []
-    far: list[OffsetCoord] = []
-    far_centers: list[Point] = []
+    clipped: list[tuple[int, int]] = []
+    clipped_centers: list[tuple[float, float]] = []
+    far: list[tuple[int, int]] = []
+    far_centers: list[tuple[float, float]] = []
     for col in range(col_lo, col_hi + 1):
+        x = col_w * col
+        if x < x_lo or x > x_hi:
+            continue
+        shift = 0.5 * (col & 1)
         for row in range(row_lo, row_hi + 1):
-            c = OffsetCoord(col, row)
-            center = offset_to_center(c, h)
-            if center.x < x_lo or center.x > x_hi or center.y < y_lo or center.y > y_hi:
+            y = row_h * (row - shift)
+            if y < y_lo or y > y_hi:
                 continue
-            if c in near:
-                clipped.append(c)
-                clipped_centers.append(center)
+            if (col, row) in near:
+                clipped.append((col, row))
+                clipped_centers.append((x, y))
             else:
-                far.append(c)
-                far_centers.append(center)
+                far.append((col, row))
+                far_centers.append((x, y))
     if clipped:
         areas = free_overlap_areas(point_array(clipped_centers), h, local_poly)
         retained = areas >= RETENTION_FRACTION * hexagon_area(h)
-        kept.update(c for c, keep in zip(clipped, retained) if keep)
+        kept.update(OffsetCoord(*c) for c, keep in zip(clipped, retained) if keep)
     if far:
         # Free space is inside the outer ring and outside every hole.
         centers = point_array(far_centers)
         free = points_in_ring(centers, ring_array(local_outer))
         for hole in local_holes:
             free &= ~points_in_ring(centers, ring_array(hole))
-        kept.update(c for c, keep in zip(far, free) if keep)
+        kept.update(OffsetCoord(*c) for c, keep in zip(far, free) if keep)
     if not kept:
         raise EmptyTessellationError("no cell reaches the retention threshold")
     return HexMask(frozenset(kept), frame, h)

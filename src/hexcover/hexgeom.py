@@ -39,8 +39,10 @@ class Point(NamedTuple):
 
 
 # Neighbor offsets depend on column parity (odd columns are shifted down).
-_EVEN_COL_NEIGHBORS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, 1))
-_ODD_COL_NEIGHBORS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, -1), (-1, -1))
+# Each table ascends in (dcol, drow), so a cell's neighbours come out in
+# (col, row) order.
+_EVEN_COL_NEIGHBORS = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, 0), (1, 1))
+_ODD_COL_NEIGHBORS = ((-1, -1), (-1, 0), (0, -1), (0, 1), (1, -1), (1, 0))
 
 
 def offset_to_center(c: OffsetCoord, h: float) -> Point:
@@ -53,7 +55,8 @@ def offset_to_center(c: OffsetCoord, h: float) -> Point:
 
 
 def neighbor_offsets(col: int) -> tuple[tuple[int, int], ...]:
-    """The 6 (dcol, drow) steps from a cell in column `col` to its face neighbours."""
+    """The 6 (dcol, drow) steps from a cell in column `col` to its face
+    neighbours, in ascending order."""
     return _ODD_COL_NEIGHBORS if (col & 1) else _EVEN_COL_NEIGHBORS
 
 

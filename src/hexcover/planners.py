@@ -21,8 +21,8 @@ counting it picks the same cell.
 
 Every order-driven planner runs on one walker, the two STC planners included
 (over the circumnavigation of their tree). The walker steps to the next
-target when it is adjacent, and otherwise takes the shortest path through
-cells.
+target when it is adjacent, and otherwise takes the lexicographically least
+minimum-hop path through cells.
 
 Sweep rows deserve a note: the tessellation lattice is mounted with columns
 along the long axis of the instance, so a "row" in the sweep sense is simply
@@ -32,9 +32,11 @@ principal-axis projection.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -66,36 +68,43 @@ class PlanResult:
 # Shared primitives
 
 
-def _bfs(
-    g: CoverageGraph, frm: int, targets, allowed: Callable[[int], bool]
-) -> list[int] | None:
-    """Minimum-hop path from `frm` to the nearest node in `targets`.
+def _bfs(g: CoverageGraph, frm: int, targets, through) -> list[int] | None:
+    """Minimum-hop path from `frm` to the nearest node in `targets` whose
+    intermediate nodes all lie in `through`; a target is always admissible.
 
-    Layers expand in adjacency (ascending index) order and ties between
-    equally near targets go to the lowest index. `allowed` constrains the
-    intermediate nodes only; a target is always admissible. Returns None
-    when no target is reachable.
+    Layers expand in adjacency (ascending index) order, so a node's first
+    discoverer is its parent on the lexicographically least minimum-hop
+    path, and a single target is done once discovered. Of several equally
+    near targets the lowest index wins, so the layer that finds the first is
+    finished before one is chosen. Returns None when no target is reachable.
     """
+    if frm in targets:
+        return [frm]
+    adjacency = g.adjacency
+    single = len(targets) == 1
     parent: dict[int, int | None] = {frm: None}
-    hits = [frm] if frm in targets else []
+    hits: list[int] = []
     layer = [frm]
     while layer and not hits:
         nxt = []
         for u in layer:
-            for w in g.adjacency[u]:
+            for w in adjacency[u]:
                 if w in parent:
                     continue
                 if w in targets:
+                    parent[w] = u
+                    if single:
+                        return _path_back(parent, w)
                     hits.append(w)
-                elif not allowed(w):
-                    continue
-                parent[w] = u
-                nxt.append(w)
+                elif w in through:
+                    parent[w] = u
+                    nxt.append(w)
         layer = nxt
-    if not hits:
-        return None
+    return _path_back(parent, min(hits)) if hits else None
+
+
+def _path_back(parent: dict[int, int | None], node: int | None) -> list[int]:
     path = []
-    node: int | None = min(hits)
     while node is not None:
         path.append(node)
         node = parent[node]
@@ -110,30 +119,43 @@ def bfs_shortest_path(
 ) -> list[int] | None:
     """Minimum-hop path; BFS layers expand in ascending node index.
 
-    `traversable` constrains intermediate nodes only; the endpoints are
-    always admissible. Returns None when unreachable.
+    `traversable` constrains intermediate nodes only, and by default admits
+    the cells, never a virtual node; the endpoints are always admissible.
+    Returns None when unreachable.
     """
-    return _bfs(g, frm, (to,), traversable or (lambda _node: True))
-
-
-def _internal_only(g: CoverageGraph) -> Callable[[int], bool]:
-    n = g.n
-    return lambda node: node < n
+    if traversable is None:
+        return _bfs(g, frm, (to,), range(g.n))
+    return _bfs(g, frm, (to,), {v for v in range(len(g.adjacency)) if traversable(v)})
 
 
 def _euclid(g: CoverageGraph, a: int, b: int) -> float:
-    pa, pb = g.positions[a], g.positions[b]
-    return math.hypot(pb.x - pa.x, pb.y - pa.y)
+    # Bit for bit the hypot of the coordinate differences.
+    return math.dist(g.positions[a], g.positions[b])
 
 
-def _extend_to(g: CoverageGraph, walk: list[int], targets, allowed=None) -> bool:
+def _extend_to(g: CoverageGraph, walk: list[int], targets, through=None) -> bool:
     """Append the shortest path from walk head to the nearest target whose
-    intermediate nodes pass `allowed` (by default, any cell)."""
-    path = _bfs(g, walk[-1], targets, allowed or _internal_only(g))
+    intermediate nodes lie in `through` (by default, any cell)."""
+    path = _bfs(g, walk[-1], targets, range(g.n) if through is None else through)
     if path is None:
         return False
     walk.extend(path[1:])
     return True
+
+
+def _once_per_graph(fn):
+    """`fn(g)`, computed on its first call for a graph and shared by every
+    later call until the graph is dropped: the planners that use it get one
+    tuple of tuples, which none can change."""
+    results: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    @functools.wraps(fn)
+    def shared(g: CoverageGraph):
+        if g not in results:
+            results[g] = fn(g)
+        return results[g]
+
+    return shared
 
 
 def _visit_order_walk(g: CoverageGraph, order: Sequence[int]) -> PlanResult:
@@ -153,19 +175,24 @@ def _visit_order_walk(g: CoverageGraph, order: Sequence[int]) -> PlanResult:
 # Families 1 and 2: linear and interleaved sweeps
 
 
-def sweep_rows(g: CoverageGraph) -> list[list[int]]:
-    """Sweep rows bottom-up, each ordered by principal-axis (column) position."""
+@_once_per_graph
+def sweep_rows(g: CoverageGraph) -> tuple[tuple[int, ...], ...]:
+    """Sweep rows bottom-up, each ordered by principal-axis (column) position.
+
+    Cells are indexed in (col, row) order, so each row comes out in column
+    order as it is collected.
+    """
     rows: dict[int, list[int]] = {}
     for i, c in enumerate(g.coords):
         rows.setdefault(c.row, []).append(i)
-    return [sorted(rows[r], key=lambda i: (g.coords[i].col, i)) for r in sorted(rows)]
+    return tuple(tuple(rows[r]) for r in sorted(rows))
 
 
-def _first_row_left_start(g: CoverageGraph, rows: list[list[int]]) -> bool:
+def _first_row_left_start(g: CoverageGraph, rows) -> bool:
     return _euclid(g, g.base_node, rows[0][0]) <= _euclid(g, g.base_node, rows[0][-1])
 
 
-def _segments(g: CoverageGraph, row: list[int]) -> list[list[int]]:
+def _segments(g: CoverageGraph, row: Sequence[int]) -> list[list[int]]:
     """Maximal runs of face-adjacent cells within one column-ordered row."""
     segs: list[list[int]] = []
     for i in row:
@@ -176,8 +203,8 @@ def _segments(g: CoverageGraph, row: list[int]) -> list[list[int]]:
     return segs
 
 
-def _row_order(row: list[int], leftward: bool) -> list[int]:
-    return row if leftward else list(reversed(row))
+def _row_order(row: Sequence[int], leftward: bool) -> Sequence[int]:
+    return row if leftward else row[::-1]
 
 
 def interleaved_row_sequence(k: int) -> list[int]:
@@ -228,17 +255,21 @@ def segment_order(g: CoverageGraph, row_sequence: Callable[[int], Sequence[int]]
 # Family 3: contour / spiral
 
 
-def onion_rings(g: CoverageGraph) -> list[list[int]]:
-    """Peel boundary layers: cells with fewer than 6 remaining neighbors."""
-    remaining = set(range(g.n))
+@_once_per_graph
+def onion_rings(g: CoverageGraph) -> tuple[tuple[int, ...], ...]:
+    """Peel boundary layers: cells with fewer than 6 remaining neighbors,
+    each layer in ascending index order."""
+    degree = [len(nbrs) for nbrs in g.internal_adjacency]
+    remaining: Sequence[int] = range(g.n)
     rings = []
     while remaining:
-        ring = sorted(
-            i for i in remaining if sum(j in remaining for j in g.internal_adjacency[i]) < 6
-        )
+        ring = tuple(i for i in remaining if degree[i] < 6)
+        remaining = [i for i in remaining if degree[i] == 6]
+        for i in ring:
+            for j in g.internal_adjacency[i]:
+                degree[j] -= 1
         rings.append(ring)
-        remaining -= set(ring)
-    return rings
+    return tuple(rings)
 
 
 def _centroid(g: CoverageGraph, cells) -> tuple[float, float]:
@@ -247,7 +278,7 @@ def _centroid(g: CoverageGraph, cells) -> tuple[float, float]:
     return sum(xs) / len(xs), sum(ys) / len(ys)
 
 
-def _angular_ring_order(g: CoverageGraph, ring: list[int], around, start_near: int) -> list[int]:
+def _angular_ring_order(g: CoverageGraph, ring: Sequence[int], around, start_near: int) -> list[int]:
     cx, cy = around
     keyed = sorted(
         ring,
@@ -258,7 +289,7 @@ def _angular_ring_order(g: CoverageGraph, ring: list[int], around, start_near: i
     return keyed[k:] + keyed[:k]
 
 
-def _spiral_order(g: CoverageGraph, rings: list[list[int]], prev: int) -> list[int]:
+def _spiral_order(g: CoverageGraph, rings, prev: int) -> list[int]:
     """Each ring in angular order around the centroid of the cells not yet
     traversed, starting at the cell nearest the previous ring's last cell
     (`prev` for the first ring)."""
@@ -283,7 +314,7 @@ def spiral_outward_order(g: CoverageGraph) -> list[int]:
     cx, cy = _centroid(g, range(g.n))
     start = min(
         rings[0],
-        key=lambda i: (math.hypot(g.positions[i].x - cx, g.positions[i].y - cy), i),
+        key=lambda i: (math.dist(g.positions[i], (cx, cy)), i),
     )
     return _spiral_order(g, rings, start)
 
@@ -313,7 +344,8 @@ def plan_boundary_peel(g: CoverageGraph) -> PlanResult:
 
 
 def _stc_root(g: CoverageGraph) -> int:
-    return min(range(g.n), key=lambda i: (_euclid(g, g.base_node, i), i))
+    # min keeps the first of equal keys, so ties go to the lowest index.
+    return min(range(g.n), key=lambda i: _euclid(g, g.base_node, i))
 
 
 def _bfs_tree(g: CoverageGraph, root: int) -> dict[int, list[int]]:
@@ -351,16 +383,22 @@ def _distance_biased_tree(g: CoverageGraph, root: int) -> dict[int, list[int]]:
 
 
 def _circumnavigate(children: dict[int, list[int]], root: int) -> list[int]:
-    """Depth-first tree walk that retraces every edge on backtrack."""
+    """Depth-first tree walk that retraces every edge on backtrack: a node,
+    then after each child's walk the node again.
+
+    An explicit stack of what is left to write, so a tree of any depth is
+    walked: a node `u` to enter, or `~u` (negative) to write `u` again.
+    """
     seq: list[int] = []
-
-    def visit(u: int) -> None:
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        if u < 0:
+            seq.append(~u)
+            continue
         seq.append(u)
-        for c in children[u]:
-            visit(c)
-            seq.append(u)
-
-    visit(root)
+        for c in reversed(children[u]):
+            stack += (~u, c)
     return seq
 
 
@@ -398,44 +436,52 @@ def _greedy(
     walk: list[int],
     key: Callable[[int, int, int], tuple],
     reconnect: Callable[[int, set[int]], list[int] | None] | None,
-    leave_via: Callable[[int], bool],
+    leave_via,
 ) -> PlanResult:
     """Extend `walk` one cell at a time until every cell is visited, then exit.
 
     From the walk head `v`, the next cell is the unvisited neighbor `j` of
     least `key(v, j, d)`, where `d` is the residual degree of `j`: its
-    unvisited neighbor cells. At a dead end, `reconnect(v, visited)` gives a
-    path from `v` whose cells count as visited. Without `reconnect` the walk
-    fails as a `dead-end`; when it finds no path, with `unreachable-cells`.
-    The exit is the shortest path to the terminal whose intermediate nodes
-    pass `leave_via`.
+    unvisited neighbor cells, kept in `residual` as cells are visited. At a
+    dead end, `reconnect(v, visited)` gives a path from `v` whose cells
+    count as visited. Without `reconnect` the walk fails as a `dead-end`;
+    when it finds no path, with `unreachable-cells`. The exit is the
+    shortest path to the terminal whose intermediate nodes lie in
+    `leave_via`.
     """
     n = g.n
     adjacency, cells = g.adjacency, g.internal_adjacency
-    visited = set(walk[1:])
+    visited: set[int] = set()
+    residual = [len(nbrs) for nbrs in cells]
+
+    def visit(u: int) -> None:
+        visited.add(u)
+        for k in cells[u]:
+            residual[k] -= 1
+
+    for u in walk[1:]:
+        visit(u)
     v = walk[-1]
     while len(visited) < n:
         best_key = None
         for j in adjacency[v]:
             if j >= n or j in visited:
                 continue
-            d = 0
-            for k in cells[j]:
-                if k not in visited:
-                    d += 1
-            j_key = key(v, j, d)
+            j_key = key(v, j, residual[j])
             if best_key is None or j_key < best_key:
                 best_key, best = j_key, j
         if best_key is not None:
-            visited.add(best)
+            visit(best)
             walk.append(best)
             v = best
             continue
         path = reconnect(v, visited) if reconnect else None
         if path is None:
             return PlanResult(tuple(walk), "unreachable-cells" if reconnect else "dead-end")
+        for u in path[1:]:
+            if u not in visited:
+                visit(u)
         walk.extend(path[1:])
-        visited.update(path[1:])
         v = path[-1]
     if not _extend_to(g, walk, (g.terminal_node,), leave_via):
         return PlanResult(tuple(walk), "terminal-unreachable")
@@ -464,7 +510,7 @@ def plan_warnsdorff(g: CoverageGraph, terminal_inclusive: bool, by_distance: boo
     either finishes revisit-free or fails.
     """
     key = _warnsdorff_key(g, terminal_inclusive, by_distance)
-    return _greedy(g, [g.base_node], key, None, lambda _node: False)
+    return _greedy(g, [g.base_node], key, None, ())
 
 
 def plan_dfs_backtrack(g: CoverageGraph) -> PlanResult:
@@ -474,10 +520,10 @@ def plan_dfs_backtrack(g: CoverageGraph) -> PlanResult:
         # Hop back through visited cells to the nearest one that still has
         # an unexplored branch.
         anchors = {u for u in visited if any(w not in visited for w in g.internal_adjacency[u])}
-        return _bfs(g, v, anchors, visited.__contains__)
+        return _bfs(g, v, anchors, visited)
 
     key = _warnsdorff_key(g, False, False)
-    return _greedy(g, [g.base_node], key, backtrack, _internal_only(g))
+    return _greedy(g, [g.base_node], key, backtrack, range(g.n))
 
 
 def wavefront_labels(g: CoverageGraph) -> list[int]:
@@ -510,7 +556,7 @@ def plan_wavefront(g: CoverageGraph) -> PlanResult:
         # The connector goes to the highest label that is still reachable.
         remaining = [j for j in range(g.n) if j not in visited]
         for top in sorted({labels[j] for j in remaining}, reverse=True):
-            path = _bfs(g, v, {j for j in remaining if labels[j] == top}, _internal_only(g))
+            path = _bfs(g, v, {j for j in remaining if labels[j] == top}, range(g.n))
             if path is not None:
                 return path
         return None
@@ -521,7 +567,7 @@ def plan_wavefront(g: CoverageGraph) -> PlanResult:
         [g.base_node, entry],
         lambda v, j, d: (-labels[j], d, _euclid(g, v, j), j),
         connector,
-        _internal_only(g),
+        range(g.n),
     )
 
 

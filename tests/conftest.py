@@ -4,10 +4,11 @@ import math
 from collections import Counter
 
 import numpy as np
+from hypothesis import strategies as st
 
 from hexcover.aoi import AoiShape, classify_morphology
-from hexcover.graphbuild import CoverageGraph, graph_from_coords
-from hexcover.hexgeom import OffsetCoord, Point, PolygonWithHoles
+from hexcover.graphbuild import CoverageGraph, LatticeFrame, graph_from_coords
+from hexcover.hexgeom import OffsetCoord, Point, PolygonWithHoles, face_neighbors
 from hexcover.metrics import (
     STATUS_COVERAGE,
     STATUS_FAIL,
@@ -63,6 +64,39 @@ def random_small_graph(rng: np.random.Generator, max_cells=10) -> CoverageGraph:
     base = sorted(int(i) for i in rng.choice(n, size=n_base, replace=False))
     term = sorted(int(i) for i in rng.choice(n, size=n_term, replace=False))
     return graph_from_coords(coords, 1.0, base, term, Point(-3.0, -3.0))
+
+
+PATCH_6X6 = [OffsetCoord(c, r) for c in range(6) for r in range(6)]
+
+
+@st.composite
+def lattice_graph_args(draw, max_cells=30):
+    """`graph_from_coords` arguments for a random mask of up to `max_cells`
+    cells in a 6x6 patch, in drawn order: random base and terminal link
+    sets, circumradius, launch point and lattice frame. Half the masks are
+    grown one face neighbour at a time, so they are connected."""
+    if draw(st.booleans()):
+        coords = draw(st.lists(st.sampled_from(PATCH_6X6), min_size=1, max_size=max_cells,
+                               unique=True))
+    else:
+        coords = [draw(st.sampled_from(PATCH_6X6))]
+        for k in draw(st.lists(st.integers(0, 35), max_size=max_cells - 1)):
+            grown = {nb for c in coords for nb in face_neighbors(c)}
+            frontier = sorted(grown.intersection(PATCH_6X6).difference(coords))
+            if not frontier:
+                break
+            coords.append(frontier[k % len(frontier)])
+    links = st.lists(st.integers(0, len(coords) - 1), min_size=1, max_size=4)
+    coordinate = st.floats(-20.0, 20.0)
+    return (
+        coords,
+        draw(st.floats(0.25, 4.0)),
+        draw(links),
+        draw(links),
+        Point(draw(coordinate), draw(coordinate)),
+        LatticeFrame(Point(draw(coordinate), draw(coordinate)),
+                     draw(st.floats(-math.pi, math.pi))),
+    )
 
 
 def random_walk(g: CoverageGraph, rng: np.random.Generator, max_len=60) -> list[int]:

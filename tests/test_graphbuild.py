@@ -3,7 +3,9 @@ import math
 import random
 
 import pytest
-from conftest import aoi_from_ring, edge_lengths_ok
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from conftest import aoi_from_ring, edge_lengths_ok, lattice_graph_args
 from test_array_forms import free_overlap_area
 
 from hexcover.aoi import FAMILIES, insert_obstacles, sample_aoi
@@ -646,6 +648,60 @@ class TestGraphFromCoords:
         coords = [OffsetCoord(0, 0), OffsetCoord(0, 1), OffsetCoord(1, 0)]
         with pytest.raises(InvalidParameterError, match="out of range"):
             graph_from_coords(coords, 1.0, [0], links, Point(-2, 0))
+
+
+    def test_circumradius_must_be_positive(self):
+        with pytest.raises(InvalidParameterError, match="circumradius must be positive"):
+            graph_from_coords([OffsetCoord(0, 0)], 0.0, [0], [0], Point(-2, 0))
+
+
+# The neighbour steps in the order the graph constructor once listed them,
+# which made it sort every adjacency row.
+REF_EVEN_COL_STEPS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, 1))
+REF_ODD_COL_STEPS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, -1), (-1, -1))
+
+
+def ref_graph_parts(coords, h, base_links, terminal_links, frame):
+    """Cells, node positions, cell adjacency and full adjacency, built as
+    the graph constructor once built them: each centre through
+    offset_to_center and frame.to_world, each adjacency row sorted."""
+    coords = tuple(sorted(OffsetCoord(*c) for c in coords))
+    n = len(coords)
+    positions = [frame.to_world(offset_to_center(c, h)) for c in coords]
+    index = {c: i for i, c in enumerate(coords)}
+    internal = tuple(
+        tuple(sorted(
+            j
+            for dc, dr in (REF_ODD_COL_STEPS if col & 1 else REF_EVEN_COL_STEPS)
+            if (j := index.get((col + dc, row + dr))) is not None
+        ))
+        for col, row in coords
+    )
+    base_links, terminal_links = sorted(set(base_links)), sorted(set(terminal_links))
+    full = [*internal, tuple(base_links), tuple(terminal_links)]
+    for i in base_links:
+        full[i] += (n,)
+    for i in terminal_links:
+        full[i] += (n + 1,)
+    return coords, positions, internal, tuple(full)
+
+
+class TestGraphMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_graph_args(), st.randoms(use_true_random=False))
+    def test_shuffled_coords_give_the_reference_graph(self, args, rnd):
+        coords, h, base_links, terminal_links, base_pos, frame = args
+        shuffled = list(coords)
+        rnd.shuffle(shuffled)
+        g = graph_from_coords(shuffled, h, base_links, terminal_links, base_pos, frame)
+        ref_coords, ref_positions, ref_internal, ref_full = ref_graph_parts(
+            coords, h, base_links, terminal_links, frame)
+        assert g.coords == ref_coords
+        assert g.internal_adjacency == ref_internal
+        assert g.adjacency == ref_full
+        as_hex = lambda points: [(p.x.hex(), p.y.hex()) for p in points]
+        assert as_hex(g.positions[: g.n]) == as_hex(ref_positions)
+        assert g.positions[g.n:] == (base_pos, base_pos)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
-import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
-from conftest import block_graph, chain_graph, ring6_graph
+import contextlib
+import itertools
+import math
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from conftest import block_graph, chain_graph, lattice_graph_args, ring6_graph
+
+from hexcover import planners
 from hexcover.graphbuild import (
     GenerationConfig,
     Instance,
@@ -134,6 +140,16 @@ class TestBfsShortestPath:
             [OffsetCoord(0, 0), OffsetCoord(5, 5)], 1.0, [0], [1], Point(-2, 0)
         )
         assert bfs_shortest_path(g, 0, 1, lambda v: v < g.n) is None
+
+    def test_default_interior_is_cells_only(self):
+        # Both ends of the row link to the virtual nodes, so a path through
+        # the base would take two hops, against seven along the row.
+        g = graph_from_coords([OffsetCoord(c, 0) for c in range(8)], 1.0, [0, 7], [0, 7],
+                              Point(-2.0, 0.0))
+        path = bfs_shortest_path(g, 0, 7)
+        assert path == list(range(8))
+        assert all(v < g.n for v in path[1:-1])
+        assert bfs_shortest_path(g, 0, 7, lambda v: True) == [0, g.base_node, 7]
 
     def test_traversable_predicate_respected(self):
         g = block_graph(3, 3)
@@ -498,3 +514,251 @@ class TestDispatch:
         res, ms = timed_plan(g, "morton")
         assert graded(g, res) in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
         assert ms >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# The forms the planners had before residual degrees were kept as the walk
+# grows, before the BFS stopped at its one target, and before rows, rings
+# and the tree walk were built without sorts or recursion. Patched in, they
+# must give every planner the same walk and the same failure.
+
+
+def ref_bfs(g, frm, targets, through):
+    """Every layer finished, the allowed nodes asked one at a time."""
+    allowed = through.__contains__
+    parent = {frm: None}
+    hits = [frm] if frm in targets else []
+    layer = [frm]
+    while layer and not hits:
+        nxt = []
+        for u in layer:
+            for w in g.adjacency[u]:
+                if w in parent:
+                    continue
+                if w in targets:
+                    hits.append(w)
+                elif not allowed(w):
+                    continue
+                parent[w] = u
+                nxt.append(w)
+        layer = nxt
+    if not hits:
+        return None
+    path = []
+    node = min(hits)
+    while node is not None:
+        path.append(node)
+        node = parent[node]
+    return path[::-1]
+
+
+def ref_greedy(g, walk, key, reconnect, leave_via):
+    """Each candidate's residual degree recounted at every step."""
+    n = g.n
+    visited = set(walk[1:])
+    v = walk[-1]
+    while len(visited) < n:
+        best_key = None
+        for j in g.adjacency[v]:
+            if j >= n or j in visited:
+                continue
+            d = sum(k not in visited for k in g.internal_adjacency[j])
+            j_key = key(v, j, d)
+            if best_key is None or j_key < best_key:
+                best_key, best = j_key, j
+        if best_key is not None:
+            visited.add(best)
+            walk.append(best)
+            v = best
+            continue
+        path = reconnect(v, visited) if reconnect else None
+        if path is None:
+            return planners.PlanResult(tuple(walk),
+                                       "unreachable-cells" if reconnect else "dead-end")
+        walk.extend(path[1:])
+        visited.update(path[1:])
+        v = path[-1]
+    if not planners._extend_to(g, walk, (g.terminal_node,), leave_via):
+        return planners.PlanResult(tuple(walk), "terminal-unreachable")
+    return planners.PlanResult(tuple(walk))
+
+
+def ref_sweep_rows(g):
+    rows = {}
+    for i, c in enumerate(g.coords):
+        rows.setdefault(c.row, []).append(i)
+    return [sorted(rows[r], key=lambda i: (g.coords[i].col, i)) for r in sorted(rows)]
+
+
+def ref_onion_rings(g):
+    remaining = set(range(g.n))
+    rings = []
+    while remaining:
+        ring = sorted(
+            i for i in remaining if sum(j in remaining for j in g.internal_adjacency[i]) < 6
+        )
+        rings.append(ring)
+        remaining -= set(ring)
+    return rings
+
+
+def ref_circumnavigate(children, root):
+    seq = []
+
+    def visit(u):
+        seq.append(u)
+        for c in children[u]:
+            visit(c)
+            seq.append(u)
+
+    visit(root)
+    return seq
+
+
+def ref_euclid(g, a, b):
+    pa, pb = g.positions[a], g.positions[b]
+    return math.hypot(pb.x - pa.x, pb.y - pa.y)
+
+
+REFERENCES = {
+    "_bfs": ref_bfs,
+    "_greedy": ref_greedy,
+    "sweep_rows": ref_sweep_rows,
+    "onion_rings": ref_onion_rings,
+    "_circumnavigate": ref_circumnavigate,
+    "_euclid": ref_euclid,
+}
+
+
+def plan_with_references(g, slug):
+    with contextlib.ExitStack() as stack:
+        for name, ref in REFERENCES.items():
+            stack.enter_context(mock.patch.object(planners, name, ref))
+        return plan(g, slug)
+
+
+class TestAgainstReferences:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_graph_args())
+    def test_every_planner_matches_the_references(self, args):
+        g = graph_from_coords(*args)
+        for slug in PLANNERS:
+            res, ref = plan(g, slug), plan_with_references(g, slug)
+            assert (res.walk, res.fail_reason) == (ref.walk, ref.fail_reason), slug
+
+    def test_every_planner_matches_the_references_on_admitted_instances(self, instances):
+        for inst in instances:
+            for slug in PLANNERS:
+                res, ref = plan(inst.graph, slug), plan_with_references(inst.graph, slug)
+                assert (res.walk, res.fail_reason) == (ref.walk, ref.fail_reason), slug
+
+    def test_shared_rows_and_rings_are_immutable(self, instances):
+        g = instances[0].graph
+        for shared in (planners.sweep_rows(g), onion_rings(g)):
+            assert isinstance(shared, tuple)
+            assert all(isinstance(part, tuple) for part in shared)
+        assert planners.sweep_rows(g) is planners.sweep_rows(g)
+        assert [list(r) for r in planners.sweep_rows(g)] == ref_sweep_rows(g)
+        assert [list(r) for r in onion_rings(g)] == ref_onion_rings(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattice_graph_args())
+    def test_tree_walk_matches_the_recursive_walk(self, args):
+        g = graph_from_coords(*args)
+        root = planners._stc_root(g)
+        for children in (planners._bfs_tree(g, root),
+                         planners._distance_biased_tree(g, root)):
+            assert planners._circumnavigate(children, root) == ref_circumnavigate(children, root)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_graph_args(), st.integers(0, 35), st.integers(0, 35))
+    def test_step_length_is_the_hypot_of_the_differences(self, args, a, b):
+        g = graph_from_coords(*args)
+        a, b = a % len(g.positions), b % len(g.positions)
+        assert planners._euclid(g, a, b).hex() == ref_euclid(g, a, b).hex()
+
+
+def brute_force_path(g, frm, targets, through):
+    """The lowest-index nearest target, by the lexicographically least
+    minimum-hop path whose intermediate nodes lie in `through`, found by
+    listing every simple path."""
+    if frm in targets:
+        return [frm]
+    best = None
+    paths = [[frm]]
+    while paths:
+        path = paths.pop()
+        for w in g.adjacency[path[-1]]:
+            if w in path:
+                continue
+            if w in targets:
+                found = path + [w]
+                if best is None or (len(found), w, found) < (len(best), best[-1], best):
+                    best = found
+            elif w in through:
+                paths.append(path + [w])
+    return best
+
+
+@st.composite
+def bfs_cases(draw):
+    """A graph of up to 7 cells, a start node, 1-3 targets and a random set
+    of nodes to pass through."""
+    g = graph_from_coords(*draw(lattice_graph_args(max_cells=7)))
+    nodes = st.integers(0, g.n + 1)
+    frm = draw(nodes)
+    targets = set(draw(st.lists(nodes, min_size=1, max_size=3)))
+    through = set(draw(st.lists(nodes, max_size=g.n + 2)))
+    if draw(st.booleans()):
+        through = set(range(g.n))
+    return g, frm, targets, through
+
+
+def _met_higher_first_case():
+    # From cell 4 the layer meets target 1 through cell 2 before target 0
+    # through cell 3; both are two hops away.
+    coords = [(1, 3), (2, 0), (2, 1), (2, 2), (3, 2)]
+    g = graph_from_coords(coords, 1.0, [0], [0], Point(-3.0, -3.0))
+    return g, 4, {0, 1}, range(g.n)
+
+
+class TestBfsAgainstBruteForce:
+    @settings(max_examples=400, deadline=None)
+    @given(bfs_cases())
+    @example(_met_higher_first_case())
+    @example((block_graph(3, 3), 1, {6, 9}, range(9)))
+    def test_matches_brute_force(self, case):
+        g, frm, targets, through = case
+        expected = brute_force_path(g, *case[1:])
+        assert planners._bfs(g, frm, targets, through) == expected
+        assert planners._bfs(g, frm, tuple(sorted(targets)), through) == expected
+        assert ref_bfs(*case) == expected
+
+    def test_equally_near_targets_go_to_the_lowest_index(self):
+        # Every start and pair of targets on a 3x3 block. Where the higher
+        # target's path is the lexicographically lesser, the layer meets it
+        # first, and only finishing the layer finds the lower one.
+        g = block_graph(3, 3)
+        nodes = range(g.n + 2)
+        met_higher_first = 0
+        for frm in nodes:
+            for low, high in itertools.combinations(nodes, 2):
+                got = planners._bfs(g, frm, {low, high}, range(g.n))
+                assert got == brute_force_path(g, frm, {low, high}, range(g.n))
+                to_high = planners._bfs(g, frm, (high,), range(g.n))
+                if got and got[-1] == low and len(to_high) == len(got):
+                    met_higher_first += to_high < got
+        assert met_higher_first > 0
+
+
+class TestDeepTrees:
+    @pytest.mark.parametrize("slug", ["stc-tree", "stc-like"])
+    def test_stc_walks_a_1500_cell_chain(self, slug):
+        g = chain_graph(1500)
+        res = plan(g, slug)
+        assert res.fail_reason is None
+        # Out along the chain and back round the tree, then out again to the
+        # terminal, linked at the far end.
+        there, back = range(1500), range(1498, -1, -1)
+        assert res.walk == (g.base_node, *there, *back, *there[1:], g.terminal_node)
+        assert graded(g, res) == STATUS_COVERAGE
