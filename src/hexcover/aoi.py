@@ -166,6 +166,8 @@ def insert_obstacles(shape: AoiShape, seed: int) -> AoiShape:
     are re-sampled a bounded number of times and then skipped, so the result
     always satisfies the polygon invariants.
     """
+    import numpy as np
+
     rng = substream(seed, STREAM_HOLES)
     count = int(rng.choice(4, p=_HOLE_COUNT_WEIGHTS))
     if count == 0:
@@ -186,21 +188,36 @@ def insert_obstacles(shape: AoiShape, seed: int) -> AoiShape:
     # the rounding of any distance computed in _closer_than.
     pad = 1e-9 * (clearance + max(map(abs, xs + ys)))
 
+    # Every attempt any hole may take, drawn at once. numpy fills the array
+    # row by row, so row k holds what attempt k's scalar draws would: the
+    # cells eaten, the centre's x and y, then the vertex wobbles. Nothing
+    # reads this stream afterwards, so the unused rows change nothing.
+    tries = count * _HOLE_RETRIES
+    lows = [1.0, min(xs), min(ys)] + [0.88] * _HOLE_VERTICES
+    highs = [3.2, max(xs), max(ys)] + [1.12] * _HOLE_VERTICES
+    draws = rng.uniform(lows, highs, size=(tries, 3 + _HOLE_VERTICES))
+    rho = np.sqrt(draws[:, 0] * hexagon_area(cell_proxy) / math.pi)
+    wide = rho[:, None] * draws[:, 3:]
+    ux, uy = np.array(_HOLE_DIRECTIONS).T
+    vx = draws[:, 1, None] + wide * ux
+    vy = draws[:, 2, None] + wide * uy
+    # The outer-ring containment of every candidate's vertices in one test.
+    vertices = np.stack([vx.ravel(), vy.ravel()], axis=1)
+    inside = points_in_ring(vertices, outer_pair[1]).reshape(tries, -1).all(axis=1).tolist()
+
+    first = 0  # the first attempt of the hole being placed
     for _ in range(count):
-        for _attempt in range(_HOLE_RETRIES):
-            cells_eaten = rng.uniform(1.0, 3.2)
-            rho = math.sqrt(cells_eaten * hexagon_area(cell_proxy) / math.pi)
-            cx = rng.uniform(min(xs), max(xs))
-            cy = rng.uniform(min(ys), max(ys))
-            wobble = rng.uniform(0.88, 1.12, _HOLE_VERTICES).tolist()
-            ring = tuple(
-                Point(cx + rho * w * ux, cy + rho * w * uy)
-                for w, (ux, uy) in zip(wobble, _HOLE_DIRECTIONS)
-            )
-            arr = ring_array(ring)
-            if _hole_admissible((ring, arr), outer_pair, holes, clearance, pad):
-                holes.append((ring, arr))
+        for k in range(first, first + _HOLE_RETRIES):
+            if not inside[k]:
+                continue
+            ring = tuple(map(Point, vx[k].tolist(), vy[k].tolist()))
+            candidate = (ring, ring_array(ring))
+            if _hole_admissible(candidate, outer_pair, holes, clearance, pad):
+                holes.append(candidate)
+                first = k + 1
                 break
+        else:
+            first += _HOLE_RETRIES
 
     if len(holes) == len(shape.polygon.holes):
         return shape
@@ -210,13 +227,12 @@ def insert_obstacles(shape: AoiShape, seed: int) -> AoiShape:
 
 
 def _hole_admissible(candidate, outer, holes, clearance: float, pad: float) -> bool:
-    """Whether a candidate hole lies inside the outer ring and outside every
-    earlier hole, with `clearance` to each. The candidate, `outer` and each
-    of `holes` is a (points, ring array) pair."""
+    """Whether a candidate hole, whose vertices lie inside the outer ring,
+    keeps `clearance` to it and lies outside every earlier hole, with
+    `clearance` to each. The candidate, `outer` and each of `holes` is a
+    (points, ring array) pair."""
     ring, arr = candidate
     vertices = arr[:-1]
-    if not points_in_ring(vertices, outer[1]).all():
-        return False
     if _closer_than(candidate, outer, clearance, pad):
         return False
     for other in holes:

@@ -393,7 +393,12 @@ def polygon_metrics(p: PolygonWithHoles) -> tuple[float, float, float]:
     Area subtracts holes; perimeter and aspect ratio come from the outer ring
     alone, so hole insertion never alters the outline compactness inputs.
     """
-    area = ring_signed_area(p.outer) + sum(ring_signed_area(h) for h in p.holes)
+    # The hole areas are added left to right from 0.0, not by sum(): from
+    # Python 3.12 on, sum() of floats is compensated and may round differently.
+    holes = 0.0
+    for hole in p.holes:
+        holes += ring_signed_area(hole)
+    area = ring_signed_area(p.outer) + holes
     perimeter = ring_perimeter(p.outer)
     if area <= GEOM_TOL * GEOM_TOL or perimeter <= GEOM_TOL:
         raise InvalidGeometryError("degenerate polygon")
@@ -405,13 +410,14 @@ def polygon_metrics(p: PolygonWithHoles) -> tuple[float, float, float]:
 # Hexagon clipping (cell/free-space overlap areas)
 #
 # Sutherland-Hodgman reentrant polygon clipping (Sutherland & Hodgman, CACM
-# 17(1), 1974) of one subject ring against the hexagons of many cells at
-# once. The vertices of every clipped ring sit in flat x/y arrays with a
-# ring id per vertex, ring after ring. Each clip stage evaluates the scalar
-# orientation and crossing expressions per vertex and compacts the output in
-# ring order, so every clipped vertex is bit-identical to clipping one
-# hexagon at a time. The shoelace sum is the one float reduction, and it
-# runs one column at a time, in edge order, as ring_signed_area adds.
+# 17(1), 1974) of every ring of a polygon against the hexagons of many
+# cells at once. The vertices of every clipped ring sit in flat x/y arrays
+# with a ring id per vertex, ring after ring. Each clip stage evaluates the
+# scalar orientation and crossing expressions per vertex and compacts the
+# output in ring order, so every clipped vertex is bit-identical to clipping
+# one ring by one hexagon at a time. The shoelace sum is the one float
+# reduction, and it runs one column at a time, in edge order, as
+# ring_signed_area adds.
 
 
 def _ring_layout(rid):
@@ -433,21 +439,25 @@ def _ring_layout(rid):
     return succ, starts, ends
 
 
-def hexagon_clip_areas(ring: Sequence[Point], centers, h: float):
-    """Area of the counterclockwise `ring` inside the hexagon of circumradius
-    `h` at each row of the (m, 2) array `centers`, as an array of m areas.
+def hexagon_clip_areas(rings: Sequence[Sequence[Point]], centers, h: float):
+    """Area of each counterclockwise ring of `rings` inside the hexagon of
+    circumradius `h` at each row of the (m, 2) array `centers`, as an array
+    whose [r, i] is the area of ring r in hexagon i.
 
-    A clipped ring of fewer than 3 vertices has area 0.0, and a negative
-    area of a degenerate output ring is taken as 0.0.
+    Every ring is clipped against every hexagon in one pass: ring r's clip
+    by hexagon i has ring id r * m + i. A clipped ring of fewer than 3
+    vertices has area 0.0, and a negative area of a degenerate output ring
+    is taken as 0.0.
     """
     import numpy as np
 
-    m, n = len(centers), len(ring)
-    sx, sy = point_array(ring).T
-    x, y = np.tile(sx, m), np.tile(sy, m)
-    rid = np.repeat(np.arange(m), n)
-    # The hexagon vertices as hexagon_ring computes them.
-    cx, cy = centers[:, 0], centers[:, 1]
+    m, ids = len(centers), len(rings) * len(centers)
+    subjects = [point_array(ring) for ring in rings]
+    # Each ring's vertices once per hexagon, hexagon after hexagon.
+    x, y = np.concatenate([np.tile(s, (m, 1)) for s in subjects]).T
+    rid = np.repeat(np.arange(ids), np.repeat([len(s) for s in subjects], m))
+    # The hexagon vertices as hexagon_ring computes them, once per ring id.
+    cx, cy = np.tile(centers[:, 0], len(rings)), np.tile(centers[:, 1], len(rings))
     hx = [cx + h * ux for ux, _ in _HEX_UNIT]
     hy = [cy + h * uy for _, uy in _HEX_UNIT]
     for k in range(6):
@@ -476,15 +486,15 @@ def hexagon_clip_areas(ring: Sequence[Point], centers, h: float):
     succ, starts, ends = _ring_layout(rid)
     terms = x * y[succ] - x[succ] * y
     # Row j of the table holds term j of every ring, zero past its end.
-    counts = np.bincount(rid, minlength=m)
-    table = np.zeros((counts.max(initial=0), m))
+    counts = np.bincount(rid, minlength=ids)
+    table = np.zeros((counts.max(initial=0), ids))
     table[np.arange(len(rid)) - np.repeat(starts, ends - starts), rid] = terms
-    acc = np.zeros(m)
+    acc = np.zeros(ids)
     for column in table:
         acc += column
     area = 0.5 * acc
     area[counts < 3] = 0.0
-    return np.maximum(area, 0.0)
+    return np.maximum(area, 0.0).reshape(len(rings), m)
 
 
 def free_overlap_areas(centers, h: float, polygon: PolygonWithHoles):
@@ -493,14 +503,11 @@ def free_overlap_areas(centers, h: float, polygon: PolygonWithHoles):
     import numpy as np
 
     # The outer ring and each reversed hole, each counterclockwise, as
-    # hexagon_clip_areas takes a subject.
-    outer = _counterclockwise(polygon.outer)
-    holes = [_counterclockwise(list(reversed(hole))) for hole in polygon.holes]
-    area = hexagon_clip_areas(outer, centers, h)
-    rows = np.flatnonzero(area != 0.0)
-    if holes and len(rows):
-        part, near = area[rows], centers[rows]
-        for hole in holes:
-            part -= hexagon_clip_areas(hole, near, h)
-        area[rows] = part
+    # hexagon_clip_areas takes a subject, all clipped in one call.
+    rings = [_counterclockwise(polygon.outer)]
+    rings += [_counterclockwise(list(reversed(hole))) for hole in polygon.holes]
+    area, *holes = hexagon_clip_areas(rings, centers, h)
+    rows = area != 0.0
+    for hole in holes:
+        area[rows] -= hole[rows]
     return np.maximum(area, 0.0)

@@ -273,9 +273,14 @@ def onion_rings(g: CoverageGraph) -> tuple[tuple[int, ...], ...]:
 
 
 def _centroid(g: CoverageGraph, cells) -> tuple[float, float]:
-    xs = [g.positions[i].x for i in cells]
-    ys = [g.positions[i].y for i in cells]
-    return sum(xs) / len(xs), sum(ys) / len(ys)
+    # Added left to right from 0.0, not by sum(): from Python 3.12 on, sum()
+    # of floats is compensated and may round differently.
+    sx = sy = 0.0
+    for i in cells:
+        x, y = g.positions[i]
+        sx += x
+        sy += y
+    return sx / len(cells), sy / len(cells)
 
 
 def _angular_ring_order(g: CoverageGraph, ring: Sequence[int], around, start_near: int) -> list[int]:

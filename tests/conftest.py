@@ -1,7 +1,10 @@
 """Shared fixture graphs and independent checkers used across the test suite."""
 
+import hashlib
+import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -14,6 +17,18 @@ from hexcover.metrics import (
     STATUS_FAIL,
     STATUS_HAMILTONIAN,
 )
+
+
+def results_digest(path: Path) -> str:
+    """SHA-256 of a results file's sorted non-latency lines."""
+    rows = sorted(
+        json.dumps(
+            {k: v for k, v in json.loads(line).items() if k != "latency_ms"},
+            sort_keys=True, separators=(",", ":"),
+        )
+        for line in path.read_text().splitlines()
+    )
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
 def aoi_from_ring(ring, holes=(), seed=0, family_hint="compact"):

@@ -2,12 +2,13 @@
 line per criterion, on a regenerated, audited, seed-fixed dataset of 1000
 instances (run with `pytest tests/test_acceptance.py -v -s`)."""
 
+import hashlib
 import math
 from collections import defaultdict
 
 import numpy as np
 import pytest
-from conftest import RING6_COORDS, random_small_graph, ring6_graph
+from conftest import RING6_COORDS, random_small_graph, results_digest, ring6_graph
 
 from hexcover.graphbuild import GenerationConfig, LatticeFrame, graph_from_coords
 from hexcover.harness import (
@@ -31,6 +32,10 @@ from hexcover.planners import METHOD_ORDER, WARNSDORFF_SLUGS
 
 ACCEPT_COUNT = 1000
 ACCEPT_SEED = 0
+# The SHA-256 of that dataset, and the digest of its results' non-latency
+# fields (conftest.results_digest).
+ACCEPT_DATASET_SHA256 = "eaebc337fdcc031c82035270e564cef1758b6557cb547fec2595e4847b31147e"
+ACCEPT_RESULTS_DIGEST = "849017a459e4611c24ebdae37e90ed7136e6d6e82716ea17e8e661f5d271df92"
 
 RECONNECTION_12 = [
     "boustrophedon", "row-oneway", "segment-snake",
@@ -61,15 +66,24 @@ def instances(dataset_path):
 
 
 @pytest.fixture(scope="module")
-def records(dataset_path, tmp_path_factory):
-    out = tmp_path_factory.mktemp("accept_results") / "results.jsonl"
-    return run_benchmark(dataset_path, "all", out)
+def results_path(dataset_path, tmp_path_factory):
+    return tmp_path_factory.mktemp("accept_results") / "results.jsonl"
+
+
+@pytest.fixture(scope="module")
+def records(dataset_path, results_path):
+    return run_benchmark(dataset_path, "all", results_path)
 
 
 @pytest.fixture(scope="module")
 def summary(records):
     rows = aggregate_summary(records, METHOD_ORDER)
     return {r.method: r for r in rows}
+
+
+def test_pinned_dataset_and_results_digests(dataset_path, records, results_path):
+    assert hashlib.sha256(dataset_path.read_bytes()).hexdigest() == ACCEPT_DATASET_SHA256
+    assert results_digest(results_path) == ACCEPT_RESULTS_DIGEST
 
 
 def test_criterion_1_oracle_soundness():

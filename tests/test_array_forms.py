@@ -377,10 +377,33 @@ def clip_centres(ring, rng):
 
 
 def assert_clips_match(ring, centres, h):
-    got = hexagon_clip_areas(ring, point_array(centres), h).tolist()
+    got = hexagon_clip_areas([ring], point_array(centres), h)[0].tolist()
     want = [clip_area_ccw(ring, hexagon_ring(c, h)) for c in centres]
     assert got == want
     assert [np.copysign(1.0, a) for a in got] == [np.copysign(1.0, a) for a in want]
+
+
+def hexes(values):
+    """Each float as float.hex, so that -0.0 is not 0.0."""
+    return [float(v).hex() for v in values]
+
+
+def assert_joint_clip_matches(rings, centers, h):
+    """One call over all of `rings` gives each ring the areas that a call of
+    its own gives, bit for bit."""
+    joint = hexagon_clip_areas(rings, centers, h)
+    assert joint.shape == (len(rings), len(centers))
+    for ring, row in zip(rings, joint):
+        assert hexes(row) == hexes(hexagon_clip_areas([ring], centers, h)[0])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_one_clip_call_for_several_star_rings(seed):
+    rng = np.random.default_rng([seed, 13])
+    rings = [star_ring(rng) for _ in range(int(rng.integers(2, 6)))]
+    centres = point_array([c for ring in rings for c in clip_centres(ring, rng)])
+    for h in (0.05, 0.7, float(rng.uniform(0.2, 2.0)), 12.0):
+        assert_joint_clip_matches(rings, centres, h)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -478,9 +501,11 @@ def test_free_overlap_areas_with_clipped_holes():
     centres = [Point(cx, cy), *poly.holes[0], *poly.holes[1], *outer] + [
         Point(float(x), float(y)) for x, y in rng.uniform(cx - 2.0, cx + 2.0, (60, 2))
     ]
+    rings = [outer, *(counterclockwise(list(reversed(hole))) for hole in poly.holes)]
     for h in (0.2, 0.6):
         got = free_overlap_areas(point_array(centres), h, poly).tolist()
         assert got == [free_overlap_area(c, h, poly) for c in centres]
+        assert_joint_clip_matches(rings, point_array(centres), h)
 
 
 def test_every_near_cell_of_pipeline_seeds(monkeypatch):
@@ -502,6 +527,8 @@ def test_every_near_cell_of_pipeline_seeds(monkeypatch):
     for centers, h, poly, areas in calls:
         want = [free_overlap_area(Point(x, y), h, poly) for x, y in centers.tolist()]
         assert areas.tolist() == want
+        holes = [counterclockwise(list(reversed(hole))) for hole in poly.holes]
+        assert_joint_clip_matches([counterclockwise(poly.outer), *holes], centers, h)
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +570,10 @@ def test_closer_than_matches_minimum_distance():
 
 
 def test_hole_admissible_matches_scalar_on_pipeline_candidates(monkeypatch):
-    # Every candidate hole of seeds 0-199, at the pipeline's clearance and
-    # at the candidate's own least vertex-edge distance d and the float
-    # above it, where the decision flips.
+    # Every candidate hole of seeds 0-199 that the outer-ring screen passes,
+    # at the pipeline's clearance and at the candidate's own least
+    # vertex-edge distance d and the float above it, where the decision
+    # flips. The reference tests containment too, which these candidates pass.
     calls = []
     real = aoi._hole_admissible
 
@@ -570,6 +598,77 @@ def test_hole_admissible_matches_scalar_on_pipeline_candidates(monkeypatch):
         flips += at_d == [True, False]
     assert len(calls) > 300 and 100 < admitted < len(calls)
     assert flips > 100
+
+
+def ref_insert_obstacles(shape, seed):
+    """insert_obstacles drawing and testing one attempt at a time: its scalar
+    draws, then the whole hole test, containment included."""
+    rng = aoi.substream(seed, aoi.STREAM_HOLES)
+    count = int(rng.choice(4, p=aoi._HOLE_COUNT_WEIGHTS))
+    if count == 0:
+        return shape
+    outer = shape.polygon.outer
+    cell_proxy = math.sqrt(ring_signed_area(outer) / (math.pi * 30.0))
+    xs = [p.x for p in outer]
+    ys = [p.y for p in outer]
+    outer_pair = (outer, ring_array(outer))
+    holes = [(hole, ring_array(hole)) for hole in shape.polygon.holes]
+    clearance = 0.65 * cell_proxy
+    pad = 1e-9 * (clearance + max(map(abs, xs + ys)))
+    for _ in range(count):
+        for _attempt in range(aoi._HOLE_RETRIES):
+            cells_eaten = rng.uniform(1.0, 3.2)
+            rho = math.sqrt(cells_eaten * hexgeom.hexagon_area(cell_proxy) / math.pi)
+            cx = rng.uniform(min(xs), max(xs))
+            cy = rng.uniform(min(ys), max(ys))
+            wobble = rng.uniform(0.88, 1.12, aoi._HOLE_VERTICES).tolist()
+            ring = tuple(
+                Point(cx + rho * w * ux, cy + rho * w * uy)
+                for w, (ux, uy) in zip(wobble, aoi._HOLE_DIRECTIONS)
+            )
+            candidate = (ring, ring_array(ring))
+            if hole_admissible(candidate, outer_pair, holes, clearance, pad):
+                holes.append(candidate)
+                break
+    if len(holes) == len(shape.polygon.holes):
+        return shape
+    polygon = PolygonWithHoles(outer, tuple(hole for hole, _ in holes))
+    return aoi.AoiShape(polygon, aoi.classify_morphology(polygon), shape.seed, shape.family_hint)
+
+
+def shape_fields(shape):
+    """Every hole vertex and the morphology of `shape`, floats as float.hex."""
+    m = shape.morphology
+    holes = [hexes(v for p in hole for v in p) for hole in shape.polygon.holes]
+    return holes, m.label, m.compactness.hex(), m.aspect.hex()
+
+
+def test_insert_obstacles_matches_one_attempt_at_a_time():
+    counts = [0, 0, 0, 0]
+    for seed, shape in pipeline_shapes(range(1000)):
+        got = insert_obstacles(shape, seed)
+        assert shape_fields(got) == shape_fields(ref_insert_obstacles(shape, seed))
+        counts[len(got.polygon.holes)] += 1
+    # Every hole count occurs, and some seeds place fewer holes than drawn.
+    assert min(counts) > 50
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 + 5])
+def test_one_uniform_draw_equals_scalar_draws(seed):
+    # Row by row, one call with per-column bounds draws what the scalar
+    # calls of each attempt draw in turn, on the Philox streams of each stage.
+    width = 3 + aoi._HOLE_VERTICES
+    for stage in range(4):
+        bounds = np.random.default_rng([seed % 97, stage]).uniform(-50.0, 50.0, (2, 3))
+        lows = [1.0, float(bounds[0].min()), float(bounds[1].min())] + [0.88] * (width - 3)
+        highs = [3.2, float(bounds[0].max()), float(bounds[1].max())] + [1.12] * (width - 3)
+        batched = aoi.substream(seed, stage).uniform(lows, highs, size=(12, width))
+        rng = aoi.substream(seed, stage)
+        scalar = []
+        for _ in range(12):
+            scalar += [rng.uniform(lows[k], highs[k]) for k in range(3)]
+            scalar += rng.uniform(0.88, 1.12, width - 3).tolist()
+        assert hexes(batched.ravel()) == hexes(scalar)
 
 
 # ---------------------------------------------------------------------------

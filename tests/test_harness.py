@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import results_digest
 
 from hexcover import harness
 from hexcover.cli import main as cli_main
@@ -299,7 +300,7 @@ class TestFileBoundary:
         rpath, _ = results
         assert manifest.sha256 == PINNED_DATASET_SHA256
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DATASET_SHA256
-        assert _results_digest(rpath) == PINNED_RESULTS_DIGEST
+        assert results_digest(rpath) == PINNED_RESULTS_DIGEST
 
     def test_pinned_dataset_of_seeds_0_to_47(self, seeds_0_47):
         _, manifest = seeds_0_47
@@ -311,7 +312,7 @@ class TestFileBoundary:
         dpath, _ = seeds_0_47
         rpath, out = tmp_path / "r.jsonl", tmp_path / "rep"
         run_benchmark(dpath, "all", rpath, workers=1)
-        assert _results_digest(rpath) == PINNED_SEEDS_0_47_RESULTS_DIGEST
+        assert results_digest(rpath) == PINNED_SEEDS_0_47_RESULTS_DIGEST
         write_report(rpath, dpath, out, strata="morphology")
         digests = {
             name: hashlib.sha256(
@@ -504,18 +505,6 @@ def _relabel(path: Path, out: Path, lineno: int, **fields) -> Path:
     return out
 
 
-def _results_digest(path: Path) -> str:
-    """SHA-256 of a results file's sorted non-latency lines."""
-    rows = sorted(
-        json.dumps(
-            {k: v for k, v in json.loads(line).items() if k != "latency_ms"},
-            sort_keys=True, separators=(",", ":"),
-        )
-        for line in path.read_text().splitlines()
-    )
-    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
-
-
 def _drop_md_column(md: str, col: str) -> str:
     """A markdown table without column `col` (unchanged if it has none)."""
     rows = [line[2:-2].split(" | ") for line in md.splitlines()]
@@ -586,6 +575,35 @@ class TestCli:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:")
         assert "worker" in err[0].lower()
+
+    def test_generate_refuses_an_out_that_is_a_directory_before_any_seed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_build(*args):
+            raise AssertionError("a seed was built for an --out that is a directory")
+
+        monkeypatch.setattr(harness, "build_instance", no_build)
+        code = cli_main(["generate", "--count", "200", "--out", str(tmp_path),
+                         "--workers", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and str(tmp_path) in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_refuses_an_out_that_is_a_directory_before_any_plan(
+        self, dataset, tmp_path, monkeypatch, capsys
+    ):
+        def no_plan(*args):
+            raise AssertionError("a plan ran for an --out that is a directory")
+
+        monkeypatch.setattr(harness, "timed_plan", no_plan)
+        path, _ = dataset
+        code = cli_main(["run", "--dataset", str(path), "--out", str(tmp_path),
+                         "--workers", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and str(tmp_path) in err[0]
+        assert list(tmp_path.iterdir()) == []
 
     def test_default_workers_are_the_cpus_this_process_may_use(self, monkeypatch):
         monkeypatch.delenv("HEXCOVER_WORKERS", raising=False)

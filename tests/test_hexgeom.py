@@ -1,11 +1,14 @@
+import builtins
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_array_forms import clip_area_convex, free_overlap_area
 
-from hexcover.aoi import FAMILIES, sample_aoi
+from hexcover.aoi import FAMILIES, insert_obstacles, sample_aoi
+from hexcover.graphbuild import GenerationConfig, build_instance, choose_family
 from hexcover.hexgeom import (
     GEOM_TOL,
     SQRT3,
@@ -24,6 +27,7 @@ from hexcover.hexgeom import (
     polygon_metrics,
     ring_signed_area,
 )
+from hexcover.planners import _centroid
 
 
 def square_ring(w=1.0, h=1.0, x0=0.0, y0=0.0):
@@ -294,3 +298,74 @@ class TestClipping:
         ring = square_ring(2, 2)
         assert point_in_ring(Point(1, 1), ring)
         assert not point_in_ring(Point(3, 1), ring)
+
+
+# ---------------------------------------------------------------------------
+# Float sums
+
+REAL_SUM = builtins.sum
+
+
+def plain_sum(values) -> float:
+    """Left to right from 0.0: Python 3.11's sum() of floats."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def compensated_sum(values, start=0):
+    """sum() as Python 3.12 and later compute it for floats: Neumaier's
+    compensated sum. Any other input is summed as before."""
+    values = list(values)
+    if not values or not all(type(v) is float for v in values):
+        return REAL_SUM(values, start)
+    total, comp = float(start), 0.0
+    for v in values:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp
+
+
+def test_float_sums_do_not_depend_on_builtin_sum(monkeypatch):
+    # The hole areas behind compactness and the spiral planners' centroids
+    # must round the same on every Python version, so they may not use sum().
+    config = GenerationConfig()
+    polygons, graphs = [], []
+    for seed in (251, 277):
+        family = choose_family(seed, config)
+        polygons.append(insert_obstacles(sample_aoi(family, seed, config.scale), seed).polygon)
+        graphs.append(build_instance(family, seed, config).graph)
+    # Hole areas -1, -1e-16 and -1e-16: 3.11 drops both small ones.
+    tiny = (Point(0.5, 0.5), Point(0.5, 0.50000001), Point(0.50000002, 0.5))
+    polygons.append(PolygonWithHoles(
+        square_ring(2.0, 1.0), (tuple(reversed(square_ring(0.5, 2.0))), tiny, tiny)
+    ))
+    graphs.append(SimpleNamespace(positions=[Point(1e16, 0.0), Point(1.0, 1.0), Point(-1e16, 2.0)]))
+    cell_sets = [[range(g.n), sorted(range(0, g.n, 3)), [g.n - 1, 0]] for g in graphs[:2]]
+    cell_sets.append([range(3)])
+
+    def hole_sums(poly):
+        return [f([ring_signed_area(h) for h in poly.holes]) for f in (plain_sum, compensated_sum)]
+
+    def centroid_sums(g, cells):
+        return [(f(g.positions[i].x for i in cells), f(g.positions[i].y for i in cells))
+                for f in (plain_sum, compensated_sum)]
+
+    # The compensated sum rounds every case differently somewhere.
+    for poly in polygons:
+        want, other = hole_sums(poly)
+        assert want.hex() != other.hex()
+    for g, sets in zip(graphs, cell_sets):
+        assert any(len(set(centroid_sums(g, cells))) == 2 for cells in sets)
+
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    for poly in polygons:
+        area, _, _ = polygon_metrics(poly)
+        assert area.hex() == (ring_signed_area(poly.outer) + hole_sums(poly)[0]).hex()
+    for g, sets in zip(graphs, cell_sets):
+        for cells in sets:
+            sx, sy = centroid_sums(g, cells)[0]
+            got = _centroid(g, cells)
+            assert [v.hex() for v in got] == [(sx / len(cells)).hex(), (sy / len(cells)).hex()]
