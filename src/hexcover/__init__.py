@@ -19,8 +19,8 @@ _EXPORTS = {
         "build_instance", "graph_from_coords", "postprocess_mask", "tessellate",
     ),
     "harness": (
-        "DatasetManifest", "ResultRecord", "audit_dataset", "generate_dataset",
-        "load_instances", "load_results", "run_benchmark", "write_report",
+        "DatasetManifest", "audit_dataset", "generate_dataset", "load_instances",
+        "load_results", "run_benchmark", "write_report",
     ),
     "hexgeom": (
         "InvalidGeometryError", "InvalidParameterError", "OffsetCoord", "Point",

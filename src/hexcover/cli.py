@@ -71,8 +71,8 @@ def _cmd_run(args) -> int:
     from hexcover.harness import run_benchmark
 
     methods = args.methods.split(",") if args.methods != "all" else "all"
-    records = run_benchmark(args.dataset, methods, args.out, workers=args.workers)
-    print(f"wrote {len(records)} result records to {args.out}")
+    count = run_benchmark(args.dataset, methods, args.out, workers=args.workers)
+    print(f"wrote {count} result records to {args.out}")
     return EXIT_OK
 
 

@@ -27,6 +27,7 @@ from hexcover.graphbuild import (
     Instance,
     LatticeFrame,
     Rejection,
+    _json_number,
     build_instance,
     choose_family,
     exterior_boundary,
@@ -73,6 +74,16 @@ def _output_file(path: str | Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    return path
+
+
+def _output_dir(path: str | Path) -> Path:
+    """`path` as a Path, checked but not made: one that is a file, or lies
+    under one, raises NotADirectoryError, as `mkdir` could not make it."""
+    path = Path(path)
+    found = next(p for p in (path, *path.parents) if p.exists())
+    if not found.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(found))
     return path
 
 
@@ -446,26 +457,6 @@ def audit_dataset(path: str | Path) -> dict:
 # Batch evaluation
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    instance_id: str
-    method: str
-    status: str
-    walk: tuple[int, ...]
-    revisits: int
-    distance_norm: float
-    turns_rad: float
-    latency_ms: float
-
-    @classmethod
-    def from_dict(cls, r: dict) -> "ResultRecord":
-        return cls(
-            r["instance_id"], r["method"], r["status"], tuple(r["walk"]),
-            int(r["revisits"]), float(r["distance_norm"]), float(r["turns_rad"]),
-            float(r["latency_ms"]),
-        )
-
-
 def resolve_methods(methods: Sequence[str] | str) -> list[str]:
     if methods == "all" or methods == ["all"]:
         return list(METHOD_ORDER)
@@ -477,10 +468,13 @@ def resolve_methods(methods: Sequence[str] | str) -> list[str]:
     return out
 
 
-def _evaluate_instances(task: tuple[list[dict], list[str]]) -> list[dict]:
+def _evaluate_instances(task: tuple[list[dict], list[str]]) -> str:
+    """The results lines of `task`'s dataset records, each instance's in
+    method-name order; the methods are planned, and timed, in the order given."""
     records, methods = task
-    out = []
+    lines = []
     for inst in map(record_to_instance, records):
+        by_method = {}
         for method in methods:
             try:
                 result, ms = timed_plan(inst.graph, method)
@@ -489,74 +483,80 @@ def _evaluate_instances(task: tuple[list[dict], list[str]]) -> list[dict]:
                 raise EvaluationError(
                     f"instance {inst.id}, method {method}: {type(exc).__name__}: {exc}"
                 ) from exc
-            out.append({
+            by_method[method] = _dump_line({
                 "schema": RESULTS_SCHEMA, "instance_id": inst.id, "method": method,
                 "status": status, "walk": result.walk, "revisits": revisits,
                 "distance_norm": distance, "turns_rad": turns, "latency_ms": ms,
-            })
-    return out
+            }) + "\n"
+        lines.extend(by_method[m] for m in sorted(by_method))
+    return "".join(lines)
 
 
 def run_benchmark(
     dataset_path: str | Path,
     methods: Sequence[str] | str,
-    out_path: str | Path | None = None,
+    out_path: str | Path,
     workers: int | None = None,
-) -> list[ResultRecord]:
-    """Evaluate every requested method on every instance.
+) -> int:
+    """Evaluate every requested method on every instance, write the records
+    to `out_path` and return their count.
 
-    Output records are sorted by (instance_id, method); all fields except
-    latency_ms are deterministic and independent of the worker count. With
-    `out_path`, the records are written there and `<out_path>.manifest.json`
-    names the results schema and the dataset's SHA-256.
+    Records are sorted by (instance_id, method), whatever the order of the
+    dataset's lines or of `methods`; all fields except latency_ms are
+    deterministic and independent of the worker count.
+    `<out_path>.manifest.json` names the results schema and the dataset's
+    SHA-256. An `out_path` that is the dataset or its manifest is refused
+    before any plan runs.
     """
     method_list = resolve_methods(methods)
     raw_records, dataset_sha256 = _read_dataset(dataset_path, _audited)
     workers = resolve_workers(workers)
-    if out_path is not None:
-        out_path = _output_file(out_path)
+    out_path = _output_file(out_path)
+    for kept in (Path(dataset_path), Path(str(dataset_path) + ".manifest.json")):
+        if kept.exists() and out_path.exists() and out_path.samefile(kept):
+            raise DatasetError(f"{out_path}: the results would overwrite {kept}")
+    # `str` leaves an ill-typed id for record_to_instance to refuse.
+    raw_records.sort(key=lambda rec: str(rec["id"]))
     # Four instances a task: one a task spends about 5 % more of the wall time
     # on pool round trips (1000 instances, 2 workers on 2 CPUs).
     tasks = [(raw_records[i : i + 4], method_list) for i in range(0, len(raw_records), 4)]
-    results = [r for chunk in _in_order(_evaluate_instances, tasks, workers) for r in chunk]
-
-    results.sort(key=lambda r: (r["instance_id"], r["method"]))
-    records = [ResultRecord.from_dict(r) for r in results]
-    if out_path is not None:
-        out_path.write_text("".join(_dump_line(r) + "\n" for r in results))
-        manifest = {"version": RESULTS_SCHEMA, "dataset_sha256": dataset_sha256}
-        Path(str(out_path) + ".manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
-    return records
+    out_path.write_text("".join(_in_order(_evaluate_instances, tasks, workers)))
+    manifest = {"version": RESULTS_SCHEMA, "dataset_sha256": dataset_sha256}
+    Path(str(out_path) + ".manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    )
+    return len(raw_records) * len(method_list)
 
 
-def load_results(
-    path: str | Path, instances: Sequence[Instance]
-) -> list[ResultRecord]:
+def load_results(path: str | Path, instances: Sequence[Instance]) -> list[dict]:
     """Parse a results file and re-grade every walk against `instances`.
 
     A record of an unknown method, a walk of no instance, not a walk at all
     (MalformedWalkError), or not grading to its stored status and revisits
-    fails the load at its line; a file with no record for some instance
-    raises IncompleteMatrixError.
+    fails the load at its line, and so does a `revisits` that is not a JSON
+    integer or a `distance_norm`, `turns_rad` or `latency_ms` that is not a
+    JSON number; a file with no record for some instance raises
+    IncompleteMatrixError. The records are returned as dicts, those three
+    numbers as floats.
     """
     graphs = {i.id: i.graph for i in instances}
 
-    def convert(r: dict) -> ResultRecord:
-        rec = ResultRecord.from_dict(r)
-        _spec(rec.method)  # refuses a method that is no planner
-        g = graphs.get(rec.instance_id)
+    def convert(rec: dict) -> dict:
+        _spec(rec["method"])  # refuses a method that is no planner
+        g = graphs.get(rec["instance_id"])
         if g is None:
-            raise ValueError(f"unknown instance {rec.instance_id}")
-        if validate_path(g, rec.walk) != (rec.status, rec.revisits):
+            raise ValueError(f"unknown instance {rec['instance_id']}")
+        for key in ("distance_norm", "turns_rad", "latency_ms"):
+            rec[key] = float(_json_number(rec[key]))
+        revisits = _json_number(rec["revisits"], int)
+        if validate_path(g, rec["walk"]) != (rec["status"], revisits):
             raise ValueError(
                 "stored status/revisits do not match the walk (tamper check failed)"
             )
         return rec
 
     records, _ = _read_jsonl(path, RESULTS_SCHEMA, convert)
-    missing = sorted(graphs.keys() - {r.instance_id for r in records})
+    missing = sorted(graphs.keys() - {r["instance_id"] for r in records})
     if missing:
         head = ", ".join(missing[:5])
         raise IncompleteMatrixError(f"{path}: no results for {len(missing)} instances ({head} ...)")
@@ -590,9 +590,7 @@ def _table(rows: Iterable[SummaryRow], columns: Sequence[str]) -> list[dict]:
 
 
 def morphology_table(
-    records: list[ResultRecord],
-    instances: Sequence[Instance],
-    rows: list[SummaryRow],
+    records: list[dict], instances: Sequence[Instance], rows: list[SummaryRow]
 ) -> list[dict]:
     """Warnsdorff HSR per morphology stratum, with per-stratum n: each stratum
     is aggregate_summary over its instances' Warnsdorff records, and the
@@ -601,7 +599,7 @@ def morphology_table(
     strata = []
     for stratum in ("Compact", "Elongated", "Irregular"):
         ids = {i.id for i in instances if i.morphology.label == stratum}
-        subset = [r for r in records if r.instance_id in ids and r.method in warnsdorff]
+        subset = [r for r in records if r["instance_id"] in ids and r["method"] in warnsdorff]
         summary = aggregate_summary(subset, warnsdorff) if subset else []
         strata.append((stratum, len(ids), summary))
     strata.append(("Overall", len(instances), rows))
@@ -622,17 +620,23 @@ def write_report(
     plots_dir: str | Path | None = None,
 ) -> list[Path]:
     """Emit feasibility, quality, and Warnsdorff tables (plus optional strata
-    breakdown and SVG plots) from a results file."""
+    breakdown and SVG plots) from a results file.
+
+    `out_dir` and `plots_dir` are checked before any file is read, so a
+    path that cannot be a directory fails before any work."""
     if fmt not in ("markdown", "csv"):
         raise InvalidParameterError("format must be 'markdown' or 'csv'")
     if strata not in (None, "morphology"):
         raise InvalidParameterError("only morphology strata are supported")
+    out_dir = _output_dir(out_dir)
+    if plots_dir is not None:
+        plots_dir = _output_dir(plots_dir)
     # Results whose manifest names another dataset are refused.
     sha256 = _read_manifest(results_path, RESULTS_SCHEMA, "dataset_sha256")
     instances = load_instances(dataset_path, sha256)
     records = load_results(results_path, instances)
-    methods = sorted({r.method for r in records}, key=METHOD_ORDER.index)
-    rows = aggregate_summary(records, method_order=methods)
+    methods = sorted({r["method"] for r in records}, key=METHOD_ORDER.index)
+    rows = aggregate_summary(records, methods)
     by_method = {row.method: row for row in rows}
     oracle = {"method": ORACLE_DISPLAY, "family": "Oracle", "hsr_pct": 100.0,
               "ccr_pct": 100.0, "n": len(instances)}
@@ -646,7 +650,6 @@ def write_report(
     if strata == "morphology":
         tables["morphology"] = morphology_table(records, instances, rows)
 
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = "md" if fmt == "markdown" else "csv"
     written = [
@@ -655,7 +658,6 @@ def write_report(
         if table
     ]
     if plots_dir is not None:
-        plots_dir = Path(plots_dir)
         plots_dir.mkdir(parents=True, exist_ok=True)
         written.append(_write_hsr_bar_svg(plots_dir / "hsr_bar.svg", rows))
         written.append(

@@ -124,21 +124,19 @@ def path_turns(g: CoverageGraph, walk: Sequence[int]) -> float:
 
 
 def compute_path_metrics(g: CoverageGraph, walk: Sequence[int]) -> tuple[str, int, float, float]:
-    """(status, revisits, distance_norm, turns_rad), in ResultRecord field order."""
+    """(status, revisits, distance_norm, turns_rad): a walk's measured result fields."""
     status, revisits = validate_path(g, walk)
     length, turns = _length_and_turns(g, walk)
     distance = length / g.base_radius if len(walk) > 1 else 0.0
     return status, revisits, distance, turns
 
 
-def aggregate_summary(
-    records: Iterable,
-    method_order: Sequence[str] | None = None,
-) -> list[SummaryRow]:
-    """Per-method summary over a complete instance x method result matrix.
+def aggregate_summary(records: Iterable[dict], method_order: Sequence[str]) -> list[SummaryRow]:
+    """Per-method summary over a complete instance x method result matrix, one
+    row per method of `method_order`, in that order.
 
-    `records` are harness.ResultRecord: the summary reads their instance_id,
-    method, status, revisits, distance_norm, turns_rad and latency_ms.
+    `records` are results dicts: the summary reads their instance_id, method,
+    status, revisits, distance_norm, turns_rad and latency_ms.
     HSR and CCR are fractions over all instances; revisit/distance/turn
     statistics are conditional on the completed-coverage subset and use the
     sample standard deviation. Missing or repeated (instance, method) cells
@@ -148,17 +146,16 @@ def aggregate_summary(
     by_method: dict[str, dict] = {}
     instance_ids: set[str] = set()
     for r in records:
-        cells = by_method.setdefault(r.method, {})
-        if r.instance_id in cells:
-            raise IncompleteMatrixError(f"repeated result cell {r.instance_id}:{r.method}")
-        cells[r.instance_id] = r
-        instance_ids.add(r.instance_id)
+        cells = by_method.setdefault(r["method"], {})
+        if r["instance_id"] in cells:
+            raise IncompleteMatrixError(f"repeated result cell {r['instance_id']}:{r['method']}")
+        cells[r["instance_id"]] = r
+        instance_ids.add(r["instance_id"])
 
-    methods = list(method_order) if method_order is not None else sorted(by_method)
-    if methods and not instance_ids:
-        raise IncompleteMatrixError(f"no result records for {', '.join(methods)}")
+    if method_order and not instance_ids:
+        raise IncompleteMatrixError(f"no result records for {', '.join(method_order)}")
     missing = []
-    for method in methods:
+    for method in method_order:
         cells = by_method.get(method, {})
         for iid in sorted(instance_ids):
             if iid not in cells:
@@ -179,13 +176,13 @@ def aggregate_summary(
 
     rows = []
     total = len(instance_ids)
-    for method in methods:
+    for method in method_order:
         cells = by_method[method]
-        ham = sum(r.status == STATUS_HAMILTONIAN for r in cells.values())
+        ham = sum(r["status"] == STATUS_HAMILTONIAN for r in cells.values())
         covered = [
             r
             for r in cells.values()
-            if r.status in (STATUS_HAMILTONIAN, STATUS_COVERAGE)
+            if r["status"] in (STATUS_HAMILTONIAN, STATUS_COVERAGE)
         ]
         rows.append(
             SummaryRow(
@@ -194,13 +191,13 @@ def aggregate_summary(
                 hsr_pct=100.0 * ham / total,
                 ccr_pct=100.0 * len(covered) / total,
                 n_covered=len(covered),
-                revisits_mean=_mean([r.revisits for r in covered]),
-                revisits_sd=_sd([r.revisits for r in covered]),
-                distance_mean=_mean([r.distance_norm for r in covered]),
-                distance_sd=_sd([r.distance_norm for r in covered]),
-                turns_mean=_mean([r.turns_rad for r in covered]),
-                turns_sd=_sd([r.turns_rad for r in covered]),
-                latency_mean_ms=mean(r.latency_ms for r in cells.values()),
+                revisits_mean=_mean([r["revisits"] for r in covered]),
+                revisits_sd=_sd([r["revisits"] for r in covered]),
+                distance_mean=_mean([r["distance_norm"] for r in covered]),
+                distance_sd=_sd([r["distance_norm"] for r in covered]),
+                turns_mean=_mean([r["turns_rad"] for r in covered]),
+                turns_sd=_sd([r["turns_rad"] for r in covered]),
+                latency_mean_ms=mean(r["latency_ms"] for r in cells.values()),
             )
         )
     return rows

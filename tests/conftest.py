@@ -19,6 +19,11 @@ from hexcover.metrics import (
 )
 
 
+def read_results(path: Path) -> list[dict]:
+    """The records of a results file, in file order."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 def results_digest(path: Path) -> str:
     """SHA-256 of a results file's sorted non-latency lines."""
     rows = sorted(

@@ -8,7 +8,13 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from conftest import RING6_COORDS, random_small_graph, results_digest, ring6_graph
+from conftest import (
+    RING6_COORDS,
+    random_small_graph,
+    read_results,
+    results_digest,
+    ring6_graph,
+)
 
 from hexcover.graphbuild import GenerationConfig, LatticeFrame, graph_from_coords
 from hexcover.harness import (
@@ -72,7 +78,8 @@ def results_path(dataset_path, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def records(dataset_path, results_path):
-    return run_benchmark(dataset_path, "all", results_path)
+    run_benchmark(dataset_path, "all", results_path)
+    return read_results(results_path)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +137,7 @@ def test_criterion_3_coverage_guarantees(summary):
 def test_criterion_4_warnsdorff_identity(records, summary):
     bad_status = [
         r for r in records
-        if r.method in WARNSDORFF_SLUGS and r.status == STATUS_COVERAGE
+        if r["method"] in WARNSDORFF_SLUGS and r["status"] == STATUS_COVERAGE
     ]
     mismatch = [
         m for m in WARNSDORFF_SLUGS if summary[m].hsr_pct != summary[m].ccr_pct
@@ -169,9 +176,9 @@ def test_criterion_6_morphology_stratification(records, instances):
         hits = sum(
             1
             for r in records
-            if r.method == "warnsdorff-ti-index"
-            and r.instance_id in ids
-            and r.status == STATUS_HAMILTONIAN
+            if r["method"] == "warnsdorff-ti-index"
+            and r["instance_id"] in ids
+            and r["status"] == STATUS_HAMILTONIAN
         )
         rates[label] = 100.0 * hits / len(ids)
     gap = rates["Compact"] - rates["Irregular"]
@@ -209,15 +216,15 @@ def test_criterion_8_status_contracts(records, instances):
     graphs = {i.id: i.graph for i in instances}
     bad = 0
     for r in records:
-        g = graphs[r.instance_id]
-        status, revisits = validate_path(g, r.walk)
-        if status != r.status:
+        g, walk = graphs[r["instance_id"]], r["walk"]
+        status, revisits = validate_path(g, walk)
+        if status != r["status"]:
             bad += 1
-        elif r.status == STATUS_HAMILTONIAN and revisits != 0:
+        elif r["status"] == STATUS_HAMILTONIAN and revisits != 0:
             bad += 1
-        elif r.status == STATUS_COVERAGE:
-            covered = {v for v in r.walk if v < g.n}
-            if len(covered) != g.n or r.walk[-1] != g.terminal_node:
+        elif r["status"] == STATUS_COVERAGE:
+            covered = {v for v in walk if v < g.n}
+            if len(covered) != g.n or walk[-1] != g.terminal_node:
                 bad += 1
     report(
         "criterion 8 (status contracts)",
@@ -277,14 +284,11 @@ def test_criterion_10_determinism(dataset_path, records, tmp_path_factory):
     generate_dataset(ACCEPT_COUNT, ACCEPT_SEED, GenerationConfig(), again)
     same_bytes = dataset_path.read_bytes() == again.read_bytes()
 
-    rerun = run_benchmark(again, "all", root / "results.jsonl")
+    run_benchmark(again, "all", root / "results.jsonl")
+    rerun = read_results(root / "results.jsonl")
 
     def strip(rs):
-        return [
-            (r.instance_id, r.method, r.status, r.walk, r.revisits,
-             r.distance_norm, r.turns_rad)
-            for r in rs
-        ]
+        return [{k: v for k, v in r.items() if k != "latency_ms"} for r in rs]
 
     same_records = strip(records) == strip(rerun)
     ok = same_bytes and same_records
@@ -355,9 +359,9 @@ def test_distribution_sanity_morphology_prior(instances):
 def test_no_fail_statuses_outside_contract(records):
     # Reconnection planners never fail on admitted (connected) instances.
     bad = [
-        (r.instance_id, r.method)
+        (r["instance_id"], r["method"])
         for r in records
-        if r.method in RECONNECTION_12 and r.status == STATUS_FAIL
+        if r["method"] in RECONNECTION_12 and r["status"] == STATUS_FAIL
     ]
     report(
         "sanity (no reconnection failures)",

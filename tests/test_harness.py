@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import results_digest
+from conftest import read_results, results_digest
 
 from hexcover import harness
 from hexcover.cli import main as cli_main
@@ -99,8 +99,8 @@ def seeds_0_47(tmp_path_factory):
 def results(dataset, tmp_path_factory):
     path, _ = dataset
     out = tmp_path_factory.mktemp("results") / "results.jsonl"
-    records = run_benchmark(path, "all", out, workers=1)
-    return out, records
+    assert run_benchmark(path, "all", out, workers=1) == N_SMALL * 17
+    return out, read_results(out)
 
 
 class TestGenerate:
@@ -235,20 +235,17 @@ class TestRun:
     def test_cardinality(self, results):
         _, records = results
         assert len(records) == N_SMALL * 17
-        methods = {r.method for r in records}
+        methods = {r["method"] for r in records}
         assert methods == set(METHOD_ORDER)
 
     def test_worker_independence_modulo_latency(self, dataset, results, tmp_path):
         path, _ = dataset
         _, rec1 = results
-        rec2 = run_benchmark(path, "all", tmp_path / "r2.jsonl", workers=2)
+        run_benchmark(path, "all", tmp_path / "r2.jsonl", workers=2)
+        rec2 = read_results(tmp_path / "r2.jsonl")
 
         def strip(recs):
-            return [
-                (r.instance_id, r.method, r.status, r.walk, r.revisits,
-                 r.distance_norm, r.turns_rad)
-                for r in recs
-            ]
+            return [{k: v for k, v in r.items() if k != "latency_ms"} for r in recs]
 
         assert strip(rec1) == strip(rec2)
 
@@ -256,27 +253,28 @@ class TestRun:
         _, records = results
         seen = 0
         for r in records:
-            if r.status == STATUS_HAMILTONIAN:
-                assert r.revisits == 0
+            if r["status"] == STATUS_HAMILTONIAN:
+                assert r["revisits"] == 0
                 seen += 1
         assert seen > 0
 
     def test_records_sorted(self, results):
         _, records = results
-        keys = [(r.instance_id, r.method) for r in records]
+        keys = [(r["instance_id"], r["method"]) for r in records]
         assert keys == sorted(keys)
 
-    def test_unknown_method_listed(self, dataset):
+    def test_unknown_method_listed(self, dataset, tmp_path):
         path, _ = dataset
         with pytest.raises(InvalidParameterError, match="boustrophedon"):
-            run_benchmark(path, ["not-a-method"], None)
+            run_benchmark(path, ["not-a-method"], tmp_path / "r.jsonl")
+        assert not (tmp_path / "r.jsonl").exists()
 
     def test_subset_of_methods(self, dataset, tmp_path):
         path, _ = dataset
-        records = run_benchmark(
+        count = run_benchmark(
             path, ["warnsdorff-ti-index", "morton"], tmp_path / "sub.jsonl"
         )
-        assert len(records) == N_SMALL * 2
+        assert count == len(read_results(tmp_path / "sub.jsonl")) == N_SMALL * 2
 
     def test_tamper_check_on_load(self, results, dataset, tmp_path):
         rpath, _ = results
@@ -292,6 +290,37 @@ class TestRun:
         tampered.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
         with pytest.raises(DatasetError, match="tamper"):
             load_results(tampered, instances)
+
+    def test_results_depend_only_on_the_records(self, dataset, results, tmp_path):
+        path, _ = dataset
+        reversed_data = tmp_path / "reversed.jsonl"
+        reversed_data.write_text("".join(reversed(path.read_text().splitlines(True))))
+        run_benchmark(reversed_data, "all", tmp_path / "r.jsonl", workers=1)
+
+        def strip(file):
+            return [re.sub(r',"latency_ms":[^,}]*', "", line)
+                    for line in file.read_text().splitlines()]
+
+        assert strip(tmp_path / "r.jsonl") == strip(results[0])
+
+    def test_methods_run_in_the_order_given_and_lines_in_slug_order(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        path, _ = dataset
+        calls, plan = [], harness.timed_plan
+
+        def timed_plan(graph, method):
+            calls.append(method)
+            return plan(graph, method)
+
+        monkeypatch.setattr(harness, "timed_plan", timed_plan)
+        out = tmp_path / "r.jsonl"
+        assert cli_main(["run", "--dataset", str(path), "--methods", "morton,boustrophedon",
+                         "--out", str(out), "--workers", "1"]) == 0
+        assert calls == ["morton", "boustrophedon"] * N_SMALL
+        keys = [(r["instance_id"], r["method"]) for r in read_results(out)]
+        assert keys == sorted(keys)
+        assert [m for _, m in keys] == ["boustrophedon", "morton"] * N_SMALL
 
 
 class TestFileBoundary:
@@ -372,6 +401,20 @@ class TestFileBoundary:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:")
         assert f"instance {rec['id']}: {says}" in err[0]
+
+    @pytest.mark.parametrize(
+        "field, retype",
+        [("revisits", str), ("revisits", float), ("latency_ms", str),
+         ("distance_norm", lambda value: True)],
+        ids=["revisits-str", "revisits-float", "latency-str", "distance-bool"],
+    )
+    def test_ill_typed_result_number_is_refused(self, dataset, results, tmp_path, field, retype):
+        # The same value, retyped, so that only the type check can refuse it.
+        dpath, _ = dataset
+        rpath, records = results
+        bad = _relabel(rpath, tmp_path / "typed.jsonl", 2, **{field: retype(records[1][field])})
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(bad))}:2: .*not a JSON number"):
+            load_results(bad, load_instances(dpath))
 
     def test_schema_checked_on_load(self, dataset, results, tmp_path):
         dpath, _ = dataset
@@ -457,7 +500,7 @@ class TestReport:
         from hexcover.metrics import aggregate_summary
 
         records = load_results(rpath, load_instances(dpath))
-        methods = sorted({r.method for r in records}, key=METHOD_ORDER.index)
+        methods = sorted({r["method"] for r in records}, key=METHOD_ORDER.index)
         summary = {r.method: r for r in aggregate_summary(records, methods)}
         from hexcover.planners import PLANNERS
 
@@ -605,6 +648,51 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error:") and str(tmp_path) in err[0]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("spelling", ["same", "dotdot", "manifest"])
+    def test_run_refuses_an_out_that_is_its_dataset(
+        self, dataset, tmp_path, monkeypatch, capsys, spelling
+    ):
+        def no_plan(*args):
+            raise AssertionError("a plan ran for an --out that is the dataset")
+
+        monkeypatch.setattr(harness, "timed_plan", no_plan)
+        path, _ = dataset
+        data = tmp_path / "d.jsonl"
+        manifest = Path(str(data) + ".manifest.json")
+        data.write_bytes(path.read_bytes())
+        manifest.write_bytes(Path(str(path) + ".manifest.json").read_bytes())
+        out = {"same": str(data), "dotdot": str(tmp_path / ".." / tmp_path.name / data.name),
+               "manifest": str(manifest)}[spelling]
+        code = cli_main(["run", "--dataset", str(data), "--out", out, "--workers", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and out in err[0]
+        assert data.read_bytes() == path.read_bytes()
+        assert manifest.read_bytes() == Path(str(path) + ".manifest.json").read_bytes()
+        assert sorted(tmp_path.iterdir()) == [data, manifest]
+
+    @pytest.mark.parametrize(
+        "flag, bad", [("--out", "afile"), ("--plots", "afile"), ("--plots", "afile/sub")]
+    )
+    def test_report_refuses_a_bad_directory_before_loading(
+        self, dataset, results, tmp_path, monkeypatch, capsys, flag, bad
+    ):
+        def no_load(*args):
+            raise AssertionError("the dataset was loaded for a bad report path")
+
+        monkeypatch.setattr(harness, "load_instances", no_load)
+        dpath, _ = dataset
+        rpath, _ = results
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        paths = {"--out": tmp_path / "rep", "--plots": tmp_path / "plots", flag: tmp_path / bad}
+        code = cli_main(["report", "--results", str(rpath), "--dataset", str(dpath),
+                         "--out", str(paths["--out"]), "--plots", str(paths["--plots"])])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and str(afile) in err[0]
+        assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == ""
+
     def test_default_workers_are_the_cpus_this_process_may_use(self, monkeypatch):
         monkeypatch.delenv("HEXCOVER_WORKERS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -741,9 +829,12 @@ print(json.dumps([code, sorted(sys.modules)]))
 
     def test_every_exported_name_imports(self):
         code = """
-import hexcover
+import hexcover, importlib
+assert len(hexcover.__all__) == sum(map(len, hexcover._EXPORTS.values()))
 for name in hexcover.__all__:
     exec(f"from hexcover import {name}")
+    module = importlib.import_module(f"hexcover.{hexcover._MODULE_OF[name]}")
+    assert getattr(hexcover, name) is getattr(module, name), name
 from hexcover import aoi
 assert aoi.__name__ == "hexcover.aoi"
 """

@@ -15,7 +15,6 @@ from conftest import (
 )
 
 from hexcover.graphbuild import LatticeFrame, graph_from_coords
-from hexcover.harness import ResultRecord
 from hexcover.hexgeom import OffsetCoord, Point
 from hexcover.metrics import (
     STATUS_COVERAGE,
@@ -180,9 +179,11 @@ class TestAgainstThreePassReference:
 
 
 def rec(instance_id, method, status, revisits=0, distance=1.0, turns=0.0, latency=0.5):
-    return ResultRecord(
-        instance_id, method, status, (), revisits, distance, turns, latency
-    )
+    return {
+        "instance_id": instance_id, "method": method, "status": status, "walk": [],
+        "revisits": revisits, "distance_norm": distance, "turns_rad": turns,
+        "latency_ms": latency,
+    }
 
 
 class TestValidatePath:
@@ -314,7 +315,7 @@ class TestAggregate:
             rec("i2", "m", STATUS_COVERAGE, 2),
             rec("i3", "m", STATUS_FAIL),
         ]
-        (row,) = aggregate_summary(records)
+        (row,) = aggregate_summary(records, ["m"])
         assert row.hsr_pct <= row.ccr_pct
 
     def test_incomplete_matrix_raises(self):
@@ -332,7 +333,7 @@ class TestAggregate:
 
     def test_single_covered_instance_has_no_sd(self):
         records = [rec("i1", "m", STATUS_COVERAGE, 2)]
-        (row,) = aggregate_summary(records)
+        (row,) = aggregate_summary(records, ["m"])
         assert row.revisits_mean == 2
         assert row.revisits_sd is None
 
