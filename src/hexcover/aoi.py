@@ -13,8 +13,7 @@ loading numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from hexcover.hexgeom import (
     InvalidParameterError,
@@ -71,15 +70,13 @@ def substream(seed: int, stage: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, stage]))
 
 
-@dataclass(frozen=True)
-class MorphologyClass:
+class MorphologyClass(NamedTuple):
     label: str
     compactness: float
     aspect: float
 
 
-@dataclass(frozen=True)
-class AoiShape:
+class AoiShape(NamedTuple):
     polygon: PolygonWithHoles
     morphology: MorphologyClass
     seed: int

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from hexcover.aoi import (
     FAMILIES,
@@ -64,12 +63,16 @@ class BaseAttachmentError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LatticeFrame:
-    """Rigid transform between lattice-local and world coordinates."""
-
+class _FramePose(NamedTuple):
     origin: Point
     angle: float
+
+
+class LatticeFrame(_FramePose):
+    """Rigid transform between lattice-local and world coordinates.
+
+    No `__slots__`: the instance dict holds the cached cos and sin.
+    """
 
     @functools.cached_property
     def _cos_sin(self) -> tuple[float, float]:
@@ -87,8 +90,7 @@ class LatticeFrame:
         return Point(ca * dx + sa * dy, -sa * dx + ca * dy)
 
 
-@dataclass(frozen=True)
-class HexMask:
+class HexMask(NamedTuple):
     coords: frozenset[OffsetCoord]
     frame: LatticeFrame
     h: float
@@ -498,8 +500,7 @@ def _json_number(value, kind=(int, float)):
     return value
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
+class GenerationConfig(NamedTuple):
     hex_radius: float = 1.0
     scale: float = 1.0
     size_band: tuple[int, int] = SIZE_BAND
@@ -558,8 +559,7 @@ class GenerationConfig:
         return cfg
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """An admitted instance: what a dataset record holds, and all it holds."""
 
     seed: int
@@ -575,8 +575,7 @@ class Instance:
         return f"hx{self.seed:010d}"
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(NamedTuple):
     seed: int
     family_hint: str
     reason: str  # degenerate | size-band | base-attachment | infeasible
@@ -615,7 +614,7 @@ def build_instance(family_hint: str, seed: int, config: GenerationConfig):
         return Rejection(seed, family_hint, "size-band", f"{len(coords)} cells")
 
     try:
-        graph = attach_base(replace(mask, coords=coords), shape, seed)
+        graph = attach_base(mask._replace(coords=coords), shape, seed)
     except BaseAttachmentError as exc:
         return Rejection(seed, family_hint, "base-attachment", str(exc))
 

@@ -13,13 +13,13 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import threading
 import time
 from collections import Counter, deque
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from hexcover.aoi import MorphologyClass, label_from
 from hexcover.graphbuild import (
@@ -45,6 +45,11 @@ from hexcover.planners import METHOD_ORDER, PLANNERS, WARNSDORFF_SLUGS, _spec, t
 
 DATASET_SCHEMA = "hexcover-dataset/2"
 RESULTS_SCHEMA = "hexcover-results/1"
+# The keys of a results record, each written by `run` and read by `report`.
+RESULT_FIELDS = frozenset((
+    "schema", "instance_id", "method", "status", "walk", "revisits",
+    "distance_norm", "turns_rad", "latency_ms",
+))
 ORACLE_DISPLAY = "Exact DFS (oracle)"
 
 # `generate` gives up once this many seeds in a row are rejected, so that a
@@ -135,6 +140,15 @@ def instance_to_record(inst: Instance) -> dict:
     }
 
 
+def _finite(value, field: str) -> float:
+    """`value` of record field `field` as a float, refused unless finite:
+    JSON reads NaN, Infinity and a literal such as 1e999 as floats."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{field!r} is {value!r}, not a finite number")
+    return x
+
+
 def record_to_instance(rec: dict) -> Instance:
     """The instance a dataset record describes.
 
@@ -142,23 +156,28 @@ def record_to_instance(rec: dict) -> Instance:
     aspect, hex_radius, frame, base, cell coordinates and base_links, the
     last for both link sets. Every other field, the id and the morphology
     label among them, is derived from those, so the record is refused unless
-    `instance_to_record` writes it back unchanged. A link to a cell off the
-    exterior boundary is refused too: `attach_base` links only those cells.
-    Each refusal raises DatasetError naming the instance and the first field
-    at fault.
+    `instance_to_record` writes it back unchanged. Each float it is built
+    from must be finite. A link to a cell off the exterior boundary is
+    refused too: `attach_base` links only those cells. Each refusal raises
+    DatasetError naming the instance and the first field at fault.
     """
     name = f"instance {rec.get('id')}"
     try:
-        m, frame, h = rec["morphology"], rec["frame"], float(rec["hex_radius"])
+        m, frame = rec["morphology"], rec["frame"]
+        h = _finite(rec["hex_radius"], "hex_radius")
         graph = graph_from_coords(
             [(int(c[0]), int(c[1])) for c in rec["cells"]],
             h,
             rec["base_links"],
             rec["base_links"],
-            Point(*map(float, rec["base"])),
-            LatticeFrame(Point(*map(float, frame["origin"])), float(frame["angle"])),
+            Point(*(_finite(v, "base") for v in rec["base"])),
+            LatticeFrame(
+                Point(*(_finite(v, "frame") for v in frame["origin"])),
+                _finite(frame["angle"], "frame"),
+            ),
         )
-        compactness, aspect = float(m["compactness"]), float(m["aspect"])
+        compactness = _finite(m["compactness"], "morphology")
+        aspect = _finite(m["aspect"], "morphology")
         inst = Instance(
             int(rec["seed"]),
             str(rec["family_hint"]),
@@ -188,7 +207,8 @@ def record_to_instance(rec: dict) -> Instance:
 
 
 # json.dumps with these options builds a new encoder on every call.
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# No NaN or Infinity: neither is JSON, and the loaders refuse both.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _dump_line(obj: dict) -> str:
@@ -288,8 +308,7 @@ def load_instances(path: str | Path, sha256: str | None = None) -> list[Instance
 # Generation
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
+class DatasetManifest(NamedTuple):
     """What a dataset was generated from, what was rejected, and its checksum.
 
     `seeds_scanned` is the exact number of seeds consumed, from `seed_start`
@@ -307,7 +326,7 @@ class DatasetManifest:
     sha256: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _exit_with_parent(parent: int) -> None:
@@ -533,21 +552,24 @@ def load_results(path: str | Path, instances: Sequence[Instance]) -> list[dict]:
 
     A record of an unknown method, a walk of no instance, not a walk at all
     (MalformedWalkError), or not grading to its stored status and revisits
-    fails the load at its line, and so does a `revisits` that is not a JSON
-    integer or a `distance_norm`, `turns_rad` or `latency_ms` that is not a
-    JSON number; a file with no record for some instance raises
-    IncompleteMatrixError. The records are returned as dicts, those three
-    numbers as floats.
+    fails the load at its line, and so does a key no results record has, a
+    `revisits` that is not a JSON integer or a `distance_norm`, `turns_rad`
+    or `latency_ms` that is not a finite JSON number; a file with no record
+    for some instance raises IncompleteMatrixError. The records are returned
+    as dicts, those three numbers as floats.
     """
     graphs = {i.id: i.graph for i in instances}
 
     def convert(rec: dict) -> dict:
+        if not rec.keys() <= RESULT_FIELDS:
+            key = next(k for k in rec if k not in RESULT_FIELDS)
+            raise ValueError(f"field {key!r} is not a results field")
         _spec(rec["method"])  # refuses a method that is no planner
         g = graphs.get(rec["instance_id"])
         if g is None:
             raise ValueError(f"unknown instance {rec['instance_id']}")
         for key in ("distance_norm", "turns_rad", "latency_ms"):
-            rec[key] = float(_json_number(rec[key]))
+            rec[key] = _finite(_json_number(rec[key]), key)
         revisits = _json_number(rec["revisits"], int)
         if validate_path(g, rec["walk"]) != (rec["status"], revisits):
             raise ValueError(
@@ -584,7 +606,7 @@ def _table(rows: Iterable[SummaryRow], columns: Sequence[str]) -> list[dict]:
     out = []
     for row in rows:
         spec = PLANNERS[row.method]
-        fields = {**vars(row), "family": spec.family, "n": row.n_instances}
+        fields = {**row._asdict(), "family": spec.family, "n": row.n_instances}
         out.append({"method": spec.display, **{c: fields[c] for c in columns}})
     return out
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 SQRT3 = math.sqrt(3.0)
@@ -222,25 +221,29 @@ def ring_is_simple(ring) -> bool:
     return not cross.any()
 
 
-@dataclass(frozen=True)
-class PolygonWithHoles:
-    """Simple outer ring (counterclockwise) with disjoint interior holes (clockwise)."""
-
+class _PolygonRings(NamedTuple):
     outer: tuple[Point, ...]
     holes: tuple[tuple[Point, ...], ...] = ()
 
-    def __post_init__(self) -> None:
-        for ring in (self.outer, *self.holes):
+
+class PolygonWithHoles(_PolygonRings):
+    """Simple outer ring (counterclockwise) with disjoint interior holes (clockwise)."""
+
+    __slots__ = ()
+
+    def __new__(cls, outer: tuple[Point, ...], holes: tuple[tuple[Point, ...], ...] = ()):
+        for ring in (outer, *holes):
             for p in ring:
                 if not (math.isfinite(p[0]) and math.isfinite(p[1])):
                     raise InvalidGeometryError("non-finite coordinate in ring")
-        if len(self.outer) < 3:
+        if len(outer) < 3:
             raise InvalidGeometryError("outer ring needs at least 3 vertices")
-        if ring_signed_area(self.outer) <= 0:
+        if ring_signed_area(outer) <= 0:
             raise InvalidGeometryError("outer ring must be counterclockwise")
-        for hole in self.holes:
+        for hole in holes:
             if len(hole) < 3 or ring_signed_area(hole) >= 0:
                 raise InvalidGeometryError("holes must be clockwise rings")
+        return super().__new__(cls, outer, holes)
 
     def validate(self) -> None:
         """Full structural check: simplicity, containment, hole disjointness."""
@@ -320,8 +323,7 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
     return [Point(*p) for p in lower[:-1] + upper[:-1]]
 
 
-@dataclass(frozen=True)
-class MinRotatedRect:
+class MinRotatedRect(NamedTuple):
     center: Point
     axis: Point  # unit direction of the long side, angle normalized to [0, pi)
     long_side: float

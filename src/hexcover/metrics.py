@@ -10,9 +10,8 @@ uniform scaling of the instance.
 
 from __future__ import annotations
 
-from math import atan2, hypot, pi, tau
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from math import atan2, gcd, hypot, isqrt, pi, tau
+from typing import Iterable, NamedTuple, Sequence
 
 from hexcover.graphbuild import CoverageGraph
 
@@ -29,8 +28,7 @@ class IncompleteMatrixError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     method: str
     n_instances: int
     hsr_pct: float
@@ -131,6 +129,57 @@ def compute_path_metrics(g: CoverageGraph, walk: Sequence[int]) -> tuple[str, in
     return status, revisits, distance, turns
 
 
+# A summary's means and sample SDs are exact: every value is an integer over
+# one power-of-two denominator, and each result is rounded once, as
+# `statistics.mean` and `stdev` round theirs, so the bits are the same.
+
+
+def _scaled(xs: list) -> tuple[list[int], int]:
+    """Integers `ns` and a power of two `d` with each x == n / d exactly."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    d = max(b for _, b in ratios)
+    return [a * (d // b) for a, b in ratios], d
+
+
+def _mean(xs: list) -> float | int | None:
+    """The mean of finite `xs`, correctly rounded; an int when every value is
+    an int and so is the mean. None for no values."""
+    if not xs:
+        return None
+    ns, d = _scaled(xs)
+    total, n = sum(ns), len(ns)
+    if d == 1 and total % n == 0 and all(isinstance(x, int) for x in xs):
+        return total // n
+    return total / (n * d)  # int / int rounds correctly
+
+
+def _sd(xs: list) -> float | None:
+    """The sample standard deviation of finite `xs`, correctly rounded; None
+    for fewer than two values."""
+    if len(xs) < 2:
+        return None
+    ns, d = _scaled(xs)
+    total, n = sum(ns), len(ns)
+    # The variance is num / den: sum((x - mean)^2) / (n - 1), x = n_i / d.
+    # It is reduced, as a Fraction is, so that the scale below, which a
+    # subnormal result depends on, is the one `stdev` takes.
+    num = n * sum(v * v for v in ns) - total * total
+    den = n * (n - 1) * d * d
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    # Scale num / den by 4**-q so that its integer square root has at least
+    # 55 bits, round that root to odd (1 is or-ed in unless it is exact), and
+    # let the one float conversion round it to 53 bits.
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
 def aggregate_summary(records: Iterable[dict], method_order: Sequence[str]) -> list[SummaryRow]:
     """Per-method summary over a complete instance x method result matrix, one
     row per method of `method_order`, in that order.
@@ -139,9 +188,9 @@ def aggregate_summary(records: Iterable[dict], method_order: Sequence[str]) -> l
     status, revisits, distance_norm, turns_rad and latency_ms.
     HSR and CCR are fractions over all instances; revisit/distance/turn
     statistics are conditional on the completed-coverage subset and use the
-    sample standard deviation. Missing or repeated (instance, method) cells
-    raise IncompleteMatrixError, and so do no records for a method to
-    summarise.
+    sample standard deviation, each computed exactly and rounded once to the
+    nearest float. Missing or repeated (instance, method) cells raise
+    IncompleteMatrixError, and so do no records for a method to summarise.
     """
     by_method: dict[str, dict] = {}
     instance_ids: set[str] = set()
@@ -163,16 +212,6 @@ def aggregate_summary(records: Iterable[dict], method_order: Sequence[str]) -> l
     if missing:
         head = ", ".join(f"{i}:{m}" for i, m in missing[:5])
         raise IncompleteMatrixError(f"{len(missing)} missing result cells ({head} ...)")
-
-    # Imported here, not with the module: `audit` and `run` load this module
-    # but never aggregate.
-    from statistics import mean, stdev
-
-    def _mean(xs: list) -> float | None:
-        return mean(xs) if xs else None
-
-    def _sd(xs: list) -> float | None:
-        return stdev(xs) if len(xs) >= 2 else None
 
     rows = []
     total = len(instance_ids)
@@ -197,7 +236,7 @@ def aggregate_summary(records: Iterable[dict], method_order: Sequence[str]) -> l
                 distance_sd=_sd([r["distance_norm"] for r in covered]),
                 turns_mean=_mean([r["turns_rad"] for r in covered]),
                 turns_sd=_sd([r["turns_rad"] for r in covered]),
-                latency_mean_ms=mean(r["latency_ms"] for r in cells.values()),
+                latency_mean_ms=_mean([r["latency_ms"] for r in cells.values()]),
             )
         )
     return rows

@@ -16,7 +16,7 @@ ordering heuristics and no pruning.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from hexcover.graphbuild import CoverageGraph
 from hexcover.hexgeom import InvalidParameterError
@@ -36,8 +36,7 @@ DFS_NODE_CAP = 2_000
 _DONE = -1  # frontier_audit's mate entry for a node of degree 2
 
 
-@dataclass(frozen=True)
-class AuditResult:
+class AuditResult(NamedTuple):
     feasible: bool
     witness: tuple[int, ...] | None
     nodes_expanded: int

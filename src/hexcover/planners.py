@@ -38,8 +38,7 @@ import math
 import time
 import weakref
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from hexcover.graphbuild import CoverageGraph
 from hexcover.hexgeom import InvalidParameterError
@@ -53,8 +52,7 @@ FAMILY_WAVEFRONT = "Wavefront"
 FAMILY_SPACE_FILLING = "SpaceFilling"
 
 
-@dataclass(frozen=True)
-class PlanResult:
+class PlanResult(NamedTuple):
     """A planned walk; `metrics.validate_path` grades it.
 
     `fail_reason` names why a planner gave up before reaching the terminal.
@@ -625,8 +623,7 @@ def morton_order(g: CoverageGraph, bits: int = 16) -> list[int]:
 # Registry and dispatch
 
 
-@dataclass(frozen=True)
-class PlannerSpec:
+class PlannerSpec(NamedTuple):
     slug: str
     family: str
     display: str

@@ -3,6 +3,7 @@ import concurrent.futures
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import signal
@@ -55,6 +56,15 @@ PINNED_SEEDS_0_47_REPORT_SHA256 = {
     "morphology.md": "a481a177ea2657201ec29868b8545b192f301ab64b2f92f0495a63c415dae3fd",
     "quality.md": "6b2f3eb55860980073d8be6dc3505d27c7c4c61ef0be1875c0705a79d72282c4",
     "warnsdorff.md": "d6b3f5982a69e39f13bc2f5cf5df259d9374f446b4de868f57275e49bf536519",
+}
+# The same report as csv, every float at full precision, without the
+# latency_mean_ms column (the SHA-256 of _drop_column's text): the markdown
+# rounds to two decimals, so only these see a last-bit change in a mean or SD.
+PINNED_SEEDS_0_47_CSV_REPORT_SHA256 = {
+    "feasibility.csv": "3566e269d530a56992585d1173a563cf7cb600ebfc27c6880f4d0131723c6b0a",
+    "morphology.csv": "fd981c68eab64b34322f9d2e9a95e9ee69c79ca534d5a1628a0dc0ad2e212b18",
+    "quality.csv": "e369b8dc3c7a9ac6c2311e8e5adf9cf8e3c9dfb143dafdf546f1b6d00ffe469f",
+    "warnsdorff.csv": "901a86b5065b056d561d244ca09aca2cca3eebb317a419cf63936b0bb36d1a0d",
 }
 
 
@@ -350,6 +360,14 @@ class TestFileBoundary:
             for name in PINNED_SEEDS_0_47_REPORT_SHA256
         }
         assert digests == PINNED_SEEDS_0_47_REPORT_SHA256
+        write_report(rpath, dpath, out, fmt="csv", strata="morphology")
+        digests = {
+            name: hashlib.sha256(
+                _drop_column((out / name).read_text(), "latency_mean_ms").encode()
+            ).hexdigest()
+            for name in PINNED_SEEDS_0_47_CSV_REPORT_SHA256
+        }
+        assert digests == PINNED_SEEDS_0_47_CSV_REPORT_SHA256
 
     @pytest.mark.parametrize("edit", ["instance-missing", "cell-repeated"])
     def test_report_refuses_results_that_do_not_cover_the_dataset_once(
@@ -415,6 +433,46 @@ class TestFileBoundary:
         bad = _relabel(rpath, tmp_path / "typed.jsonl", 2, **{field: retype(records[1][field])})
         with pytest.raises(DatasetError, match=f"^{re.escape(str(bad))}:2: .*not a JSON number"):
             load_results(bad, load_instances(dpath))
+
+    @pytest.mark.parametrize(
+        "field, literal",
+        [("latency_ms", "NaN"), ("turns_rad", "Infinity"), ("distance_norm", "-Infinity"),
+         ("latency_ms", "1e999")],
+        ids=["latency-nan", "turns-inf", "distance-minus-inf", "latency-1e999"],
+    )
+    def test_non_finite_result_number_is_refused(
+        self, dataset, results, tmp_path, capsys, field, literal
+    ):
+        # json reads each literal as a float, and 1e999 as inf.
+        dpath, _ = dataset
+        rpath, _ = results
+        bad = _relabel(rpath, tmp_path / "nonfinite.jsonl", 2, **{field: "@"})
+        bad.write_text(bad.read_text().replace('"@"', literal))
+        code = cli_main(["report", "--results", str(bad), "--dataset", str(dpath),
+                         "--out", str(tmp_path / "rep")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error: {bad}:2: {field!r} is {float(literal)!r}, not a finite number"]
+        assert not (tmp_path / "rep").exists()
+
+    def test_result_record_with_an_unknown_key_is_refused(
+        self, dataset, results, tmp_path, capsys
+    ):
+        dpath, _ = dataset
+        rpath, _ = results
+        bad = _relabel(rpath, tmp_path / "keyed.jsonl", 2, comment="hand-edited")
+        with pytest.raises(DatasetError, match=":2: field 'comment' is not a results field$"):
+            load_results(bad, load_instances(dpath))
+        code = cli_main(["report", "--results", str(bad), "--dataset", str(dpath),
+                         "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}:2: ")
+        assert not (tmp_path / "rep").exists()
+
+    def test_lines_are_never_written_with_nan_or_infinity(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                harness._dump_line({"distance_norm": value})
 
     def test_schema_checked_on_load(self, dataset, results, tmp_path):
         dpath, _ = dataset
@@ -814,16 +872,21 @@ print(json.dumps([code, sorted(sys.modules)]))
             assert exit_code == 0
             return set(loaded)
 
-        # No one-process command starts a pool or logs.
-        unused = {"concurrent.futures.process", "multiprocessing", "logging"}
-        ours = {m for m in modules("--help") if m.split(".")[0] == "hexcover"}
+        # No one-process command starts a pool or logs, and none builds a
+        # dataclass. Only numpy, in `generate`, loads `inspect`; the exact
+        # means need neither `statistics` nor the `fractions` it loads.
+        unused = {"concurrent.futures.process", "multiprocessing", "logging", "dataclasses"}
+        heavy = unused | {"inspect", "statistics", "fractions"}
+        help_modules = modules("--help")
+        ours = {m for m in help_modules if m.split(".")[0] == "hexcover"}
         assert ours == {"hexcover", "hexcover.cli"}
-        assert not modules("audit", "--dataset", data) & (unused | {"statistics"})
+        assert not help_modules & heavy
+        assert not modules("audit", "--dataset", data) & heavy
         res = str(tmp_path / "r.jsonl")
         assert not modules("run", "--dataset", data, "--methods", "all", "--workers", "1",
-                           "--out", res) & unused
-        assert not modules("report", "--results", res, "--dataset", data,
-                           "--out", str(tmp_path / "rep")) & unused
+                           "--out", res) & heavy
+        assert not modules("report", "--results", res, "--dataset", data, "--strata",
+                           "morphology", "--out", str(tmp_path / "rep")) & heavy
         assert not modules("generate", "--count", "2", "--workers", "1",
                            "--out", str(tmp_path / "d.jsonl")) & unused
 
@@ -982,6 +1045,57 @@ assert aoi.__name__ == "hexcover.aoi"
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:")
         assert f"instance {fields.get('id', rec['id'])}: " in err[0]
+        assert not (tmp_path / "r.jsonl").exists()
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize(
+        "tamper, literal",
+        [("base", "Infinity"), ("base", "1e999"), ("hex_radius", "NaN"),
+         ("frame-origin", "-Infinity"), ("frame-angle", "Infinity"),
+         ("compactness", "Infinity"), ("aspect", "1e999")],
+    )
+    @pytest.mark.parametrize("command", ["audit", "run-1", "report"])
+    def test_non_finite_record_numbers_are_refused(
+        self, dataset, results, tmp_path, capsys, command, tamper, literal
+    ):
+        # Each number a record supplies must be finite. An infinite base
+        # with the same terminal, or an infinite compactness or aspect with
+        # the label it implies, writes back unchanged, so only the finiteness
+        # check can refuse it. With no manifest beside the file, only the
+        # record can show the edit.
+        dpath, _ = dataset
+        rpath, _ = results
+        rec = json.loads(dpath.read_text().splitlines()[0])
+        field, value = {
+            "base": ("base", ["@", 0.0]),
+            "hex_radius": ("hex_radius", "@"),
+            "frame-origin": ("frame", {**rec["frame"], "origin": [0.0, "@"]}),
+            "frame-angle": ("frame", {**rec["frame"], "angle": "@"}),
+            "compactness": ("morphology", {**rec["morphology"], "compactness": "@",
+                                           "label": "Compact", "aspect": 1.5}),
+            "aspect": ("morphology", {**rec["morphology"], "aspect": "@",
+                                      "label": "Elongated"}),
+        }[tamper]
+        fields = {field: value, **({"terminal": value} if field == "base" else {})}
+        edited = _relabel(dpath, tmp_path / "d.jsonl", 1, **fields)
+        edited.write_text(edited.read_text().replace('"@"', literal))
+        res = tmp_path / "res.jsonl"
+        res.write_bytes(rpath.read_bytes())
+        argv = {
+            "audit": ["audit", "--dataset", str(edited)],
+            "run-1": ["run", "--dataset", str(edited), "--out", str(tmp_path / "r.jsonl"),
+                      "--workers", "1"],
+            "report": ["report", "--results", str(res), "--dataset", str(edited),
+                       "--out", str(tmp_path / "rep")],
+        }[command]
+        code = cli_main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+        if command != "run-1":  # `run` reads each record in the task that plans it
+            assert err[0].startswith(f"error: {edited}:1: ")
+        assert f"instance {rec['id']}: " in err[0]
+        assert err[0].endswith(f"is {float(literal)!r}, not a finite number")
         assert not (tmp_path / "r.jsonl").exists()
         assert not (tmp_path / "rep").exists()
 

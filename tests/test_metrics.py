@@ -1,4 +1,5 @@
 import math
+import statistics
 from collections import Counter
 
 import numpy as np
@@ -287,7 +288,38 @@ class TestTurns:
         assert path_turns(g, loop) == pytest.approx(2.0 * math.pi, abs=1e-9)
 
 
+# Floats over 121 binades of either sign: their exact sums need denominators
+# up to 2**113 and numerators far wider than a float's 53 bits.
+BINADE_FLOATS = st.builds(
+    lambda m, e, sign: sign * math.ldexp(m, e),
+    st.floats(1.0, 2.0, exclude_max=True), st.integers(-60, 60), st.sampled_from((1.0, -1.0)),
+)
+SUMMARY_VALUES = st.one_of(
+    st.lists(st.integers(-10**9, 10**9), min_size=2, max_size=30),
+    st.lists(BINADE_FLOATS, min_size=2, max_size=30),
+    st.lists(st.one_of(st.integers(-50, 50), BINADE_FLOATS), min_size=2, max_size=30),
+    st.builds(lambda x, n: [x] * n, st.one_of(st.integers(-99, 99), BINADE_FLOATS),
+              st.integers(2, 30)),
+)
+
+
 class TestAggregate:
+    @settings(max_examples=400, deadline=None)
+    @given(SUMMARY_VALUES)
+    @example([1, 3])  # a whole mean of ints is an int
+    @example([2, 3])
+    @example([0.1, 0.2, 0.3])
+    @example([-0.0, -0.0])
+    def test_means_and_sds_are_those_of_statistics(self, values):
+        # Each value as every summarised field of one covered cell.
+        records = [rec(f"i{k}", "m", STATUS_COVERAGE, v, v, v, v) for k, v in enumerate(values)]
+        (row,) = aggregate_summary(records, ["m"])
+        mean, sd = statistics.mean(values), statistics.stdev(values)
+        for got in (row.revisits_mean, row.distance_mean, row.turns_mean, row.latency_mean_ms):
+            assert type(got) is type(mean) and repr(got) == repr(mean)
+        for got in (row.revisits_sd, row.distance_sd, row.turns_sd):
+            assert type(got) is float and repr(got) == repr(sd)
+
     def test_basic_rates_and_conditional_stats(self):
         records = [
             rec("i1", "alpha", STATUS_HAMILTONIAN, 0, 1.0, 2.0),

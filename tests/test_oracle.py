@@ -2,7 +2,6 @@ import functools
 import hashlib
 import json
 import zlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,7 +61,7 @@ def seed_graph(seed):
     shape = insert_obstacles(sample_aoi(choose_family(seed, cfg), seed, cfg.scale), seed)
     mask = tessellate(shape, cfg.hex_radius)
     coords = postprocess_mask(mask.coords)
-    return attach_base(replace(mask, coords=coords), shape, seed)
+    return attach_base(mask._replace(coords=coords), shape, seed)
 
 
 @functools.lru_cache(maxsize=1)
