@@ -40,7 +40,6 @@ from hexcover.hexgeom import (
     points_in_ring,
     ring_array,
     ring_crossing_params,
-    ring_edges,
 )
 
 RETENTION_FRACTION = 0.5
@@ -196,10 +195,9 @@ def tessellate(aoi: AoiShape, h: float) -> HexMask:
 
     The lattice is mounted in the minimum-rotated-rectangle frame of the
     outer ring: origin at the rectangle centre, columns along the long side.
-    Only the cells near some ring edge are clipped (see _cells_near_rings),
-    all in one free_overlap_areas call; every other cell lies wholly inside
-    or outside each ring, so its overlap is its whole hexagon or nothing,
-    and its centre decides it.
+    Every cell whose centre lies in the outer ring's box grown by `h` is
+    clipped, all in one free_overlap_areas call, and kept when its free area
+    is at least RETENTION_FRACTION of its hexagon.
     """
     if h <= 0:
         raise InvalidParameterError("hex radius must be positive")
@@ -217,18 +215,12 @@ def tessellate(aoi: AoiShape, h: float) -> HexMask:
     col_hi = math.ceil(x_hi / (1.5 * h))
     row_lo = math.floor(y_lo / (SQRT3 * h)) - 1
     row_hi = math.ceil(y_hi / (SQRT3 * h)) + 1
-    # A margin far above the rounding error of any coordinate in the frame.
-    pad = 1e-9 * (h + max(map(abs, xs + ys)))
-    near = _cells_near_rings((local_outer, *local_holes), h, pad)
 
     # Centres are offset_to_center's expressions on plain numbers; only the
     # kept cells become OffsetCoords.
     col_w, row_h = 1.5 * h, SQRT3 * h
-    kept = set()
-    clipped: list[tuple[int, int]] = []
-    clipped_centers: list[tuple[float, float]] = []
-    far: list[tuple[int, int]] = []
-    far_centers: list[tuple[float, float]] = []
+    cells: list[tuple[int, int]] = []
+    centers: list[tuple[float, float]] = []
     for col in range(col_lo, col_hi + 1):
         x = col_w * col
         if x < x_lo or x > x_hi:
@@ -238,49 +230,14 @@ def tessellate(aoi: AoiShape, h: float) -> HexMask:
             y = row_h * (row - shift)
             if y < y_lo or y > y_hi:
                 continue
-            if (col, row) in near:
-                clipped.append((col, row))
-                clipped_centers.append((x, y))
-            else:
-                far.append((col, row))
-                far_centers.append((x, y))
-    if clipped:
-        areas = free_overlap_areas(point_array(clipped_centers), h, local_poly)
-        retained = areas >= RETENTION_FRACTION * hexagon_area(h)
-        kept.update(OffsetCoord(*c) for c, keep in zip(clipped, retained) if keep)
-    if far:
-        # Free space is inside the outer ring and outside every hole.
-        centers = point_array(far_centers)
-        free = points_in_ring(centers, ring_array(local_outer))
-        for hole in local_holes:
-            free &= ~points_in_ring(centers, ring_array(hole))
-        kept.update(OffsetCoord(*c) for c, keep in zip(far, free) if keep)
+            cells.append((col, row))
+            centers.append((x, y))
+    areas = free_overlap_areas(point_array(centers), h, local_poly)
+    retained = areas >= RETENTION_FRACTION * hexagon_area(h)
+    kept = frozenset(OffsetCoord(*c) for c, keep in zip(cells, retained) if keep)
     if not kept:
         raise EmptyTessellationError("no cell reaches the retention threshold")
-    return HexMask(frozenset(kept), frame, h)
-
-
-def _cells_near_rings(rings, h: float, pad: float) -> set[tuple[int, int]]:
-    """Every lattice cell whose hexagon's box, widened by `pad`, meets the box
-    of some ring edge.
-
-    A cell outside this set has no ring edge within `pad` of its hexagon.
-    """
-    col_w, row_w = 1.5 * h, SQRT3 * h
-    half_w, half_h = h + pad, 0.5 * SQRT3 * h + pad
-    near = set()
-    for ring in rings:
-        for (x0, y0), (x1, y1) in ring_edges(ring):
-            lo_x, hi_x = min(x0, x1) - half_w, max(x0, x1) + half_w
-            lo_y, hi_y = min(y0, y1) - half_h, max(y0, y1) + half_h
-            for col in range(math.ceil(lo_x / col_w), math.floor(hi_x / col_w) + 1):
-                # Centre y of (col, row) is row_w * (row - shift).
-                shift = 0.5 * (col & 1)
-                for row in range(
-                    math.ceil(lo_y / row_w + shift), math.floor(hi_y / row_w + shift) + 1
-                ):
-                    near.add((col, row))
-    return near
+    return HexMask(kept, frame, h)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +522,6 @@ class Instance(NamedTuple):
     seed: int
     family_hint: str
     morphology: MorphologyClass
-    hex_radius: float
     graph: CoverageGraph
 
     @property
@@ -620,4 +576,4 @@ def build_instance(family_hint: str, seed: int, config: GenerationConfig):
 
     if not hamiltonian_audit(graph).feasible:
         return Rejection(seed, family_hint, "infeasible")
-    return Instance(seed, shape.family_hint, shape.morphology, config.hex_radius, graph)
+    return Instance(seed, shape.family_hint, shape.morphology, graph)

@@ -93,23 +93,14 @@ def _output_dir(path: str | Path) -> Path:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """`workers` if given, else `HEXCOVER_WORKERS`, else one per CPU this
-    process may run on.
+    """`workers` if given, else one per CPU this process may run on.
 
-    A count below 1 or a non-integer `HEXCOVER_WORKERS` is rejected.
+    A count below 1 is rejected.
     """
     if workers is None:
-        env = os.environ.get("HEXCOVER_WORKERS")
-        if not env:
-            if hasattr(os, "sched_getaffinity"):
-                return len(os.sched_getaffinity(0))
-            return max(1, os.cpu_count() or 1)
-        try:
-            workers = int(env)
-        except ValueError:
-            raise InvalidParameterError(
-                f"HEXCOVER_WORKERS must be an integer, got {env!r}"
-            ) from None
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return max(1, os.cpu_count() or 1)
     if workers < 1:
         raise InvalidParameterError(f"worker count must be at least 1, got {workers}")
     return workers
@@ -128,7 +119,7 @@ def instance_to_record(inst: Instance) -> dict:
         "seed": inst.seed,
         "family_hint": inst.family_hint,
         "morphology": {"label": m.label, "compactness": m.compactness, "aspect": m.aspect},
-        "hex_radius": inst.hex_radius,
+        "hex_radius": g.h,
         "frame": {"origin": [g.frame.origin.x, g.frame.origin.y], "angle": g.frame.angle},
         "cells": [[col, row, x, y] for (col, row), (x, y) in zip(g.coords, g.positions)],
         "edges": [[i, j] for i in range(g.n) for j in g.internal_adjacency[i] if i < j],
@@ -164,10 +155,9 @@ def record_to_instance(rec: dict) -> Instance:
     name = f"instance {rec.get('id')}"
     try:
         m, frame = rec["morphology"], rec["frame"]
-        h = _finite(rec["hex_radius"], "hex_radius")
         graph = graph_from_coords(
             [(int(c[0]), int(c[1])) for c in rec["cells"]],
-            h,
+            _finite(rec["hex_radius"], "hex_radius"),
             rec["base_links"],
             rec["base_links"],
             Point(*(_finite(v, "base") for v in rec["base"])),
@@ -182,7 +172,6 @@ def record_to_instance(rec: dict) -> Instance:
             int(rec["seed"]),
             str(rec["family_hint"]),
             MorphologyClass(label_from(compactness, aspect), compactness, aspect),
-            h,
             graph,
         )
     except KeyError as exc:
@@ -216,8 +205,8 @@ def _dump_line(obj: dict) -> str:
 
 
 def _read_jsonl(path: str | Path, schema: str, convert, check=None) -> tuple[list, str]:
-    """Every record of a JSON-Lines file of `schema`, passed through `convert`,
-    and the SHA-256 of the file's bytes.
+    """Every record of a JSON-Lines file of `schema`, passed with its line
+    number through `convert`, and the SHA-256 of the file's bytes.
 
     The file is read once, and `check(sha256)` runs before any record is
     parsed. A record of another schema or a parse or `convert` failure raises
@@ -241,7 +230,7 @@ def _read_jsonl(path: str | Path, schema: str, convert, check=None) -> tuple[lis
             found = rec.get("schema") if isinstance(rec, dict) else None
             if found != schema:
                 raise ValueError(f"schema {found!r} is not {schema!r}")
-            out.append(convert(rec))
+            out.append(convert(rec, lineno))
         except (KeyError, ValueError, TypeError) as exc:
             raise DatasetError(f"{path}:{lineno}: {exc}") from exc
     if not out:
@@ -289,11 +278,11 @@ def _read_dataset(path: str | Path, convert, sha256: str | None = None) -> tuple
 
     seen: set[str] = set()
 
-    def once(rec: dict):
+    def once(rec: dict, lineno: int):
         if rec["id"] in seen:
             raise DatasetError(f"instance {rec['id']}: id already used by an earlier record")
         seen.add(rec["id"])
-        return convert(rec)
+        return convert(rec, lineno)
 
     return _read_jsonl(path, DATASET_SCHEMA, once, check)
 
@@ -301,7 +290,7 @@ def _read_dataset(path: str | Path, convert, sha256: str | None = None) -> tuple
 def load_instances(path: str | Path, sha256: str | None = None) -> list[Instance]:
     """The instances of a dataset file; with `sha256`, only if the file's
     bytes have that SHA-256."""
-    return _read_dataset(path, lambda rec: record_to_instance(_audited(rec)), sha256)[0]
+    return _read_dataset(path, lambda rec, _: record_to_instance(_audited(rec)), sha256)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +476,20 @@ def resolve_methods(methods: Sequence[str] | str) -> list[str]:
     return out
 
 
-def _evaluate_instances(task: tuple[list[dict], list[str]]) -> str:
+def _evaluate_instances(task: tuple[str, list[tuple[int, dict]], list[str]]) -> str:
     """The results lines of `task`'s dataset records, each instance's in
-    method-name order; the methods are planned, and timed, in the order given."""
-    records, methods = task
+    method-name order; the methods are planned, and timed, in the order given.
+
+    A record that does not load raises DatasetError naming `<path>:<line>:`,
+    as the dataset reader does.
+    """
+    path, numbered, methods = task
     lines = []
-    for inst in map(record_to_instance, records):
+    for lineno, rec in numbered:
+        try:
+            inst = record_to_instance(rec)
+        except DatasetError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
         by_method = {}
         for method in methods:
             try:
@@ -528,23 +525,24 @@ def run_benchmark(
     before any plan runs.
     """
     method_list = resolve_methods(methods)
-    raw_records, dataset_sha256 = _read_dataset(dataset_path, _audited)
+    numbered, dataset_sha256 = _read_dataset(dataset_path, lambda rec, n: (n, _audited(rec)))
     workers = resolve_workers(workers)
     out_path = _output_file(out_path)
     for kept in (Path(dataset_path), Path(str(dataset_path) + ".manifest.json")):
         if kept.exists() and out_path.exists() and out_path.samefile(kept):
             raise DatasetError(f"{out_path}: the results would overwrite {kept}")
     # `str` leaves an ill-typed id for record_to_instance to refuse.
-    raw_records.sort(key=lambda rec: str(rec["id"]))
+    numbered.sort(key=lambda pair: str(pair[1]["id"]))
     # Four instances a task: one a task spends about 5 % more of the wall time
     # on pool round trips (1000 instances, 2 workers on 2 CPUs).
-    tasks = [(raw_records[i : i + 4], method_list) for i in range(0, len(raw_records), 4)]
+    path = str(dataset_path)
+    tasks = [(path, numbered[i : i + 4], method_list) for i in range(0, len(numbered), 4)]
     out_path.write_text("".join(_in_order(_evaluate_instances, tasks, workers)))
     manifest = {"version": RESULTS_SCHEMA, "dataset_sha256": dataset_sha256}
     Path(str(out_path) + ".manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-    return len(raw_records) * len(method_list)
+    return len(numbered) * len(method_list)
 
 
 def load_results(path: str | Path, instances: Sequence[Instance]) -> list[dict]:
@@ -560,7 +558,7 @@ def load_results(path: str | Path, instances: Sequence[Instance]) -> list[dict]:
     """
     graphs = {i.id: i.graph for i in instances}
 
-    def convert(rec: dict) -> dict:
+    def convert(rec: dict, _lineno: int) -> dict:
         if not rec.keys() <= RESULT_FIELDS:
             key = next(k for k in rec if k not in RESULT_FIELDS)
             raise ValueError(f"field {key!r} is not a results field")

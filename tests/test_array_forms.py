@@ -508,7 +508,8 @@ def test_free_overlap_areas_with_clipped_holes():
         assert_joint_clip_matches(rings, point_array(centres), h)
 
 
-def test_every_near_cell_of_pipeline_seeds(monkeypatch):
+def test_every_candidate_cell_of_pipeline_seeds(monkeypatch):
+    # One clip call per polygon decides every cell; no centre test does.
     calls = []
     real = graphbuild.free_overlap_areas
 
@@ -517,7 +518,11 @@ def test_every_near_cell_of_pipeline_seeds(monkeypatch):
         calls.append((centers, h, polygon, areas))
         return areas
 
+    def no_centre_test(*args):
+        raise AssertionError("tessellate decided a cell by its centre")
+
     monkeypatch.setattr(graphbuild, "free_overlap_areas", record)
+    monkeypatch.setattr(graphbuild, "points_in_ring", no_centre_test)
     config = GenerationConfig()
     for seed in range(200):
         shape = sample_aoi(choose_family(seed, config), seed, config.scale)

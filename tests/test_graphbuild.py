@@ -137,7 +137,7 @@ def clip_every_cell(aoi, h):
 
 
 class TestTessellateShortcutExact:
-    """tessellate clips only cells near a ring edge; the mask must not change."""
+    """tessellate must keep exactly the cells the cell-by-cell reference keeps."""
 
     def test_matches_clipping_every_cell_on_pipeline_seeds(self):
         config = GenerationConfig()

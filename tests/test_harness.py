@@ -419,6 +419,7 @@ class TestFileBoundary:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:")
         assert f"instance {rec['id']}: {says}" in err[0]
+        assert f"{bad}:2:" in err[0]
 
     @pytest.mark.parametrize(
         "field, retype",
@@ -659,17 +660,9 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error:") and "morton" in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "env, flag", [("abc", []), (None, ["--workers", "-1"])], ids=["env", "flag"]
-    )
-    def test_bad_worker_count_is_validation_error(
-        self, dataset, tmp_path, monkeypatch, capsys, env, flag
-    ):
+    @pytest.mark.parametrize("flag", [["--workers", "-1"]], ids=["flag"])
+    def test_bad_worker_count_is_validation_error(self, dataset, tmp_path, capsys, flag):
         path, _ = dataset
-        if env is None:
-            monkeypatch.delenv("HEXCOVER_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("HEXCOVER_WORKERS", env)
         code = cli_main(["run", "--dataset", str(path), "--out",
                          str(tmp_path / "x.jsonl"), *flag])
         err = capsys.readouterr().err.splitlines()
@@ -752,7 +745,6 @@ class TestCli:
         assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == ""
 
     def test_default_workers_are_the_cpus_this_process_may_use(self, monkeypatch):
-        monkeypatch.delenv("HEXCOVER_WORKERS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert harness.resolve_workers(None) == 1
