@@ -50,10 +50,6 @@ SIZE_BAND = (28, 46)
 LAUNCH_STANDOFF_CELLS = 24.0
 
 
-class EmptyTessellationError(ValueError):
-    pass
-
-
 class DegenerateInstanceError(ValueError):
     pass
 
@@ -190,14 +186,21 @@ def graph_from_coords(
 # Tessellation
 
 
-def tessellate(aoi: AoiShape, h: float) -> HexMask:
-    """Occupancy mask of lattice cells with >= 50% free-space overlap.
+class Lattice(NamedTuple):
+    """A polygon's lattice candidates: its lattice frame, the polygon in
+    lattice coordinates, and the candidate cells with the (m, 2) array of
+    their centres in lattice coordinates."""
 
-    The lattice is mounted in the minimum-rotated-rectangle frame of the
-    outer ring: origin at the rectangle centre, columns along the long side.
-    Every cell whose centre lies in the outer ring's box grown by `h` is
-    clipped, all in one free_overlap_areas call, and kept when its free area
-    is at least RETENTION_FRACTION of its hexagon.
+    frame: LatticeFrame
+    polygon: PolygonWithHoles
+    cells: list[tuple[int, int]]
+    centers: object
+
+
+def lattice_candidates(aoi: AoiShape, h: float) -> Lattice:
+    """The lattice, mounted in the minimum-rotated-rectangle frame of the
+    outer ring (origin at the rectangle centre, columns along the long side),
+    and every cell whose centre lies in the outer ring's box grown by `h`.
     """
     if h <= 0:
         raise InvalidParameterError("hex radius must be positive")
@@ -232,12 +235,31 @@ def tessellate(aoi: AoiShape, h: float) -> HexMask:
                 continue
             cells.append((col, row))
             centers.append((x, y))
-    areas = free_overlap_areas(point_array(centers), h, local_poly)
-    retained = areas >= RETENTION_FRACTION * hexagon_area(h)
-    kept = frozenset(OffsetCoord(*c) for c, keep in zip(cells, retained) if keep)
-    if not kept:
-        raise EmptyTessellationError("no cell reaches the retention threshold")
-    return HexMask(kept, frame, h)
+    return Lattice(frame, local_poly, cells, point_array(centers))
+
+
+def tessellate(lattices: Sequence[Lattice], h: float) -> list[HexMask]:
+    """The occupancy mask of each lattice: its candidate cells with >= 50%
+    free-space overlap.
+
+    Every candidate cell of every lattice is clipped in one
+    free_overlap_areas call, whose fixed cost a block of seeds so pays once,
+    and kept when its free area is at least RETENTION_FRACTION of its
+    hexagon. A lattice none of whose cells is kept has an empty mask.
+    """
+    areas = free_overlap_areas([lat.centers for lat in lattices], h,
+                               [lat.polygon for lat in lattices])
+    threshold = RETENTION_FRACTION * hexagon_area(h)
+    return [
+        HexMask(
+            frozenset(
+                OffsetCoord(*c) for c, keep in zip(lat.cells, (area >= threshold).tolist()) if keep
+            ),
+            lat.frame,
+            h,
+        )
+        for lat, area in zip(lattices, areas)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -548,21 +570,21 @@ def choose_family(seed: int, config: GenerationConfig) -> str:
     return config.family_mix[-1][0]
 
 
-def build_instance(family_hint: str, seed: int, config: GenerationConfig):
-    """Run the full generation pipeline for one seed.
+# The most seeds one block of generation takes. A block clips the candidate
+# cells of all its seeds in one pass, which pays the clip kernel's fixed cost
+# (six stages of some 50 numpy calls each) once; that pass's arrays, and the
+# peak RSS with them, grow with the seeds in it.
+BLOCK_SEEDS = 4
 
-    Returns an audited Instance or a typed Rejection; nothing is silently
-    dropped.
-    """
+
+def _finish(family_hint: str, seed: int, shape: AoiShape, mask: HexMask, config):
+    """The pipeline of one seed from its tessellated mask on: an audited
+    Instance or a typed Rejection."""
     from hexcover.oracle import hamiltonian_audit
 
-    config.validate()
-    shape = sample_aoi(family_hint, seed, config.scale)
     try:
-        shape = insert_obstacles(shape, seed)
-        mask = tessellate(shape, config.hex_radius)
         coords = postprocess_mask(mask.coords)
-    except (InvalidGeometryError, EmptyTessellationError, DegenerateInstanceError) as exc:
+    except DegenerateInstanceError as exc:
         return Rejection(seed, family_hint, "degenerate", str(exc))
 
     lo, hi = config.size_band
@@ -577,3 +599,38 @@ def build_instance(family_hint: str, seed: int, config: GenerationConfig):
     if not hamiltonian_audit(graph).feasible:
         return Rejection(seed, family_hint, "infeasible")
     return Instance(seed, shape.family_hint, shape.morphology, graph)
+
+
+def build_block(seeds: Sequence[tuple[str, int]], config: GenerationConfig) -> list:
+    """Run the full generation pipeline for each (family hint, seed) of
+    `seeds`: an audited Instance or a typed Rejection for each, in order;
+    nothing is silently dropped.
+
+    Each seed is sampled and gets its holes and its lattice candidates. One
+    tessellate call then clips the candidate cells of the whole block, and
+    each seed goes on through its own mask, post-processing, size band, base
+    attachment and audit.
+    """
+    config.validate()
+    out: list = [None] * len(seeds)
+    shaped: list[tuple[int, AoiShape]] = []
+    lattices: list[Lattice] = []
+    for k, (family_hint, seed) in enumerate(seeds):
+        shape = sample_aoi(family_hint, seed, config.scale)
+        try:
+            shape = insert_obstacles(shape, seed)
+            # Now, while min_rotated_rect still holds this outer ring's rectangle.
+            lattices.append(lattice_candidates(shape, config.hex_radius))
+        except InvalidGeometryError as exc:
+            out[k] = Rejection(seed, family_hint, "degenerate", str(exc))
+            continue
+        shaped.append((k, shape))
+    for (k, shape), mask in zip(shaped, tessellate(lattices, config.hex_radius)):
+        out[k] = _finish(*seeds[k], shape, mask, config)
+    return out
+
+
+def build_instance(family_hint: str, seed: int, config: GenerationConfig):
+    """Run the full generation pipeline for one seed: build_block on a block
+    of one. Returns an audited Instance or a typed Rejection."""
+    return build_block([(family_hint, seed)], config)[0]

@@ -23,12 +23,13 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from hexcover.aoi import MorphologyClass, label_from
 from hexcover.graphbuild import (
+    BLOCK_SEEDS,
     GenerationConfig,
     Instance,
     LatticeFrame,
     Rejection,
     _json_number,
-    build_instance,
+    build_block,
     choose_family,
     exterior_boundary,
     graph_from_coords,
@@ -57,6 +58,9 @@ ORACLE_DISPLAY = "Exact DFS (oracle)"
 # of rejections under the default config in seeds 0-1151 is 3 (seeds
 # 373-375), so no dataset of those seeds comes near the bound.
 MAX_CONSECUTIVE_REJECTIONS = 200
+
+# A pool keeps this many tasks per worker in flight (see _in_order).
+TASKS_PER_WORKER = 4
 
 
 class DatasetError(ValueError):
@@ -279,6 +283,8 @@ def _read_dataset(path: str | Path, convert, sha256: str | None = None) -> tuple
     seen: set[str] = set()
 
     def once(rec: dict, lineno: int):
+        if "id" not in rec:
+            raise DatasetError("missing field 'id'")
         if rec["id"] in seen:
             raise DatasetError(f"instance {rec['id']}: id already used by an earlier record")
         seen.add(rec["id"])
@@ -339,11 +345,13 @@ def _exit_with_parent(parent: int) -> None:
 def _in_order(fn, tasks: Iterable, workers: int) -> Iterator:
     """`fn(task)` for each of `tasks`, in task order.
 
-    At 1 worker this is `map(fn, tasks)` in this process. Otherwise a pool of
-    `workers` processes keeps 4 x `workers` tasks ahead of the consumer, so
-    while one slow task holds the consumer up the others go on with the
-    tasks after it. A consumer that stops early, and so drops the generator,
-    cancels the tasks not begun.
+    At 1 worker this is `map(fn, tasks)` in this process, which takes the
+    next task only once the consumer has taken the last result. Otherwise a
+    pool of `workers` processes keeps TASKS_PER_WORKER x `workers` tasks ahead
+    of the consumer, taking each next task from `tasks` when the consumer
+    has taken a result, so while one slow task holds the consumer up the
+    others go on with the tasks after it. A consumer that stops early, and so
+    drops the generator, cancels the tasks not begun.
     """
     if workers == 1:
         yield from map(fn, tasks)
@@ -355,7 +363,7 @@ def _in_order(fn, tasks: Iterable, workers: int) -> Iterator:
     try:
         for task in tasks:
             window.append(pool.submit(fn, task))
-            if len(window) == 4 * workers:
+            if len(window) == TASKS_PER_WORKER * workers:
                 yield window.popleft().result()
         while window:
             yield window.popleft().result()
@@ -363,14 +371,16 @@ def _in_order(fn, tasks: Iterable, workers: int) -> Iterator:
         pool.shutdown(cancel_futures=True)  # waits for the tasks already begun
 
 
-def _build_for_seed(task: tuple[int, GenerationConfig]) -> tuple[int, str, str | None]:
-    """(seed, morphology label, dataset line) for a seed that is admitted,
-    (seed, rejection reason, None) for one that is not."""
-    seed, config = task
-    out = build_instance(choose_family(seed, config), seed, config)
-    if isinstance(out, Rejection):
-        return seed, out.reason, None
-    return seed, out.morphology.label, _dump_line(instance_to_record(out)) + "\n"
+def _build_block(task: tuple[range, GenerationConfig]) -> list[tuple[str, str | None]]:
+    """For each seed of the block, in order: (morphology label, dataset line)
+    if it is admitted, (rejection reason, None) if it is not."""
+    seeds, config = task
+    outs = build_block([(choose_family(s, config), s) for s in seeds], config)
+    return [
+        (out.reason, None) if isinstance(out, Rejection)
+        else (out.morphology.label, _dump_line(instance_to_record(out)) + "\n")
+        for out in outs
+    ]
 
 
 def generate_dataset(
@@ -383,9 +393,13 @@ def generate_dataset(
     """Write `count` audited instances scanning seeds upward from `seed`.
 
     The admitted set is the first `count` audit-passing seeds in ascending
-    order, so the output is identical for any worker count. After
-    MAX_CONSECUTIVE_REJECTIONS rejected seeds in a row it raises
-    InvalidParameterError and writes nothing.
+    order, so the output is identical for any worker count. Seeds are built
+    in blocks of consecutive seeds, inline at 1 worker and as pool tasks at
+    2 or more. A block is sized from the instances still missing beyond the
+    seeds already sent out, so that every seed of a block of more than one
+    is one the scan reaches: at 1 worker no seed past the last admitted one
+    is built. After MAX_CONSECUTIVE_REJECTIONS rejected seeds in a row it
+    raises InvalidParameterError and writes nothing.
     """
     if count <= 0:
         raise InvalidParameterError("count must be positive")
@@ -398,6 +412,7 @@ def generate_dataset(
     rejections: Counter = Counter()
     morphology: Counter = Counter()
     rejected_in_a_row = 0
+    scanned = 0
 
     # Sampling draws from numpy and admission runs the oracle. Pool workers
     # fork from this process, so one import here spares each of them its own.
@@ -405,8 +420,21 @@ def generate_dataset(
 
     import hexcover.oracle  # noqa: F401
 
-    tasks = ((s, config) for s in itertools.count(seed))
-    for last_seed, outcome, line in _in_order(_build_for_seed, tasks, workers):
+    in_flight = 1 if workers == 1 else TASKS_PER_WORKER * workers
+
+    def blocks() -> Iterator[tuple[range, GenerationConfig]]:
+        # Each seed sent out and not yet taken back may admit an instance.
+        start = seed
+        while True:
+            missing = count - len(lines) - (start - seed - scanned)
+            size = max(1, min(BLOCK_SEEDS, missing // in_flight))
+            yield range(start, start + size), config
+            start += size
+
+    # The loop holds the only reference to the pool's generator, so a break
+    # drops it and cancels the blocks not begun.
+    for outcome, line in itertools.chain.from_iterable(_in_order(_build_block, blocks(), workers)):
+        scanned += 1
         if line is None:
             rejections[outcome] += 1
             rejected_in_a_row += 1
@@ -419,6 +447,7 @@ def generate_dataset(
             if len(lines) == count:
                 break
     if len(lines) < count:
+        last_seed = seed + scanned - 1
         tally = ", ".join(f"{r} {n}" for r, n in sorted(rejections.items()))
         raise InvalidParameterError(
             f"seeds {last_seed - rejected_in_a_row + 1}-{last_seed} were all rejected"
@@ -434,7 +463,7 @@ def generate_dataset(
         config=cfg_dict,
         seed_start=seed,
         count=count,
-        seeds_scanned=count + sum(rejections.values()),
+        seeds_scanned=scanned,
         rejections=dict(sorted(rejections.items())),
         morphology_counts=dict(sorted(morphology.items())),
         sha256=digest,
@@ -550,18 +579,21 @@ def load_results(path: str | Path, instances: Sequence[Instance]) -> list[dict]:
 
     A record of an unknown method, a walk of no instance, not a walk at all
     (MalformedWalkError), or not grading to its stored status and revisits
-    fails the load at its line, and so does a key no results record has, a
-    `revisits` that is not a JSON integer or a `distance_norm`, `turns_rad`
-    or `latency_ms` that is not a finite JSON number; a file with no record
-    for some instance raises IncompleteMatrixError. The records are returned
-    as dicts, those three numbers as floats.
+    fails the load at its line, and so does a missing field, a key no
+    results record has, a `revisits` that is not a JSON integer or a
+    `distance_norm`, `turns_rad` or `latency_ms` that is not a finite JSON
+    number; a file with no record for some instance raises
+    IncompleteMatrixError. The records are returned as dicts, those three
+    numbers as floats.
     """
     graphs = {i.id: i.graph for i in instances}
 
     def convert(rec: dict, _lineno: int) -> dict:
-        if not rec.keys() <= RESULT_FIELDS:
-            key = next(k for k in rec if k not in RESULT_FIELDS)
-            raise ValueError(f"field {key!r} is not a results field")
+        if rec.keys() != RESULT_FIELDS:
+            key = next((k for k in rec if k not in RESULT_FIELDS), None)
+            if key is not None:
+                raise ValueError(f"field {key!r} is not a results field")
+            raise ValueError(f"missing field {min(RESULT_FIELDS - rec.keys())!r}")
         _spec(rec["method"])  # refuses a method that is no planner
         g = graphs.get(rec["instance_id"])
         if g is None:

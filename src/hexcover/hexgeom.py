@@ -412,14 +412,13 @@ def polygon_metrics(p: PolygonWithHoles) -> tuple[float, float, float]:
 # Hexagon clipping (cell/free-space overlap areas)
 #
 # Sutherland-Hodgman reentrant polygon clipping (Sutherland & Hodgman, CACM
-# 17(1), 1974) of every ring of a polygon against the hexagons of many
-# cells at once. The vertices of every clipped ring sit in flat x/y arrays
-# with a ring id per vertex, ring after ring. Each clip stage evaluates the
-# scalar orientation and crossing expressions per vertex and compacts the
-# output in ring order, so every clipped vertex is bit-identical to clipping
-# one ring by one hexagon at a time. The shoelace sum is the one float
-# reduction, and it runs one column at a time, in edge order, as
-# ring_signed_area adds.
+# 17(1), 1974) of many rings, each against the hexagons of its own cells, at
+# once. The vertices of every clipped ring sit in flat x/y arrays with a
+# ring id per vertex, ring after ring. Each clip stage evaluates the scalar
+# orientation and crossing expressions per vertex and compacts the output in
+# ring order, so every clipped vertex is bit-identical to clipping one ring
+# by one hexagon at a time. The shoelace sum is the one float reduction, and
+# it runs one column at a time, in edge order, as ring_signed_area adds.
 
 
 def _ring_layout(rid):
@@ -441,31 +440,36 @@ def _ring_layout(rid):
     return succ, starts, ends
 
 
-def hexagon_clip_areas(rings: Sequence[Sequence[Point]], centers, h: float):
-    """Area of each counterclockwise ring of `rings` inside the hexagon of
-    circumradius `h` at each row of the (m, 2) array `centers`, as an array
-    whose [r, i] is the area of ring r in hexagon i.
+def hexagon_clip_areas(rings: Sequence[Sequence[Point]], centers: Sequence, h: float) -> list:
+    """Area of each counterclockwise ring of `rings` inside the hexagons of
+    circumradius `h` at the rows of its own (m, 2) array of `centers`, as a
+    list whose array r holds ring r's area in each of its hexagons.
 
-    Every ring is clipped against every hexagon in one pass: ring r's clip
-    by hexagon i has ring id r * m + i. A clipped ring of fewer than 3
-    vertices has area 0.0, and a negative area of a degenerate output ring
-    is taken as 0.0.
+    Every ring is clipped against every one of its hexagons in one pass: ring
+    r's clip by its hexagon i has ring id o + i, where o counts the hexagons
+    of the rings before it. A clipped ring of fewer than 3 vertices has area
+    0.0, and a negative area of a degenerate output ring is taken as 0.0.
     """
     import numpy as np
 
-    m, ids = len(centers), len(rings) * len(centers)
+    if not rings:
+        return []
     subjects = [point_array(ring) for ring in rings]
-    # Each ring's vertices once per hexagon, hexagon after hexagon.
-    x, y = np.concatenate([np.tile(s, (m, 1)) for s in subjects]).T
-    rid = np.repeat(np.arange(ids), np.repeat([len(s) for s in subjects], m))
+    ms = [len(c) for c in centers]
+    ids = sum(ms)
+    # Each ring's vertices once per hexagon of its own, hexagon after hexagon.
+    x, y = np.concatenate([np.tile(s, (m, 1)) for s, m in zip(subjects, ms)]).T
+    rid = np.repeat(np.arange(ids), np.repeat([len(s) for s in subjects], ms))
     # The hexagon vertices as hexagon_ring computes them, once per ring id.
-    cx, cy = np.tile(centers[:, 0], len(rings)), np.tile(centers[:, 1], len(rings))
+    cx, cy = np.concatenate(centers).T
     hx = [cx + h * ux for ux, _ in _HEX_UNIT]
     hy = [cy + h * uy for _, uy in _HEX_UNIT]
     for k in range(6):
         ax, ay = hx[k], hy[k]
-        ex, ey = (hx[(k + 1) % 6] - ax)[rid], (hy[(k + 1) % 6] - ay)[rid]
-        sides = ex * (y - ay[rid]) - ey * (x - ax[rid])
+        ex, ey = hx[(k + 1) % 6] - ax, hy[(k + 1) % 6] - ay
+        # Gathered per vertex inside the expression, so that no array of one
+        # value per vertex but `sides` outlives it.
+        sides = ex[rid] * (y - ay[rid]) - ey[rid] * (x - ax[rid])
         succ, _, _ = _ring_layout(rid)
         succ_sides = sides[succ]
         keep = sides >= 0
@@ -496,20 +500,32 @@ def hexagon_clip_areas(rings: Sequence[Sequence[Point]], centers, h: float):
         acc += column
     area = 0.5 * acc
     area[counts < 3] = 0.0
-    return np.maximum(area, 0.0).reshape(len(rings), m)
+    return np.split(np.maximum(area, 0.0), np.cumsum(ms[:-1]))
 
 
-def free_overlap_areas(centers, h: float, polygon: PolygonWithHoles):
-    """Area of the hexagon at each row of the (m, 2) array `centers` covered
-    by free space (outer minus holes), as an array of m areas."""
+def free_overlap_areas(centers: Sequence, h: float, polygons: Sequence[PolygonWithHoles]) -> list:
+    """For each polygon of `polygons`, the area of the hexagon at each row of
+    its own (m, 2) array of `centers` covered by its free space (outer minus
+    holes), as one array of m areas per polygon.
+
+    Every ring of every polygon, the outer ring and each reversed hole, each
+    counterclockwise, is clipped against its polygon's hexagons in one
+    hexagon_clip_areas call.
+    """
     import numpy as np
 
-    # The outer ring and each reversed hole, each counterclockwise, as
-    # hexagon_clip_areas takes a subject, all clipped in one call.
-    rings = [_counterclockwise(polygon.outer)]
-    rings += [_counterclockwise(list(reversed(hole))) for hole in polygon.holes]
-    area, *holes = hexagon_clip_areas(rings, centers, h)
-    rows = area != 0.0
-    for hole in holes:
-        area[rows] -= hole[rows]
-    return np.maximum(area, 0.0)
+    rings, ring_centers = [], []
+    for polygon, cells in zip(polygons, centers):
+        rings.append(_counterclockwise(polygon.outer))
+        rings += [_counterclockwise(list(reversed(hole))) for hole in polygon.holes]
+        ring_centers += [cells] * (1 + len(polygon.holes))
+    clipped = iter(hexagon_clip_areas(rings, ring_centers, h))
+    out = []
+    for polygon in polygons:
+        area = next(clipped)
+        rows = area != 0.0
+        for _ in polygon.holes:
+            hole = next(clipped)
+            area[rows] -= hole[rows]
+        out.append(np.maximum(area, 0.0))
+    return out

@@ -10,7 +10,14 @@ import numpy as np
 from hypothesis import strategies as st
 
 from hexcover.aoi import AoiShape, classify_morphology
-from hexcover.graphbuild import CoverageGraph, LatticeFrame, graph_from_coords
+from hexcover.graphbuild import (
+    CoverageGraph,
+    HexMask,
+    LatticeFrame,
+    graph_from_coords,
+    lattice_candidates,
+    tessellate,
+)
 from hexcover.hexgeom import OffsetCoord, Point, PolygonWithHoles, face_neighbors
 from hexcover.metrics import (
     STATUS_COVERAGE,
@@ -34,6 +41,11 @@ def results_digest(path: Path) -> str:
         for line in path.read_text().splitlines()
     )
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+def tessellate_one(aoi: AoiShape, h: float) -> HexMask:
+    """The mask `tessellate` gives one AOI, in a block of its own."""
+    return tessellate([lattice_candidates(aoi, h)], h)[0]
 
 
 def aoi_from_ring(ring, holes=(), seed=0, family_hint="compact"):

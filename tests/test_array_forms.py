@@ -377,7 +377,7 @@ def clip_centres(ring, rng):
 
 
 def assert_clips_match(ring, centres, h):
-    got = hexagon_clip_areas([ring], point_array(centres), h)[0].tolist()
+    got = hexagon_clip_areas([ring], [point_array(centres)], h)[0].tolist()
     want = [clip_area_ccw(ring, hexagon_ring(c, h)) for c in centres]
     assert got == want
     assert [np.copysign(1.0, a) for a in got] == [np.copysign(1.0, a) for a in want]
@@ -389,21 +389,23 @@ def hexes(values):
 
 
 def assert_joint_clip_matches(rings, centers, h):
-    """One call over all of `rings` gives each ring the areas that a call of
-    its own gives, bit for bit."""
+    """One call over all of `rings`, each with its own array of `centers`,
+    gives each ring the areas that a call of its own gives, bit for bit."""
     joint = hexagon_clip_areas(rings, centers, h)
-    assert joint.shape == (len(rings), len(centers))
-    for ring, row in zip(rings, joint):
-        assert hexes(row) == hexes(hexagon_clip_areas([ring], centers, h)[0])
+    assert [len(row) for row in joint] == [len(c) for c in centers]
+    for ring, cells, row in zip(rings, centers, joint):
+        assert hexes(row) == hexes(hexagon_clip_areas([ring], [cells], h)[0])
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_one_clip_call_for_several_star_rings(seed):
     rng = np.random.default_rng([seed, 13])
     rings = [star_ring(rng) for _ in range(int(rng.integers(2, 6)))]
-    centres = point_array([c for ring in rings for c in clip_centres(ring, rng)])
+    own = [point_array(clip_centres(ring, rng)) for ring in rings]
+    shared = np.concatenate(own)
     for h in (0.05, 0.7, float(rng.uniform(0.2, 2.0)), 12.0):
-        assert_joint_clip_matches(rings, centres, h)
+        assert_joint_clip_matches(rings, [shared] * len(rings), h)
+        assert_joint_clip_matches(rings, own, h)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -502,20 +504,26 @@ def test_free_overlap_areas_with_clipped_holes():
         Point(float(x), float(y)) for x, y in rng.uniform(cx - 2.0, cx + 2.0, (60, 2))
     ]
     rings = [outer, *(counterclockwise(list(reversed(hole))) for hole in poly.holes)]
+    # A second polygon with no holes and cells of its own shares the call.
+    other = PolygonWithHoles(tuple(star_ring(np.random.default_rng(5))), ())
+    other_centres = clip_centres(other.outer, rng)
     for h in (0.2, 0.6):
-        got = free_overlap_areas(point_array(centres), h, poly).tolist()
-        assert got == [free_overlap_area(c, h, poly) for c in centres]
-        assert_joint_clip_matches(rings, point_array(centres), h)
+        got, got_other = free_overlap_areas(
+            [point_array(centres), point_array(other_centres)], h, [poly, other]
+        )
+        assert got.tolist() == [free_overlap_area(c, h, poly) for c in centres]
+        assert got_other.tolist() == [free_overlap_area(c, h, other) for c in other_centres]
+        assert_joint_clip_matches(rings, [point_array(centres)] * len(rings), h)
 
 
 def test_every_candidate_cell_of_pipeline_seeds(monkeypatch):
-    # One clip call per polygon decides every cell; no centre test does.
+    # One clip call per block of seeds decides every cell; no centre test does.
     calls = []
     real = graphbuild.free_overlap_areas
 
-    def record(centers, h, polygon):
-        areas = real(centers, h, polygon)
-        calls.append((centers, h, polygon, areas))
+    def record(centers, h, polygons):
+        areas = real(centers, h, polygons)
+        calls.append((centers, h, polygons, areas))
         return areas
 
     def no_centre_test(*args):
@@ -524,16 +532,27 @@ def test_every_candidate_cell_of_pipeline_seeds(monkeypatch):
     monkeypatch.setattr(graphbuild, "free_overlap_areas", record)
     monkeypatch.setattr(graphbuild, "points_in_ring", no_centre_test)
     config = GenerationConfig()
-    for seed in range(200):
-        shape = sample_aoi(choose_family(seed, config), seed, config.scale)
-        graphbuild.tessellate(insert_obstacles(shape, seed), config.hex_radius)
-    assert len(calls) == 200
-    assert sum(bool(poly.holes) for _, _, poly, _ in calls) >= 120
-    for centers, h, poly, areas in calls:
-        want = [free_overlap_area(Point(x, y), h, poly) for x, y in centers.tolist()]
-        assert areas.tolist() == want
-        holes = [counterclockwise(list(reversed(hole))) for hole in poly.holes]
-        assert_joint_clip_matches([counterclockwise(poly.outer), *holes], centers, h)
+    h, size = config.hex_radius, graphbuild.BLOCK_SEEDS
+    for start in range(0, 200, size):
+        lattices = []
+        for seed in range(start, start + size):
+            shape = sample_aoi(choose_family(seed, config), seed, config.scale)
+            lattices.append(graphbuild.lattice_candidates(insert_obstacles(shape, seed), h))
+        graphbuild.tessellate(lattices, h)
+    assert len(calls) == 200 // size
+    polygons = [poly for _, _, polys, _ in calls for poly in polys]
+    assert len(polygons) == 200
+    assert sum(bool(poly.holes) for poly in polygons) >= 120
+    for centers, h, polys, areas in calls:
+        rings, ring_centers = [], []
+        for cells, poly, got in zip(centers, polys, areas):
+            want = [free_overlap_area(Point(x, y), h, poly) for x, y in cells.tolist()]
+            assert got.tolist() == want
+            holes = [counterclockwise(list(reversed(hole))) for hole in poly.holes]
+            rings += [counterclockwise(poly.outer), *holes]
+            ring_centers += [cells] * (1 + len(holes))
+        # The pass's one kernel call gives each ring the areas of a call of its own.
+        assert_joint_clip_matches(rings, ring_centers, h)
 
 
 # ---------------------------------------------------------------------------

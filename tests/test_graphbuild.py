@@ -5,14 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import aoi_from_ring, edge_lengths_ok, lattice_graph_args
+from conftest import aoi_from_ring, edge_lengths_ok, lattice_graph_args, tessellate_one
 from test_array_forms import free_overlap_area
 
 from hexcover.aoi import FAMILIES, insert_obstacles, sample_aoi
 from hexcover.graphbuild import (
     BaseAttachmentError,
     DegenerateInstanceError,
-    EmptyTessellationError,
     GenerationConfig,
     HexMask,
     Instance,
@@ -25,7 +24,6 @@ from hexcover.graphbuild import (
     graph_from_coords,
     line_of_sight,
     postprocess_mask,
-    tessellate,
 )
 from hexcover.hexgeom import (
     InvalidGeometryError,
@@ -75,12 +73,12 @@ def cut_for_fraction(frac: float) -> float:
 class TestTessellate:
     def test_single_hexagon_aoi_yields_one_cell(self):
         aoi = aoi_from_ring(hexagon_ring(Point(3.0, -2.0), 1.0))
-        mask = tessellate(aoi, 1.0)
+        mask = tessellate_one(aoi, 1.0)
         assert len(mask.coords) == 1
 
     def test_rectangle_retains_interior_patch(self):
         aoi = aoi_from_ring(rect_ring(-10.0, -8.0, 20.0, 16.0))
-        mask = tessellate(aoi, 1.0)
+        mask = tessellate_one(aoi, 1.0)
         # All cells of a centred 5x5 patch are fully inside, hence retained.
         for col in range(-2, 3):
             for row in range(-2, 3):
@@ -94,21 +92,23 @@ class TestTessellate:
         u = cut_for_fraction(frac)
         width = 21.0 - 2.0 * u
         aoi = aoi_from_ring(rect_ring(u - 10.5, -6.0, width, 12.0))
-        mask = tessellate(aoi, 1.0)
+        mask = tessellate_one(aoi, 1.0)
         assert (OffsetCoord(-7, 0) in mask.coords) == included
         # Interior cells unaffected by the cut are always present.
         assert OffsetCoord(0, 0) in mask.coords
 
     def test_empty_tessellation_rejected(self):
         aoi = aoi_from_ring(rect_ring(0.0, 0.0, 0.2, 0.1))
-        with pytest.raises(EmptyTessellationError):
-            tessellate(aoi, 1.0)
+        mask = tessellate_one(aoi, 1.0)
+        assert mask.coords == frozenset()
+        with pytest.raises(DegenerateInstanceError):
+            postprocess_mask(mask.coords)
 
     def test_lattice_frame_follows_long_axis(self):
         ang = 0.6
         ca, sa = math.cos(ang), math.sin(ang)
         ring = [Point(ca * x - sa * y, sa * x + ca * y) for x, y in rect_ring(-9, -5, 18, 10)]
-        mask = tessellate(aoi_from_ring(ring), 1.0)
+        mask = tessellate_one(aoi_from_ring(ring), 1.0)
         assert mask.frame.angle == pytest.approx(ang, abs=1e-9)
 
 
@@ -146,7 +146,7 @@ class TestTessellateShortcutExact:
             shape = sample_aoi(choose_family(seed, config), seed, config.scale)
             shape = insert_obstacles(shape, seed)
             holed += bool(shape.polygon.holes)
-            mask = tessellate(shape, config.hex_radius)
+            mask = tessellate_one(shape, config.hex_radius)
             assert (mask.coords, mask.frame) == clip_every_cell(shape, config.hex_radius), seed
         assert holed >= 120
 
@@ -158,7 +158,7 @@ class TestTessellateShortcutExact:
         for radius, dropped in ((0.8, True), (0.3, False)):
             hole = tuple(reversed(hexagon_ring(centre, radius)))
             aoi = aoi_from_ring(outer, [hole])
-            mask = tessellate(aoi, 1.0)
+            mask = tessellate_one(aoi, 1.0)
             assert mask.frame == LatticeFrame(Point(0.0, 0.0), 0.0)
             assert (OffsetCoord(1, 0) not in mask.coords) == dropped
             assert (mask.coords, mask.frame) == clip_every_cell(aoi, 1.0)
@@ -180,7 +180,7 @@ class TestTessellateShortcutExact:
             holes.append(tuple(reversed(rect_ring(*box))))
         aoi = aoi_from_ring(outer, holes)
         assert aoi.polygon.contains(Point(cx, cy))
-        mask = tessellate(aoi, 1.0)
+        mask = tessellate_one(aoi, 1.0)
         assert OffsetCoord(1, 0) not in mask.coords
         assert (mask.coords, mask.frame) == clip_every_cell(aoi, 1.0)
 
@@ -195,7 +195,7 @@ class TestTessellateShortcutExact:
             notched = (*square[:3], Point(0.0, y), square[3])
             for ring in (square, notched):
                 aoi = aoi_from_ring(ring)
-                assert tessellate(aoi, h).coords == clip_every_cell(aoi, h)[0]
+                assert tessellate_one(aoi, h).coords == clip_every_cell(aoi, h)[0]
 
 
 class TestPostprocess:
@@ -368,7 +368,7 @@ class TestPostprocessMatchesReference:
         config = GenerationConfig()
         for seed in range(200):
             shape = sample_aoi(choose_family(seed, config), seed, config.scale)
-            mask = tessellate(insert_obstacles(shape, seed), config.hex_radius)
+            mask = tessellate_one(insert_obstacles(shape, seed), config.hex_radius)
             assert_postprocess_matches(mask.coords)
 
     def test_random_small_masks(self):
@@ -466,7 +466,7 @@ class TestAttachBase:
         # Convex AOI: every outer-ring cell admits an unoccluded approach
         # over open water, so the whole exterior ring is linked.
         aoi = aoi_from_ring(rect_ring(-8.0, -1.0, 16.0, 2.0))
-        mask = tessellate(aoi, 1.0)
+        mask = tessellate_one(aoi, 1.0)
         coords = postprocess_mask(mask.coords)
         mask = HexMask(coords, mask.frame, mask.h)
         g = attach_base(mask, aoi, seed=0, launch=Point(0.0, -4.0))
@@ -483,7 +483,7 @@ class TestAttachBase:
             Point(6.0, 6.0), Point(-6.0, 6.0),
         )
         aoi = aoi_from_ring(outer)
-        mask = tessellate(aoi, 1.0)
+        mask = tessellate_one(aoi, 1.0)
         coords = postprocess_mask(mask.coords)
         hexmask = HexMask(coords, mask.frame, mask.h)
         launch = Point(8.0, 0.0)  # inside the mouth of the C, to the east
@@ -502,7 +502,7 @@ class TestAttachBase:
         outer = hexagon_ring(Point(0.0, 0.0), 6.0)
         hole = tuple(reversed(hexagon_ring(Point(0.0, 0.0), 2.2)))
         aoi = aoi_from_ring(outer, holes=[hole])
-        mask = tessellate(aoi, 1.0)
+        mask = tessellate_one(aoi, 1.0)
         coords = postprocess_mask(mask.coords)
         with pytest.raises(BaseAttachmentError):
             attach_base(HexMask(coords, mask.frame, mask.h), aoi, seed=0, launch=Point(0.0, 0.0))
@@ -514,7 +514,7 @@ class TestAttachBase:
         from hexcover.aoi import insert_obstacles
 
         aoi = insert_obstacles(sample_aoi("irregular", seed, 1.0), seed)
-        mask = tessellate(aoi, 1.0)
+        mask = tessellate_one(aoi, 1.0)
         coords = postprocess_mask(mask.coords)
         hexmask = HexMask(coords, mask.frame, mask.h)
         launch = Point(0.0, min(p.y for p in aoi.polygon.outer) - 2.0)
@@ -725,14 +725,14 @@ def stage_products(seed: int, config: GenerationConfig = GenerationConfig()) -> 
             lines.append("ring " + _hex(v for p in ring for v in p))
         m = shape.morphology
         lines.append(f"morphology {m.label} {_hex((m.compactness, m.aspect))}")
-        mask = tessellate(shape, config.hex_radius)
+        mask = tessellate_one(shape, config.hex_radius)
         lines.append(f"mask {sorted(mask.coords)}")
         frame = mask.frame
         lines.append(f"frame {_hex((*frame.origin, frame.angle, mask.h))}")
         cells, boundary = postprocess_with_boundary(mask.coords)
         lines.append(f"cells {sorted(cells)}")
         lines.append(f"boundary {sorted(boundary)}")
-    except (InvalidGeometryError, EmptyTessellationError, DegenerateInstanceError) as exc:
+    except (InvalidGeometryError, DegenerateInstanceError) as exc:
         lines.append(f"rejected {type(exc).__name__}: {exc}")
     return "\n".join(lines)
 

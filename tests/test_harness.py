@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from conftest import read_results, results_digest
 
-from hexcover import harness
+from hexcover import graphbuild, harness
 from hexcover.cli import main as cli_main
 from hexcover.graphbuild import GenerationConfig, exterior_boundary
 from hexcover.harness import (
@@ -138,17 +138,69 @@ class TestGenerate:
         generate_dataset(N_SMALL, seed=0, config=GenerationConfig(), out_path=serial, workers=1)
         assert serial.read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("count", [1, 2, 5, 12])
+    def test_block_tasks_do_not_change_bytes(self, tmp_path, count):
+        serial = tmp_path / "w1.jsonl"
+        manifest = generate_dataset(count, 0, GenerationConfig(), serial, workers=1)
+        for workers in (2, 3):
+            par = tmp_path / f"w{workers}.jsonl"
+            assert generate_dataset(count, 0, GenerationConfig(), par, workers=workers) == manifest
+            assert par.read_bytes() == serial.read_bytes()
+            on_disk = Path(str(par) + ".manifest.json").read_bytes()
+            assert on_disk == Path(str(serial) + ".manifest.json").read_bytes()
+
     def test_one_worker_builds_no_seed_past_the_last(self, tmp_path, monkeypatch):
         built = []
-        real = harness.build_instance
+        real = harness.build_block
 
-        def counting(family, seed, config):
-            built.append(seed)
-            return real(family, seed, config)
+        def counting(seeds, config):
+            built.extend(seed for _, seed in seeds)
+            return real(seeds, config)
 
-        monkeypatch.setattr(harness, "build_instance", counting)
+        monkeypatch.setattr(harness, "build_block", counting)
         manifest = generate_dataset(N_SMALL, 0, GenerationConfig(), tmp_path / "d.jsonl", workers=1)
         assert built == list(range(manifest.seeds_scanned))
+
+    @pytest.mark.parametrize("count, workers", [(12, 3), (40, 2)])
+    def test_pool_scans_no_further_than_one_seed_a_task(
+        self, tmp_path, monkeypatch, count, workers
+    ):
+        # With one seed a task, the pool reached at most the tasks in flight
+        # past the last seed scanned; blocks of seeds must reach no further.
+        sent = []
+        real = harness._in_order
+
+        def recording(fn, tasks, workers):
+            def seen():
+                for task in tasks:
+                    sent.extend(task[0])
+                    yield task
+
+            return real(fn, seen(), workers)
+
+        monkeypatch.setattr(harness, "_in_order", recording)
+        manifest = generate_dataset(count, 0, GenerationConfig(), tmp_path / "d.jsonl", workers)
+        assert sent == list(range(len(sent)))
+        in_flight = harness.TASKS_PER_WORKER * workers
+        assert len(sent) <= manifest.seeds_scanned + in_flight - 1
+
+    def test_every_block_size_builds_the_lines_of_a_block_of_one(self, monkeypatch):
+        config = GenerationConfig()
+        one = [out for s in range(200) for out in harness._build_block((range(s, s + 1), config))]
+        passes = []
+        real = graphbuild.tessellate
+
+        def counting(lattices, h):
+            passes.append(len(lattices))
+            return real(lattices, h)
+
+        monkeypatch.setattr(graphbuild, "tessellate", counting)
+        for size in range(2, graphbuild.BLOCK_SEEDS + 1):
+            passes.clear()
+            blocks = [range(s, min(s + size, 200)) for s in range(0, 200, size)]
+            assert [out for b in blocks for out in harness._build_block((b, config))] == one
+            # One clip pass a block.
+            assert len(passes) == len(blocks)
 
     def test_size_band_and_audit_flags(self, dataset):
         path, _ = dataset
@@ -422,6 +474,24 @@ class TestFileBoundary:
         assert f"{bad}:2:" in err[0]
 
     @pytest.mark.parametrize(
+        "command", [["run", "--workers", "1"], ["run", "--workers", "2"], ["audit"]],
+        ids=["run-inline", "run-pool", "audit"],
+    )
+    def test_record_without_an_id_names_the_missing_field(
+        self, dataset, tmp_path, capsys, command
+    ):
+        dpath, _ = dataset
+        lines = dpath.read_text().splitlines()
+        rec = json.loads(lines[1])
+        del rec["id"]
+        bad = tmp_path / "noid.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
+        out = ["--out", str(tmp_path / "r.jsonl")] if command[0] == "run" else []
+        code = cli_main([*command, "--dataset", str(bad), *out])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}:2: missing field 'id'"]
+
+    @pytest.mark.parametrize(
         "field, retype",
         [("revisits", str), ("revisits", float), ("latency_ms", str),
          ("distance_norm", lambda value: True)],
@@ -468,6 +538,23 @@ class TestFileBoundary:
                          "--out", str(tmp_path / "rep")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}:2: ")
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("field", ["walk", "instance_id", "method", "latency_ms"])
+    def test_result_record_without_a_field_names_it(
+        self, dataset, results, tmp_path, capsys, field
+    ):
+        dpath, _ = dataset
+        rpath, _ = results
+        lines = rpath.read_text().splitlines()
+        rec = json.loads(lines[1])
+        del rec[field]
+        bad = tmp_path / "missing.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
+        code = cli_main(["report", "--results", str(bad), "--dataset", str(dpath),
+                         "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}:2: missing field {field!r}"]
         assert not (tmp_path / "rep").exists()
 
     def test_lines_are_never_written_with_nan_or_infinity(self):
@@ -676,7 +763,7 @@ class TestCli:
         def no_build(*args):
             raise AssertionError("a seed was built for an --out that is a directory")
 
-        monkeypatch.setattr(harness, "build_instance", no_build)
+        monkeypatch.setattr(harness, "build_block", no_build)
         code = cli_main(["generate", "--count", "200", "--out", str(tmp_path),
                          "--workers", "1"])
         err = capsys.readouterr().err.splitlines()
@@ -811,7 +898,7 @@ class TestCli:
 
         # Every seed is built through this name, in the command's process or
         # in a forked pool worker, which inherits the patch.
-        monkeypatch.setattr(harness, "build_instance", no_build)
+        monkeypatch.setattr(harness, "build_block", no_build)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         data = tmp_path / "d.jsonl"
@@ -1144,7 +1231,7 @@ assert aoi.__name__ == "hexcover.aoi"
 
         # generate builds every seed; run plans every cell.
         if command == "generate":
-            monkeypatch.setattr(harness, "build_instance", work)
+            monkeypatch.setattr(harness, "build_block", work)
             argv = ["generate", "--count", "3", "--out", out, "--workers", "1"]
         else:
             monkeypatch.setattr(harness, "timed_plan", work)

@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from conftest import chain_graph, random_small_graph, ring6_graph
+from conftest import chain_graph, random_small_graph, ring6_graph, tessellate_one
 
 from hexcover.aoi import insert_obstacles, sample_aoi
 from hexcover.graphbuild import (
@@ -14,7 +14,6 @@ from hexcover.graphbuild import (
     choose_family,
     graph_from_coords,
     postprocess_mask,
-    tessellate,
 )
 from hexcover.hexgeom import InvalidParameterError, OffsetCoord, Point
 from hexcover.metrics import STATUS_HAMILTONIAN, validate_path
@@ -59,7 +58,7 @@ def seed_graph(seed):
     """The graph the default pipeline hands to the admission audit for `seed`."""
     cfg = GenerationConfig()
     shape = insert_obstacles(sample_aoi(choose_family(seed, cfg), seed, cfg.scale), seed)
-    mask = tessellate(shape, cfg.hex_radius)
+    mask = tessellate_one(shape, cfg.hex_radius)
     coords = postprocess_mask(mask.coords)
     return attach_base(mask._replace(coords=coords), shape, seed)
 
