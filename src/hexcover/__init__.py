@@ -10,22 +10,22 @@ aoi` still imports the submodule.
 import importlib
 
 _EXPORTS = {
-    "aoi": (
-        "AoiShape", "MorphologyClass", "classify_morphology", "insert_obstacles",
-        "sample_aoi",
-    ),
+    "aoi": ("AoiShape", "classify_morphology", "insert_obstacles", "sample_aoi"),
     "graphbuild": (
-        "CoverageGraph", "GenerationConfig", "Instance", "Rejection", "attach_base",
-        "build_instance", "graph_from_coords", "postprocess_mask", "tessellate",
+        "GenerationConfig", "Rejection", "attach_base", "build_instance", "postprocess_mask",
+        "tessellate",
     ),
     "harness": (
         "DatasetManifest", "audit_dataset", "generate_dataset", "load_instances",
         "load_results", "run_benchmark", "write_report",
     ),
     "hexgeom": (
-        "InvalidGeometryError", "InvalidParameterError", "OffsetCoord", "Point",
         "PolygonWithHoles", "face_neighbors", "hexagon_ring", "min_rotated_rect",
-        "offset_to_center", "polygon_metrics",
+        "polygon_metrics",
+    ),
+    "lattice": (
+        "CoverageGraph", "Instance", "InvalidGeometryError", "InvalidParameterError",
+        "MorphologyClass", "OffsetCoord", "Point", "graph_from_coords", "offset_to_center",
     ),
     "metrics": (
         "SummaryRow", "aggregate_summary", "compute_path_metrics", "path_distance",

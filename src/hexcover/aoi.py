@@ -5,9 +5,9 @@ origin; obstacle holes are inserted afterwards. Everything is driven by a
 single 64-bit seed split into independent Philox sub-streams, one per
 generation stage, so each stage is reproducible in isolation.
 
-numpy is imported by the functions that draw, not by the module: `audit`,
-`run` and `report` import this module but never draw, and so never pay for
-loading numpy.
+Of the commands, only `generate` imports this module. numpy is imported by the functions
+that draw, not by the module; the morphology label rule and its labels live
+in `hexcover.lattice`, where a dataset record is checked against them.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from hexcover.hexgeom import (
-    InvalidParameterError,
-    Point,
     PolygonWithHoles,
     hexagon_area,
     points_in_ring,
@@ -25,6 +23,7 @@ from hexcover.hexgeom import (
     ring_array,
     ring_signed_area,
 )
+from hexcover.lattice import InvalidParameterError, MorphologyClass, Point, label_from
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,10 +32,6 @@ FAMILY_COMPACT = "compact"
 FAMILY_ELONGATED = "elongated"
 FAMILY_IRREGULAR = "irregular"
 FAMILIES = (FAMILY_COMPACT, FAMILY_ELONGATED, FAMILY_IRREGULAR)
-
-LABEL_COMPACT = "Compact"
-LABEL_ELONGATED = "Elongated"
-LABEL_IRREGULAR = "Irregular"
 
 # Philox sub-stream indices (counter-based derivation from one seed).
 STREAM_FAMILY = 0
@@ -70,26 +65,11 @@ def substream(seed: int, stage: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, stage]))
 
 
-class MorphologyClass(NamedTuple):
-    label: str
-    compactness: float
-    aspect: float
-
-
 class AoiShape(NamedTuple):
     polygon: PolygonWithHoles
     morphology: MorphologyClass
     seed: int
     family_hint: str
-
-
-def label_from(compactness: float, aspect: float) -> str:
-    """Threshold partition: elongation wins, then compactness splits the rest."""
-    if aspect >= 2.0:
-        return LABEL_ELONGATED
-    if compactness > 0.6:
-        return LABEL_COMPACT
-    return LABEL_IRREGULAR
 
 
 def classify_morphology(p: PolygonWithHoles) -> MorphologyClass:

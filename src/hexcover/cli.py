@@ -132,8 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     from hexcover.harness import DatasetError, EvaluationError
-    from hexcover.hexgeom import InvalidParameterError
-    from hexcover.metrics import IncompleteMatrixError
+    from hexcover.lattice import IncompleteMatrixError, InvalidParameterError
 
     try:
         return args.fn(args)

@@ -4,45 +4,72 @@ Instances and results are append-only JSON-Lines files: every line parses on
 its own, and identical inputs always produce identical bytes. A manifest JSON
 sits next to each dataset with the generation config, rejection tallies, and
 a payload checksum, so a dataset can be regenerated and verified bit for bit.
+
+This module imports only the instance model (`hexcover.lattice`) when it
+loads. What it takes from the generation pipeline (for `generate`) and from
+the planners and metrics (for `run` and `report`) is bound on first use, so
+each command compiles only the modules it runs: `audit` loads the model and
+the oracle, and neither the generation modules nor the planners.
 """
 
 from __future__ import annotations
 
 import errno
 import hashlib
+import importlib
 import io
 import itertools
 import json
 import math
 import os
 import threading
-import time
 from collections import Counter, deque
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from hexcover.aoi import MorphologyClass, label_from
-from hexcover.graphbuild import (
-    BLOCK_SEEDS,
-    GenerationConfig,
+from hexcover.lattice import (
+    IncompleteMatrixError,
     Instance,
+    InvalidParameterError,
     LatticeFrame,
-    Rejection,
+    MorphologyClass,
+    Point,
     _json_number,
-    build_block,
-    choose_family,
     exterior_boundary,
     graph_from_coords,
+    label_from,
 )
-from hexcover.hexgeom import InvalidParameterError, Point
-from hexcover.metrics import (
-    IncompleteMatrixError,
-    SummaryRow,
-    aggregate_summary,
-    compute_path_metrics,
-    validate_path,
-)
-from hexcover.planners import METHOD_ORDER, PLANNERS, WARNSDORFF_SLUGS, _spec, timed_plan
+
+# The names this module takes from the modules not every command runs, by
+# the module they come from. Each is bound into this module on first use:
+# by `_bind`, which every function that reads them calls first, or by
+# `__getattr__` (PEP 562) when it is looked up from outside.
+_LAZY = {
+    "graphbuild": ("BLOCK_SEEDS", "GenerationConfig", "Rejection", "build_block", "choose_family"),
+    "metrics": ("SummaryRow", "aggregate_summary", "compute_path_metrics", "validate_path"),
+    "planners": ("METHOD_ORDER", "PLANNERS", "WARNSDORFF_SLUGS", "_spec", "timed_plan"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def _bind(*modules: str) -> None:
+    """Bind the names each of `modules` lends this module. A name already
+    bound is kept, so a wrapper or a test double set over it stays in use."""
+    namespace = globals()
+    for module in modules:
+        unbound = [name for name in _LAZY[module] if name not in namespace]
+        if unbound:
+            source = importlib.import_module(f"hexcover.{module}")
+            for name in unbound:
+                namespace[name] = getattr(source, name)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_MODULE_OF[name])
+    return globals()[name]
+
 
 DATASET_SCHEMA = "hexcover-dataset/2"
 RESULTS_SCHEMA = "hexcover-results/1"
@@ -144,6 +171,15 @@ def _finite(value, field: str) -> float:
     return x
 
 
+def _float(value, field: str) -> float:
+    """`value` of dataset field `field`, refused unless it is a finite float.
+    The writer writes each such field as a JSON float, and the round trip
+    alone would pass an int or a bool in its place: 1 == 1.0 and True == 1.0."""
+    if type(value) is not float:
+        raise TypeError(f"{field!r} is {value!r}, not a float")
+    return _finite(value, field)
+
+
 def record_to_instance(rec: dict) -> Instance:
     """The instance a dataset record describes.
 
@@ -151,29 +187,32 @@ def record_to_instance(rec: dict) -> Instance:
     aspect, hex_radius, frame, base, cell coordinates and base_links, the
     last for both link sets. Every other field, the id and the morphology
     label among them, is derived from those, so the record is refused unless
-    `instance_to_record` writes it back unchanged. Each float it is built
-    from must be finite. A link to a cell off the exterior boundary is
-    refused too: `attach_base` links only those cells. Each refusal raises
-    DatasetError naming the instance and the first field at fault.
+    `instance_to_record` writes it back unchanged. The seed must be a JSON
+    integer, and each float it is built from a finite JSON float. A link to
+    a cell off the exterior boundary is refused too: `attach_base` links
+    only those cells. Each refusal raises DatasetError naming the instance
+    and the first field at fault.
     """
     name = f"instance {rec.get('id')}"
     try:
-        m, frame = rec["morphology"], rec["frame"]
+        m, frame, seed = rec["morphology"], rec["frame"], rec["seed"]
+        if type(seed) is not int:
+            raise TypeError(f"'seed' is {seed!r}, not an integer")
         graph = graph_from_coords(
             [(int(c[0]), int(c[1])) for c in rec["cells"]],
-            _finite(rec["hex_radius"], "hex_radius"),
+            _float(rec["hex_radius"], "hex_radius"),
             rec["base_links"],
             rec["base_links"],
-            Point(*(_finite(v, "base") for v in rec["base"])),
+            Point(*(_float(v, "base") for v in rec["base"])),
             LatticeFrame(
-                Point(*(_finite(v, "frame") for v in frame["origin"])),
-                _finite(frame["angle"], "frame"),
+                Point(*(_float(v, "frame.origin") for v in frame["origin"])),
+                _float(frame["angle"], "frame.angle"),
             ),
         )
-        compactness = _finite(m["compactness"], "morphology")
-        aspect = _finite(m["aspect"], "morphology")
+        compactness = _float(m["compactness"], "morphology.compactness")
+        aspect = _float(m["aspect"], "morphology.aspect")
         inst = Instance(
-            int(rec["seed"]),
+            seed,
             str(rec["family_hint"]),
             MorphologyClass(label_from(compactness, aspect), compactness, aspect),
             graph,
@@ -324,19 +363,26 @@ class DatasetManifest(NamedTuple):
         return self._asdict()
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Pool initializer: end this worker soon after the process that started
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker as soon as the command that started
     it is gone.
 
     A worker waits on its task queue, whose write end it also holds, so the
-    death of its parent, by SIGKILL say, never wakes it. A daemon thread
-    watches the parent's id instead: it changes when the worker is
-    reparented.
+    death of the command, by SIGKILL say, never wakes it. A daemon thread
+    waits on the worker's parent sentinel instead, a pipe end that
+    multiprocessing gives every worker under fork, forkserver and spawn
+    alike and that turns ready when the command's end closes. (Under fork a
+    worker forked later holds a copy of that end too, and ends first.) The
+    parent process id is no such sign: a forkserver worker's parent is the
+    fork server, not the command.
     """
+    from multiprocessing import parent_process
+    from multiprocessing.connection import wait
+
+    sentinel = parent_process().sentinel
 
     def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(0.5)
+        wait([sentinel])
         os._exit(1)
 
     threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
@@ -358,7 +404,7 @@ def _in_order(fn, tasks: Iterable, workers: int) -> Iterator:
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, initializer=_exit_with_parent, initargs=(os.getpid(),))
+    pool = ProcessPoolExecutor(workers, initializer=_exit_with_parent)
     window: deque = deque()
     try:
         for task in tasks:
@@ -374,6 +420,7 @@ def _in_order(fn, tasks: Iterable, workers: int) -> Iterator:
 def _build_block(task: tuple[range, GenerationConfig]) -> list[tuple[str, str | None]]:
     """For each seed of the block, in order: (morphology label, dataset line)
     if it is admitted, (rejection reason, None) if it is not."""
+    _bind("graphbuild")
     seeds, config = task
     outs = build_block([(choose_family(s, config), s) for s in seeds], config)
     return [
@@ -403,6 +450,7 @@ def generate_dataset(
     """
     if count <= 0:
         raise InvalidParameterError("count must be positive")
+    _bind("graphbuild")
     cfg_dict = config.to_dict()
     config = GenerationConfig.from_dict(cfg_dict)  # validated, typed as the manifest reads back
     workers = resolve_workers(workers)
@@ -414,8 +462,9 @@ def generate_dataset(
     rejected_in_a_row = 0
     scanned = 0
 
-    # Sampling draws from numpy and admission runs the oracle. Pool workers
-    # fork from this process, so one import here spares each of them its own.
+    # Sampling draws from numpy and admission runs the oracle. A pool worker
+    # forked from this process inherits both, so one import here spares each
+    # of them its own; a worker started by forkserver or spawn imports them.
     import numpy  # noqa: F401
 
     import hexcover.oracle  # noqa: F401
@@ -495,6 +544,7 @@ def audit_dataset(path: str | Path) -> dict:
 
 
 def resolve_methods(methods: Sequence[str] | str) -> list[str]:
+    _bind("planners", "metrics")
     if methods == "all" or methods == ["all"]:
         return list(METHOD_ORDER)
     out = [_spec(name).slug for name in methods]
@@ -512,6 +562,7 @@ def _evaluate_instances(task: tuple[str, list[tuple[int, dict]], list[str]]) -> 
     A record that does not load raises DatasetError naming `<path>:<line>:`,
     as the dataset reader does.
     """
+    _bind("planners", "metrics")
     path, numbered, methods = task
     lines = []
     for lineno, rec in numbered:
@@ -586,6 +637,7 @@ def load_results(path: str | Path, instances: Sequence[Instance]) -> list[dict]:
     IncompleteMatrixError. The records are returned as dicts, those three
     numbers as floats.
     """
+    _bind("planners", "metrics")
     graphs = {i.id: i.graph for i in instances}
 
     def convert(rec: dict, _lineno: int) -> dict:
@@ -680,6 +732,7 @@ def write_report(
         raise InvalidParameterError("format must be 'markdown' or 'csv'")
     if strata not in (None, "morphology"):
         raise InvalidParameterError("only morphology strata are supported")
+    _bind("planners", "metrics")
     out_dir = _output_dir(out_dir)
     if plots_dir is not None:
         plots_dir = _output_dir(plots_dir)

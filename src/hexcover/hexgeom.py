@@ -1,10 +1,10 @@
-"""Flat-top hexagonal lattice geometry and planar polygon primitives.
+"""Planar polygon primitives and hexagon clipping for generation.
 
-Lattice convention (fixed for the whole package): flat-top hexagons addressed
-by (col, row) offset coordinates. Column pitch is 1.5*h, row pitch is
-sqrt(3)*h, and odd columns sit half a row pitch below even columns, so the
-cell (0, 0) is centred on the origin. Two cells are face-adjacent exactly when
-their centres are sqrt(3)*h apart.
+The lattice convention, the cell and point types and the neighbour tables
+live in `hexcover.lattice`, the instance model every command reads; this
+module holds the geometry only `generate` runs (rings, hulls, the minimum
+rotated rectangle and the hexagon clip), so `audit`, `run` and `report`
+never import it.
 """
 
 from __future__ import annotations
@@ -13,50 +13,16 @@ import functools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-SQRT3 = math.sqrt(3.0)
+from hexcover.lattice import (
+    SQRT3,
+    InvalidGeometryError,
+    OffsetCoord,
+    Point,
+    neighbor_offsets,
+)
 
 # Absolute geometric tolerance in a unit-normalized frame (h on the order of 1).
 GEOM_TOL = 1e-9
-
-
-class InvalidParameterError(ValueError):
-    pass
-
-
-class InvalidGeometryError(ValueError):
-    pass
-
-
-class OffsetCoord(NamedTuple):
-    col: int
-    row: int
-
-
-class Point(NamedTuple):
-    x: float
-    y: float
-
-
-# Neighbor offsets depend on column parity (odd columns are shifted down).
-# Each table ascends in (dcol, drow), so a cell's neighbours come out in
-# (col, row) order.
-_EVEN_COL_NEIGHBORS = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, 0), (1, 1))
-_ODD_COL_NEIGHBORS = ((-1, -1), (-1, 0), (0, -1), (0, 1), (1, -1), (1, 0))
-
-
-def offset_to_center(c: OffsetCoord, h: float) -> Point:
-    """Centre of lattice cell `c` for circumradius `h`, origin cell at (0,0)."""
-    if h <= 0:
-        raise InvalidParameterError(f"circumradius must be positive, got {h}")
-    x = 1.5 * h * c[0]
-    y = SQRT3 * h * (c[1] - 0.5 * (c[0] & 1))
-    return Point(x, y)
-
-
-def neighbor_offsets(col: int) -> tuple[tuple[int, int], ...]:
-    """The 6 (dcol, drow) steps from a cell in column `col` to its face
-    neighbours, in ascending order."""
-    return _ODD_COL_NEIGHBORS if (col & 1) else _EVEN_COL_NEIGHBORS
 
 
 def face_neighbors(c: OffsetCoord) -> list[OffsetCoord]:

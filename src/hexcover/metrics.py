@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import atan2, gcd, hypot, isqrt, pi, tau
 from typing import Iterable, NamedTuple, Sequence
 
-from hexcover.graphbuild import CoverageGraph
+from hexcover.lattice import CoverageGraph, IncompleteMatrixError
 
 STATUS_HAMILTONIAN = "HamiltonianSuccess"
 STATUS_COVERAGE = "CoverageSuccess"
@@ -21,10 +21,6 @@ STATUS_FAIL = "Fail"
 
 
 class MalformedWalkError(ValueError):
-    pass
-
-
-class IncompleteMatrixError(ValueError):
     pass
 
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from hexcover.graphbuild import CoverageGraph
-from hexcover.hexgeom import InvalidParameterError
+from hexcover.lattice import CoverageGraph, InvalidParameterError
 
 PRUNE_LOW_DEGREE = "low-degree"
 PRUNE_TERMINAL = "terminal-reach"

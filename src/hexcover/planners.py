@@ -40,8 +40,7 @@ import weakref
 from collections import deque
 from typing import Callable, NamedTuple, Sequence
 
-from hexcover.graphbuild import CoverageGraph
-from hexcover.hexgeom import InvalidParameterError
+from hexcover.lattice import CoverageGraph, InvalidParameterError
 
 FAMILY_LINEAR_SWEEP = "LinearSweep"
 FAMILY_INTERLEAVED = "Interleaved"

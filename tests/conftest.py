@@ -10,15 +10,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from hexcover.aoi import AoiShape, classify_morphology
-from hexcover.graphbuild import (
-    CoverageGraph,
-    HexMask,
-    LatticeFrame,
-    graph_from_coords,
-    lattice_candidates,
-    tessellate,
-)
-from hexcover.hexgeom import OffsetCoord, Point, PolygonWithHoles, face_neighbors
+from hexcover.graphbuild import HexMask, lattice_candidates, tessellate
+from hexcover.hexgeom import PolygonWithHoles, face_neighbors
+from hexcover.lattice import CoverageGraph, LatticeFrame, OffsetCoord, Point, graph_from_coords
 from hexcover.metrics import (
     STATUS_COVERAGE,
     STATUS_FAIL,

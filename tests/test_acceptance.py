@@ -16,14 +16,14 @@ from conftest import (
     ring6_graph,
 )
 
-from hexcover.graphbuild import GenerationConfig, LatticeFrame, graph_from_coords
+from hexcover.graphbuild import GenerationConfig
 from hexcover.harness import (
     audit_dataset,
     generate_dataset,
     load_instances,
     run_benchmark,
 )
-from hexcover.hexgeom import Point
+from hexcover.lattice import LatticeFrame, Point, graph_from_coords
 from hexcover.metrics import (
     STATUS_COVERAGE,
     STATUS_FAIL,

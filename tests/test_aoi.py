@@ -11,23 +11,20 @@ from hexcover.aoi import (
     FAMILY_COMPACT,
     FAMILY_ELONGATED,
     FAMILY_IRREGULAR,
-    LABEL_COMPACT,
-    LABEL_ELONGATED,
-    LABEL_IRREGULAR,
     classify_morphology,
     insert_obstacles,
-    label_from,
     sample_aoi,
     substream,
     _dist_point_segment,
 )
-from hexcover.hexgeom import (
+from hexcover.hexgeom import PolygonWithHoles, point_in_ring, ring_edges, ring_signed_area
+from hexcover.lattice import (
+    LABEL_COMPACT,
+    LABEL_ELONGATED,
+    LABEL_IRREGULAR,
     InvalidParameterError,
     Point,
-    PolygonWithHoles,
-    point_in_ring,
-    ring_edges,
-    ring_signed_area,
+    label_from,
 )
 
 

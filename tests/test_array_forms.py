@@ -24,7 +24,6 @@ from hexcover.aoi import _closer_than, _dist_point_segment, insert_obstacles, sa
 from hexcover.graphbuild import GenerationConfig, choose_family
 from hexcover.hexgeom import (
     MinRotatedRect,
-    Point,
     PolygonWithHoles,
     convex_hull,
     crossing_matrix,
@@ -41,6 +40,7 @@ from hexcover.hexgeom import (
     ring_is_simple,
     ring_signed_area,
 )
+from hexcover.lattice import Point
 
 # ---------------------------------------------------------------------------
 # Scalar references: the per-pair loops the array forms replaced.

@@ -14,28 +14,30 @@ from hexcover.graphbuild import (
     DegenerateInstanceError,
     GenerationConfig,
     HexMask,
-    Instance,
-    LatticeFrame,
     Rejection,
     attach_base,
     build_instance,
     choose_family,
-    exterior_boundary,
-    graph_from_coords,
     line_of_sight,
     postprocess_mask,
 )
 from hexcover.hexgeom import (
-    InvalidGeometryError,
-    InvalidParameterError,
-    OffsetCoord,
-    Point,
     PolygonWithHoles,
-    SQRT3,
     face_neighbors,
     hexagon_area,
     hexagon_ring,
     min_rotated_rect,
+)
+from hexcover.lattice import (
+    SQRT3,
+    Instance,
+    InvalidGeometryError,
+    InvalidParameterError,
+    LatticeFrame,
+    OffsetCoord,
+    Point,
+    exterior_boundary,
+    graph_from_coords,
     offset_to_center,
 )
 

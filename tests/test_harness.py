@@ -1,9 +1,11 @@
 import builtins
 import concurrent.futures
+import functools
 import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import signal
@@ -17,7 +19,7 @@ from conftest import read_results, results_digest
 
 from hexcover import graphbuild, harness
 from hexcover.cli import main as cli_main
-from hexcover.graphbuild import GenerationConfig, exterior_boundary
+from hexcover.graphbuild import GenerationConfig
 from hexcover.harness import (
     DatasetError,
     EmptyDatasetError,
@@ -28,7 +30,7 @@ from hexcover.harness import (
     run_benchmark,
     write_report,
 )
-from hexcover.hexgeom import InvalidParameterError
+from hexcover.lattice import InvalidParameterError, exterior_boundary
 from hexcover.metrics import STATUS_HAMILTONIAN
 from hexcover.planners import METHOD_ORDER
 
@@ -956,18 +958,62 @@ print(json.dumps([code, sorted(sys.modules)]))
         # means need neither `statistics` nor the `fractions` it loads.
         unused = {"concurrent.futures.process", "multiprocessing", "logging", "dataclasses"}
         heavy = unused | {"inspect", "statistics", "fractions"}
+
+        def ours(loaded: set[str]) -> set[str]:
+            return {m for m in loaded if m.split(".")[0] == "hexcover"}
+
+        # Every command but --help reads the instance model; only generate
+        # compiles the generation modules, and only run and report the
+        # planners and metrics.
+        model = {"hexcover", "hexcover.cli", "hexcover.harness", "hexcover.lattice"}
+        evaluate = model | {"hexcover.planners", "hexcover.metrics"}
         help_modules = modules("--help")
-        ours = {m for m in help_modules if m.split(".")[0] == "hexcover"}
-        assert ours == {"hexcover", "hexcover.cli"}
+        assert ours(help_modules) == {"hexcover", "hexcover.cli"}
         assert not help_modules & heavy
-        assert not modules("audit", "--dataset", data) & heavy
+        audit = modules("audit", "--dataset", data)
+        assert ours(audit) == model | {"hexcover.oracle"}
+        assert not audit & heavy
         res = str(tmp_path / "r.jsonl")
-        assert not modules("run", "--dataset", data, "--methods", "all", "--workers", "1",
-                           "--out", res) & heavy
-        assert not modules("report", "--results", res, "--dataset", data, "--strata",
-                           "morphology", "--out", str(tmp_path / "rep")) & heavy
-        assert not modules("generate", "--count", "2", "--workers", "1",
-                           "--out", str(tmp_path / "d.jsonl")) & unused
+        run = modules("run", "--dataset", data, "--methods", "all", "--workers", "1",
+                      "--out", res)
+        assert ours(run) == evaluate
+        assert not run & heavy
+        report = modules("report", "--results", res, "--dataset", data, "--strata",
+                         "morphology", "--out", str(tmp_path / "rep"))
+        assert ours(report) == evaluate
+        assert not report & heavy
+        generate = modules("generate", "--count", "2", "--workers", "1",
+                           "--out", str(tmp_path / "d.jsonl"))
+        assert ours(generate) == model | {
+            "hexcover.oracle", "hexcover.graphbuild", "hexcover.aoi", "hexcover.hexgeom"}
+        assert not generate & unused
+
+    def test_wrappers_set_over_harness_names_are_called(self, tmp_path):
+        # What a tracer does: a bare import, then getattr and setattr over
+        # each name it times. Every command's function calls the wrappers.
+        code = """
+import sys
+import hexcover.harness as harness
+names = ("timed_plan", "compute_path_metrics", "aggregate_summary",
+         "record_to_instance", "build_block")
+calls = dict.fromkeys(names, 0)
+for name in names:
+    def counted(*args, _real=getattr(harness, name), _name=name, **kwargs):
+        calls[_name] += 1
+        return _real(*args, **kwargs)
+    setattr(harness, name, counted)
+data, res, rep = sys.argv[1:]
+harness.generate_dataset(3, 0, harness.GenerationConfig(), data, workers=1)
+assert calls["build_block"] > 0, calls
+harness.run_benchmark(data, "all", res, workers=1)
+assert calls["timed_plan"] == calls["compute_path_metrics"] == 3 * 17, calls
+harness.write_report(res, data, rep)
+assert calls["record_to_instance"] == 2 * 3, calls
+assert calls["aggregate_summary"] > 0, calls
+"""
+        proc = run_python(code, str(tmp_path / "d.jsonl"), str(tmp_path / "r.jsonl"),
+                          str(tmp_path / "rep"), timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_every_exported_name_imports(self):
         code = """
@@ -1178,6 +1224,43 @@ assert aoi.__name__ == "hexcover.aoi"
         assert not (tmp_path / "r.jsonl").exists()
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize(
+        "field, retype",
+        [("seed", float), ("hex_radius", lambda value: True), ("hex_radius", int)],
+        ids=["seed-float", "radius-bool", "radius-int"],
+    )
+    @pytest.mark.parametrize("command", ["audit", "run-1", "run-2", "report"])
+    def test_retyped_record_scalar_is_refused(
+        self, dataset, results, tmp_path, capsys, command, field, retype
+    ):
+        # The same value, retyped: 1 == 1.0 and True == 1.0, so the record
+        # writes back equal, and only the type check can refuse it. With no
+        # manifest beside the file, only the record can show the edit.
+        dpath, _ = dataset
+        rpath, _ = results
+        rec = json.loads(dpath.read_text().splitlines()[1])
+        assert retype(rec[field]) == rec[field]
+        edited = _relabel(dpath, tmp_path / "d.jsonl", 2, **{field: retype(rec[field])})
+        res = tmp_path / "res.jsonl"
+        res.write_bytes(rpath.read_bytes())
+        run = ["run", "--dataset", str(edited), "--methods", "morton",
+               "--out", str(tmp_path / "r.jsonl")]
+        argv = {
+            "audit": ["audit", "--dataset", str(edited)],
+            "run-1": [*run, "--workers", "1"],
+            "run-2": [*run, "--workers", "2"],
+            "report": ["report", "--results", str(res), "--dataset", str(edited),
+                       "--out", str(tmp_path / "rep")],
+        }[command]
+        code = cli_main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {edited}:2: instance {rec['id']}: ill-typed field: ")
+        assert f"{field!r} is {retype(rec[field])!r}" in err[0]
+        assert not (tmp_path / "r.jsonl").exists()
+        assert not (tmp_path / "rep").exists()
+
     def test_manifest_schema_checked(self, dataset, tmp_path, capsys):
         dpath, _ = dataset
         copy = tmp_path / "d.jsonl"
@@ -1204,7 +1287,12 @@ assert aoi.__name__ == "hexcover.aoi"
                 raise ZeroDivisionError("injected fault")
             return real(graph, *args)
 
-        # The pool forks its workers, so they inherit the patched name.
+        # Pool workers must inherit the patched name, so they are forked
+        # whatever the default start method is.
+        fork_pool = functools.partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+        )
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fork_pool)
         monkeypatch.setattr(harness, stage, faulty)
         out = tmp_path / "r.jsonl"
         code = cli_main(["run", "--dataset", str(dpath), "--methods", "morton",
@@ -1268,10 +1356,48 @@ assert aoi.__name__ == "hexcover.aoi"
         assert not (tmp_path / "rep").exists()
 
 
-def _live_group_members(pgid: int) -> list[int]:
-    """PIDs of the processes of group `pgid` that have not exited (zombies
-    have exited)."""
-    pids = []
+# `main` under the start method named by argv[1], then the command line.
+# Run with -c, a spawned worker has no main module to run again.
+UNDER_START_METHOD = """
+import multiprocessing, sys
+from hexcover.cli import main
+multiprocessing.set_start_method(sys.argv[1])
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.fixture(scope="module")
+def seeds_0_11(tmp_path_factory):
+    """The dataset of seeds from 0 with 12 instances and its results, both at 1 worker."""
+    root = tmp_path_factory.mktemp("twelve")
+    data, res = root / "d.jsonl", root / "r.jsonl"
+    generate_dataset(12, 0, GenerationConfig(), data, workers=1)
+    run_benchmark(data, "all", res, workers=1)
+    return data, res
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_pools_give_the_one_worker_bytes_under_every_start_method(seeds_0_11, tmp_path, method):
+    # A worker that is not forked from the command imports harness afresh,
+    # so its tasks bind what they use themselves.
+    ref_data, ref_res = seeds_0_11
+    data, res = tmp_path / "d.jsonl", tmp_path / "r.jsonl"
+    proc = run_python(UNDER_START_METHOD, method, "generate", "--count", "12", "--seed", "0",
+                      "--out", str(data), "--workers", "2", timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert data.read_bytes() == ref_data.read_bytes()
+    manifest = Path(str(data) + ".manifest.json").read_bytes()
+    assert manifest == Path(str(ref_data) + ".manifest.json").read_bytes()
+    proc = run_python(UNDER_START_METHOD, method, "run", "--dataset", str(ref_data),
+                      "--out", str(res), "--workers", "2", timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert results_digest(res) == results_digest(ref_res)
+
+
+def _live_group(pgid: int) -> dict[int, int]:
+    """The parent PID of each process of group `pgid` that has not exited
+    (zombies have exited), by PID."""
+    group = {}
     for entry in Path("/proc").iterdir():
         if not entry.name.isdigit():
             continue
@@ -1279,34 +1405,54 @@ def _live_group_members(pgid: int) -> list[int]:
             stat = (entry / "stat").read_text()
         except OSError:
             continue  # the process ended while the table was read
-        state, _ppid, group = stat[stat.rindex(")") + 2:].split()[:3]
-        if int(group) == pgid and state != "Z":
-            pids.append(int(entry.name))
-    return pids
+        state, ppid, group_id = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(group_id) == pgid and state != "Z":
+            group[int(entry.name)] = int(ppid)
+    return group
+
+
+def _pool_workers(pgid: int) -> list[int]:
+    """The live pool workers of the command that leads group `pgid`: the
+    processes of the group that are the parent of none of the others (a fork
+    server is the parent of its workers), but for multiprocessing's resource
+    tracker."""
+    group = _live_group(pgid)
+    parents = set(group.values())
+    workers = []
+    for pid in group.keys() - parents - {pgid}:
+        try:
+            cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+        except OSError:
+            continue
+        if b"resource_tracker" not in cmdline:
+            workers.append(pid)
+    return workers
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process table in /proc")
 def test_pool_workers_exit_when_generate_is_killed(tmp_path):
     src = str(Path(harness.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "hexcover.cli", "generate", "--count", "1000",
-            "--out", str(tmp_path / "d.jsonl"), "--workers", "2"]
-    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                            env=dict(os.environ, PYTHONPATH=path), start_new_session=True)
-    try:
-        deadline = time.monotonic() + 60
-        while len(_live_group_members(proc.pid)) < 3:  # the command and its 2 workers
-            assert time.monotonic() < deadline, "the pool workers never started"
-            time.sleep(0.1)
-        proc.kill()  # SIGKILL to the command alone: it can clean nothing up
-        proc.wait(timeout=10)
-        deadline = time.monotonic() + 5
-        while _live_group_members(proc.pid) and time.monotonic() < deadline:
-            time.sleep(0.1)
-        assert _live_group_members(proc.pid) == [], "pool workers outlived generate"
-    finally:
+    for method in multiprocessing.get_all_start_methods():
+        argv = [sys.executable, "-c", UNDER_START_METHOD, method, "generate", "--count", "1000",
+                "--out", str(tmp_path / f"{method}.jsonl"), "--workers", "2"]
+        proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                env=dict(os.environ, PYTHONPATH=path), start_new_session=True)
         try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.wait(timeout=10)
+            deadline = time.monotonic() + 60
+            while len(_pool_workers(proc.pid)) < 2:
+                assert time.monotonic() < deadline, f"the {method} pool workers never started"
+                time.sleep(0.1)
+            proc.kill()  # SIGKILL to the command alone: it can clean nothing up
+            proc.wait(timeout=10)
+            # The workers, and any fork server or resource tracker with them.
+            deadline = time.monotonic() + 5
+            while _live_group(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert _live_group(proc.pid) == {}, f"{method} pool workers outlived generate"
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=10)

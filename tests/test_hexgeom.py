@@ -11,21 +11,23 @@ from hexcover.aoi import FAMILIES, insert_obstacles, sample_aoi
 from hexcover.graphbuild import GenerationConfig, build_instance, choose_family
 from hexcover.hexgeom import (
     GEOM_TOL,
-    SQRT3,
-    InvalidGeometryError,
-    InvalidParameterError,
-    OffsetCoord,
-    Point,
     PolygonWithHoles,
     convex_hull,
     face_neighbors,
     hexagon_area,
     hexagon_ring,
     min_rotated_rect,
-    offset_to_center,
     point_in_ring,
     polygon_metrics,
     ring_signed_area,
+)
+from hexcover.lattice import (
+    SQRT3,
+    InvalidGeometryError,
+    InvalidParameterError,
+    OffsetCoord,
+    Point,
+    offset_to_center,
 )
 from hexcover.planners import _centroid
 

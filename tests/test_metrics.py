@@ -15,13 +15,17 @@ from conftest import (
     ring6_graph,
 )
 
-from hexcover.graphbuild import LatticeFrame, graph_from_coords
-from hexcover.hexgeom import OffsetCoord, Point
+from hexcover.lattice import (
+    IncompleteMatrixError,
+    LatticeFrame,
+    OffsetCoord,
+    Point,
+    graph_from_coords,
+)
 from hexcover.metrics import (
     STATUS_COVERAGE,
     STATUS_FAIL,
     STATUS_HAMILTONIAN,
-    IncompleteMatrixError,
     MalformedWalkError,
     aggregate_summary,
     compute_path_metrics,

@@ -8,14 +8,8 @@ import pytest
 from conftest import chain_graph, random_small_graph, ring6_graph, tessellate_one
 
 from hexcover.aoi import insert_obstacles, sample_aoi
-from hexcover.graphbuild import (
-    GenerationConfig,
-    attach_base,
-    choose_family,
-    graph_from_coords,
-    postprocess_mask,
-)
-from hexcover.hexgeom import InvalidParameterError, OffsetCoord, Point
+from hexcover.graphbuild import GenerationConfig, attach_base, choose_family, postprocess_mask
+from hexcover.lattice import InvalidParameterError, OffsetCoord, Point, graph_from_coords
 from hexcover.metrics import STATUS_HAMILTONIAN, validate_path
 from hexcover.oracle import (
     ALL_PRUNES,

@@ -9,14 +9,8 @@ from hypothesis import strategies as st
 from conftest import block_graph, chain_graph, lattice_graph_args, ring6_graph
 
 from hexcover import planners
-from hexcover.graphbuild import (
-    GenerationConfig,
-    Instance,
-    build_instance,
-    choose_family,
-    graph_from_coords,
-)
-from hexcover.hexgeom import InvalidParameterError, OffsetCoord, Point
+from hexcover.graphbuild import GenerationConfig, build_instance, choose_family
+from hexcover.lattice import Instance, InvalidParameterError, OffsetCoord, Point, graph_from_coords
 from hexcover.metrics import (
     STATUS_COVERAGE,
     STATUS_FAIL,
