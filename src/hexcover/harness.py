@@ -123,15 +123,22 @@ def _output_dir(path: str | Path) -> Path:
     return path
 
 
+def _allowed_cpus() -> list[int]:
+    """The ids of the CPUs this process may run on, ascending
+    (`os.sched_getaffinity`; every CPU of `os.cpu_count` where that does not
+    exist)."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
 def resolve_workers(workers: int | None) -> int:
     """`workers` if given, else one per CPU this process may run on.
 
     A count below 1 is rejected.
     """
     if workers is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return max(1, os.cpu_count() or 1)
+        return len(_allowed_cpus())
     if workers < 1:
         raise InvalidParameterError(f"worker count must be at least 1, got {workers}")
     return workers
@@ -363,9 +370,9 @@ class DatasetManifest(NamedTuple):
         return self._asdict()
 
 
-def _exit_with_parent() -> None:
+def _start_worker(cpus: list[int], ticket) -> None:
     """Pool initializer: end this worker as soon as the command that started
-    it is gone.
+    it is gone, then move it onto a CPU of its own.
 
     A worker waits on its task queue, whose write end it also holds, so the
     death of the command, by SIGKILL say, never wakes it. A daemon thread
@@ -374,7 +381,16 @@ def _exit_with_parent() -> None:
     alike and that turns ready when the command's end closes. (Under fork a
     worker forked later holds a copy of that end too, and ends first.) The
     parent process id is no such sign: a forkserver worker's parent is the
-    fork server, not the command.
+    fork server, not the command. The thread starts first, so a worker held
+    up below still ends with the command.
+
+    A kernel that does not balance load between CPUs (a cpuset whose
+    `sched_load_balance` is 0) leaves every worker on the CPU it started on,
+    the command's. So the worker that draws number k from `ticket` is moved
+    onto `cpus[k % len(cpus)]`, then given back the mask it started with,
+    which leaves a kernel that does balance free to move it later. A worker
+    that cannot be moved (no `os.sched_setaffinity`, or a failing call, as
+    after a cpuset change) runs where it is.
     """
     from multiprocessing import parent_process
     from multiprocessing.connection import wait
@@ -387,6 +403,17 @@ def _exit_with_parent() -> None:
 
     threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
+    k = ticket.get()
+    ticket.put(k + 1)
+    place = getattr(os, "sched_setaffinity", None)
+    if place is not None:
+        allowed = os.sched_getaffinity(0)
+        try:
+            place(0, {cpus[k % len(cpus)]})
+            place(0, allowed)
+        except OSError:
+            pass
+
 
 def _in_order(fn, tasks: Iterable, workers: int) -> Iterator:
     """`fn(task)` for each of `tasks`, in task order.
@@ -397,14 +424,22 @@ def _in_order(fn, tasks: Iterable, workers: int) -> Iterator:
     of the consumer, taking each next task from `tasks` when the consumer
     has taken a result, so while one slow task holds the consumer up the
     others go on with the tasks after it. A consumer that stops early, and so
-    drops the generator, cancels the tasks not begun.
+    drops the generator, cancels the tasks not begun. The workers are spread
+    round robin over the CPUs this process may run on (see `_start_worker`).
     """
     if workers == 1:
         yield from map(fn, tasks)
         return
     from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import SimpleQueue
 
-    pool = ProcessPoolExecutor(workers, initializer=_exit_with_parent)
+    # The queue holds one number at a time, the next worker's. One id per
+    # worker put up front would fill its 64-KiB pipe, which no worker reads
+    # before the pool starts, at about 7,000 workers and block this process.
+    ticket = SimpleQueue()
+    ticket.put(0)
+    pool = ProcessPoolExecutor(workers, initializer=_start_worker,
+                               initargs=(_allowed_cpus(), ticket))
     window: deque = deque()
     try:
         for task in tasks:
@@ -415,6 +450,7 @@ def _in_order(fn, tasks: Iterable, workers: int) -> Iterator:
             yield window.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)  # waits for the tasks already begun
+        ticket.close()
 
 
 def _build_block(task: tuple[range, GenerationConfig]) -> list[tuple[str, str | None]]:
@@ -613,8 +649,8 @@ def run_benchmark(
             raise DatasetError(f"{out_path}: the results would overwrite {kept}")
     # `str` leaves an ill-typed id for record_to_instance to refuse.
     numbered.sort(key=lambda pair: str(pair[1]["id"]))
-    # Four instances a task: one a task spends about 5 % more of the wall time
-    # on pool round trips (1000 instances, 2 workers on 2 CPUs).
+    # Four instances a task: at one a task, pool round trips made `run` of
+    # 1000 instances at 2 workers, each on its own CPU, about 4 % slower.
     path = str(dataset_path)
     tasks = [(path, numbered[i : i + 4], method_list) for i in range(0, len(numbered), 4)]
     out_path.write_text("".join(_in_order(_evaluate_instances, tasks, workers)))

@@ -1,5 +1,6 @@
 import builtins
 import concurrent.futures
+import errno
 import functools
 import hashlib
 import io
@@ -1287,12 +1288,8 @@ assert aoi.__name__ == "hexcover.aoi"
                 raise ZeroDivisionError("injected fault")
             return real(graph, *args)
 
-        # Pool workers must inherit the patched name, so they are forked
-        # whatever the default start method is.
-        fork_pool = functools.partial(
-            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
-        )
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fork_pool)
+        # Pool workers must inherit the patched name.
+        _fork_pools(monkeypatch)
         monkeypatch.setattr(harness, stage, faulty)
         out = tmp_path / "r.jsonl"
         code = cli_main(["run", "--dataset", str(dpath), "--methods", "morton",
@@ -1392,6 +1389,83 @@ def test_pools_give_the_one_worker_bytes_under_every_start_method(seeds_0_11, tm
                       "--out", str(res), "--workers", "2", timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert results_digest(res) == results_digest(ref_res)
+
+
+def _fork_pools(monkeypatch) -> None:
+    """Make `harness` start its pools by fork, so that the workers inherit
+    what a test patches whatever the default start method is."""
+    fork_pool = functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+    )
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fork_pool)
+
+
+# The masks a forked pool worker passed to os.sched_setaffinity, in call
+# order, and the barrier that holds each of the first tasks until every
+# worker has taken one of them, so that every worker returns its calls.
+_AFFINITY_CALLS: list[tuple[int, ...]] = []
+_EVERY_WORKER = None
+
+
+def _affinity_calls(task: int) -> tuple[int, list[tuple[int, ...]]]:
+    if task < _EVERY_WORKER.parties:
+        _EVERY_WORKER.wait(timeout=60)
+    return os.getpid(), _AFFINITY_CALLS
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="places workers on 2 or more CPUs",
+)
+@pytest.mark.parametrize("workers, one_cpu", [(2, False), (3, False), (2, True)])
+def test_pool_workers_are_placed_round_robin_on_the_allowed_cpus(monkeypatch, workers, one_cpu):
+    real = os.sched_setaffinity
+    start = os.sched_getaffinity(0)
+    allowed = sorted(start)[-1:] if one_cpu else sorted(start)
+
+    def recording(pid, mask):
+        _AFFINITY_CALLS.append(tuple(sorted(mask)))
+        real(pid, mask)
+
+    _fork_pools(monkeypatch)
+    monkeypatch.setattr(os, "sched_setaffinity", recording)
+    monkeypatch.setattr(sys.modules[__name__], "_EVERY_WORKER",
+                        multiprocessing.get_context("fork").Barrier(workers))
+    real(0, set(allowed))
+    try:
+        calls = dict(harness._in_order(_affinity_calls, range(4 * workers), workers))
+    finally:
+        real(0, start)
+    assert len(calls) == workers
+    # Each worker is moved onto one CPU, then given back the allowed set.
+    assert all(len(c) == 2 and len(c[0]) == 1 and c[1] == tuple(allowed) for c in calls.values())
+    firsts = sorted(c[0] for c in calls.values())
+    assert firsts == sorted((allowed[k % len(allowed)],) for k in range(workers))
+
+
+@pytest.mark.parametrize("unplaceable", ["refused", "missing"])
+def test_a_worker_that_cannot_be_placed_runs_where_it_is(
+    seeds_0_11, tmp_path, monkeypatch, unplaceable
+):
+    tried = tmp_path / "tried"
+
+    def refuse(pid, mask):
+        with open(tried, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+    _fork_pools(monkeypatch)
+    if unplaceable == "refused":
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    data = tmp_path / "d.jsonl"
+    code = cli_main(["generate", "--count", "12", "--seed", "0", "--out", str(data),
+                     "--workers", "2"])
+    assert code == 0
+    assert data.read_bytes() == seeds_0_11[0].read_bytes()
+    if unplaceable == "refused":
+        assert len(set(tried.read_text().split())) == 2
 
 
 def _live_group(pgid: int) -> dict[int, int]:
