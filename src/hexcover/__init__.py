@@ -33,7 +33,7 @@ _EXPORTS = {
     ),
     "oracle": ("AuditResult", "brute_force_enumerate", "hamiltonian_audit"),
     "planners": (
-        "METHOD_ORDER", "PLANNERS", "PlanResult", "bfs_shortest_path", "plan", "timed_plan",
+        "METHOD_ORDER", "PLANNERS", "PlanResult", "plan", "timed_plan",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

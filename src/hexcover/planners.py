@@ -11,18 +11,23 @@ with the arguments that make that variant.
 Within a family the members differ along one or two axes. A sweep is a row
 sequence (all rows bottom-up, or `interleaved_row_sequence`) times a row
 traversal (serpentine, one-way, or segment by segment). Warnsdorff,
-DFS-Backtrack and Wavefront share one greedy loop; each gives its candidate
-key, its dead-end rule (stop, hop back through visited cells, or bridge to
-the highest remaining label) and the nodes it may leave through to the
-terminal. DFS-Backtrack is Warnsdorff-EP (index) that backtracks at a dead
-end instead of stopping. EP counts the terminal in a candidate's residual
-degree only at the last move, when a single candidate is left, so never
-counting it picks the same cell.
+DFS-Backtrack and Wavefront share one greedy loop, which takes the candidate
+of least score, an integer rank plus residual degree. Each gives its rank
+per cell (1 on a terminal link under TI, 0 under EP and DFS-Backtrack, -8 x
+label for Wavefront), whether a score tie goes to the shorter step before
+the lower index, its dead-end rule (stop, hop back through visited cells, or
+bridge to the highest remaining label) and the nodes it may leave through to
+the terminal. DFS-Backtrack is Warnsdorff-EP (index) that backtracks at a
+dead end instead of stopping. EP counts the terminal in a candidate's
+residual degree only at the last move, when a single candidate is left, so
+never counting it picks the same cell.
 
 Every order-driven planner runs on one walker, the two STC planners included
 (over the circumnavigation of their tree). The walker steps to the next
 target when it is adjacent, and otherwise takes the lexicographically least
-minimum-hop path through cells.
+minimum-hop path through cells. Two hops away, that path goes through the
+first cell neighbour of the head adjacent to the target, which needs no
+search.
 
 Sweep rows deserve a note: the tessellation lattice is mounted with columns
 along the long axis of the instance, so a "row" in the sweep sense is simply
@@ -79,14 +84,16 @@ def _bfs(g: CoverageGraph, frm: int, targets, through) -> list[int] | None:
         return [frm]
     adjacency = g.adjacency
     single = len(targets) == 1
-    parent: dict[int, int | None] = {frm: None}
+    # parent[w] is w's discoverer, -1 until w is discovered; frm is its own.
+    parent = [-1] * len(adjacency)
+    parent[frm] = frm
     hits: list[int] = []
     layer = [frm]
     while layer and not hits:
         nxt = []
         for u in layer:
             for w in adjacency[u]:
-                if w in parent:
+                if parent[w] != -1:
                     continue
                 if w in targets:
                     parent[w] = u
@@ -100,29 +107,12 @@ def _bfs(g: CoverageGraph, frm: int, targets, through) -> list[int] | None:
     return _path_back(parent, min(hits)) if hits else None
 
 
-def _path_back(parent: dict[int, int | None], node: int | None) -> list[int]:
-    path = []
-    while node is not None:
-        path.append(node)
+def _path_back(parent: list[int], node: int) -> list[int]:
+    path = [node]
+    while parent[node] != node:
         node = parent[node]
+        path.append(node)
     return path[::-1]
-
-
-def bfs_shortest_path(
-    g: CoverageGraph,
-    frm: int,
-    to: int,
-    traversable: Callable[[int], bool] | None = None,
-) -> list[int] | None:
-    """Minimum-hop path; BFS layers expand in ascending node index.
-
-    `traversable` constrains intermediate nodes only, and by default admits
-    the cells, never a virtual node; the endpoints are always admissible.
-    Returns None when unreachable.
-    """
-    if traversable is None:
-        return _bfs(g, frm, (to,), range(g.n))
-    return _bfs(g, frm, (to,), {v for v in range(len(g.adjacency)) if traversable(v)})
 
 
 def _euclid(g: CoverageGraph, a: int, b: int) -> float:
@@ -155,12 +145,34 @@ def _once_per_graph(fn):
     return shared
 
 
+def _two_hop_via(g: CoverageGraph, head: int, target: int) -> int:
+    """For a `target` not adjacent to `head`: the middle of the path
+    `_bfs(g, head, (target,), range(g.n))` returns if that path has two
+    hops, else -1 (the target is the head, farther, or unreachable).
+
+    That middle is the first cell neighbour of the head (ascending) that is
+    adjacent to the target, so no search is needed to find it.
+    """
+    adjacency = g.adjacency
+    if target != head:
+        for via in adjacency[head]:
+            if via < g.n and target in adjacency[via]:
+                return via
+    return -1
+
+
 def _visit_order_walk(g: CoverageGraph, order: Sequence[int]) -> PlanResult:
     """Enter from base, honour `order` with shortest-path reconnections, exit."""
+    adjacency = g.adjacency
     walk = [g.base_node]
     for target in order:
-        if target in g.adjacency[walk[-1]]:
+        head = walk[-1]
+        if target in adjacency[head]:
             walk.append(target)
+            continue
+        via = _two_hop_via(g, head, target)
+        if via >= 0:
+            walk += (via, target)
         elif not _extend_to(g, walk, (target,)):
             return PlanResult(tuple(walk), "unreachable-cell")
     if not _extend_to(g, walk, (g.terminal_node,)):
@@ -433,46 +445,58 @@ def plan_stc_like(g: CoverageGraph) -> PlanResult:
 # Families 5 and 6: Warnsdorff variants, DFS-Backtrack and wavefront descent
 
 
+# A visit sets a cell's score to _VISITED. Its neighbours' later visits take
+# at most 6 off that, so a score is below _OPEN exactly while it is an
+# unvisited cell's. No rank comes near either bound, and both fit in one
+# 30-bit digit, which CPython subtracts and compares on its fast path.
+_VISITED = 1 << 20
+_OPEN = _VISITED >> 1
+
+
 def _greedy(
     g: CoverageGraph,
     walk: list[int],
-    key: Callable[[int, int, int], tuple],
+    rank: Sequence[int],
+    by_distance: bool,
     reconnect: Callable[[int, set[int]], list[int] | None] | None,
     leave_via,
 ) -> PlanResult:
     """Extend `walk` one cell at a time until every cell is visited, then exit.
 
-    From the walk head `v`, the next cell is the unvisited neighbor `j` of
-    least `key(v, j, d)`, where `d` is the residual degree of `j`: its
-    unvisited neighbor cells, kept in `residual` as cells are visited. At a
-    dead end, `reconnect(v, visited)` gives a path from `v` whose cells
-    count as visited. Without `reconnect` the walk fails as a `dead-end`;
-    when it finds no path, with `unreachable-cells`. The exit is the
-    shortest path to the terminal whose intermediate nodes lie in
-    `leave_via`.
+    From the walk head `v`, the next cell is the unvisited neighbour `j` of
+    least score `rank[j] + d`, where `d` is the residual degree of `j`: its
+    unvisited neighbour cells. Scores are kept as cells are visited. A tie
+    goes to the shorter Euclidean step when `by_distance`, and otherwise (or
+    on equal steps) to the lower index. At a dead end, `reconnect(v,
+    visited)` gives a path from `v` whose cells count as visited. Without
+    `reconnect` the walk fails as a `dead-end`; when it finds no path, with
+    `unreachable-cells`. The exit is the shortest path to the terminal whose
+    intermediate nodes lie in `leave_via`.
     """
     n = g.n
     adjacency, cells = g.adjacency, g.internal_adjacency
     visited: set[int] = set()
-    residual = [len(nbrs) for nbrs in cells]
+    # Indexed by node: the two virtual nodes are never candidates.
+    score = [r + len(nbrs) for r, nbrs in zip(rank, cells)] + [_VISITED, _VISITED]
 
     def visit(u: int) -> None:
         visited.add(u)
+        score[u] = _VISITED
         for k in cells[u]:
-            residual[k] -= 1
+            score[k] -= 1
 
     for u in walk[1:]:
         visit(u)
     v = walk[-1]
     while len(visited) < n:
-        best_key = None
+        best, best_score = -1, _OPEN
         for j in adjacency[v]:
-            if j >= n or j in visited:
-                continue
-            j_key = key(v, j, residual[j])
-            if best_key is None or j_key < best_key:
-                best_key, best = j_key, j
-        if best_key is not None:
+            s = score[j]
+            if s < best_score:
+                best, best_score = j, s
+            elif s == best_score and by_distance and _euclid(g, v, j) < _euclid(g, v, best):
+                best = j
+        if best >= 0:
             visit(best)
             walk.append(best)
             v = best
@@ -490,29 +514,24 @@ def _greedy(
     return PlanResult(tuple(walk))
 
 
-def _warnsdorff_key(g: CoverageGraph, terminal_inclusive: bool, by_distance: bool):
-    """Residual degree, plus one for a terminal-linked cell under TI, then
-    step length when `by_distance`, then node index."""
-    term_links = set(g.terminal_links) if terminal_inclusive else ()
-    if by_distance:
-        return lambda v, j, d: (d + (j in term_links), _euclid(g, v, j), j)
-    return lambda v, j, d: (d + (j in term_links), j)
-
-
 def plan_warnsdorff(g: CoverageGraph, terminal_inclusive: bool, by_distance: bool) -> PlanResult:
     """Greedy minimum-residual-degree traversal; no backtracking.
 
     The terminal stays out of the candidate set while targets remain, and
     the walk must step from its last cell straight onto the terminal.
-    Terminal adjacency counts inside the residual degree under TI and not
-    under EP. (The EP rule counts it at the last move only, where a single
-    candidate is left, so it never changes a choice.) The tie-break is node
-    index, or Euclidean step length when `by_distance`. Because a dead end
-    terminates immediately, its walk never grades as CoverageSuccess: it
-    either finishes revisit-free or fails.
+    Terminal adjacency counts inside the residual degree under TI (rank 1 on
+    a terminal-linked cell) and not under EP (rank 0 everywhere). (The EP
+    rule counts it at the last move only, where a single candidate is left,
+    so it never changes a choice.) The tie-break is node index, or Euclidean
+    step length when `by_distance`. Because a dead end terminates
+    immediately, its walk never grades as CoverageSuccess: it either
+    finishes revisit-free or fails.
     """
-    key = _warnsdorff_key(g, terminal_inclusive, by_distance)
-    return _greedy(g, [g.base_node], key, None, ())
+    rank = [0] * g.n
+    if terminal_inclusive:
+        for t in g.terminal_links:
+            rank[t] = 1
+    return _greedy(g, [g.base_node], rank, by_distance, None, ())
 
 
 def plan_dfs_backtrack(g: CoverageGraph) -> PlanResult:
@@ -524,8 +543,7 @@ def plan_dfs_backtrack(g: CoverageGraph) -> PlanResult:
         anchors = {u for u in visited if any(w not in visited for w in g.internal_adjacency[u])}
         return _bfs(g, v, anchors, visited)
 
-    key = _warnsdorff_key(g, False, False)
-    return _greedy(g, [g.base_node], key, backtrack, range(g.n))
+    return _greedy(g, [g.base_node], [0] * g.n, False, backtrack, range(g.n))
 
 
 def wavefront_labels(g: CoverageGraph) -> list[int]:
@@ -549,8 +567,9 @@ def plan_wavefront(g: CoverageGraph) -> PlanResult:
 
     Moves to the unvisited neighbor with the highest wavefront label; ties
     fall through residual unvisited degree, Euclidean step length, and node
-    index. When stuck, a BFS connector bridges to the highest-label remaining
-    cell, marking traversed cells as covered.
+    index. The rank -8 x label does this: a residual degree is at most 6, so
+    the label decides first. When stuck, a BFS connector bridges to the
+    highest-label remaining cell, marking traversed cells as covered.
     """
     labels = wavefront_labels(g)
 
@@ -565,11 +584,7 @@ def plan_wavefront(g: CoverageGraph) -> PlanResult:
 
     entry = min(g.base_links, key=lambda j: (-labels[j], j))
     return _greedy(
-        g,
-        [g.base_node, entry],
-        lambda v, j, d: (-labels[j], d, _euclid(g, v, j), j),
-        connector,
-        range(g.n),
+        g, [g.base_node, entry], [-8 * label for label in labels], True, connector, range(g.n)
     )
 
 

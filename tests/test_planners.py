@@ -10,7 +10,14 @@ from conftest import block_graph, chain_graph, lattice_graph_args, ring6_graph
 
 from hexcover import planners
 from hexcover.graphbuild import GenerationConfig, build_instance, choose_family
-from hexcover.lattice import Instance, InvalidParameterError, OffsetCoord, Point, graph_from_coords
+from hexcover.lattice import (
+    Instance,
+    InvalidParameterError,
+    LatticeFrame,
+    OffsetCoord,
+    Point,
+    graph_from_coords,
+)
 from hexcover.metrics import (
     STATUS_COVERAGE,
     STATUS_FAIL,
@@ -22,7 +29,6 @@ from hexcover.planners import (
     PLANNERS,
     RECONNECTION_SLUGS,
     WARNSDORFF_SLUGS,
-    bfs_shortest_path,
     interleaved_row_sequence,
     morton_code,
     morton_order,
@@ -101,6 +107,16 @@ def instances():
         seed += 1
     assert len(out) == 8
     return out
+
+
+def bfs_shortest_path(g, frm, to, traversable=None):
+    """Minimum-hop path over `planners._bfs`. `traversable` constrains
+    intermediate nodes only, and by default admits the cells, never a
+    virtual node; the endpoints are always admissible. None when
+    unreachable."""
+    if traversable is None:
+        return planners._bfs(g, frm, (to,), range(g.n))
+    return planners._bfs(g, frm, (to,), {v for v in range(len(g.adjacency)) if traversable(v)})
 
 
 class TestBfsShortestPath:
@@ -328,6 +344,34 @@ class TestWarnsdorff:
         assert ep.walk[2] == j1  # endpoint-aware: d=(1,2)
         assert ti.walk[2] == j2  # terminal-inclusive: d=(2,2), index tie-break
 
+    def test_ti_adds_one_on_terminal_links_only(self):
+        # Three cells in a path 1 - 0 - 2; the base links to 1 and 2, the
+        # terminal to 0 and 1. From the base both candidates have residual
+        # degree 1, and TI lifts cell 1, a terminal link, to 2. One more on
+        # base links instead (or on both sets, or on neither) keeps the tie,
+        # which goes to cell 1, and the walk ends on cell 2, not a terminal
+        # link.
+        coords = [OffsetCoord(1, 2), OffsetCoord(1, 3), OffsetCoord(2, 1)]
+        g = graph_from_coords(coords, 1.0, [1, 2], [0, 1], Point(-3.0, 0.0))
+        assert g.internal_adjacency == ((1, 2), (0,), (0,))
+        ti = plan_warnsdorff(g, terminal_inclusive=True, by_distance=False)
+        assert ti.walk == (g.base_node, 2, 0, 1, g.terminal_node)
+        assert graded(g, ti) == STATUS_HAMILTONIAN
+        ep = plan_warnsdorff(g, terminal_inclusive=False, by_distance=False)
+        assert (ep.walk, ep.fail_reason) == ((g.base_node, 1, 0, 2), "terminal-unreachable")
+
+    @pytest.mark.parametrize("terminal_inclusive", [False, True])
+    def test_an_exact_step_length_tie_keeps_the_lower_index(self, terminal_inclusive):
+        # The launch point lies on the perpendicular bisector of the two
+        # cells, and both coordinate differences are exact, so both steps
+        # from the base have the same length to the last bit, as well as the
+        # same score.
+        g = graph_from_coords([OffsetCoord(0, 0), OffsetCoord(0, 1)], 1.0, [0, 1], [0, 1],
+                              Point(-2.0, math.sqrt(3.0) / 2))
+        assert planners._euclid(g, g.base_node, 0) == planners._euclid(g, g.base_node, 1)
+        res = plan_warnsdorff(g, terminal_inclusive, by_distance=True)
+        assert res.walk == (g.base_node, 0, 1, g.terminal_node)
+
     def test_never_coverage_success(self, instances):
         for inst in instances:
             for slug in WARNSDORFF_SLUGS:
@@ -397,6 +441,43 @@ class TestWavefront:
         seq = [labels[v] for v in internal]
         assert seq == sorted(seq, reverse=True)
 
+    def test_a_higher_label_beats_a_lower_residual_degree(self):
+        # From the entry v (label 1) the candidates are a (label 1, all five
+        # other neighbours unvisited), b (label 0, no other neighbour) and
+        # the two cells c between v and a (label 0, residual degree 2).
+        v, a, b = OffsetCoord(2, 2), OffsetCoord(2, 3), OffsetCoord(2, 1)
+        cs = [OffsetCoord(1, 3), OffsetCoord(3, 3)]
+        ring_a = [OffsetCoord(1, 4), OffsetCoord(2, 4), OffsetCoord(3, 4)]
+        coords = sorted([v, a, b, *cs, *ring_a])
+        idx = {c: i for i, c in enumerate(coords)}
+        g = graph_from_coords(coords, 1.0, [idx[v]], [idx[b], *(idx[c] for c in cs)],
+                              Point(-3.0, 0.0))
+        labels = wavefront_labels(g)
+        assert (labels[idx[v]], labels[idx[a]], labels[idx[b]]) == (1, 1, 0)
+        assert len(g.internal_adjacency[idx[a]]) == 6
+        assert g.internal_adjacency[idx[b]] == (idx[v],)
+        assert plan_wavefront(g).walk[:3] == (g.base_node, idx[v], idx[a])
+
+    def test_equal_labels_fall_back_to_residual_degree(self):
+        # From the entry, cell 0, both candidates are terminal links (label
+        # 0); cell 3 has one unvisited neighbour and cell 2 two.
+        coords = [OffsetCoord(1, 3), OffsetCoord(2, 1), OffsetCoord(2, 2), OffsetCoord(2, 3)]
+        g = graph_from_coords(coords, 1.0, [0], [2, 3], Point(-3.0, 0.0))
+        assert g.internal_adjacency[0] == (2, 3)
+        assert g.internal_adjacency[2] == (0, 1, 3) and g.internal_adjacency[3] == (0, 2)
+        assert plan_wavefront(g).walk[:3] == (g.base_node, 0, 3)
+
+    def test_equal_labels_and_degrees_fall_back_to_step_length(self):
+        # Cells 0, 1 and 2 form a triangle; from the entry, cell 2, both
+        # candidates have label 1 and residual degree 1. Rotated by 0.2 rad,
+        # the step to cell 1 is the shorter in its last bits.
+        coords = [OffsetCoord(0, 1), OffsetCoord(1, 1), OffsetCoord(1, 2), OffsetCoord(3, 0)]
+        g = graph_from_coords(coords, 1.0, [2, 3], [2, 3], Point(-3.0, 0.0),
+                              LatticeFrame(Point(0.0, 0.0), 0.2))
+        assert wavefront_labels(g) == [1, 1, 0, 0]
+        assert planners._euclid(g, 2, 1) < planners._euclid(g, 2, 0)
+        assert plan_wavefront(g).walk[:3] == (g.base_node, 2, 1)
+
     def test_frontier_cells_labeled_zero(self, instances):
         for inst in instances:
             labels = wavefront_labels(inst.graph)
@@ -410,6 +491,34 @@ class TestWavefront:
         for inst in instances:
             res = plan(inst.graph, "wavefront-hex")
             assert graded(inst.graph, res) in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
+
+
+class TestTwoHopStep:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_graph_args())
+    def test_is_the_middle_of_the_bfs_path(self, args):
+        # Every head, the base node included, and every cell not adjacent to
+        # it: the step is the middle of the two-hop path `_bfs` returns, and
+        # there is none where that path is not two hops long.
+        g = graph_from_coords(*args)
+        two_hops = 0
+        for head in range(g.n + 1):
+            for target in range(g.n):
+                if target in g.adjacency[head]:
+                    continue
+                path = planners._bfs(g, head, (target,), range(g.n))
+                expected = path[1] if path is not None and len(path) == 3 else -1
+                assert planners._two_hop_via(g, head, target) == expected, (head, target)
+                two_hops += expected >= 0
+        if g.n >= 3 and len(planners._bfs_tree(g, 0)) == g.n:
+            assert two_hops > 0
+
+    def test_takes_the_lowest_middle_of_several(self):
+        # On a 3x3 block, cells 0 and 4 share the neighbours 1 and 3.
+        g = block_graph(3, 3)
+        assert set(g.internal_adjacency[0]) & set(g.internal_adjacency[4]) == {1, 3}
+        assert planners._two_hop_via(g, 0, 4) == 1
+        assert planners._two_hop_via(g, 4, 0) == 1
 
 
 def ref_morton_code(qx: int, qy: int) -> int:
@@ -512,9 +621,11 @@ class TestDispatch:
 
 # ---------------------------------------------------------------------------
 # The forms the planners had before residual degrees were kept as the walk
-# grows, before the BFS stopped at its one target, and before rows, rings
-# and the tree walk were built without sorts or recursion. Patched in, they
-# must give every planner the same walk and the same failure.
+# grows, before the BFS stopped at its one target, before the greedy loop
+# scored candidates by an integer rank, before the walker stepped two hops
+# without a search, and before rows, rings and the tree walk were built
+# without sorts or recursion. Patched in, they must give every planner the
+# same walk and the same failure.
 
 
 def ref_bfs(g, frm, targets, through):
@@ -546,8 +657,26 @@ def ref_bfs(g, frm, targets, through):
     return path[::-1]
 
 
+def ref_visit_order_walk(g, order):
+    """Every target not adjacent to the head reconnected through `ref_bfs`."""
+    walk = [g.base_node]
+    for target in order:
+        if target in g.adjacency[walk[-1]]:
+            walk.append(target)
+            continue
+        path = ref_bfs(g, walk[-1], (target,), range(g.n))
+        if path is None:
+            return planners.PlanResult(tuple(walk), "unreachable-cell")
+        walk.extend(path[1:])
+    path = ref_bfs(g, walk[-1], (g.terminal_node,), range(g.n))
+    if path is None:
+        return planners.PlanResult(tuple(walk), "terminal-unreachable")
+    return planners.PlanResult(tuple(walk + path[1:]))
+
+
 def ref_greedy(g, walk, key, reconnect, leave_via):
-    """Each candidate's residual degree recounted at every step."""
+    """The least `key(v, j, d)` over the candidates, each candidate's
+    residual degree `d` recounted at every step."""
     n = g.n
     visited = set(walk[1:])
     v = walk[-1]
@@ -572,9 +701,49 @@ def ref_greedy(g, walk, key, reconnect, leave_via):
         walk.extend(path[1:])
         visited.update(path[1:])
         v = path[-1]
-    if not planners._extend_to(g, walk, (g.terminal_node,), leave_via):
+    path = ref_bfs(g, v, (g.terminal_node,), leave_via)
+    if path is None:
         return planners.PlanResult(tuple(walk), "terminal-unreachable")
-    return planners.PlanResult(tuple(walk))
+    return planners.PlanResult(tuple(walk + path[1:]))
+
+
+def ref_plan_warnsdorff(g, terminal_inclusive, by_distance):
+    """Residual degree, plus one on a terminal link under TI, then step
+    length when `by_distance`, then index: one key tuple per candidate."""
+    links = set(g.terminal_links) if terminal_inclusive else set()
+
+    def key(v, j, d):
+        if by_distance:
+            return (d + (j in links), ref_euclid(g, v, j), j)
+        return (d + (j in links), j)
+
+    return ref_greedy(g, [g.base_node], key, None, ())
+
+
+def ref_plan_dfs_backtrack(g):
+    def backtrack(v, visited):
+        anchors = {u for u in visited if any(w not in visited for w in g.internal_adjacency[u])}
+        return ref_bfs(g, v, anchors, visited)
+
+    return ref_greedy(g, [g.base_node], lambda v, j, d: (d, j), backtrack, range(g.n))
+
+
+def ref_plan_wavefront(g):
+    """Highest label, then residual degree, step length and index."""
+    labels = wavefront_labels(g)
+
+    def connector(v, visited):
+        remaining = [j for j in range(g.n) if j not in visited]
+        for top in sorted({labels[j] for j in remaining}, reverse=True):
+            path = ref_bfs(g, v, {j for j in remaining if labels[j] == top}, range(g.n))
+            if path is not None:
+                return path
+        return None
+
+    entry = min(g.base_links, key=lambda j: (-labels[j], j))
+    return ref_greedy(g, [g.base_node, entry],
+                      lambda v, j, d: (-labels[j], d, ref_euclid(g, v, j), j),
+                      connector, range(g.n))
 
 
 def ref_sweep_rows(g):
@@ -616,18 +785,35 @@ def ref_euclid(g, a, b):
 
 REFERENCES = {
     "_bfs": ref_bfs,
-    "_greedy": ref_greedy,
+    "_visit_order_walk": ref_visit_order_walk,
+    "plan_warnsdorff": ref_plan_warnsdorff,
     "sweep_rows": ref_sweep_rows,
     "onion_rings": ref_onion_rings,
     "_circumnavigate": ref_circumnavigate,
     "_euclid": ref_euclid,
 }
 
+# The registry holds these two planners as function objects, so patching
+# their module names would not reach `plan`: their entries are patched.
+REFERENCE_PLANNERS = {
+    "dfs-backtrack": ref_plan_dfs_backtrack,
+    "wavefront-hex": ref_plan_wavefront,
+}
+
+
+def _not_in_a_reference(*args):
+    raise AssertionError("a reference planner reached a current kernel")
+
 
 def plan_with_references(g, slug):
     with contextlib.ExitStack() as stack:
         for name, ref in REFERENCES.items():
             stack.enter_context(mock.patch.object(planners, name, ref))
+        for name in ("_greedy", "_two_hop_via"):
+            stack.enter_context(mock.patch.object(planners, name, _not_in_a_reference))
+        stack.enter_context(mock.patch.dict(planners.PLANNERS, {
+            s: PLANNERS[s]._replace(run=ref) for s, ref in REFERENCE_PLANNERS.items()
+        }))
         return plan(g, slug)
 
 
