@@ -20,16 +20,14 @@ _EXPORTS = {
         "load_results", "run_benchmark", "write_report",
     ),
     "hexgeom": (
-        "PolygonWithHoles", "face_neighbors", "hexagon_ring", "min_rotated_rect",
-        "polygon_metrics",
+        "PolygonWithHoles", "hexagon_ring", "min_rotated_rect", "polygon_metrics",
     ),
     "lattice": (
         "CoverageGraph", "Instance", "InvalidGeometryError", "InvalidParameterError",
         "MorphologyClass", "OffsetCoord", "Point", "graph_from_coords", "offset_to_center",
     ),
     "metrics": (
-        "SummaryRow", "aggregate_summary", "compute_path_metrics", "path_distance",
-        "path_turns", "validate_path",
+        "SummaryRow", "aggregate_summary", "compute_path_metrics", "validate_path",
     ),
     "oracle": ("AuditResult", "brute_force_enumerate", "hamiltonian_audit"),
     "planners": (

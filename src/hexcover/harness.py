@@ -483,6 +483,9 @@ def generate_dataset(
     is one the scan reaches: at 1 worker no seed past the last admitted one
     is built. After MAX_CONSECUTIVE_REJECTIONS rejected seeds in a row it
     raises InvalidParameterError and writes nothing.
+
+    It sets OPENBLAS_NUM_THREADS to 1 in this process's environment if that
+    variable is unset; it acts only if numpy is not yet imported.
     """
     if count <= 0:
         raise InvalidParameterError("count must be positive")
@@ -501,6 +504,10 @@ def generate_dataset(
     # Sampling draws from numpy and admission runs the oracle. A pool worker
     # forked from this process inherits both, so one import here spares each
     # of them its own; a worker started by forkserver or spawn imports them.
+    # No hexcover code calls a BLAS routine, so the OpenBLAS bundled with
+    # numpy is told to start no thread of its own, here and in every worker,
+    # which inherits the environment; a value the user set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy  # noqa: F401
 
     import hexcover.oracle  # noqa: F401

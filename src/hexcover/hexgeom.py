@@ -13,22 +13,10 @@ import functools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from hexcover.lattice import (
-    SQRT3,
-    InvalidGeometryError,
-    OffsetCoord,
-    Point,
-    neighbor_offsets,
-)
+from hexcover.lattice import SQRT3, InvalidGeometryError, Point
 
 # Absolute geometric tolerance in a unit-normalized frame (h on the order of 1).
 GEOM_TOL = 1e-9
-
-
-def face_neighbors(c: OffsetCoord) -> list[OffsetCoord]:
-    """The 6 face-adjacent lattice coordinates of `c`."""
-    col, row = c
-    return [OffsetCoord(col + dc, row + dr) for dc, dr in neighbor_offsets(col)]
 
 
 # Unit-circle vertex directions, k * 60 degrees for k = 0..5.

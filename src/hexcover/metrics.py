@@ -107,16 +107,6 @@ def _length_and_turns(g: CoverageGraph, walk: Sequence[int]) -> tuple[float, flo
     return length, turns
 
 
-def path_distance(g: CoverageGraph, walk: Sequence[int]) -> float:
-    """Total walk length in the base-centred, radius-normalized frame."""
-    return _length_and_turns(g, walk)[0] / g.base_radius
-
-
-def path_turns(g: CoverageGraph, walk: Sequence[int]) -> float:
-    """Cumulative absolute heading change in radians along the walk."""
-    return _length_and_turns(g, walk)[1]
-
-
 def compute_path_metrics(g: CoverageGraph, walk: Sequence[int]) -> tuple[str, int, float, float]:
     """(status, revisits, distance_norm, turns_rad): a walk's measured result fields."""
     status, revisits = validate_path(g, walk)

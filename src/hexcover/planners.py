@@ -133,7 +133,7 @@ def _extend_to(g: CoverageGraph, walk: list[int], targets, through=None) -> bool
 def _once_per_graph(fn):
     """`fn(g)`, computed on its first call for a graph and shared by every
     later call until the graph is dropped: the planners that use it get one
-    tuple of tuples, which none can change."""
+    value that none can change (a tuple of tuples, or a node index)."""
     results: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @functools.wraps(fn)
@@ -250,13 +250,15 @@ def segment_order(g: CoverageGraph, row_sequence: Callable[[int], Sequence[int]]
     for ri in row_sequence(len(rows)):
         pending = _segments(g, rows[ri])
         while pending:
-            seg = min(pending, key=lambda s: (
-                min(_euclid(g, pos, s[0]), _euclid(g, pos, s[-1])), s[0]))
-            pending.remove(seg)
-            if _euclid(g, pos, seg[0]) > _euclid(g, pos, seg[-1]):
-                seg = seg[::-1]
-            order.extend(seg)
-            pos = seg[-1]
+            # Segments start at distinct cells, so s[0] settles every tie.
+            picks = []
+            for k, s in enumerate(pending):
+                to_first, to_last = _euclid(g, pos, s[0]), _euclid(g, pos, s[-1])
+                picks.append((min(to_first, to_last), s[0], to_first > to_last, k))
+            _, _, backward, k = min(picks)
+            seg = pending.pop(k)
+            order.extend(seg[::-1] if backward else seg)
+            pos = order[-1]
     return order
 
 
@@ -357,6 +359,7 @@ def plan_boundary_peel(g: CoverageGraph) -> PlanResult:
 # Family 4: spanning-tree coverage
 
 
+@_once_per_graph
 def _stc_root(g: CoverageGraph) -> int:
     # min keeps the first of equal keys, so ties go to the lowest index.
     return min(range(g.n), key=lambda i: _euclid(g, g.base_node, i))

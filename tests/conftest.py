@@ -11,13 +11,37 @@ from hypothesis import strategies as st
 
 from hexcover.aoi import AoiShape, classify_morphology
 from hexcover.graphbuild import HexMask, lattice_candidates, tessellate
-from hexcover.hexgeom import PolygonWithHoles, face_neighbors
-from hexcover.lattice import CoverageGraph, LatticeFrame, OffsetCoord, Point, graph_from_coords
+from hexcover.hexgeom import PolygonWithHoles
+from hexcover.lattice import (
+    CoverageGraph,
+    LatticeFrame,
+    OffsetCoord,
+    Point,
+    graph_from_coords,
+    neighbor_offsets,
+)
 from hexcover.metrics import (
     STATUS_COVERAGE,
     STATUS_FAIL,
     STATUS_HAMILTONIAN,
+    _length_and_turns,
 )
+
+
+def face_neighbors(c: OffsetCoord) -> list[OffsetCoord]:
+    """The 6 face-adjacent lattice coordinates of `c`."""
+    col, row = c
+    return [OffsetCoord(col + dc, row + dr) for dc, dr in neighbor_offsets(col)]
+
+
+def path_distance(g: CoverageGraph, walk) -> float:
+    """Total walk length in the base-centred, radius-normalized frame."""
+    return _length_and_turns(g, walk)[0] / g.base_radius
+
+
+def path_turns(g: CoverageGraph, walk) -> float:
+    """Cumulative absolute heading change in radians along the walk."""
+    return _length_and_turns(g, walk)[1]
 
 
 def read_results(path: Path) -> list[dict]:

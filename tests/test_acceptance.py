@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from conftest import (
     RING6_COORDS,
+    path_distance,
+    path_turns,
     random_small_graph,
     read_results,
     results_digest,
@@ -29,8 +31,6 @@ from hexcover.metrics import (
     STATUS_FAIL,
     STATUS_HAMILTONIAN,
     aggregate_summary,
-    path_distance,
-    path_turns,
     validate_path,
 )
 from hexcover.oracle import brute_force_enumerate, hamiltonian_audit

@@ -5,7 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import aoi_from_ring, edge_lengths_ok, lattice_graph_args, tessellate_one
+from conftest import (
+    aoi_from_ring,
+    edge_lengths_ok,
+    face_neighbors,
+    lattice_graph_args,
+    tessellate_one,
+)
 from test_array_forms import free_overlap_area
 
 from hexcover.aoi import FAMILIES, insert_obstacles, sample_aoi
@@ -23,7 +29,6 @@ from hexcover.graphbuild import (
 )
 from hexcover.hexgeom import (
     PolygonWithHoles,
-    face_neighbors,
     hexagon_area,
     hexagon_ring,
     min_rotated_rect,
@@ -218,8 +223,6 @@ class TestPostprocess:
 
     def test_interior_stub_removed(self):
         # Hand-built 10-cell fixture: 3x3 block plus one degree-1 stub.
-        from hexcover.hexgeom import face_neighbors
-
         blob = self.block(3, 3)
         stub = OffsetCoord(3, 3)
         assert sum(nb in blob for nb in face_neighbors(stub)) == 1
@@ -257,8 +260,6 @@ class TestExteriorBoundary:
         boundary = exterior_boundary(cells)
         assert boundary < cells
         # Interior cells (all 6 neighbors present) are not on the boundary.
-        from hexcover.hexgeom import face_neighbors
-
         for c in cells:
             interior = all(nb in cells for nb in face_neighbors(c))
             assert (c not in boundary) == interior

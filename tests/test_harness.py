@@ -1030,6 +1030,40 @@ assert aoi.__name__ == "hexcover.aoi"
         proc = run_python(code, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    # `generate` in a fresh interpreter, then what it left: the OpenBLAS
+    # thread count in its environment and the threads of its process.
+    OPENBLAS_AFTER_GENERATE = """
+import contextlib, io, json, os, sys
+from hexcover.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+tasks = "/proc/self/task"
+threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+    def test_generate_starts_no_openblas_thread(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        proc = run_python(self.OPENBLAS_AFTER_GENERATE, "generate", "--count", "2",
+                          "--workers", "1", "--out", str(tmp_path / "d.jsonl"), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, openblas, threads = json.loads(proc.stdout)
+        assert code == 0
+        assert openblas == "1"
+        # OpenBLAS would start a thread per allowed CPU beyond the first.
+        if threads is not None and len(harness._allowed_cpus()) >= 2:
+            assert threads == 1
+
+    def test_generate_keeps_a_preset_openblas_thread_count(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        data = tmp_path / "d.jsonl"
+        proc = run_python(self.OPENBLAS_AFTER_GENERATE, "generate", "--count", str(N_SMALL),
+                          "--seed", "0", "--workers", "1", "--out", str(data), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, openblas, _ = json.loads(proc.stdout)
+        assert (code, openblas) == (0, "3")
+        assert hashlib.sha256(data.read_bytes()).hexdigest() == PINNED_DATASET_SHA256
+
     def test_generate_stops_when_no_seed_can_pass(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"size_band": [1000, 2000]}))

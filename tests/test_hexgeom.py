@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import face_neighbors
 from test_array_forms import clip_area_convex, free_overlap_area
 
 from hexcover.aoi import FAMILIES, insert_obstacles, sample_aoi
@@ -13,7 +14,6 @@ from hexcover.hexgeom import (
     GEOM_TOL,
     PolygonWithHoles,
     convex_hull,
-    face_neighbors,
     hexagon_area,
     hexagon_ring,
     min_rotated_rect,

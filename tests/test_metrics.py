@@ -10,6 +10,8 @@ from conftest import (
     RING6_COORDS,
     chain_graph,
     naive_validate,
+    path_distance,
+    path_turns,
     random_small_graph,
     random_walk,
     ring6_graph,
@@ -29,8 +31,6 @@ from hexcover.metrics import (
     MalformedWalkError,
     aggregate_summary,
     compute_path_metrics,
-    path_distance,
-    path_turns,
     validate_path,
 )
 
