@@ -496,12 +496,16 @@ class TestWavefront:
 class TestTwoHopStep:
     @settings(max_examples=150, deadline=None)
     @given(lattice_graph_args())
+    # Three mutually adjacent cells, all linked to the base: no two nodes
+    # are two hops apart.
+    @example(([OffsetCoord(0, 0), OffsetCoord(0, 1), OffsetCoord(1, 1)], 1.0, [0, 1, 2],
+              [0], Point(0.0, 0.0), LatticeFrame(Point(0.0, 0.0), 0.0)))
     def test_is_the_middle_of_the_bfs_path(self, args):
         # Every head, the base node included, and every cell not adjacent to
         # it: the step is the middle of the two-hop path `_bfs` returns, and
         # there is none where that path is not two hops long.
         g = graph_from_coords(*args)
-        two_hops = 0
+        two_hops = far = 0
         for head in range(g.n + 1):
             for target in range(g.n):
                 if target in g.adjacency[head]:
@@ -510,7 +514,10 @@ class TestTwoHopStep:
                 expected = path[1] if path is not None and len(path) == 3 else -1
                 assert planners._two_hop_via(g, head, target) == expected, (head, target)
                 two_hops += expected >= 0
-        if g.n >= 3 and len(planners._bfs_tree(g, 0)) == g.n:
+                far += target != head
+        # With the cells connected, a cell not adjacent to a head has a cell
+        # two hops from that head on its shortest path.
+        if far and len(planners._bfs_tree(g, 0)) == g.n:
             assert two_hops > 0
 
     def test_takes_the_lowest_middle_of_several(self):
