@@ -23,7 +23,13 @@ from hexcover.hexgeom import (
     ring_array,
     ring_signed_area,
 )
-from hexcover.lattice import InvalidParameterError, MorphologyClass, Point, label_from
+from hexcover.lattice import (
+    InvalidGeometryError,
+    InvalidParameterError,
+    MorphologyClass,
+    Point,
+    label_from,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -112,6 +118,8 @@ def sample_aoi(family_hint: str, seed: int, scale: float) -> AoiShape:
     rng = substream(seed, STREAM_POLYGON)
     n_target = rng.uniform(*_TARGET_CELLS)
     area_target = n_target * hexagon_area(scale)
+    if not 0.0 < area_target < math.inf:
+        raise InvalidGeometryError(f"scale {scale} gives no finite positive AOI area")
 
     if family_hint == FAMILY_COMPACT:
         base_r = math.sqrt(area_target / math.pi)

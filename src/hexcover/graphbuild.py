@@ -441,9 +441,8 @@ def build_block(seeds: Sequence[tuple[str, int]], config: GenerationConfig) -> l
     shaped: list[tuple[int, AoiShape]] = []
     lattices: list[Lattice] = []
     for k, (family_hint, seed) in enumerate(seeds):
-        shape = sample_aoi(family_hint, seed, config.scale)
         try:
-            shape = insert_obstacles(shape, seed)
+            shape = insert_obstacles(sample_aoi(family_hint, seed, config.scale), seed)
             # Now, while min_rotated_rect still holds this outer ring's rectangle.
             lattices.append(lattice_candidates(shape, config.hex_radius))
         except InvalidGeometryError as exc:

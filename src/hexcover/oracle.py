@@ -1,16 +1,17 @@
 """Exact Hamiltonian-path feasibility decision for coverage graphs.
 
 `hamiltonian_audit` is the dataset admission gate: depth-first search with
-backtracking over bitmask states, accelerated by soundness-preserving pruning
-rules and a low-residual-degree child ordering. The cut-cell rule follows
-F. Rubin, "A Search Procedure for Hamilton Paths and Circuits", J. ACM 21(4),
-1974. The rare instance the search leaves open after DFS_NODE_CAP nodes goes
-to `frontier_audit`, a frontier dynamic program whose cost follows the width
-of the lattice, not search luck. Both are exact and neither stops short, so
-every audit is decided; the widest frontier known costs the DP about 3 s
-(see `frontier_audit`). `brute_force_enumerate` is an independent
-cross-check that walks every adjacency-valid cell permutation with no
-ordering heuristics and no pruning.
+backtracking over bitmask states, accelerated by two soundness-preserving
+pruning rules, terminal-reach and cut-cell, and a low-residual-degree child
+ordering. The cut-cell rule follows F. Rubin, "A Search Procedure for
+Hamilton Paths and Circuits", J. ACM 21(4), 1974. The rare instance the
+search leaves open after DFS_NODE_CAP nodes goes to `frontier_audit`, a
+frontier dynamic program whose cost follows the width of the lattice, not
+search luck. Both are exact and neither stops short, so every audit is
+decided; the widest frontier known costs the DP about 3 s (see
+`frontier_audit`). `brute_force_enumerate` is an independent cross-check
+that walks every adjacency-valid cell permutation with no ordering
+heuristics and no pruning.
 """
 
 from __future__ import annotations
@@ -20,17 +21,16 @@ from typing import NamedTuple
 
 from hexcover.lattice import CoverageGraph, InvalidParameterError
 
-PRUNE_LOW_DEGREE = "low-degree"
 PRUNE_TERMINAL = "terminal-reach"
 PRUNE_CUT = "cut-cell"
-ALL_PRUNES = frozenset({PRUNE_LOW_DEGREE, PRUNE_TERMINAL, PRUNE_CUT})
+ALL_PRUNES = frozenset({PRUNE_TERMINAL, PRUNE_CUT})
 
 BRUTE_FORCE_MAX_CELLS = 12
 
 # DFS nodes before `hamiltonian_audit` hands an undecided instance to the
 # frontier DP. The DFS decides 99.8 % of the audited pipeline seeds of
 # 0-11,999 within it (median 39 nodes); past it, the DP is cheaper than
-# the rest of the DFS on each of the remaining 18.
+# the rest of the DFS on 18 of the remaining 19.
 DFS_NODE_CAP = 2_000
 _DONE = -1  # frontier_audit's mate entry for a node of degree 2
 
@@ -47,6 +47,8 @@ class _CapReached(Exception):
 
 
 def _adjacency_masks(g: CoverageGraph) -> list[int]:
+    """Bit j of masks[i] is set when cells i and j are adjacent; a cell is
+    never its own neighbour, so no mask holds its own bit."""
     masks = []
     for i in range(g.n):
         m = 0
@@ -147,19 +149,16 @@ def _dfs(
 
     The pruning set only discards provably dead branches:
 
-    - low-degree: among unvisited cells, only the next move and the final
-      cell may have at most one unvisited neighbor, and only the final cell
-      may have none;
     - terminal-reach: some unvisited cell adjacent to the terminal must
       remain, or the path cannot end;
     - cut-cell: see `_cut_cells_admit`; among what it refuses is every state
       that leaves an unvisited cell unreachable from the current one.
 
-    Only terminal-reach, an O(1) test, runs at every node. The other two
-    cost a pass over the unvisited cells, and a search that never backtracks
-    gains nothing from them, so they run only once some child has returned
-    False. A prune cuts only subtrees without a solution, so the first
-    witness in search order is the same under any pruning set.
+    Terminal-reach, an O(1) test, runs at every node. Cut-cell costs a pass
+    over the unvisited cells, and a search that never backtracks gains
+    nothing from it, so it runs only once some child has returned False. A
+    prune cuts only subtrees without a solution, so the first witness in
+    search order is the same under any pruning set.
 
     Children are ordered by ascending residual degree, then index, which
     makes nodes_expanded reproducible.
@@ -170,7 +169,6 @@ def _dfs(
     for t in g.terminal_links:
         term_mask |= 1 << t
     terminal_reach = PRUNE_TERMINAL in prunes
-    low_degree = PRUNE_LOW_DEGREE in prunes
     cut_cell = PRUNE_CUT in prunes
 
     expanded = 0
@@ -189,24 +187,8 @@ def _dfs(
         if terminal_reach and not (unvisited & term_mask):
             return False
 
-        if backtracked:
-            if low_degree:
-                zero = low = 0
-                m = unvisited
-                while m:
-                    b = m & -m
-                    u = b.bit_length() - 1
-                    m ^= b
-                    d = (adj[u] & unvisited & ~b).bit_count()
-                    if d == 0:
-                        zero += 1
-                    if d <= 1:
-                        low += 1
-                if zero >= 2 or low > 2:
-                    return False
-
-            if cut_cell and not _cut_cells_admit(v, unvisited, adj, term_mask):
-                return False
+        if backtracked and cut_cell and not _cut_cells_admit(v, unvisited, adj, term_mask):
+            return False
 
         cands = []
         m = adj[v] & unvisited
@@ -214,7 +196,7 @@ def _dfs(
             b = m & -m
             j = b.bit_length() - 1
             m ^= b
-            cands.append(((adj[j] & unvisited & ~b).bit_count(), j))
+            cands.append(((adj[j] & unvisited).bit_count(), j))
         cands.sort()
         for _, j in cands:
             path.append(j)
@@ -224,9 +206,7 @@ def _dfs(
             backtracked = True
         return False
 
-    starts = sorted(
-        g.base_links, key=lambda s: ((adj[s] & ~(1 << s)).bit_count(), s)
-    )
+    starts = sorted(g.base_links, key=lambda s: (adj[s].bit_count(), s))
     try:
         for s in starts:
             path.append(s)

@@ -578,9 +578,12 @@ class TestFileBoundary:
         with pytest.raises(DatasetError, match=":3: schema"):
             load_results(res, load_instances(dpath))
 
-    def test_unaudited_instance_rejected(self, dataset, tmp_path):
+    # 1 == True, so only `_audited` refuses the second: the round trip
+    # compares fields with ==.
+    @pytest.mark.parametrize("flag", [False, 1])
+    def test_unaudited_instance_rejected(self, dataset, tmp_path, flag):
         dpath, _ = dataset
-        bad = _relabel(dpath, tmp_path / "unaudited.jsonl", 1, audited_feasible=False)
+        bad = _relabel(dpath, tmp_path / "unaudited.jsonl", 1, audited_feasible=flag)
         with pytest.raises(DatasetError, match=":1: .* not audited feasible"):
             run_benchmark(bad, "all", tmp_path / "r.jsonl", workers=2)
         assert not (tmp_path / "r.jsonl").exists()
@@ -910,6 +913,22 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:") and says in err[0]
+        assert not data.exists()
+
+    # numpy's RuntimeWarning on a non-finite ring would precede the error line.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e308, 1e-300], ids=["ring-inf", "area-zero"])
+    def test_config_whose_shapes_are_degenerate_is_refused_in_one_line(
+        self, tmp_path, capsys, scale
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scale": scale}))
+        data = tmp_path / "d.jsonl"
+        code = cli_main(["generate", "--count", "1", "--config", str(cfg),
+                         "--out", str(data), "--workers", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:") and "degenerate 200" in err[0]
         assert not data.exists()
 
     def test_audit_run_report_never_import_numpy(self, dataset, tmp_path):

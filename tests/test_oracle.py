@@ -15,7 +15,6 @@ from hexcover.oracle import (
     ALL_PRUNES,
     DFS_NODE_CAP,
     PRUNE_CUT,
-    PRUNE_LOW_DEGREE,
     PRUNE_TERMINAL,
     brute_force_enumerate,
     frontier_audit,
@@ -58,8 +57,8 @@ def seed_graph(seed):
 
 
 @functools.lru_cache(maxsize=1)
-def audits_of_seeds_0_199() -> list:
-    """(seed, audit) of every seed of 0-199 whose graph reaches the audit."""
+def graphs_of_seeds_0_199() -> list:
+    """(seed, graph) of every seed of 0-199 whose graph reaches the audit."""
     lo, hi = GenerationConfig().size_band
     rows = []
     for seed in range(200):
@@ -68,8 +67,14 @@ def audits_of_seeds_0_199() -> list:
         except ValueError:  # degenerate shape or no base attachment
             continue
         if lo <= g.n <= hi:
-            rows.append((seed, hamiltonian_audit(g)))
+            rows.append((seed, g))
     return rows
+
+
+@functools.lru_cache(maxsize=1)
+def audits_of_seeds_0_199() -> list:
+    """(seed, audit) of every seed of 0-199 whose graph reaches the audit."""
+    return [(seed, hamiltonian_audit(g)) for seed, g in graphs_of_seeds_0_199()]
 
 
 class TestAudit:
@@ -183,7 +188,7 @@ class TestBruteForceAgreement:
 class TestPruningSoundness:
     """Each pruning rule must never change the decision, only the node count."""
 
-    @pytest.mark.parametrize("rule", [PRUNE_LOW_DEGREE, PRUNE_TERMINAL, PRUNE_CUT])
+    @pytest.mark.parametrize("rule", [PRUNE_TERMINAL, PRUNE_CUT])
     def test_rule_decision_equivalence(self, rule):
         rng = np.random.default_rng(zlib.crc32(rule.encode()))
         for _ in range(150):
@@ -201,6 +206,17 @@ class TestPruningSoundness:
                 hamiltonian_audit(g, prunes=ALL_PRUNES).feasible
                 == hamiltonian_audit(g, prunes=frozenset()).feasible
             )
+
+    @pytest.mark.parametrize("rule", sorted(ALL_PRUNES))
+    def test_each_rule_saves_nodes_on_seeds_0_199(self, rule):
+        # A rule that never cuts a node the others leave is code without a
+        # job on the graphs the audit sees.
+        with_all = sum(res.nodes_expanded for _, res in audits_of_seeds_0_199())
+        without = sum(
+            hamiltonian_audit(g, prunes=ALL_PRUNES - {rule}).nodes_expanded
+            for _, g in graphs_of_seeds_0_199()
+        )
+        assert without > with_all
 
 
 class TestCutCellOnPipelineSeeds:
@@ -246,8 +262,8 @@ class TestPrunesKeepTheWitness:
         assert 20 < feasible < 280
 
     def test_witnesses_of_seeds_0_199_pinned(self):
-        # Taken before the low-degree and connectivity rules waited for the
-        # first dead end: a prune change that reorders the search fails here.
+        # Taken before the prunes waited for the first dead end: a prune
+        # change that reorders the search fails here.
         rows = [[seed, res.feasible, res.witness] for seed, res in audits_of_seeds_0_199()]
         assert len(rows) == AUDITED_SEEDS_0_199
         blob = json.dumps(rows, separators=(",", ":")).encode()
