@@ -35,7 +35,7 @@ from hexcover.hexgeom import (
     point_array,
     points_in_ring,
     ring_array,
-    ring_crossing_params,
+    segment_crossings,
 )
 from hexcover.lattice import (
     SQRT3,
@@ -237,13 +237,19 @@ def line_of_sight(
     (the segment would cross the outer ring more than the one unavoidable
     entry) and by obstacle holes (measurable segment length inside one).
     """
-    ends = point_array(targets)
-    outer_cross, _ = ring_crossing_params(launch, ends, ring_array(polygon.outer))
+    import numpy as np
+
+    start, ends = point_array([launch]), point_array(targets)
+    outer_cross, _, _ = segment_crossings(start, ends, ring_array(polygon.outer))
     clear = (outer_cross.sum(axis=1) <= 1).tolist()
     if not polygon.holes:
         return clear
     holes = [ring_array(hole) for hole in polygon.holes]
-    crossings = [ring_crossing_params(launch, ends, hole) for hole in holes]
+    # Where each segment crosses each hole edge: the parameter t in (0, 1).
+    crossings = []
+    for hole in holes:
+        cross, d0, d1 = segment_crossings(start, ends, hole)
+        crossings.append((cross, np.divide(d0, d0 - d1, out=np.zeros(cross.shape), where=cross)))
     # The midpoint of every measurable piece between crossings, and its target.
     mids: list[tuple[float, float]] = []
     owners: list[int] = []
@@ -360,10 +366,10 @@ class GenerationConfig(NamedTuple):
         if not isinstance(d, dict):
             raise InvalidParameterError("generation config must be a JSON object")
         convert = {
-            "hex_radius": lambda value: float(_json_number(value)),
-            "scale": lambda value: float(_json_number(value)),
-            "size_band": lambda band: tuple(_json_number(b, int) for b in band),
-            "family_mix": lambda mix: tuple((f, float(_json_number(w))) for f, w in mix),
+            "hex_radius": lambda value: _json_number(value, "hex_radius"),
+            "scale": lambda value: _json_number(value, "scale"),
+            "size_band": lambda band: tuple(_json_number(b, "size_band", int) for b in band),
+            "family_mix": lambda mix: tuple((f, _json_number(w, "family_mix")) for f, w in mix),
         }
         kwargs = {}
         for key, value in d.items():
@@ -371,7 +377,7 @@ class GenerationConfig(NamedTuple):
                 raise InvalidParameterError(f"unknown generation config key {key!r}")
             try:
                 kwargs[key] = convert[key](value)
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise InvalidParameterError(f"bad generation config {key}: {value!r}") from exc
         cfg = cls(**kwargs)
         cfg.validate()

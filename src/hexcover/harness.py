@@ -20,7 +20,6 @@ import importlib
 import io
 import itertools
 import json
-import math
 import os
 import threading
 from collections import Counter, deque
@@ -169,24 +168,6 @@ def instance_to_record(inst: Instance) -> dict:
     }
 
 
-def _finite(value, field: str) -> float:
-    """`value` of record field `field` as a float, refused unless finite:
-    JSON reads NaN, Infinity and a literal such as 1e999 as floats."""
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{field!r} is {value!r}, not a finite number")
-    return x
-
-
-def _float(value, field: str) -> float:
-    """`value` of dataset field `field`, refused unless it is a finite float.
-    The writer writes each such field as a JSON float, and the round trip
-    alone would pass an int or a bool in its place: 1 == 1.0 and True == 1.0."""
-    if type(value) is not float:
-        raise TypeError(f"{field!r} is {value!r}, not a float")
-    return _finite(value, field)
-
-
 def record_to_instance(rec: dict) -> Instance:
     """The instance a dataset record describes.
 
@@ -194,30 +175,34 @@ def record_to_instance(rec: dict) -> Instance:
     aspect, hex_radius, frame, base, cell coordinates and base_links, the
     last for both link sets. Every other field, the id and the morphology
     label among them, is derived from those, so the record is refused unless
-    `instance_to_record` writes it back unchanged. The seed must be a JSON
-    integer, and each float it is built from a finite JSON float. A link to
-    a cell off the exterior boundary is refused too: `attach_base` links
-    only those cells. Each refusal raises DatasetError naming the instance
-    and the first field at fault.
+    `instance_to_record` writes it back unchanged. Before that, it is refused
+    unless its `audited_feasible` is JSON true: the round trip compares with
+    ==, and 1 == True. The seed must be a JSON integer, and each float it is
+    built from a finite JSON float. A link to a cell off the exterior
+    boundary is refused too: `attach_base` links only those cells. Each
+    refusal raises DatasetError naming the instance and the first field at
+    fault.
     """
     name = f"instance {rec.get('id')}"
+    if rec.get("audited_feasible") is not True:
+        raise DatasetError(f"{name} is not audited feasible")
     try:
         m, frame, seed = rec["morphology"], rec["frame"], rec["seed"]
         if type(seed) is not int:
             raise TypeError(f"'seed' is {seed!r}, not an integer")
         graph = graph_from_coords(
             [(int(c[0]), int(c[1])) for c in rec["cells"]],
-            _float(rec["hex_radius"], "hex_radius"),
+            _json_number(rec["hex_radius"], "hex_radius", float),
             rec["base_links"],
             rec["base_links"],
-            Point(*(_float(v, "base") for v in rec["base"])),
+            Point(*(_json_number(v, "base", float) for v in rec["base"])),
             LatticeFrame(
-                Point(*(_float(v, "frame.origin") for v in frame["origin"])),
-                _float(frame["angle"], "frame.angle"),
+                Point(*(_json_number(v, "frame.origin", float) for v in frame["origin"])),
+                _json_number(frame["angle"], "frame.angle", float),
             ),
         )
-        compactness = _float(m["compactness"], "morphology.compactness")
-        aspect = _float(m["aspect"], "morphology.aspect")
+        compactness = _json_number(m["compactness"], "morphology.compactness", float)
+        aspect = _json_number(m["aspect"], "morphology.aspect", float)
         inst = Instance(
             seed,
             str(rec["family_hint"]),
@@ -228,7 +213,7 @@ def record_to_instance(rec: dict) -> Instance:
         raise DatasetError(f"{name}: missing field {exc}") from exc
     except InvalidParameterError as exc:
         raise DatasetError(f"{name}: {exc}") from exc
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise DatasetError(f"{name}: ill-typed field: {exc}") from exc
     written = instance_to_record(inst)
     if written != rec:
@@ -288,12 +273,6 @@ def _read_jsonl(path: str | Path, schema: str, convert, check=None) -> tuple[lis
     return out, digest
 
 
-def _audited(rec: dict) -> dict:
-    if rec["audited_feasible"] is not True:
-        raise ValueError(f"instance {rec['id']} is not audited feasible")
-    return rec
-
-
 def _read_manifest(path: str | Path, schema: str, key: str):
     """Field `key` of the manifest `<path>.manifest.json`, or None when there
     is no manifest; an unreadable manifest or one of another schema raises
@@ -342,7 +321,7 @@ def _read_dataset(path: str | Path, convert, sha256: str | None = None) -> tuple
 def load_instances(path: str | Path, sha256: str | None = None) -> list[Instance]:
     """The instances of a dataset file; with `sha256`, only if the file's
     bytes have that SHA-256."""
-    return _read_dataset(path, lambda rec, _: record_to_instance(_audited(rec)), sha256)[0]
+    return _read_dataset(path, lambda rec, _: record_to_instance(rec), sha256)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +627,7 @@ def run_benchmark(
     before any plan runs.
     """
     method_list = resolve_methods(methods)
-    numbered, dataset_sha256 = _read_dataset(dataset_path, lambda rec, n: (n, _audited(rec)))
+    numbered, dataset_sha256 = _read_dataset(dataset_path, lambda rec, n: (n, rec))
     workers = resolve_workers(workers)
     out_path = _output_file(out_path)
     for kept in (Path(dataset_path), Path(str(dataset_path) + ".manifest.json")):
@@ -694,8 +673,8 @@ def load_results(path: str | Path, instances: Sequence[Instance]) -> list[dict]:
         if g is None:
             raise ValueError(f"unknown instance {rec['instance_id']}")
         for key in ("distance_norm", "turns_rad", "latency_ms"):
-            rec[key] = _finite(_json_number(rec[key]), key)
-        revisits = _json_number(rec["revisits"], int)
+            rec[key] = _json_number(rec[key], key)
+        revisits = _json_number(rec["revisits"], "revisits", int)
         if validate_path(g, rec["walk"]) != (rec["status"], revisits):
             raise ValueError(
                 "stored status/revisits do not match the walk (tamper check failed)"

@@ -2,9 +2,9 @@
 
 The lattice convention, the cell and point types and the neighbour tables
 live in `hexcover.lattice`, the instance model every command reads; this
-module holds the geometry only `generate` runs (rings, hulls, the minimum
-rotated rectangle and the hexagon clip), so `audit`, `run` and `report`
-never import it.
+module holds the geometry only `generate` runs (rings and the one
+segment-crossing kernel they share, hulls, the minimum rotated rectangle
+and the hexagon clip), so `audit`, `run` and `report` never import it.
 """
 
 from __future__ import annotations
@@ -112,20 +112,26 @@ def ring_array(ring: Sequence[Point]):
     return point_array([*ring, ring[0]])
 
 
-def crossing_matrix(p_ring, q_ring):
-    """Boolean matrix whose [i, j] is the proper-crossing test of edge i of
-    ring array `p_ring` with edge j of ring array `q_ring` (open segments)."""
-    px0, py0 = p_ring[:-1, 0, None], p_ring[:-1, 1, None]
-    px1, py1 = p_ring[1:, 0, None], p_ring[1:, 1, None]
-    qx0, qy0, qx1, qy1 = q_ring[:-1, 0], q_ring[:-1, 1], q_ring[1:, 0], q_ring[1:, 1]
-    # The orientations of p's ends about q, then of q's ends about p.
-    qx, qy = qx1 - qx0, qy1 - qy0
-    d1 = qx * (py0 - qy0) - qy * (px0 - qx0)
-    d2 = qx * (py1 - qy0) - qy * (px1 - qx0)
-    px, py = px1 - px0, py1 - py0
-    d3 = px * (qy0 - py0) - py * (qx0 - px0)
-    d4 = px * (qy1 - py0) - py * (qx1 - px0)
-    return ((d1 > 0) != (d2 > 0)) & (d1 != d2) & ((d3 > 0) != (d4 > 0)) & (d3 != d4)
+def segment_crossings(starts, ends, ring):
+    """Which edges of ring array `ring` the open segment from each row of
+    `starts` to the same row of `ends` properly crosses, as a boolean (k, n)
+    mask, and the orientations d0, d1 of each segment's ends about each edge;
+    a one-row `starts` starts every segment. Where the mask is set, the
+    crossing lies at d0 / (d0 - d1) along the segment, which only the sight
+    lines need, so the simplicity checks do not pay for it."""
+    x0, y0 = starts[:, 0, None], starts[:, 1, None]
+    x1, y1 = ends[:, 0, None], ends[:, 1, None]
+    ax, ay, bx, by = ring[:-1, 0], ring[:-1, 1], ring[1:, 0], ring[1:, 1]
+    # The orientations of the segment's ends about each edge, then of each
+    # edge's ends about the segment.
+    ex, ey = bx - ax, by - ay
+    d0 = ex * (y0 - ay) - ey * (x0 - ax)
+    d1 = ex * (y1 - ay) - ey * (x1 - ax)
+    px, py = x1 - x0, y1 - y0
+    e0 = px * (ay - y0) - py * (ax - x0)
+    e1 = px * (by - y0) - py * (bx - x0)
+    cross = ((d0 > 0) != (d1 > 0)) & (d0 != d1) & ((e0 > 0) != (e1 > 0)) & (e0 != e1)
+    return cross, d0, d1
 
 
 def points_in_ring(points, ring):
@@ -143,34 +149,11 @@ def points_in_ring(points, ring):
     return np.count_nonzero(flips, axis=1) % 2 == 1
 
 
-def ring_crossing_params(p0: Point, targets, ring):
-    """Which edges of ring array `ring` each open segment from p0 to a row
-    of the (k, 2) array `targets` properly crosses, and where: a boolean
-    (k, n) mask and, where it is set, the parameter t in (0, 1) of the
-    crossing along the segment."""
-    import numpy as np
-
-    x0, y0 = p0
-    x1, y1 = targets[:, 0, None], targets[:, 1, None]
-    ax, ay, bx, by = ring[:-1, 0], ring[:-1, 1], ring[1:, 0], ring[1:, 1]
-    # The orientations of the segment's ends about each edge, then of each
-    # edge's ends about the segment.
-    ex, ey = bx - ax, by - ay
-    d0 = ex * (y0 - ay) - ey * (x0 - ax)
-    d1 = ex * (y1 - ay) - ey * (x1 - ax)
-    px, py = x1 - x0, y1 - y0
-    e0 = px * (ay - y0) - py * (ax - x0)
-    e1 = px * (by - y0) - py * (bx - x0)
-    cross = ((d0 > 0) != (d1 > 0)) & (d0 != d1) & ((e0 > 0) != (e1 > 0)) & (e0 != e1)
-    params = np.divide(d0, d0 - d1, out=np.zeros(cross.shape), where=cross)
-    return cross, params
-
-
 def ring_is_simple(ring) -> bool:
     """Whether no two edges of ring array `ring` cross, adjacent ones aside."""
     import numpy as np
 
-    cross = np.triu(crossing_matrix(ring, ring), 2)
+    cross = np.triu(segment_crossings(ring[:-1], ring[1:], ring)[0], 2)
     cross[0, -1] = False  # the first and the last edge meet at vertex 0
     return not cross.any()
 
@@ -210,7 +193,7 @@ class PolygonWithHoles(_PolygonRings):
                 raise InvalidGeometryError("hole ring self-intersects")
             if not points_in_ring(hole[:-1], outer).all():
                 raise InvalidGeometryError("hole vertex outside outer ring")
-            if crossing_matrix(hole, outer).any():
+            if segment_crossings(hole[:-1], hole[1:], outer)[0].any():
                 raise InvalidGeometryError("hole crosses outer ring")
         for i in range(len(holes)):
             for j in range(i + 1, len(holes)):
@@ -251,7 +234,7 @@ def _rings_interact(a, b) -> bool:
     return (
         points_in_ring(a[:-1], b).any()
         or points_in_ring(b[:-1], a).any()
-        or crossing_matrix(a, b).any()
+        or segment_crossings(a[:-1], a[1:], b)[0].any()
     )
 
 

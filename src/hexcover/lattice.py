@@ -267,9 +267,20 @@ class Instance(NamedTuple):
         return f"hx{self.seed:010d}"
 
 
-def _json_number(value, kind=(int, float)):
-    """`value` if it is a JSON number of Python type `kind`: JSON true and
-    false load as bools, which Python counts as ints."""
+def _json_number(value, field: str, kind=(int, float)):
+    """`value` of field `field` if it is a JSON number of Python type `kind`,
+    read as a float unless `kind` is int, and then refused unless finite.
+    JSON true and false load as bools, which Python counts as ints; NaN,
+    Infinity and 1e999 load as floats, and an integer past the double range
+    reads as an infinite one."""
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"{value!r} is not a JSON number of the right type")
-    return value
+        raise TypeError(f"{field!r} is {value!r}, not a JSON number of the right type")
+    if kind is int:
+        return value
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{field!r} is {x!r}, not a finite number")
+    return x

@@ -4,8 +4,9 @@
 backtracking over bitmask states, accelerated by two soundness-preserving
 pruning rules, terminal-reach and cut-cell, and a low-residual-degree child
 ordering. The cut-cell rule follows F. Rubin, "A Search Procedure for
-Hamilton Paths and Circuits", J. ACM 21(4), 1974. The rare instance the
-search leaves open after DFS_NODE_CAP nodes goes to `frontier_audit`, a
+Hamilton Paths and Circuits", J. ACM 21(4), 1974; it also refuses a graph
+in more than one piece, which takes no pass of its own. The rare instance
+the search leaves open after DFS_NODE_CAP nodes goes to `frontier_audit`, a
 frontier dynamic program whose cost follows the width of the lattice, not
 search luck. Both are exact and neither stops short, so every audit is
 decided; the widest frontier known costs the DP about 3 s (see
@@ -56,24 +57,6 @@ def _adjacency_masks(g: CoverageGraph) -> list[int]:
             m |= 1 << j
         masks.append(m)
     return masks
-
-
-def _connected(adj: list[int], n: int) -> bool:
-    if n == 0:
-        return False
-    full = (1 << n) - 1
-    reach = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            b = m & -m
-            nxt |= adj[b.bit_length() - 1]
-            m ^= b
-        frontier = nxt & ~reach
-        reach |= frontier
-    return reach == full
 
 
 def _cut_cells_admit(v: int, unvisited: int, adj: list[int], term_mask: int) -> bool:
@@ -130,12 +113,14 @@ def hamiltonian_audit(g: CoverageGraph, prunes: frozenset = ALL_PRUNES) -> Audit
     nodes; if that leaves the question open, `frontier_audit` settles it.
     Both are exact, so the result is always decided, and `nodes_expanded`
     counts the DFS nodes plus the DP's frontier states.
+
+    A disconnected graph needs no pass of its own. The search dead-ends in
+    the component it starts in, and from its first backtrack on, cut-cell
+    refuses every node, because a cell of the other component is unreachable;
+    `postprocess_mask` keeps one component, so no pipeline graph is one.
     """
     start = time.perf_counter()
-    adj = _adjacency_masks(g)
-    if not _connected(adj, g.n):
-        return AuditResult(False, None, 0, _ms(start))
-    feasible, witness, nodes = _dfs(g, adj, prunes)
+    feasible, witness, nodes = _dfs(g, _adjacency_masks(g), prunes)
     if feasible is None:
         dp = frontier_audit(g)
         feasible, witness, nodes = dp.feasible, dp.witness, nodes + dp.nodes_expanded

@@ -26,7 +26,6 @@ from hexcover.hexgeom import (
     MinRotatedRect,
     PolygonWithHoles,
     convex_hull,
-    crossing_matrix,
     free_overlap_areas,
     hexagon_clip_areas,
     hexagon_ring,
@@ -35,10 +34,10 @@ from hexcover.hexgeom import (
     point_in_ring,
     points_in_ring,
     ring_array,
-    ring_crossing_params,
     ring_edges,
     ring_is_simple,
     ring_signed_area,
+    segment_crossings,
 )
 from hexcover.lattice import Point
 
@@ -278,11 +277,19 @@ def query_points(ring, other, rng):
 # ---------------------------------------------------------------------------
 
 
+def crossing_params(p0, ends, ring):
+    """segment_crossings from p0 to each row of `ends`, with the crossing
+    parameters `line_of_sight` reads from its orientations."""
+    cross, d0, d1 = segment_crossings(point_array([p0]), ends, ring)
+    return cross, np.divide(d0, d0 - d1, out=np.zeros(cross.shape), where=cross)
+
+
 @pytest.mark.parametrize("name, seed", CASES)
 def test_crossing_matrix_matches_segments_cross(name, seed):
     a, b, _ = ring_pair(name, seed)
     for p_ring, q_ring in ((a, b), (b, a), (a, a)):
-        got = crossing_matrix(ring_array(p_ring), ring_array(q_ring))
+        p = ring_array(p_ring)
+        got, _, _ = segment_crossings(p[:-1], p[1:], ring_array(q_ring))
         want = [
             [segments_cross(p0, p1, q0, q1) for q0, q1 in ring_edges(q_ring)]
             for p0, p1 in ring_edges(p_ring)
@@ -312,7 +319,7 @@ def test_ring_crossing_params_match_scalar_in_order(name, seed):
     ends = query_points(a, b, rng)
     for ring in (a, b):
         for p0 in (ends[0], ends[-1], Point(-9.0, 0.5)):
-            cross, params = ring_crossing_params(p0, point_array(ends), ring_array(ring))
+            cross, params = crossing_params(p0, point_array(ends), ring_array(ring))
             for k, p1 in enumerate(ends):
                 want = segment_ring_crossing_params(p0, p1, ring)
                 got = params[k, cross[k]].tolist()
@@ -324,13 +331,27 @@ def test_ring_crossing_params_match_scalar_in_order(name, seed):
 def test_crossing_edge_cases_by_hand():
     square = (Point(0.0, 0.0), Point(2.0, 0.0), Point(2.0, 2.0), Point(0.0, 2.0))
     # A horizontal segment through the middle crosses the two vertical edges.
-    cross, params = ring_crossing_params(
+    cross, params = crossing_params(
         Point(-1.0, 1.0), point_array([Point(3.0, 1.0)]), ring_array(square)
     )
     assert params[0, cross[0]].tolist() == [0.75, 0.25]
     bowtie = (Point(0.0, 0.0), Point(2.0, 2.0), Point(2.0, 0.0), Point(0.0, 2.0))
     assert ring_is_simple(ring_array(square))
     assert not ring_is_simple(ring_array(bowtie))
+
+
+@pytest.mark.parametrize("name, seed", CASES)
+def test_one_row_starts_match_the_row_repeated(name, seed):
+    a, b, rng = ring_pair(name, seed)
+    ends = point_array(query_points(a, b, rng))
+    for ring in (a, b):
+        for p0 in (ends[:1], ends[-1:], point_array([Point(-9.0, 0.5)])):
+            one = segment_crossings(p0, ends, ring_array(ring))
+            rows = segment_crossings(np.repeat(p0, len(ends), axis=0), ends, ring_array(ring))
+            for got, want in zip(one, rows):
+                # The bits, so that the sign of a zero orientation counts too.
+                got = np.broadcast_to(got, want.shape)
+                assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("module", ["hexcover.hexgeom", "hexcover.cli"])

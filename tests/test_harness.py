@@ -453,8 +453,10 @@ class TestFileBoundary:
     )
     @pytest.mark.parametrize(
         "field, value, says",
-        [("edges", None, "missing field 'edges'"), ("cells", 5, "ill-typed field")],
-        ids=["no-edges", "int-cells"],
+        [("edges", None, "missing field 'edges'"), ("cells", 5, "ill-typed field"),
+         # A column whose centre no double holds.
+         ("cells", lambda cells: [[10**400, *cells[0][1:]], *cells[1:]], "ill-typed field")],
+        ids=["no-edges", "int-cells", "huge-column"],
     )
     def test_malformed_record_is_one_error_line(
         self, dataset, tmp_path, capsys, command, field, value, says
@@ -464,6 +466,8 @@ class TestFileBoundary:
         rec = json.loads(lines[1])
         if value is None:
             del rec[field]
+        elif callable(value):
+            rec[field] = value(rec[field])
         else:
             rec[field] = value
         bad = tmp_path / "bad.jsonl"
@@ -511,13 +515,15 @@ class TestFileBoundary:
     @pytest.mark.parametrize(
         "field, literal",
         [("latency_ms", "NaN"), ("turns_rad", "Infinity"), ("distance_norm", "-Infinity"),
-         ("latency_ms", "1e999")],
-        ids=["latency-nan", "turns-inf", "distance-minus-inf", "latency-1e999"],
+         ("latency_ms", "1e999"), ("latency_ms", "1" + "0" * 400)],
+        ids=["latency-nan", "turns-inf", "distance-minus-inf", "latency-1e999",
+             "latency-huge-int"],
     )
     def test_non_finite_result_number_is_refused(
         self, dataset, results, tmp_path, capsys, field, literal
     ):
-        # json reads each literal as a float, and 1e999 as inf.
+        # json reads each literal but the last as a float, and 1e999 as inf;
+        # the last is an integer past the double range, which reads as inf.
         dpath, _ = dataset
         rpath, _ = results
         bad = _relabel(rpath, tmp_path / "nonfinite.jsonl", 2, **{field: "@"})
@@ -578,8 +584,8 @@ class TestFileBoundary:
         with pytest.raises(DatasetError, match=":3: schema"):
             load_results(res, load_instances(dpath))
 
-    # 1 == True, so only `_audited` refuses the second: the round trip
-    # compares fields with ==.
+    # 1 == True, so only the `audited_feasible` check in record_to_instance
+    # refuses the second: the round trip compares fields with ==.
     @pytest.mark.parametrize("flag", [False, 1])
     def test_unaudited_instance_rejected(self, dataset, tmp_path, flag):
         dpath, _ = dataset

@@ -5,17 +5,25 @@ import zlib
 
 import numpy as np
 import pytest
-from conftest import chain_graph, random_small_graph, ring6_graph, tessellate_one
+from conftest import chain_graph, face_neighbors, random_small_graph, ring6_graph, tessellate_one
 
 from hexcover.aoi import insert_obstacles, sample_aoi
 from hexcover.graphbuild import GenerationConfig, attach_base, choose_family, postprocess_mask
-from hexcover.lattice import InvalidParameterError, OffsetCoord, Point, graph_from_coords
+from hexcover.lattice import (
+    InvalidParameterError,
+    OffsetCoord,
+    Point,
+    exterior_boundary,
+    graph_from_coords,
+)
 from hexcover.metrics import STATUS_HAMILTONIAN, validate_path
 from hexcover.oracle import (
     ALL_PRUNES,
     DFS_NODE_CAP,
     PRUNE_CUT,
     PRUNE_TERMINAL,
+    _adjacency_masks,
+    _dfs,
     brute_force_enumerate,
     frontier_audit,
     hamiltonian_audit,
@@ -118,7 +126,35 @@ class TestAudit:
         )
         res = hamiltonian_audit(g)
         assert res.feasible is False
-        assert res.nodes_expanded == 0
+        assert res.witness is None
+
+    def test_search_decides_two_piece_graphs(self):
+        # No connectivity pass runs before the search: it must dead-end in
+        # the piece it starts in, and cut-cell then refuses every node.
+        def piece(rng, size, col0):
+            """`size` cells grown one face neighbour at a time inside
+            the 7 x 7 box from column `col0`."""
+            cells = [OffsetCoord(col0, 0)]
+            while len(cells) < size:
+                grown = sorted({nb for c in cells for nb in face_neighbors(c)
+                                if col0 <= nb.col < col0 + 7 and 0 <= nb.row < 7} - set(cells))
+                cells.append(grown[int(rng.integers(len(grown)))])
+            return cells
+
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            total = int(rng.integers(2, 47))
+            split = int(rng.integers(1, total))
+            # Columns 7 and 8 stay empty, so no cell of one piece touches the other.
+            coords = sorted(piece(rng, split, 0) + piece(rng, total - split, 9))
+            boundary = sorted(exterior_boundary(frozenset(coords)))
+            k = int(rng.integers(1, min(15, len(boundary)) + 1))
+            links = sorted(coords.index(boundary[i])
+                           for i in rng.choice(len(boundary), size=k, replace=False))
+            g = graph_from_coords(coords, 1.0, links, links, Point(-3.0, 3.0))
+            # _dfs answers None past DFS_NODE_CAP, so False is decided within it.
+            assert _dfs(g, _adjacency_masks(g), ALL_PRUNES)[:2] == (False, None)
+            assert frontier_audit(g).feasible is False
 
     def test_deterministic_node_counts(self):
         g = ring6_graph()
