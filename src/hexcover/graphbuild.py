@@ -427,9 +427,10 @@ def _finish(family_hint: str, seed: int, shape: AoiShape, mask: HexMask, config)
     except BaseAttachmentError as exc:
         return Rejection(seed, family_hint, "base-attachment", str(exc))
 
-    if not hamiltonian_audit(graph).feasible:
+    audit = hamiltonian_audit(graph)
+    if not audit.feasible:
         return Rejection(seed, family_hint, "infeasible")
-    return Instance(seed, shape.family_hint, shape.morphology, graph)
+    return Instance(seed, shape.family_hint, shape.morphology, graph, audit.witness)
 
 
 def build_block(seeds: Sequence[tuple[str, int]], config: GenerationConfig) -> list:

@@ -6,10 +6,12 @@ sits next to each dataset with the generation config, rejection tallies, and
 a payload checksum, so a dataset can be regenerated and verified bit for bit.
 
 This module imports only the instance model (`hexcover.lattice`) when it
-loads. What it takes from the generation pipeline (for `generate`) and from
-the planners and metrics (for `run` and `report`) is bound on first use, so
-each command compiles only the modules it runs: `audit` loads the model and
-the oracle, and neither the generation modules nor the planners.
+loads. What it takes from the generation pipeline (for `generate`), the
+metrics (for `audit`, `run` and `report`) and the planners (for `run` and
+`report`) is bound on first use, so each command compiles only the modules
+it runs: `audit` loads the model and `metrics`, whose walk grader checks
+each record's witness, and neither the oracle, the generation modules nor
+the planners.
 """
 
 from __future__ import annotations
@@ -45,7 +47,10 @@ from hexcover.lattice import (
 # `__getattr__` (PEP 562) when it is looked up from outside.
 _LAZY = {
     "graphbuild": ("BLOCK_SEEDS", "GenerationConfig", "Rejection", "build_block", "choose_family"),
-    "metrics": ("SummaryRow", "aggregate_summary", "compute_path_metrics", "validate_path"),
+    "metrics": (
+        "STATUS_HAMILTONIAN", "MalformedWalkError", "SummaryRow", "aggregate_summary",
+        "compute_path_metrics", "validate_path",
+    ),
     "planners": ("METHOD_ORDER", "PLANNERS", "WARNSDORFF_SLUGS", "_spec", "timed_plan"),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
@@ -70,7 +75,7 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-DATASET_SCHEMA = "hexcover-dataset/2"
+DATASET_SCHEMA = "hexcover-dataset/3"
 RESULTS_SCHEMA = "hexcover-results/1"
 # The keys of a results record, each written by `run` and read by `report`.
 RESULT_FIELDS = frozenset((
@@ -165,6 +170,7 @@ def instance_to_record(inst: Instance) -> dict:
         "base_links": list(g.base_links),
         "terminal_links": list(g.terminal_links),
         "audited_feasible": True,
+        "witness": list(inst.witness),
     }
 
 
@@ -172,17 +178,20 @@ def record_to_instance(rec: dict) -> Instance:
     """The instance a dataset record describes.
 
     The instance is built from the record's seed, family, compactness,
-    aspect, hex_radius, frame, base, cell coordinates and base_links, the
-    last for both link sets. Every other field, the id and the morphology
+    aspect, hex_radius, frame, base, cell coordinates, base_links (for both
+    link sets) and witness. Every other field, the id and the morphology
     label among them, is derived from those, so the record is refused unless
     `instance_to_record` writes it back unchanged. Before that, it is refused
     unless its `audited_feasible` is JSON true: the round trip compares with
-    ==, and 1 == True. The seed must be a JSON integer, and each float it is
-    built from a finite JSON float. A link to a cell off the exterior
-    boundary is refused too: `attach_base` links only those cells. Each
-    refusal raises DatasetError naming the instance and the first field at
-    fault.
+    ==, and 1 == True. For the same reason the seed and each witness entry
+    must be JSON integers, and each float it is built from a finite JSON
+    float. A link to a cell off the exterior boundary is refused too:
+    `attach_base` links only those cells. Last, the witness must grade as a
+    Hamiltonian path of the graph, which certifies the instance feasible in
+    one pass over the walk. Each refusal raises DatasetError naming the
+    instance and the first field at fault.
     """
+    _bind("metrics")
     name = f"instance {rec.get('id')}"
     if rec.get("audited_feasible") is not True:
         raise DatasetError(f"{name} is not audited feasible")
@@ -190,6 +199,10 @@ def record_to_instance(rec: dict) -> Instance:
         m, frame, seed = rec["morphology"], rec["frame"], rec["seed"]
         if type(seed) is not int:
             raise TypeError(f"'seed' is {seed!r}, not an integer")
+        witness = tuple(rec["witness"])
+        for v in witness:
+            if type(v) is not int:
+                raise TypeError(f"'witness' holds {v!r}, not an integer")
         graph = graph_from_coords(
             [(int(c[0]), int(c[1])) for c in rec["cells"]],
             _json_number(rec["hex_radius"], "hex_radius", float),
@@ -208,6 +221,7 @@ def record_to_instance(rec: dict) -> Instance:
             str(rec["family_hint"]),
             MorphologyClass(label_from(compactness, aspect), compactness, aspect),
             graph,
+            witness,
         )
     except KeyError as exc:
         raise DatasetError(f"{name}: missing field {exc}") from exc
@@ -227,6 +241,12 @@ def record_to_instance(rec: dict) -> Instance:
     for i in graph.base_links:
         if graph.coords[i] not in boundary:
             raise DatasetError(f"{name}: link {i} is not an exterior-boundary cell")
+    try:
+        status, _ = validate_path(graph, witness)
+    except MalformedWalkError as exc:
+        raise DatasetError(f"{name}: witness is not a walk of the graph: {exc}") from exc
+    if status != STATUS_HAMILTONIAN:
+        raise DatasetError(f"{name}: witness grades {status}, not {STATUS_HAMILTONIAN}")
     return inst
 
 
@@ -549,16 +569,11 @@ def generate_dataset(
 
 
 def audit_dataset(path: str | Path) -> dict:
-    """Re-run the exact oracle on every instance; report failures."""
-    from hexcover.oracle import hamiltonian_audit
-
+    """Load every instance, which checks each record's witness, and count
+    them. A record whose witness is not a Hamiltonian path of its graph
+    fails the load, so every instance counted is feasible."""
     instances = load_instances(path)
-    infeasible = [inst.id for inst in instances if not hamiltonian_audit(inst.graph).feasible]
-    return {
-        "total": len(instances),
-        "feasible": len(instances) - len(infeasible),
-        "infeasible_ids": infeasible,
-    }
+    return {"total": len(instances), "feasible": len(instances)}
 
 
 # ---------------------------------------------------------------------------

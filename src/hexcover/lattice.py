@@ -253,12 +253,18 @@ def label_from(compactness: float, aspect: float) -> str:
 
 
 class Instance(NamedTuple):
-    """An admitted instance: what a dataset record holds, and all it holds."""
+    """An admitted instance: what a dataset record holds, and all it holds.
+
+    `witness` is the base->terminal walk through every cell once that the
+    admission audit found: the certificate a loader checks the instance's
+    feasibility by, in one pass over the walk.
+    """
 
     seed: int
     family_hint: str
     morphology: MorphologyClass
     graph: CoverageGraph
+    witness: tuple[int, ...]
 
     @property
     def id(self) -> str:

@@ -31,8 +31,17 @@ from hexcover.harness import (
     run_benchmark,
     write_report,
 )
-from hexcover.lattice import InvalidParameterError, exterior_boundary
+from hexcover.lattice import (
+    Instance,
+    InvalidParameterError,
+    MorphologyClass,
+    Point,
+    exterior_boundary,
+    graph_from_coords,
+    label_from,
+)
 from hexcover.metrics import STATUS_HAMILTONIAN
+from hexcover.oracle import hamiltonian_audit
 from hexcover.planners import METHOD_ORDER
 
 N_SMALL = 6
@@ -41,12 +50,19 @@ N_SMALL = 6
 # lines (the rule of perfbench/checks.results_digest). A refactor must leave
 # both as they are; a change to what is generated, planned or measured moves
 # them on purpose and updates them here.
-PINNED_DATASET_SHA256 = "767a2c7f82c32fd75df44a02278f2e8c2b5c9e09bd684bfd3d5982230b73e1c4"
+PINNED_DATASET_SHA256 = "e3b4cc661c68d55bab8ecb50c83d8530fc539821a24c928df3d164678a7b04fe"
 PINNED_RESULTS_DIGEST = "075151f3394d0a1fb8b79c61f5c69797471990608759eb1eebde6d57a31914c6"
 # SHA-256 of the 40 instances admitted from seeds 0-47 (two seeds infeasible,
 # six outside the size band, several with obstacle holes): every geometry
 # stage from sampling to base attachment, checked byte for byte.
-PINNED_SEEDS_0_47_SHA256 = "81bee7c5c5cec3e45208f0428ae6068588d4c5d097649bdf7c8a9f7f1c33d08d"
+PINNED_SEEDS_0_47_SHA256 = "598fb8d2f4f469d656a9e82a0052f982bd9fcc4b90dbc64eb15de427ccd998fd"
+# The same two datasets with each record's witness deleted and the schema
+# set back to hexcover-dataset/2: the bytes written before records carried
+# a witness, which adding one must leave as they were.
+PINNED_SCHEMA_2_SHA256 = {
+    N_SMALL: "767a2c7f82c32fd75df44a02278f2e8c2b5c9e09bd684bfd3d5982230b73e1c4",
+    40: "81bee7c5c5cec3e45208f0428ae6068588d4c5d097649bdf7c8a9f7f1c33d08d",
+}
 # The non-latency results digest of all 17 methods on that dataset.
 PINNED_SEEDS_0_47_RESULTS_DIGEST = (
     "de6c7ceca2f7fc0b3cf748ec3ad56aff80e32ab28968ceab02aff196a3573a93"
@@ -241,19 +257,49 @@ class TestAudit:
         report = audit_dataset(path)
         assert report["total"] == N_SMALL
         assert report["feasible"] == N_SMALL
-        assert report["infeasible_ids"] == []
 
     def test_mutated_dataset_detected(self, dataset, tmp_path, capsys):
         path, _ = dataset
         rec = json.loads(path.read_text().splitlines()[0])
         # One shared link: a path cannot start and end at the same cell, so
-        # the record loads but its instance is infeasible.
+        # the instance is infeasible, and its witness, which starts and ends
+        # at two linked cells, is no walk of the graph.
         b = rec["base_links"][0]
         mutated = _relabel(path, tmp_path / "m.jsonl", 1, base_links=[b], terminal_links=[b])
         code = cli_main(["audit", "--dataset", str(mutated)])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert f"INFEASIBLE: {rec['id']}" in out
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {mutated}:1: instance {rec['id']}: witness ")
+
+    def test_audit_runs_no_search(self, dataset, monkeypatch):
+        # Each record's witness is its certificate: no search runs.
+        from hexcover import oracle
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("audit ran a search")
+
+        for name in ("hamiltonian_audit", "_dfs", "frontier_audit"):
+            monkeypatch.setattr(oracle, name, no_search)
+        path, _ = dataset
+        assert audit_dataset(path) == {"total": N_SMALL, "feasible": N_SMALL}
+
+    def test_strip_deeper_than_the_recursion_limit_audits(self, tmp_path, capsys):
+        # One column of cells linked at both ends, longer than the recursion
+        # limit: `oracle._dfs` recurses once a cell, the witness check is one
+        # loop over the walk.
+        n = 1100
+        assert n > sys.getrecursionlimit()
+        g = graph_from_coords([(0, r) for r in range(n)], 1.0, [0, n - 1], [0, n - 1],
+                              Point(0.0, -3.0))
+        morphology = MorphologyClass(label_from(0.01, 1000.0), 0.01, 1000.0)
+        inst = Instance(0, "elongated", morphology, g, (g.base_node, *range(n), g.terminal_node))
+        path = tmp_path / "strip.jsonl"
+        path.write_text(harness._dump_line(harness.instance_to_record(inst)) + "\n")
+        code = cli_main(["audit", "--dataset", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out.splitlines() == ["instances: 1", "feasible: 1"]
 
     def test_empty_dataset_rejected(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -401,6 +447,17 @@ class TestFileBoundary:
         assert manifest.seeds_scanned == 48
         assert manifest.rejections == {"infeasible": 2, "size-band": 6}
         assert manifest.sha256 == PINNED_SEEDS_0_47_SHA256
+
+    @pytest.mark.parametrize("which", ["dataset", "seeds_0_47"])
+    def test_records_without_witness_are_the_schema_2_bytes(self, request, which):
+        path, manifest = request.getfixturevalue(which)
+        lines = []
+        for line in path.read_text().splitlines():
+            rec = json.loads(line)
+            del rec["witness"]
+            lines.append(harness._dump_line({**rec, "schema": "hexcover-dataset/2"}) + "\n")
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == PINNED_SCHEMA_2_SHA256[manifest.count]
 
     def test_pinned_report_of_seeds_0_to_47(self, seeds_0_47, tmp_path):
         dpath, _ = seeds_0_47
@@ -698,6 +755,25 @@ class TestReport:
             assert left == right
 
 
+def _lose_a_cell(lines: list[str]) -> tuple[int, dict]:
+    """(line number, record): the first record of `lines` that, without one
+    of its cells that has no link, is an infeasible instance, re-encoded
+    without that cell and with the witness it had. Everything but its
+    witness passes the loader's checks."""
+    for lineno, line in enumerate(lines, start=1):
+        inst = harness.record_to_instance(json.loads(line))
+        g = inst.graph
+        for k in range(g.n):
+            if k in g.base_links:
+                continue
+            links = [i - (i > k) for i in g.base_links]
+            lost = graph_from_coords(g.coords[:k] + g.coords[k + 1:], g.h, links, links,
+                                     g.base_pos, g.frame)
+            if not hamiltonian_audit(lost).feasible:
+                return lineno, harness.instance_to_record(inst._replace(graph=lost))
+    raise AssertionError("no cell's loss makes an instance infeasible")
+
+
 def _relabel(path: Path, out: Path, lineno: int, **fields) -> Path:
     """Copy a JSON-Lines file, overwriting `fields` in record `lineno` (1-based)."""
     lines = path.read_text().splitlines()
@@ -989,15 +1065,16 @@ print(json.dumps([code, sorted(sys.modules)]))
             return {m for m in loaded if m.split(".")[0] == "hexcover"}
 
         # Every command but --help reads the instance model; only generate
-        # compiles the generation modules, and only run and report the
-        # planners and metrics.
+        # compiles the generation modules and the oracle, and only run and
+        # report the planners. audit, run and report grade each record's
+        # witness with metrics.
         model = {"hexcover", "hexcover.cli", "hexcover.harness", "hexcover.lattice"}
         evaluate = model | {"hexcover.planners", "hexcover.metrics"}
         help_modules = modules("--help")
         assert ours(help_modules) == {"hexcover", "hexcover.cli"}
         assert not help_modules & heavy
         audit = modules("audit", "--dataset", data)
-        assert ours(audit) == model | {"hexcover.oracle"}
+        assert ours(audit) == model | {"hexcover.metrics"}
         assert not audit & heavy
         res = str(tmp_path / "r.jsonl")
         run = modules("run", "--dataset", data, "--methods", "all", "--workers", "1",
@@ -1230,6 +1307,67 @@ print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:")
         assert f"instance {fields.get('id', rec['id'])}: " in err[0]
+        assert not (tmp_path / "r.jsonl").exists()
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize(
+        "tamper, says",
+        [("swapped-cells", "witness is not a walk of the graph: "),
+         ("dropped-cell", "witness "),
+         ("float-entry", "ill-typed field: 'witness' holds 3.0, not an integer"),
+         ("bool-entry", "ill-typed field: 'witness' holds True, not an integer"),
+         ("cell-lost", "witness is not a walk of the graph: "),
+         ("revisited-cells", "witness grades CoverageSuccess, not HamiltonianSuccess")],
+        ids=["swapped-cells", "dropped-cell", "float-entry", "bool-entry", "cell-lost",
+             "revisited-cells"],
+    )
+    @pytest.mark.parametrize("command", ["audit", "run-1", "run-2", "report"])
+    def test_record_whose_witness_is_no_hamiltonian_path_is_refused(
+        self, dataset, seeds_0_47, results, tmp_path, capsys, command, tamper, says
+    ):
+        # With no manifest beside the file, only the record can show the
+        # edit. 3.0 == 3 and True == 1, so the retyped entries write back
+        # equal and grade as the integers would: only the type check can
+        # refuse them.
+        dpath, _ = seeds_0_47 if tamper == "cell-lost" else dataset
+        lines = dpath.read_text().splitlines()
+        if tamper == "cell-lost":
+            lineno, rec = _lose_a_cell(lines)
+        else:
+            lineno = 2
+            rec = json.loads(lines[lineno - 1])
+            witness = rec["witness"]
+            if tamper == "swapped-cells":
+                k = len(witness) // 2
+                witness[1], witness[k] = witness[k], witness[1]
+            elif tamper == "dropped-cell":
+                del witness[len(witness) // 2]
+            elif tamper == "revisited-cells":
+                # Back to the first cell and on again: a walk, but no path.
+                witness[3:3] = witness[1:3]
+            else:
+                retyped = 3.0 if tamper == "float-entry" else True
+                witness[witness.index(int(retyped))] = retyped
+        edited = tmp_path / "d.jsonl"
+        lines[lineno - 1] = json.dumps(rec)
+        edited.write_text("\n".join(lines) + "\n")
+        res = tmp_path / "res.jsonl"
+        res.write_bytes(results[0].read_bytes())
+        run = ["run", "--dataset", str(edited), "--methods", "morton",
+               "--out", str(tmp_path / "r.jsonl")]
+        argv = {
+            "audit": ["audit", "--dataset", str(edited)],
+            "run-1": [*run, "--workers", "1"],
+            "run-2": [*run, "--workers", "2"],
+            "report": ["report", "--results", str(res), "--dataset", str(edited),
+                       "--out", str(tmp_path / "rep")],
+        }[command]
+        code = cli_main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {edited}:{lineno}: instance {rec['id']}: {says}")
         assert not (tmp_path / "r.jsonl").exists()
         assert not (tmp_path / "rep").exists()
 

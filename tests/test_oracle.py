@@ -8,7 +8,16 @@ import pytest
 from conftest import chain_graph, face_neighbors, random_small_graph, ring6_graph, tessellate_one
 
 from hexcover.aoi import insert_obstacles, sample_aoi
-from hexcover.graphbuild import GenerationConfig, attach_base, choose_family, postprocess_mask
+from hexcover.graphbuild import (
+    BLOCK_SEEDS,
+    GenerationConfig,
+    Rejection,
+    attach_base,
+    build_block,
+    choose_family,
+    postprocess_mask,
+)
+from hexcover.harness import instance_to_record
 from hexcover.lattice import (
     InvalidParameterError,
     OffsetCoord,
@@ -304,6 +313,22 @@ class TestPrunesKeepTheWitness:
         assert len(rows) == AUDITED_SEEDS_0_199
         blob = json.dumps(rows, separators=(",", ":")).encode()
         assert hashlib.sha256(blob).hexdigest() == PINNED_WITNESSES_0_199
+
+    def test_records_of_seeds_0_199_store_the_audit_witness(self):
+        # A record's witness is the one its admission audit found, so the
+        # pin above pins it too, and a change to the search moves dataset
+        # bytes. Every seed the audit finds feasible is admitted.
+        config = GenerationConfig()
+        audits = dict(audits_of_seeds_0_199())
+        stored = {}
+        for seeds in (range(s, s + BLOCK_SEEDS) for s in range(0, 200, BLOCK_SEEDS)):
+            outs = build_block([(choose_family(s, config), s) for s in seeds], config)
+            for out in outs:
+                if not isinstance(out, Rejection):
+                    stored[out.seed] = instance_to_record(out)["witness"]
+        assert stored == {
+            seed: list(res.witness) for seed, res in audits.items() if res.feasible
+        }
 
     def test_nodes_of_seeds_0_199_pinned(self):
         # A prune that decides only states another rule already refuses
