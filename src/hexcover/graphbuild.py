@@ -39,6 +39,7 @@ from hexcover.hexgeom import (
 )
 from hexcover.lattice import (
     SQRT3,
+    CellBoard,
     CoverageGraph,
     InvalidGeometryError,
     InvalidParameterError,
@@ -49,7 +50,6 @@ from hexcover.lattice import (
     _json_number,
     exterior_boundary,
     graph_from_coords,
-    neighbor_offsets,
     offset_to_center,
 )
 
@@ -159,43 +159,15 @@ def tessellate(lattices: Sequence[Lattice], h: float) -> list[HexMask]:
 # Mask post-processing
 
 
-def _neighbor_table(cells) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """Each cell's face neighbours in `cells`, as (col, row) tuples."""
-    return {
-        (col, row): [
-            nb for dc, dr in neighbor_offsets(col) if (nb := (col + dc, row + dr)) in cells
-        ]
-        for col, row in cells
-    }
-
-
-def _components(cells, table) -> list[set[tuple[int, int]]]:
-    """The face-connected components of `cells`, walked over their neighbour table."""
-    unseen = set(cells)
-    comps = []
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for nb in table[c]:
-                    if nb in unseen and nb not in comp:
-                        comp.add(nb)
-                        nxt.append(nb)
-            frontier = nxt
-        comps.append(comp)
-        unseen -= comp
-    return comps
-
-
 def postprocess_mask(mask) -> frozenset[OffsetCoord]:
     """Largest component, then iterated dead-end removal.
 
-    Idempotent and strictly non-expanding. Both rules read one table of each
-    cell's neighbours in the mask. Of equal-size largest components the one
-    with the least cell is kept. Raises DegenerateInstanceError if the rules
+    Idempotent and strictly non-expanding. Both rules run on the mask's
+    `CellBoard`. The components are flooded from the lowest set bit of what
+    is left, in (col, row) order, and of equal-size largest components the
+    one with the least cell is kept. Each dead-end round drops every cell
+    with exactly one neighbour, counted over the six face-step images of the
+    board, until none is left. Raises DegenerateInstanceError if the rules
     empty the mask.
 
     The result is face-connected (dead-end removal takes only leaves), so
@@ -204,23 +176,33 @@ def postprocess_mask(mask) -> frozenset[OffsetCoord]:
     consecutive edges of the connected curve between the mask and the
     unbounded complement are the same cell or face neighbours.
     """
-    cells = {(col, row) for col, row in mask}
-    if not cells:
+    if not mask:
         raise DegenerateInstanceError("empty mask")
-    table = _neighbor_table(cells)
+    cells = list(mask)
+    board = CellBoard(cells)
 
-    comps = sorted(_components(cells, table), key=lambda comp: (-len(comp), min(comp)))
-    cells = comps[0]
+    rest, kept = board.occupied, 0
+    while rest:
+        comp = board.flood(rest & -rest, rest)
+        if comp.bit_count() > kept.bit_count():
+            kept = comp
+        rest &= ~comp
 
-    # Dead-end stubs: removing one can expose another, so run to a fixed point.
+    # Dead-end stubs: removing one can expose another, so run to a fixed
+    # point. `one` and `two` are the bit-sliced neighbour counts, saturated
+    # at two.
     while True:
-        dead = [c for c in cells if sum(nb in cells for nb in table[c]) == 1]
+        one = two = 0
+        for step in board.steps(kept):
+            two |= one & step
+            one |= step
+        dead = kept & one & ~two
         if not dead:
             break
-        cells -= set(dead)
-    if not cells:
+        kept &= ~dead
+    if not kept:
         raise DegenerateInstanceError("dead-end removal emptied the mask")
-    return frozenset(OffsetCoord(col, row) for col, row in cells)
+    return frozenset(OffsetCoord(*c) for c, i in zip(cells, board.bits) if kept >> i & 1)
 
 
 # ---------------------------------------------------------------------------

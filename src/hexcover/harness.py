@@ -185,11 +185,14 @@ def record_to_instance(rec: dict) -> Instance:
     unless its `audited_feasible` is JSON true: the round trip compares with
     ==, and 1 == True. For the same reason the seed and each witness entry
     must be JSON integers, and each float it is built from a finite JSON
-    float. A link to a cell off the exterior boundary is refused too:
-    `attach_base` links only those cells. Last, the witness must grade as a
-    Hamiltonian path of the graph, which certifies the instance feasible in
-    one pass over the walk. Each refusal raises DatasetError naming the
-    instance and the first field at fault.
+    float. Then the witness must grade as a Hamiltonian path of the graph,
+    which certifies the instance feasible in one pass over the walk. Last, a
+    link to a cell off the exterior boundary is refused: `attach_base` links
+    only those cells. That check floods the cells' bounding box, so it runs
+    only once the witness has shown the cells face-connected, which bounds
+    the box by the cell count; a record with one far-off cell is refused by
+    its witness in time linear in its size. Each refusal raises DatasetError
+    naming the instance and the first field at fault.
     """
     _bind("metrics")
     name = f"instance {rec.get('id')}"
@@ -237,16 +240,16 @@ def record_to_instance(rec: dict) -> Instance:
         key = next(k for k in rec if k not in written or written[k] != rec[k])
         problem = "does not round-trip" if key in written else "is not a dataset field"
         raise DatasetError(f"{name}: field {key!r} {problem}")
-    boundary = exterior_boundary(frozenset(graph.coords))
-    for i in graph.base_links:
-        if graph.coords[i] not in boundary:
-            raise DatasetError(f"{name}: link {i} is not an exterior-boundary cell")
     try:
         status, _ = validate_path(graph, witness)
     except MalformedWalkError as exc:
         raise DatasetError(f"{name}: witness is not a walk of the graph: {exc}") from exc
     if status != STATUS_HAMILTONIAN:
         raise DatasetError(f"{name}: witness grades {status}, not {STATUS_HAMILTONIAN}")
+    boundary = exterior_boundary(graph.coords)
+    for i in graph.base_links:
+        if graph.coords[i] not in boundary:
+            raise DatasetError(f"{name}: link {i} is not an exterior-boundary cell")
     return inst
 
 

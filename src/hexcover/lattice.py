@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 SQRT3 = math.sqrt(3.0)
 
@@ -49,6 +49,10 @@ class Point(NamedTuple):
 # (col, row) order.
 _EVEN_COL_NEIGHBORS = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, 0), (1, 1))
 _ODD_COL_NEIGHBORS = ((-1, -1), (-1, 0), (0, -1), (0, 1), (1, -1), (1, 0))
+# The last three of each: the steps to the neighbours after a cell in
+# (col, row) order.
+_EVEN_COL_GREATER = _EVEN_COL_NEIGHBORS[3:]
+_ODD_COL_GREATER = _ODD_COL_NEIGHBORS[3:]
 
 
 def offset_to_center(c: OffsetCoord, h: float) -> Point:
@@ -100,8 +104,11 @@ class CoverageGraph:
     are joined exactly when they are face-adjacent. The base node is n and
     the terminal node n+1. Both virtual nodes share one physical position and
     one set of linked outer-ring cells. `coords` holds the lattice coordinate
-    of every cell and `positions` the point of every node id, the two virtual
-    nodes included. `adjacency[v]` holds the ascending neighbours of node v,
+    of every cell as a plain `(col, row)` tuple, and `positions` the world
+    point of every node id as a plain `(x, y)` tuple, the two virtual nodes
+    included (both are `base_pos`). A plain tuple compares and hashes as the
+    OffsetCoord or Point of the same values does, and costs a fraction of
+    one to build. `adjacency[v]` holds the ascending neighbours of node v,
     and `internal_adjacency[i]` the neighbour cells of cell i.
     """
 
@@ -114,7 +121,7 @@ class CoverageGraph:
         base_pos: Point,
         frame: LatticeFrame,
     ):
-        self.coords = coords = tuple(sorted(OffsetCoord(*c) for c in coords))
+        self.coords = coords = tuple(sorted((col, row) for col, row in coords))
         self.h = h
         self.frame = frame
         self.base_pos = base_pos
@@ -131,7 +138,7 @@ class CoverageGraph:
         centers = []
         for col, row in coords:
             x, y = col_w * col, row_h * (row - 0.5 * (col & 1))
-            centers.append(Point(ox + ca * x - sa * y, oy + sa * x + ca * y))
+            centers.append((ox + ca * x - sa * y, oy + sa * x + ca * y))
         self.positions = (*centers, base_pos, base_pos)
         if not self.base_links or not self.terminal_links:
             raise InvalidParameterError("base and terminal must link to at least one cell")
@@ -139,21 +146,22 @@ class CoverageGraph:
         if min(links) < 0 or max(links) >= n:
             raise InvalidParameterError("link index out of range")
 
-        # Plain (col, row) tuples hash and compare as the OffsetCoord keys do.
-        # The offsets ascend and so do the indices of ascending coordinates,
-        # so each row of neighbours comes out ascending.
+        # Each edge is looked up once, from its lesser cell. Cell i gets its
+        # lesser neighbours, ascending, while the cells before it are
+        # walked, and then its greater ones, whose offsets ascend as their
+        # indices do, so each row of neighbours comes out ascending.
         index = {c: i for i, c in enumerate(coords)}
         if len(index) < n:
             raise InvalidParameterError("repeated cell coordinate")
-        internal = []
-        for col, row in coords:
-            nbrs = []
-            for dc, dr in neighbor_offsets(col):
-                j = index.get((col + dc, row + dr))
+        get = index.get
+        neighbours = [[] for _ in coords]
+        for i, (col, row) in enumerate(coords):
+            for dc, dr in _ODD_COL_GREATER if col & 1 else _EVEN_COL_GREATER:
+                j = get((col + dc, row + dr))
                 if j is not None:
-                    nbrs.append(j)
-            internal.append(tuple(nbrs))
-        self.internal_adjacency = tuple(internal)
+                    neighbours[i].append(j)
+                    neighbours[j].append(i)
+        self.internal_adjacency = internal = tuple(map(tuple, neighbours))
 
         # A linked cell's row ends with the base, then the terminal.
         full = [*internal, self.base_links, self.terminal_links]
@@ -184,49 +192,88 @@ def graph_from_coords(
     return CoverageGraph(coords, h, base_links, terminal_links, base_pos, fr)
 
 
-def exterior_boundary(cells: frozenset[OffsetCoord] | set[OffsetCoord]) -> set[OffsetCoord]:
-    """Mask cells adjacent to the unbounded complement region.
+class CellBoard:
+    """A cell set as bits of one integer, and the face steps between bits.
 
-    The complement is flood-filled inside the cells' bounding box grown by
-    one, held as one integer: box column k takes bits k*s .. k*s + height - 1
-    with s = height + 1, and the bit left over between columns stays clear,
-    so no shift carries a row off one column into the next. A cell's
-    neighbours are 1 and s bits away, and s + 1 or s - 1 bits away as its
-    column is even or odd (`neighbor_offsets`).
+    The board is the cells' bounding box grown by one cell on every side.
+    Box column k takes bits k*s .. k*s + height - 1 with s = height + 1, and
+    the guard bit left over between columns is never a cell, so no shift
+    carries a row off one column into the next. A cell's neighbours are 1
+    and s bits away, and s + 1 or s - 1 bits away as its column is even or
+    odd (`neighbor_offsets`). Bit order is (col, row) order. `bits[k]` is
+    the bit of the k-th cell given, and `occupied` the set of all of them.
     """
-    if not cells:
-        return set()
-    cells = list(cells)  # one order for cols, rows and bits
-    cols = [c[0] for c in cells]
-    rows = [c[1] for c in cells]
-    lo_c, lo_r = min(cols) - 1, min(rows) - 1
-    height = max(rows) - lo_r + 2
-    s = height + 1
-    bits = [(col - lo_c) * s + row - lo_r for col, row in zip(cols, rows)]
-    column = (1 << height) - 1
-    even = odd = 0
-    for k in range(max(cols) - lo_c + 2):
-        if (lo_c + k) & 1:
-            odd |= column << k * s
-        else:
-            even |= column << k * s
-    occupied = 0
-    for i in bits:
-        occupied |= 1 << i
-    free = (even | odd) & ~occupied
 
-    def grow(x: int) -> int:
-        e, o = x & even, x & odd
+    __slots__ = ("bits", "occupied", "_s", "_even", "_odd", "_rim")
+
+    def __init__(self, cells: Sequence[tuple[int, int]]):
+        cols = [c[0] for c in cells]
+        rows = [c[1] for c in cells]
+        lo_c, lo_r = min(cols) - 1, min(rows) - 1
+        height = max(rows) - lo_r + 2
+        width = max(cols) - lo_c + 2
+        self._s = s = height + 1
+        self.bits = bits = [(col - lo_c) * s + row - lo_r for col, row in zip(cols, rows)]
+        column = (1 << height) - 1
+        ends = 1 | 1 << (height - 1)
+        even = odd = 0
+        rim = column | column << (width - 1) * s
+        for k in range(width):
+            if (lo_c + k) & 1:
+                odd |= column << k * s
+            else:
+                even |= column << k * s
+            rim |= ends << k * s
+        self._even, self._odd, self._rim = even, odd, rim
+        occupied = 0
+        for i in bits:
+            occupied |= 1 << i
+        self.occupied = occupied
+
+    def steps(self, x: int) -> tuple[int, ...]:
+        """The six images of bit set `x` one face step away, one per
+        direction, so a box bit is set in as many of them as it has
+        neighbours in `x`. Guard and out-of-box bits may be set too."""
+        s, e, o = self._s, x & self._even, x & self._odd
         return (
-            x | x << 1 | x >> 1 | x << s | x >> s
-            | e << (s + 1) | e >> (s - 1) | o << (s - 1) | o >> (s + 1)
+            x << 1, x >> 1, x << s, x >> s,
+            e << (s + 1) | o << (s - 1), e >> (s - 1) | o >> (s + 1),
         )
 
-    outside, seen = 1, 0  # bit 0 is the box corner (lo_c, lo_r), never a cell
-    while outside != seen:
-        seen, outside = outside, grow(outside) & free
-    touched = grow(outside)
-    return {c for c, i in zip(cells, bits) if touched >> i & 1}
+    def grow(self, x: int) -> int:
+        """`x` and every bit one face step from it."""
+        a, b, c, d, e, f = self.steps(x)
+        return x | a | b | c | d | e | f
+
+    def flood(self, seed: int, within: int) -> int:
+        """The bits of `within` face-connected to `seed` through `within`."""
+        reached, seen = seed & within, 0
+        while reached != seen:
+            seen, reached = reached, self.grow(reached) & within
+        return reached
+
+    def exterior(self) -> int:
+        """The bits of the cells adjacent to the unbounded complement: the
+        free box bits flooded from the box's rim, which no cell is on, then
+        grown one step onto the cells.
+
+        The flood takes time with the box, not the cell count, so a caller
+        that cannot bound the box checks the cells connected first.
+        """
+        outside = self.flood(self._rim, (self._even | self._odd) & ~self.occupied)
+        return self.grow(outside) & self.occupied
+
+
+def exterior_boundary(cells: Iterable[tuple[int, int]]) -> set:
+    """The cells of `cells` adjacent to the unbounded complement region (see
+    `CellBoard.exterior`), as the elements of `cells` they are: OffsetCoords
+    for a mask."""
+    if not cells:
+        return set()
+    cells = list(cells)  # one order for cells and bits
+    board = CellBoard(cells)
+    touched = board.exterior()
+    return {c for c, i in zip(cells, board.bits) if touched >> i & 1}
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def sweep_rows(g: CoverageGraph) -> tuple[tuple[int, ...], ...]:
     """
     rows: dict[int, list[int]] = {}
     for i, c in enumerate(g.coords):
-        rows.setdefault(c.row, []).append(i)
+        rows.setdefault(c[1], []).append(i)
     return tuple(tuple(rows[r]) for r in sorted(rows))
 
 
@@ -298,7 +298,7 @@ def _angular_ring_order(g: CoverageGraph, ring: Sequence[int], around, start_nea
     cx, cy = around
     keyed = sorted(
         ring,
-        key=lambda i: (math.atan2(g.positions[i].y - cy, g.positions[i].x - cx), i),
+        key=lambda i: (math.atan2(g.positions[i][1] - cy, g.positions[i][0] - cx), i),
     )
     start = min(keyed, key=lambda i: (_euclid(g, start_near, i), i))
     k = keyed.index(start)
@@ -615,8 +615,8 @@ def morton_code(qx: int, qy: int) -> int:
 
 
 def morton_order(g: CoverageGraph, bits: int = 16) -> list[int]:
-    xs = [g.positions[i].x for i in range(g.n)]
-    ys = [g.positions[i].y for i in range(g.n)]
+    xs = [g.positions[i][0] for i in range(g.n)]
+    ys = [g.positions[i][1] for i in range(g.n)]
     lo_x, lo_y = min(xs), min(ys)
     span_x = max(xs) - lo_x
     span_y = max(ys) - lo_y

@@ -185,7 +185,7 @@ def edge_lengths_ok(g: CoverageGraph) -> bool:
     target = math.sqrt(3.0) * g.h
     for i in range(g.n):
         for j in g.internal_adjacency[i]:
-            pi, pj = g.positions[i], g.positions[j]
-            if abs(math.hypot(pj.x - pi.x, pj.y - pi.y) - target) > 1e-9 * target:
+            (xi, yi), (xj, yj) = g.positions[i], g.positions[j]
+            if abs(math.hypot(xj - xi, yj - yi) - target) > 1e-9 * target:
                 return False
     return True

@@ -268,7 +268,7 @@ class TestExteriorBoundary:
 
 # ---------------------------------------------------------------------------
 # Mask post-processing against the reference: the per-cell face_neighbors
-# walks that the neighbour table replaced.
+# walks that the bitboard passes replaced.
 
 
 def reference_components(cells):
@@ -494,7 +494,7 @@ class TestAttachBase:
         ordered = sorted(coords)
         # Cells on the far (west) side of the slot are occluded.
         west_wall = [i for i, c in enumerate(ordered)
-                     if g.positions[i].x < -4.0 and abs(g.positions[i].y) < 1.5]
+                     if g.positions[i][0] < -4.0 and abs(g.positions[i][1]) < 1.5]
         assert west_wall, "fixture should have far-wall cells"
         for i in west_wall:
             assert i not in g.base_links
@@ -702,7 +702,7 @@ class TestGraphMatchesReference:
         assert g.coords == ref_coords
         assert g.internal_adjacency == ref_internal
         assert g.adjacency == ref_full
-        as_hex = lambda points: [(p.x.hex(), p.y.hex()) for p in points]
+        as_hex = lambda points: [(x.hex(), y.hex()) for x, y in points]
         assert as_hex(g.positions[: g.n]) == as_hex(ref_positions)
         assert g.positions[g.n:] == (base_pos, base_pos)
 

@@ -774,6 +774,15 @@ def _lose_a_cell(lines: list[str]) -> tuple[int, dict]:
     raise AssertionError("no cell's loss makes an instance infeasible")
 
 
+def _far_cell_record() -> dict:
+    """A record of cells (0, 0), (0, 1) and (10**6, 0), whose witness skips
+    the far cell: it writes back unchanged, and its witness grades Fail."""
+    g = graph_from_coords([(0, 0), (0, 1), (10**6, 0)], 1.0, [0, 1], [0, 1], Point(0.0, -3.0))
+    morphology = MorphologyClass(label_from(0.5, 1.0), 0.5, 1.0)
+    inst = Instance(0, "compact", morphology, g, (g.base_node, 0, 1, g.terminal_node))
+    return harness.instance_to_record(inst)
+
+
 def _relabel(path: Path, out: Path, lineno: int, **fields) -> Path:
     """Copy a JSON-Lines file, overwriting `fields` in record `lineno` (1-based)."""
     lines = path.read_text().splitlines()
@@ -1370,6 +1379,42 @@ print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
         assert err.startswith(f"error: {edited}:{lineno}: instance {rec['id']}: {says}")
         assert not (tmp_path / "r.jsonl").exists()
         assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("command", ["audit", "run-1", "run-2", "report"])
+    def test_record_with_a_far_off_cell_is_refused_by_its_witness(
+        self, results, tmp_path, command
+    ):
+        # The exterior-boundary flood takes time with the cells' bounding
+        # box, here a million columns wide. The witness check comes first
+        # and refuses the record in time linear in its size.
+        data = tmp_path / "far.jsonl"
+        data.write_text(harness._dump_line(_far_cell_record()) + "\n")
+        res = tmp_path / "res.jsonl"
+        res.write_bytes(results[0].read_bytes())
+        run = ["run", "--dataset", str(data), "--out", str(tmp_path / "r.jsonl")]
+        argv = {
+            "audit": ["audit", "--dataset", str(data)],
+            "run-1": [*run, "--workers", "1"],
+            "run-2": [*run, "--workers", "2"],
+            "report": ["report", "--results", str(res), "--dataset", str(data),
+                       "--out", str(tmp_path / "rep")],
+        }[command]
+        code = "import sys\nfrom hexcover.cli import main\nsys.exit(main(sys.argv[1:]))"
+        proc = run_python(code, *argv, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"error: {data}:1: instance hx0000000000: witness ")
+        assert not (tmp_path / "r.jsonl").exists()
+        assert not (tmp_path / "rep").exists()
+
+    def test_loader_grades_the_witness_before_the_exterior_flood(self, monkeypatch):
+        def flood(cells):
+            raise AssertionError("the loader reached exterior_boundary")
+
+        monkeypatch.setattr(harness, "exterior_boundary", flood)
+        with pytest.raises(DatasetError, match="witness grades Fail, not HamiltonianSuccess"):
+            harness.record_to_instance(_far_cell_record())
 
     @pytest.mark.parametrize(
         "tamper, literal",

@@ -352,7 +352,7 @@ def test_float_sums_do_not_depend_on_builtin_sum(monkeypatch):
         return [f([ring_signed_area(h) for h in poly.holes]) for f in (plain_sum, compensated_sum)]
 
     def centroid_sums(g, cells):
-        return [(f(g.positions[i].x for i in cells), f(g.positions[i].y for i in cells))
+        return [(f(g.positions[i][0] for i in cells), f(g.positions[i][1] for i in cells))
                 for f in (plain_sum, compensated_sum)]
 
     # The compensated sum rounds every case differently somewhere.

@@ -65,8 +65,8 @@ def ref_path_distance(g, walk):
     pos = g.positions
     total = 0.0
     for a, b in zip(walk, walk[1:]):
-        pa, pb = pos[a], pos[b]
-        total += math.hypot(pb.x - pa.x, pb.y - pa.y)
+        (ax, ay), (bx, by) = pos[a], pos[b]
+        total += math.hypot(bx - ax, by - ay)
     return total / r
 
 
@@ -74,8 +74,8 @@ def ref_path_turns(g, walk):
     pos = g.positions
     headings = []
     for a, b in zip(walk, walk[1:]):
-        pa, pb = pos[a], pos[b]
-        dx, dy = pb.x - pa.x, pb.y - pa.y
+        (ax, ay), (bx, by) = pos[a], pos[b]
+        dx, dy = bx - ax, by - ay
         if dx == 0.0 and dy == 0.0:
             continue
         headings.append(math.atan2(dy, dx))

@@ -203,8 +203,8 @@ class TestSweeps:
         # direction; fly-backs happen in the reconnection segments.
         order = row_oneway_order(g)
         for r in range(3):
-            row_targets = [i for i in order if g.coords[i].row == r]
-            cols = [g.coords[i].col for i in row_targets]
+            row_targets = [i for i in order if g.coords[i][1] == r]
+            cols = [g.coords[i][0] for i in row_targets]
             assert cols == sorted(cols)
 
     def test_segment_snake_equals_boustrophedon_on_convex_patch(self):
@@ -218,7 +218,7 @@ class TestSweeps:
         order = serpentine_order(g, interleaved_row_sequence)
         seen_rows = []
         for v in order:
-            r = g.coords[v].row
+            r = g.coords[v][1]
             if r not in seen_rows:
                 seen_rows.append(r)
         assert seen_rows == [0, 2, 1, 3]
@@ -264,11 +264,11 @@ class TestContour:
             rings = onion_rings(g)
             order = spiral_outward_order(g)
             assert order[0] in rings[-1]
-            cx = sum(g.positions[i].x for i in range(g.n)) / g.n
-            cy = sum(g.positions[i].y for i in range(g.n)) / g.n
+            cx = sum(g.positions[i][0] for i in range(g.n)) / g.n
+            cy = sum(g.positions[i][1] for i in range(g.n)) / g.n
             best = min(
                 rings[-1],
-                key=lambda i: (_math.hypot(g.positions[i].x - cx, g.positions[i].y - cy), i),
+                key=lambda i: (_math.hypot(g.positions[i][0] - cx, g.positions[i][1] - cy), i),
             )
             assert order[0] == best
 
@@ -755,9 +755,9 @@ def ref_plan_wavefront(g):
 
 def ref_sweep_rows(g):
     rows = {}
-    for i, c in enumerate(g.coords):
-        rows.setdefault(c.row, []).append(i)
-    return [sorted(rows[r], key=lambda i: (g.coords[i].col, i)) for r in sorted(rows)]
+    for i, (col, row) in enumerate(g.coords):
+        rows.setdefault(row, []).append(i)
+    return [sorted(rows[r], key=lambda i: (g.coords[i][0], i)) for r in sorted(rows)]
 
 
 def ref_onion_rings(g):
@@ -786,8 +786,8 @@ def ref_circumnavigate(children, root):
 
 
 def ref_euclid(g, a, b):
-    pa, pb = g.positions[a], g.positions[b]
-    return math.hypot(pb.x - pa.x, pb.y - pa.y)
+    (ax, ay), (bx, by) = g.positions[a], g.positions[b]
+    return math.hypot(bx - ax, by - ay)
 
 
 REFERENCES = {
