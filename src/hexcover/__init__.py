@@ -10,7 +10,7 @@ aoi` still imports the submodule.
 import importlib
 
 _EXPORTS = {
-    "aoi": ("AoiShape", "classify_morphology", "insert_obstacles", "sample_aoi"),
+    "aoi": ("classify_morphology", "insert_obstacles", "sample_aoi"),
     "graphbuild": (
         "GenerationConfig", "Rejection", "attach_base", "build_instance", "postprocess_mask",
         "tessellate",

@@ -13,9 +13,10 @@ in `hexcover.lattice`, where a dataset record is checked against them.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from hexcover.hexgeom import (
+    MinRotatedRect,
     PolygonWithHoles,
     hexagon_area,
     points_in_ring,
@@ -71,16 +72,12 @@ def substream(seed: int, stage: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, stage]))
 
 
-class AoiShape(NamedTuple):
-    polygon: PolygonWithHoles
-    morphology: MorphologyClass
-    seed: int
-    family_hint: str
-
-
-def classify_morphology(p: PolygonWithHoles) -> MorphologyClass:
-    area, perimeter, aspect = polygon_metrics(p)
+def classify_morphology(p: PolygonWithHoles, rect: MinRotatedRect) -> MorphologyClass:
+    """The morphology of `p`, whose outer ring's minimum rotated rectangle is
+    `rect`: compactness 4 pi A / P^2 and the rectangle's aspect ratio."""
+    area, perimeter = polygon_metrics(p)
     c = 4.0 * math.pi * area / (perimeter * perimeter)
+    aspect = rect.aspect
     return MorphologyClass(label_from(c, aspect), c, aspect)
 
 
@@ -102,12 +99,13 @@ def _radial_ring(rng: np.random.Generator, harmonics, rx: float, ry: float) -> t
     )
 
 
-def sample_aoi(family_hint: str, seed: int, scale: float) -> AoiShape:
+def sample_aoi(family_hint: str, seed: int, scale: float) -> PolygonWithHoles:
     """Draw one outer polygon from the requested family.
 
     Deterministic per (family_hint, seed, scale). The polygon is sized so
     that tessellation at circumradius `scale` lands near the benchmark cell
-    band; exact conformance is checked downstream, not here.
+    band. Only the constructor's checks (finite, counterclockwise) run here;
+    simplicity, morphology and the cell band are checked downstream.
     """
     import numpy as np
 
@@ -138,34 +136,34 @@ def sample_aoi(family_hint: str, seed: int, scale: float) -> AoiShape:
         harmonics = ((k, rng.uniform(0.01, 0.05)) for k in (3, 4, 5))
         ring = _radial_ring(rng, harmonics, aspect_t * b, b)
 
-    polygon = PolygonWithHoles(ring)
-    polygon.validate()
-    return AoiShape(polygon, classify_morphology(polygon), seed, family_hint)
+    return PolygonWithHoles(ring)
 
 
-def insert_obstacles(shape: AoiShape, seed: int) -> AoiShape:
+def insert_obstacles(polygon: PolygonWithHoles, seed: int) -> PolygonWithHoles:
     """Punch up to 3 obstacle holes into the AOI; the outer ring never changes.
 
     Each hole is a perturbed circle sized to swallow roughly one to three
-    hexagonal cells. Candidate holes violating containment or disjointness
-    are re-sampled a bounded number of times and then skipped, so the result
-    always satisfies the polygon invariants.
+    hexagonal cells. Candidate holes violating containment, clearance or
+    disjointness are re-sampled a bounded number of times and then skipped.
+    The result is not validated here; a seed's final polygon is validated
+    once, by the generation pipeline. `polygon` itself comes back when no
+    hole is placed.
     """
     import numpy as np
 
     rng = substream(seed, STREAM_HOLES)
     count = int(rng.choice(4, p=_HOLE_COUNT_WEIGHTS))
     if count == 0:
-        return shape
+        return polygon
 
-    outer = shape.polygon.outer
+    outer = polygon.outer
     outer_area = ring_signed_area(outer)
     cell_proxy = math.sqrt(outer_area / (math.pi * 30.0))  # rough circumradius unit
     xs = [p.x for p in outer]
     ys = [p.y for p in outer]
     # Every ring with its ring array, converted once for all candidates.
     outer_pair = (outer, ring_array(outer))
-    holes = [(hole, ring_array(hole)) for hole in shape.polygon.holes]
+    holes = [(hole, ring_array(hole)) for hole in polygon.holes]
     # Clearance tuned so shoreline-hugging holes carve narrow rim corridors
     # without strangling audit feasibility.
     clearance = 0.65 * cell_proxy
@@ -204,11 +202,9 @@ def insert_obstacles(shape: AoiShape, seed: int) -> AoiShape:
         else:
             first += _HOLE_RETRIES
 
-    if len(holes) == len(shape.polygon.holes):
-        return shape
-    polygon = PolygonWithHoles(outer, tuple(hole for hole, _ in holes))
-    polygon.validate()
-    return AoiShape(polygon, classify_morphology(polygon), shape.seed, shape.family_hint)
+    if len(holes) == len(polygon.holes):
+        return polygon
+    return PolygonWithHoles(outer, tuple(hole for hole, _ in holes))
 
 
 def _hole_admissible(candidate, outer, holes, clearance: float, pad: float) -> bool:

@@ -13,7 +13,6 @@ nothing but `argparse` and this module.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -24,12 +23,12 @@ EXIT_IO = 2
 
 def _load_config(path: str | None):
     from hexcover.graphbuild import GenerationConfig
-    from hexcover.harness import DatasetError
+    from hexcover.harness import DatasetError, _parse_json
 
     if path is None:
         return GenerationConfig()
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = _parse_json(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DatasetError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:

@@ -22,12 +22,13 @@ from hexcover.aoi import (
     FAMILIES,
     STREAM_BASE,
     STREAM_FAMILY,
-    AoiShape,
+    classify_morphology,
     insert_obstacles,
     sample_aoi,
     substream,
 )
 from hexcover.hexgeom import (
+    MinRotatedRect,
     PolygonWithHoles,
     free_overlap_areas,
     hexagon_area,
@@ -45,6 +46,7 @@ from hexcover.lattice import (
     InvalidParameterError,
     Instance,
     LatticeFrame,
+    MorphologyClass,
     OffsetCoord,
     Point,
     _json_number,
@@ -90,18 +92,18 @@ class Lattice(NamedTuple):
     centers: object
 
 
-def lattice_candidates(aoi: AoiShape, h: float) -> Lattice:
-    """The lattice, mounted in the minimum-rotated-rectangle frame of the
-    outer ring (origin at the rectangle centre, columns along the long side),
-    and every cell whose centre lies in the outer ring's box grown by `h`.
+def lattice_candidates(polygon: PolygonWithHoles, rect: MinRotatedRect, h: float) -> Lattice:
+    """The lattice, mounted in the frame of `rect`, the minimum rotated
+    rectangle of the outer ring (origin at the rectangle centre, columns
+    along the long side), and every cell whose centre lies in the outer
+    ring's box grown by `h`.
     """
     if h <= 0:
         raise InvalidParameterError("hex radius must be positive")
-    rect = min_rotated_rect(aoi.polygon.outer)
     frame = LatticeFrame(rect.center, rect.angle)
 
-    local_outer = tuple(frame.to_local(p) for p in aoi.polygon.outer)
-    local_holes = tuple(tuple(frame.to_local(p) for p in hole) for hole in aoi.polygon.holes)
+    local_outer = tuple(frame.to_local(p) for p in polygon.outer)
+    local_holes = tuple(tuple(frame.to_local(p) for p in hole) for hole in polygon.holes)
     local_poly = PolygonWithHoles(local_outer, local_holes)
 
     xs = [p.x for p in local_outer]
@@ -262,12 +264,12 @@ def line_of_sight(
     return clear
 
 
-def default_launch_point(aoi: AoiShape, h: float, seed: int) -> Point:
+def default_launch_point(polygon: PolygonWithHoles, h: float, seed: int) -> Point:
     """Launch position on a seed-chosen side of the AOI bounding box."""
     rng = substream(seed, STREAM_BASE)
     side = int(rng.integers(0, 4))
-    xs = [p.x for p in aoi.polygon.outer]
-    ys = [p.y for p in aoi.polygon.outer]
+    xs = [p.x for p in polygon.outer]
+    ys = [p.y for p in polygon.outer]
     cx, cy = 0.5 * (min(xs) + max(xs)), 0.5 * (min(ys) + max(ys))
     d = LAUNCH_STANDOFF_CELLS * h
     if side == 0:
@@ -281,7 +283,7 @@ def default_launch_point(aoi: AoiShape, h: float, seed: int) -> Point:
 
 def attach_base(
     mask: HexMask,
-    aoi: AoiShape,
+    polygon: PolygonWithHoles,
     seed: int,
     launch: Point | None = None,
 ) -> CoverageGraph:
@@ -292,11 +294,11 @@ def attach_base(
     """
     coords = sorted(mask.coords)
     if launch is None:
-        launch = default_launch_point(aoi, mask.h, seed)
+        launch = default_launch_point(polygon, mask.h, seed)
     index = {c: i for i, c in enumerate(coords)}
     outer_cells = sorted(exterior_boundary(mask.coords))
     centers = [mask.frame.to_world(offset_to_center(c, mask.h)) for c in outer_cells]
-    sight = line_of_sight(launch, centers, aoi.polygon, mask.h)
+    sight = line_of_sight(launch, centers, polygon, mask.h)
     links = [index[c] for c, clear in zip(outer_cells, sight) if clear]
     if not links:
         raise BaseAttachmentError("no outer-ring cell has line of sight from the launch")
@@ -390,7 +392,8 @@ def choose_family(seed: int, config: GenerationConfig) -> str:
 BLOCK_SEEDS = 4
 
 
-def _finish(family_hint: str, seed: int, shape: AoiShape, mask: HexMask, config):
+def _finish(family_hint: str, seed: int, polygon: PolygonWithHoles,
+            morphology: MorphologyClass, mask: HexMask, config):
     """The pipeline of one seed from its tessellated mask on: an audited
     Instance or a typed Rejection."""
     from hexcover.oracle import hamiltonian_audit
@@ -405,14 +408,14 @@ def _finish(family_hint: str, seed: int, shape: AoiShape, mask: HexMask, config)
         return Rejection(seed, family_hint, "size-band", f"{len(coords)} cells")
 
     try:
-        graph = attach_base(mask._replace(coords=coords), shape, seed)
+        graph = attach_base(mask._replace(coords=coords), polygon, seed)
     except BaseAttachmentError as exc:
         return Rejection(seed, family_hint, "base-attachment", str(exc))
 
     audit = hamiltonian_audit(graph)
     if not audit.feasible:
         return Rejection(seed, family_hint, "infeasible")
-    return Instance(seed, shape.family_hint, shape.morphology, graph, audit.witness)
+    return Instance(seed, family_hint, morphology, graph, audit.witness)
 
 
 def build_block(seeds: Sequence[tuple[str, int]], config: GenerationConfig) -> list:
@@ -420,26 +423,30 @@ def build_block(seeds: Sequence[tuple[str, int]], config: GenerationConfig) -> l
     `seeds`: an audited Instance or a typed Rejection for each, in order;
     nothing is silently dropped.
 
-    Each seed is sampled and gets its holes and its lattice candidates. One
-    tessellate call then clips the candidate cells of the whole block, and
-    each seed goes on through its own mask, post-processing, size band, base
-    attachment and audit.
+    Each seed is sampled and gets its holes. Its final polygon is then
+    validated, its outer ring's minimum rotated rectangle computed and its
+    morphology classified, each once and only here; the rectangle also
+    frames its lattice candidates. One tessellate call then clips the
+    candidate cells of the whole block, and each seed goes on through its
+    own mask, post-processing, size band, base attachment and audit.
     """
     config.validate()
     out: list = [None] * len(seeds)
-    shaped: list[tuple[int, AoiShape]] = []
+    shaped: list[tuple[int, PolygonWithHoles, MorphologyClass]] = []
     lattices: list[Lattice] = []
     for k, (family_hint, seed) in enumerate(seeds):
         try:
-            shape = insert_obstacles(sample_aoi(family_hint, seed, config.scale), seed)
-            # Now, while min_rotated_rect still holds this outer ring's rectangle.
-            lattices.append(lattice_candidates(shape, config.hex_radius))
+            polygon = insert_obstacles(sample_aoi(family_hint, seed, config.scale), seed)
+            polygon.validate()
+            rect = min_rotated_rect(polygon.outer)
+            morphology = classify_morphology(polygon, rect)
+            lattices.append(lattice_candidates(polygon, rect, config.hex_radius))
         except InvalidGeometryError as exc:
             out[k] = Rejection(seed, family_hint, "degenerate", str(exc))
             continue
-        shaped.append((k, shape))
-    for (k, shape), mask in zip(shaped, tessellate(lattices, config.hex_radius)):
-        out[k] = _finish(*seeds[k], shape, mask, config)
+        shaped.append((k, polygon, morphology))
+    for (k, polygon, morphology), mask in zip(shaped, tessellate(lattices, config.hex_radius)):
+        out[k] = _finish(*seeds[k], polygon, morphology, mask, config)
     return out
 
 

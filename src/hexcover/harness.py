@@ -262,14 +262,23 @@ def _dump_line(obj: dict) -> str:
     return _LINE_ENCODER.encode(obj)
 
 
+def _parse_json(text: str):
+    """json.loads, where a document nested too deep for the parser raises
+    ValueError, as any other malformed JSON does."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _read_jsonl(path: str | Path, schema: str, convert, check=None) -> tuple[list, str]:
     """Every record of a JSON-Lines file of `schema`, passed with its line
     number through `convert`, and the SHA-256 of the file's bytes.
 
     The file is read once, and `check(sha256)` runs before any record is
-    parsed. A record of another schema or a parse or `convert` failure raises
-    DatasetError naming `<path>:<line>:`; a file without records raises
-    EmptyDatasetError.
+    parsed. Bytes that are not UTF-8, a record of another schema, or a parse
+    or `convert` failure raise DatasetError naming `<path>:<line>:`; a file
+    without records raises EmptyDatasetError.
     """
     try:
         data = Path(path).read_bytes()
@@ -278,13 +287,24 @@ def _read_jsonl(path: str | Path, schema: str, convert, check=None) -> tuple[lis
     digest = hashlib.sha256(data).hexdigest()
     if check is not None:
         check(digest)
+    # The whole file is checked first, so that a bad byte is named by its
+    # line as text mode counts lines: "\r\n", "\n" and "\r" each end one.
+    # The decoded copy is dropped: text mode then decodes a chunk at a time.
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].replace(b"\r\n", b"\n")
+        lineno = before.count(b"\n") + before.count(b"\r") + 1
+        raise DatasetError(
+            f"{path}:{lineno}: not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
     out = []
-    # Decoded and split into lines as a file opened in text mode would be.
-    for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(data)), start=1):
+    # Split into lines as a file opened in text mode would be.
+    for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            rec = _parse_json(line)
             found = rec.get("schema") if isinstance(rec, dict) else None
             if found != schema:
                 raise ValueError(f"schema {found!r} is not {schema!r}")
@@ -304,7 +324,7 @@ def _read_manifest(path: str | Path, schema: str, key: str):
     if not manifest_path.exists():
         return None
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = _parse_json(manifest_path.read_text(encoding="utf-8"))
         version, value = manifest["version"], manifest[key]
     except (ValueError, TypeError, KeyError) as exc:
         raise DatasetError(f"{manifest_path}: unreadable manifest: {exc!r}") from exc

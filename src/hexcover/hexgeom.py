@@ -9,7 +9,6 @@ and the hexagon clip), so `audit`, `run` and `report` never import it.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
@@ -64,21 +63,6 @@ def ring_perimeter(ring: Sequence[Point]) -> float:
     for (x0, y0), (x1, y1) in ring_edges(ring):
         acc += math.hypot(x1 - x0, y1 - y0)
     return acc
-
-
-def point_in_ring(pt: Point, ring: Sequence[Point]) -> bool:
-    """Even-odd rule point-in-polygon test (boundary points are undefined)."""
-    x, y = pt
-    inside = False
-    # The closing edge comes first: the parity does not depend on edge order,
-    # and each edge is still evaluated from its first vertex.
-    x0, y0 = ring[-1]
-    for x1, y1 in ring:
-        if (y0 > y) != (y1 > y):
-            if x < x0 + (y - y0) / (y1 - y0) * (x1 - x0):
-                inside = not inside
-        x0, y0 = x1, y1
-    return inside
 
 
 def _orient(a: Point, b: Point, c: Point) -> float:
@@ -136,8 +120,7 @@ def segment_crossings(starts, ends, ring):
 
 def points_in_ring(points, ring):
     """Even-odd rule test of each row of the (m, 2) array `points` against
-    ring array `ring`, as point_in_ring decides it; boundary points are
-    undefined."""
+    ring array `ring`; boundary points are undefined."""
     import numpy as np
 
     x, y = points[:, 0, None], points[:, 1, None]
@@ -200,33 +183,6 @@ class PolygonWithHoles(_PolygonRings):
                 if _rings_interact(holes[i], holes[j]):
                     raise InvalidGeometryError("holes are not pairwise disjoint")
 
-    def contains(self, pt: Point) -> bool:
-        """Point lies in free space: inside outer, outside every hole."""
-        if not point_in_ring(pt, self.outer):
-            return False
-        return not any(point_in_ring(pt, hole) for hole in self.holes)
-
-
-def _same_ring_memo(fn):
-    """`fn(ring)`, computed once for as long as the same ring tuple comes back.
-
-    A tuple of points cannot change, so the stored result is exactly what
-    `fn` would compute again. Any other argument, an equal tuple included, is
-    computed afresh: equal floats may still differ in the sign of a zero.
-    """
-    last: list = [None, None]
-
-    @functools.wraps(fn)
-    def memo(ring):
-        if ring is last[0]:
-            return last[1]
-        result = fn(ring)
-        if type(ring) is tuple:
-            last[:] = ring, result
-        return result
-
-    return memo
-
 
 def _rings_interact(a, b) -> bool:
     """Whether ring arrays `a` and `b` overlap: a vertex of one inside the
@@ -277,13 +233,12 @@ class MinRotatedRect(NamedTuple):
         return math.atan2(self.axis[1], self.axis[0])
 
 
-@_same_ring_memo
 def min_rotated_rect(points: Sequence[Point]) -> MinRotatedRect:
     """Minimum-area enclosing rectangle via rotating calipers on the hull.
 
-    Deterministic: ties on area keep the first hull edge in hull order. One
-    outer ring's rectangle serves sampling, morphology after hole insertion
-    and the lattice frame, so the last tuple's result is reused.
+    Deterministic: ties on area keep the first hull edge in hull order.
+    Generation computes it once per seed, of the final polygon's outer ring,
+    and hands it to the morphology label and the lattice frame.
     """
     import numpy as np
 
@@ -326,11 +281,12 @@ def min_rotated_rect(points: Sequence[Point]) -> MinRotatedRect:
     return MinRotatedRect(center, Point(ax, ay), long_side, short_side)
 
 
-def polygon_metrics(p: PolygonWithHoles) -> tuple[float, float, float]:
-    """(area, perimeter, aspect_ratio).
+def polygon_metrics(p: PolygonWithHoles) -> tuple[float, float]:
+    """(area, perimeter).
 
-    Area subtracts holes; perimeter and aspect ratio come from the outer ring
-    alone, so hole insertion never alters the outline compactness inputs.
+    Area subtracts holes; perimeter comes from the outer ring alone, so hole
+    insertion never alters the outline's compactness input. The aspect ratio
+    is the outer ring's `min_rotated_rect`, which the caller holds.
     """
     # The hole areas are added left to right from 0.0, not by sum(): from
     # Python 3.12 on, sum() of floats is compensated and may round differently.
@@ -341,8 +297,7 @@ def polygon_metrics(p: PolygonWithHoles) -> tuple[float, float, float]:
     perimeter = ring_perimeter(p.outer)
     if area <= GEOM_TOL * GEOM_TOL or perimeter <= GEOM_TOL:
         raise InvalidGeometryError("degenerate polygon")
-    rect = min_rotated_rect(p.outer)
-    return area, perimeter, rect.aspect
+    return area, perimeter
 
 
 # ---------------------------------------------------------------------------

@@ -64,12 +64,6 @@ def offset_to_center(c: OffsetCoord, h: float) -> Point:
     return Point(x, y)
 
 
-def neighbor_offsets(col: int) -> tuple[tuple[int, int], ...]:
-    """The 6 (dcol, drow) steps from a cell in column `col` to its face
-    neighbours, in ascending order."""
-    return _ODD_COL_NEIGHBORS if (col & 1) else _EVEN_COL_NEIGHBORS
-
-
 class _FramePose(NamedTuple):
     origin: Point
     angle: float
@@ -200,8 +194,9 @@ class CellBoard:
     the guard bit left over between columns is never a cell, so no shift
     carries a row off one column into the next. A cell's neighbours are 1
     and s bits away, and s + 1 or s - 1 bits away as its column is even or
-    odd (`neighbor_offsets`). Bit order is (col, row) order. `bits[k]` is
-    the bit of the k-th cell given, and `occupied` the set of all of them.
+    odd (`_EVEN_COL_NEIGHBORS`, `_ODD_COL_NEIGHBORS`). Bit order is (col,
+    row) order. `bits[k]` is the bit of the k-th cell given, and `occupied`
+    the set of all of them.
     """
 
     __slots__ = ("bits", "occupied", "_s", "_even", "_odd", "_rim")

@@ -692,11 +692,6 @@ WARNSDORFF_SLUGS = (
     "warnsdorff-ep-dist",
 )
 
-# Planners whose reconnection mechanism guarantees relaxed coverage.
-RECONNECTION_SLUGS = tuple(
-    s for s in PLANNERS if s not in WARNSDORFF_SLUGS and s != "dfs-backtrack"
-)
-
 
 def _spec(slug: str) -> PlannerSpec:
     spec = PLANNERS.get(slug)

@@ -9,16 +9,17 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from hexcover.aoi import AoiShape, classify_morphology
+from hexcover.aoi import classify_morphology
 from hexcover.graphbuild import HexMask, lattice_candidates, tessellate
-from hexcover.hexgeom import PolygonWithHoles
+from hexcover.hexgeom import PolygonWithHoles, min_rotated_rect
 from hexcover.lattice import (
+    _EVEN_COL_NEIGHBORS,
+    _ODD_COL_NEIGHBORS,
     CoverageGraph,
     LatticeFrame,
     OffsetCoord,
     Point,
     graph_from_coords,
-    neighbor_offsets,
 )
 from hexcover.metrics import (
     STATUS_COVERAGE,
@@ -31,7 +32,8 @@ from hexcover.metrics import (
 def face_neighbors(c: OffsetCoord) -> list[OffsetCoord]:
     """The 6 face-adjacent lattice coordinates of `c`."""
     col, row = c
-    return [OffsetCoord(col + dc, row + dr) for dc, dr in neighbor_offsets(col)]
+    steps = _ODD_COL_NEIGHBORS if col & 1 else _EVEN_COL_NEIGHBORS
+    return [OffsetCoord(col + dc, row + dr) for dc, dr in steps]
 
 
 def path_distance(g: CoverageGraph, walk) -> float:
@@ -61,14 +63,20 @@ def results_digest(path: Path) -> str:
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
-def tessellate_one(aoi: AoiShape, h: float) -> HexMask:
-    """The mask `tessellate` gives one AOI, in a block of its own."""
-    return tessellate([lattice_candidates(aoi, h)], h)[0]
+def morphology_of(polygon: PolygonWithHoles):
+    """The morphology of `polygon`, classified with its outer ring's
+    minimum rotated rectangle, as generation classifies it."""
+    return classify_morphology(polygon, min_rotated_rect(polygon.outer))
 
 
-def aoi_from_ring(ring, holes=(), seed=0, family_hint="compact"):
-    poly = PolygonWithHoles(tuple(ring), tuple(tuple(h) for h in holes))
-    return AoiShape(poly, classify_morphology(poly), seed, family_hint)
+def tessellate_one(polygon: PolygonWithHoles, h: float) -> HexMask:
+    """The mask `tessellate` gives one AOI, in a block of its own, framed by
+    its outer ring's minimum rotated rectangle."""
+    return tessellate([lattice_candidates(polygon, min_rotated_rect(polygon.outer), h)], h)[0]
+
+
+def aoi_from_ring(ring, holes=()):
+    return PolygonWithHoles(tuple(ring), tuple(tuple(h) for h in holes))
 
 
 def chain_graph(k=3, h=1.0):

@@ -4,24 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from conftest import morphology_of
 from test_array_forms import closer_than as _closer_than
+from test_array_forms import point_in_ring
 
 from hexcover.aoi import (
     FAMILIES,
     FAMILY_COMPACT,
     FAMILY_ELONGATED,
     FAMILY_IRREGULAR,
-    classify_morphology,
     insert_obstacles,
     sample_aoi,
     substream,
     _dist_point_segment,
 )
-from hexcover.hexgeom import PolygonWithHoles, point_in_ring, ring_edges, ring_signed_area
+from hexcover.graphbuild import GenerationConfig, build_instance, choose_family
+from hexcover.hexgeom import PolygonWithHoles, ring_edges, ring_signed_area
 from hexcover.lattice import (
     LABEL_COMPACT,
     LABEL_ELONGATED,
     LABEL_IRREGULAR,
+    Instance,
     InvalidParameterError,
     Point,
     label_from,
@@ -34,14 +37,14 @@ def square_ring(w=1.0, h=1.0, x0=0.0, y0=0.0):
 
 class TestClassification:
     def test_unit_square_compact(self):
-        m = classify_morphology(PolygonWithHoles(square_ring()))
+        m = morphology_of(PolygonWithHoles(square_ring()))
         assert m.label == LABEL_COMPACT
         assert m.compactness == pytest.approx(math.pi / 4.0, rel=1e-12)
         assert m.aspect == pytest.approx(1.0, abs=1e-9)
 
     def test_three_by_one_rectangle_elongated(self):
         # c = 12*pi/64 ~ 0.589 is below 0.6, but the aspect rule wins anyway.
-        m = classify_morphology(PolygonWithHoles(square_ring(3.0, 1.0)))
+        m = morphology_of(PolygonWithHoles(square_ring(3.0, 1.0)))
         assert m.label == LABEL_ELONGATED
         assert m.compactness == pytest.approx(12.0 * math.pi / 64.0, rel=1e-12)
         assert m.aspect == pytest.approx(3.0, abs=1e-9)
@@ -50,10 +53,10 @@ class TestClassification:
         plain = PolygonWithHoles(square_ring(4, 4))
         hole = tuple(reversed(square_ring(0.5, 0.5, 1.0, 1.0)))
         holed = PolygonWithHoles(square_ring(4, 4), (hole,))
-        assert classify_morphology(plain).label == LABEL_COMPACT
-        assert classify_morphology(holed).label == LABEL_COMPACT
+        assert morphology_of(plain).label == LABEL_COMPACT
+        assert morphology_of(holed).label == LABEL_COMPACT
         # Perimeter ignores holes: only the area (hence c) moves, slightly.
-        assert classify_morphology(holed).aspect == classify_morphology(plain).aspect
+        assert morphology_of(holed).aspect == morphology_of(plain).aspect
 
     @given(
         st.floats(0.001, 1.0, allow_nan=False),
@@ -76,13 +79,13 @@ class TestSampling:
     def test_deterministic(self):
         a = sample_aoi(FAMILY_COMPACT, 7, 1.0)
         b = sample_aoi(FAMILY_COMPACT, 7, 1.0)
-        assert a.polygon.outer == b.polygon.outer
-        assert a.morphology == b.morphology
+        assert a.outer == b.outer
+        assert morphology_of(a) == morphology_of(b)
 
     def test_seeds_differ(self):
         a = sample_aoi(FAMILY_COMPACT, 7, 1.0)
         b = sample_aoi(FAMILY_COMPACT, 8, 1.0)
-        assert a.polygon.outer != b.polygon.outer
+        assert a.outer != b.outer
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidParameterError):
@@ -98,30 +101,31 @@ class TestSampling:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_outer_rings_valid(self, family):
         for seed in range(25):
-            shape = sample_aoi(family, seed, 1.0)
-            shape.polygon.validate()
-            assert ring_signed_area(shape.polygon.outer) > 0
-            assert shape.family_hint == family
-            assert shape.morphology == classify_morphology(shape.polygon)
+            polygon = sample_aoi(family, seed, 1.0)
+            polygon.validate()
+            assert ring_signed_area(polygon.outer) > 0
+            assert not polygon.holes
+            labels = (LABEL_COMPACT, LABEL_ELONGATED, LABEL_IRREGULAR)
+            assert morphology_of(polygon).label in labels
 
     def test_elongated_hint_mostly_classified_elongated(self):
         # Harness gate tuned during development: at least 60% of 200 seeds.
         hits = sum(
-            sample_aoi(FAMILY_ELONGATED, seed, 1.0).morphology.label == LABEL_ELONGATED
+            morphology_of(sample_aoi(FAMILY_ELONGATED, seed, 1.0)).label == LABEL_ELONGATED
             for seed in range(200)
         )
         assert hits >= 120
 
     def test_compact_hint_mostly_compact(self):
         hits = sum(
-            sample_aoi(FAMILY_COMPACT, seed, 1.0).morphology.label == LABEL_COMPACT
+            morphology_of(sample_aoi(FAMILY_COMPACT, seed, 1.0)).label == LABEL_COMPACT
             for seed in range(200)
         )
         assert hits >= 120
 
     def test_irregular_hint_mostly_irregular(self):
         hits = sum(
-            sample_aoi(FAMILY_IRREGULAR, seed, 1.0).morphology.label == LABEL_IRREGULAR
+            morphology_of(sample_aoi(FAMILY_IRREGULAR, seed, 1.0)).label == LABEL_IRREGULAR
             for seed in range(200)
         )
         assert hits >= 120
@@ -135,35 +139,35 @@ class TestObstacles:
         base = self.fixture_shape(3)
         a = insert_obstacles(base, 3)
         b = insert_obstacles(base, 3)
-        assert a.polygon.holes == b.polygon.holes
+        assert a.holes == b.holes
 
     def test_outer_ring_unchanged(self):
         base = self.fixture_shape(5)
         out = insert_obstacles(base, 5)
-        assert out.polygon.outer == base.polygon.outer
+        assert out.outer == base.outer
 
     def test_zero_hole_seed_returns_input_polygon(self):
         base = self.fixture_shape(11)
         found = None
         for seed in range(60):
             out = insert_obstacles(base, seed)
-            if not out.polygon.holes:
+            if not out.holes:
                 found = out
                 break
         assert found is not None, "no zero-hole seed in range"
-        assert found.polygon.outer == base.polygon.outer
+        assert found.outer == base.outer
 
     def test_holes_inside_and_disjoint(self):
         drew_some = 0
         for seed in range(40):
             base = self.fixture_shape(seed)
             out = insert_obstacles(base, seed)
-            out.polygon.validate()
-            drew_some += bool(out.polygon.holes)
-            for hole in out.polygon.holes:
+            out.validate()
+            drew_some += bool(out.holes)
+            for hole in out.holes:
                 assert ring_signed_area(hole) < 0
                 for p in hole:
-                    assert point_in_ring(p, out.polygon.outer)
+                    assert point_in_ring(p, out.outer)
         assert drew_some >= 10
 
     def test_clearance_test_matches_minimum_distance(self):
@@ -172,12 +176,12 @@ class TestObstacles:
         # at a clearance equal to the minimum or one float above it.
         rng = np.random.default_rng(7)
         for seed in range(12):
-            shape = insert_obstacles(self.fixture_shape(seed), seed)
-            outer = shape.polygon.outer
+            polygon = insert_obstacles(self.fixture_shape(seed), seed)
+            outer = polygon.outer
             pad = 1e-9 * (1.0 + max(abs(v) for p in outer for v in p))
             xs = [p.x for p in outer]
             ys = [p.y for p in outer]
-            for ring in (outer, *shape.polygon.holes):
+            for ring in (outer, *polygon.holes):
                 for _ in range(60):
                     p = Point(rng.uniform(min(xs), max(xs)), rng.uniform(min(ys), max(ys)))
                     d = min(_dist_point_segment(p, a, b) for a, b in ring_edges(ring))
@@ -185,9 +189,18 @@ class TestObstacles:
                         assert _closer_than(p, ring, c, pad) == (d < c)
 
     def test_morphology_recomputed_after_holes(self):
+        # An instance's morphology is that of its final polygon, holes and all.
+        config = GenerationConfig()
+        holed = 0
         for seed in range(30):
-            out = insert_obstacles(self.fixture_shape(seed), seed)
-            assert out.morphology == classify_morphology(out.polygon)
+            family = choose_family(seed, config)
+            out = build_instance(family, seed, config)
+            if not isinstance(out, Instance):
+                continue
+            polygon = insert_obstacles(sample_aoi(family, seed, config.scale), seed)
+            holed += bool(polygon.holes)
+            assert out.morphology == morphology_of(polygon)
+        assert holed >= 10
 
 
 class TestSubstreams:

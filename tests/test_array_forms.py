@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import morphology_of
 
 from hexcover import aoi, graphbuild, hexgeom
 from hexcover.aoi import _closer_than, _dist_point_segment, insert_obstacles, sample_aoi
@@ -31,7 +32,6 @@ from hexcover.hexgeom import (
     hexagon_ring,
     min_rotated_rect,
     point_array,
-    point_in_ring,
     points_in_ring,
     ring_array,
     ring_edges,
@@ -43,6 +43,28 @@ from hexcover.lattice import Point
 
 # ---------------------------------------------------------------------------
 # Scalar references: the per-pair loops the array forms replaced.
+
+
+def point_in_ring(pt, ring) -> bool:
+    """Even-odd rule point-in-polygon test (boundary points are undefined)."""
+    x, y = pt
+    inside = False
+    # The closing edge comes first: the parity does not depend on edge order,
+    # and each edge is still evaluated from its first vertex.
+    x0, y0 = ring[-1]
+    for x1, y1 in ring:
+        if (y0 > y) != (y1 > y):
+            if x < x0 + (y - y0) / (y1 - y0) * (x1 - x0):
+                inside = not inside
+        x0, y0 = x1, y1
+    return inside
+
+
+def polygon_contains(polygon, pt) -> bool:
+    """Whether `pt` lies in free space: inside the outer ring, outside every hole."""
+    if not point_in_ring(pt, polygon.outer):
+        return False
+    return not any(point_in_ring(pt, hole) for hole in polygon.holes)
 
 
 def segments_cross(p0, p1, q0, q1) -> bool:
@@ -557,8 +579,10 @@ def test_every_candidate_cell_of_pipeline_seeds(monkeypatch):
     for start in range(0, 200, size):
         lattices = []
         for seed in range(start, start + size):
-            shape = sample_aoi(choose_family(seed, config), seed, config.scale)
-            lattices.append(graphbuild.lattice_candidates(insert_obstacles(shape, seed), h))
+            polygon = sample_aoi(choose_family(seed, config), seed, config.scale)
+            polygon = insert_obstacles(polygon, seed)
+            rect = min_rotated_rect(polygon.outer)
+            lattices.append(graphbuild.lattice_candidates(polygon, rect, h))
         graphbuild.tessellate(lattices, h)
     assert len(calls) == 200 // size
     polygons = [poly for _, _, polys, _ in calls for poly in polys]
@@ -583,8 +607,7 @@ def test_every_candidate_cell_of_pipeline_seeds(monkeypatch):
 def pipeline_shapes(seeds=range(200)):
     config = GenerationConfig()
     for seed in seeds:
-        shape = sample_aoi(choose_family(seed, config), seed, config.scale)
-        yield seed, shape
+        yield seed, sample_aoi(choose_family(seed, config), seed, config.scale)
 
 
 def min_distance(points, ring) -> float:
@@ -596,12 +619,12 @@ def test_closer_than_matches_minimum_distance():
     # (point, edge) pair, also at a clearance equal to the minimum or one
     # float above it.
     rng = np.random.default_rng(9)
-    for seed, shape in pipeline_shapes(range(12)):
-        shape = insert_obstacles(shape, seed)
-        outer = shape.polygon.outer
+    for seed, polygon in pipeline_shapes(range(12)):
+        polygon = insert_obstacles(polygon, seed)
+        outer = polygon.outer
         pad = 1e-9 * (1.0 + max(abs(v) for p in outer for v in p))
         xs, ys = [p.x for p in outer], [p.y for p in outer]
-        for ring in (outer, *shape.polygon.holes):
+        for ring in (outer, *polygon.holes):
             pair = (ring, ring_array(ring))
             for m in (1, 3, 14):
                 for _ in range(10):
@@ -628,8 +651,8 @@ def test_hole_admissible_matches_scalar_on_pipeline_candidates(monkeypatch):
         return admitted
 
     monkeypatch.setattr(aoi, "_hole_admissible", record)
-    for seed, shape in pipeline_shapes():
-        insert_obstacles(shape, seed)
+    for seed, polygon in pipeline_shapes():
+        insert_obstacles(polygon, seed)
     admitted, flips = 0, 0
     for candidate, outer, holes, clearance, pad, got in calls:
         assert got == hole_admissible(candidate, outer, holes, clearance, pad)
@@ -645,19 +668,19 @@ def test_hole_admissible_matches_scalar_on_pipeline_candidates(monkeypatch):
     assert flips > 100
 
 
-def ref_insert_obstacles(shape, seed):
+def ref_insert_obstacles(polygon, seed):
     """insert_obstacles drawing and testing one attempt at a time: its scalar
     draws, then the whole hole test, containment included."""
     rng = aoi.substream(seed, aoi.STREAM_HOLES)
     count = int(rng.choice(4, p=aoi._HOLE_COUNT_WEIGHTS))
     if count == 0:
-        return shape
-    outer = shape.polygon.outer
+        return polygon
+    outer = polygon.outer
     cell_proxy = math.sqrt(ring_signed_area(outer) / (math.pi * 30.0))
     xs = [p.x for p in outer]
     ys = [p.y for p in outer]
     outer_pair = (outer, ring_array(outer))
-    holes = [(hole, ring_array(hole)) for hole in shape.polygon.holes]
+    holes = [(hole, ring_array(hole)) for hole in polygon.holes]
     clearance = 0.65 * cell_proxy
     pad = 1e-9 * (clearance + max(map(abs, xs + ys)))
     for _ in range(count):
@@ -675,25 +698,24 @@ def ref_insert_obstacles(shape, seed):
             if hole_admissible(candidate, outer_pair, holes, clearance, pad):
                 holes.append(candidate)
                 break
-    if len(holes) == len(shape.polygon.holes):
-        return shape
-    polygon = PolygonWithHoles(outer, tuple(hole for hole, _ in holes))
-    return aoi.AoiShape(polygon, aoi.classify_morphology(polygon), shape.seed, shape.family_hint)
+    if len(holes) == len(polygon.holes):
+        return polygon
+    return PolygonWithHoles(outer, tuple(hole for hole, _ in holes))
 
 
-def shape_fields(shape):
-    """Every hole vertex and the morphology of `shape`, floats as float.hex."""
-    m = shape.morphology
-    holes = [hexes(v for p in hole for v in p) for hole in shape.polygon.holes]
+def shape_fields(polygon):
+    """Every hole vertex and the morphology of `polygon`, floats as float.hex."""
+    m = morphology_of(polygon)
+    holes = [hexes(v for p in hole for v in p) for hole in polygon.holes]
     return holes, m.label, m.compactness.hex(), m.aspect.hex()
 
 
 def test_insert_obstacles_matches_one_attempt_at_a_time():
     counts = [0, 0, 0, 0]
-    for seed, shape in pipeline_shapes(range(1000)):
-        got = insert_obstacles(shape, seed)
-        assert shape_fields(got) == shape_fields(ref_insert_obstacles(shape, seed))
-        counts[len(got.polygon.holes)] += 1
+    for seed, polygon in pipeline_shapes(range(1000)):
+        got = insert_obstacles(polygon, seed)
+        assert shape_fields(got) == shape_fields(ref_insert_obstacles(polygon, seed))
+        counts[len(got.holes)] += 1
     # Every hole count occurs, and some seeds place fewer holes than drawn.
     assert min(counts) > 50
 
@@ -726,16 +748,15 @@ def rect_fields(rect):
 
 
 def assert_rects_match(points):
-    # A list is never memoised, so each call computes afresh.
-    assert rect_fields(min_rotated_rect(list(points))) == rect_fields(
+    assert rect_fields(min_rotated_rect(points)) == rect_fields(
         scalar_min_rotated_rect(points)
     )
 
 
 def test_min_rotated_rect_matches_scalar_on_pipeline_rings():
-    for seed, shape in pipeline_shapes():
-        assert_rects_match(shape.polygon.outer)
-        for hole in insert_obstacles(shape, seed).polygon.holes:
+    for seed, polygon in pipeline_shapes():
+        assert_rects_match(polygon.outer)
+        for hole in insert_obstacles(polygon, seed).holes:
             assert_rects_match(hole)
 
 

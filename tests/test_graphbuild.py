@@ -10,11 +10,13 @@ from conftest import (
     edge_lengths_ok,
     face_neighbors,
     lattice_graph_args,
+    morphology_of,
     tessellate_one,
 )
-from test_array_forms import free_overlap_area
+from test_array_forms import free_overlap_area, point_in_ring, polygon_contains
 
-from hexcover.aoi import FAMILIES, insert_obstacles, sample_aoi
+from hexcover import hexgeom
+from hexcover.aoi import FAMILIES, classify_morphology, insert_obstacles, sample_aoi
 from hexcover.graphbuild import (
     BaseAttachmentError,
     DegenerateInstanceError,
@@ -122,11 +124,11 @@ class TestTessellate:
 def clip_every_cell(aoi, h):
     """Reference tessellation: the retention rule applied by clipping every
     candidate cell, with no shortcut for cells clear of the rings."""
-    rect = min_rotated_rect(list(aoi.polygon.outer))
+    rect = min_rotated_rect(aoi.outer)
     frame = LatticeFrame(rect.center, rect.angle)
     local = PolygonWithHoles(
-        tuple(frame.to_local(p) for p in aoi.polygon.outer),
-        tuple(tuple(frame.to_local(p) for p in hole) for hole in aoi.polygon.holes),
+        tuple(frame.to_local(p) for p in aoi.outer),
+        tuple(tuple(frame.to_local(p) for p in hole) for hole in aoi.holes),
     )
     xs = [p.x for p in local.outer]
     ys = [p.y for p in local.outer]
@@ -152,7 +154,7 @@ class TestTessellateShortcutExact:
         for seed in range(200):
             shape = sample_aoi(choose_family(seed, config), seed, config.scale)
             shape = insert_obstacles(shape, seed)
-            holed += bool(shape.polygon.holes)
+            holed += bool(shape.holes)
             mask = tessellate_one(shape, config.hex_radius)
             assert (mask.coords, mask.frame) == clip_every_cell(shape, config.hex_radius), seed
         assert holed >= 120
@@ -186,7 +188,7 @@ class TestTessellateShortcutExact:
                 box = (cx - 1.2, cy + lo, 2.4, hi - lo)
             holes.append(tuple(reversed(rect_ring(*box))))
         aoi = aoi_from_ring(outer, holes)
-        assert aoi.polygon.contains(Point(cx, cy))
+        assert polygon_contains(aoi, Point(cx, cy))
         mask = tessellate_one(aoi, 1.0)
         assert OffsetCoord(1, 0) not in mask.coords
         assert (mask.coords, mask.frame) == clip_every_cell(aoi, 1.0)
@@ -520,7 +522,7 @@ class TestAttachBase:
         mask = tessellate_one(aoi, 1.0)
         coords = postprocess_mask(mask.coords)
         hexmask = HexMask(coords, mask.frame, mask.h)
-        launch = Point(0.0, min(p.y for p in aoi.polygon.outer) - 2.0)
+        launch = Point(0.0, min(p.y for p in aoi.outer) - 2.0)
         g = attach_base(hexmask, aoi, seed=0, launch=launch)
 
         boundary = exterior_boundary(set(coords))
@@ -530,7 +532,7 @@ class TestAttachBase:
                 assert i not in g.base_links
                 continue
             centre = hexmask.frame.to_world(offset_to_center(c, 1.0))
-            hole_len, flips = _sampled_sight(launch, centre, aoi.polygon)
+            hole_len, flips = _sampled_sight(launch, centre, aoi)
             if i in g.base_links:
                 assert hole_len < 0.05 and flips <= 1
             else:
@@ -539,8 +541,6 @@ class TestAttachBase:
 
 def _sampled_sight(launch, centre, polygon):
     """(length inside holes, number of inside/outside flips of the outer ring)."""
-    from hexcover.hexgeom import point_in_ring
-
     n = 4001
     seg_len = math.hypot(centre.x - launch.x, centre.y - launch.y)
     hole_hits = 0
@@ -608,7 +608,7 @@ class TestBuildInstance:
     def test_invalid_obstacle_geometry_is_degenerate_rejection(self, monkeypatch):
         import hexcover.graphbuild as gb
 
-        def broken(shape, seed):
+        def broken(polygon, seed):
             raise InvalidGeometryError("hole crosses outer ring")
 
         monkeypatch.setattr(gb, "insert_obstacles", broken)
@@ -616,6 +616,38 @@ class TestBuildInstance:
         assert isinstance(out, Rejection)
         assert out.reason == "degenerate"
         assert "hole crosses outer ring" in out.detail
+
+    def test_each_seed_is_validated_and_measured_once(self, monkeypatch):
+        # Each seed's final polygon is validated once, and its outer ring's
+        # rectangle is computed once: its one convex hull shows that neither
+        # the morphology nor the lattice frame computes the rectangle again.
+        validated, hulls = [], []
+        real_validate, real_hull = PolygonWithHoles.validate, hexgeom.convex_hull
+
+        def validate(polygon):
+            validated.append(polygon)
+            real_validate(polygon)
+
+        def convex_hull(points):
+            hulls.append(points)
+            return real_hull(points)
+
+        monkeypatch.setattr(PolygonWithHoles, "validate", validate)
+        monkeypatch.setattr(hexgeom, "convex_hull", convex_hull)
+        holed = 0
+        for seed in range(40):
+            family = choose_family(seed, self.CFG)
+            validated.clear()
+            hulls.clear()
+            out = build_instance(family, seed, self.CFG)
+            assert not (isinstance(out, Rejection) and out.reason == "degenerate"), seed
+            assert (len(validated), len(hulls)) == (1, 1), seed
+            final = insert_obstacles(sample_aoi(family, seed, self.CFG.scale), seed)
+            assert validated[0] == final and hulls[0] == final.outer
+            holed += bool(final.holes)
+            if isinstance(out, Instance):
+                assert out.morphology == morphology_of(final)
+        assert holed >= 20
 
     def test_family_mix_deterministic(self):
         assert choose_family(5, self.CFG) == choose_family(5, self.CFG)
@@ -723,12 +755,13 @@ def stage_products(seed: int, config: GenerationConfig = GenerationConfig()) -> 
     family = choose_family(seed, config)
     lines = []
     try:
-        shape = insert_obstacles(sample_aoi(family, seed, config.scale), seed)
-        for ring in (shape.polygon.outer, *shape.polygon.holes):
+        polygon = insert_obstacles(sample_aoi(family, seed, config.scale), seed)
+        polygon.validate()
+        for ring in (polygon.outer, *polygon.holes):
             lines.append("ring " + _hex(v for p in ring for v in p))
-        m = shape.morphology
+        m = classify_morphology(polygon, min_rotated_rect(polygon.outer))
         lines.append(f"morphology {m.label} {_hex((m.compactness, m.aspect))}")
-        mask = tessellate_one(shape, config.hex_radius)
+        mask = tessellate_one(polygon, config.hex_radius)
         lines.append(f"mask {sorted(mask.coords)}")
         frame = mask.frame
         lines.append(f"frame {_hex((*frame.origin, frame.angle, mask.h))}")

@@ -341,6 +341,16 @@ class TestAudit:
             with pytest.raises(DatasetError, match=f"^{re.escape(str(padded))}:4: "):
                 load_instances(padded)
 
+    def test_bytes_not_utf8_are_named_by_their_line(self, dataset, tmp_path):
+        # The line is counted as text mode splits lines, on every newline.
+        path, _ = dataset
+        lines = path.read_bytes().splitlines()
+        spoiled = tmp_path / "spoiled.jsonl"
+        for sep in (b"\n", b"\r\n", b"\r"):
+            spoiled.write_bytes(sep.join([*lines[:2], lines[2][:9] + b"\xff" + lines[2][9:]]))
+            with pytest.raises(DatasetError, match=f"^{re.escape(str(spoiled))}:3: not UTF-8"):
+                load_instances(spoiled)
+
 
 class TestRun:
     def test_cardinality(self, results):
@@ -811,6 +821,30 @@ def _drop_column(csv_text: str, col: str) -> str:
     return json.dumps(rows)
 
 
+def _not_utf8(path: Path, out: Path) -> Path:
+    """A copy of the JSON-Lines file `path` with a 0xff byte inside its second line."""
+    first, second, *rest = path.read_bytes().split(b"\n")
+    out.write_bytes(b"\n".join([first, second[:5] + b"\xff" + second[5:], *rest]))
+    return out
+
+
+def _nested(path, out: Path) -> Path:
+    """One line of 200,000 nested '[', deeper than the JSON parser recurses."""
+    out.write_text("[" * 200_000 + "\n")
+    return out
+
+
+# Each spoiler, with the line its error names.
+SPOILERS = [pytest.param(_not_utf8, 2, id="not-utf8"), pytest.param(_nested, 1, id="nested")]
+
+
+def _assert_refused_in_one_line(code: int, capsys, names: str) -> None:
+    """An I/O refusal: exit 2 and one `error:` line, naming `names`."""
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and names in err[0], err
+
+
 class TestCli:
     def test_full_pipeline(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
@@ -1020,6 +1054,49 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:") and "degenerate 200" in err[0]
+        assert not data.exists()
+
+    @pytest.mark.parametrize(("spoil", "line"), SPOILERS)
+    @pytest.mark.parametrize("command", ["audit", "run", "report"])
+    def test_unparseable_dataset_is_refused_in_one_line(
+        self, dataset, results, tmp_path, capsys, spoil, line, command
+    ):
+        bad = spoil(dataset[0], tmp_path / "bad.jsonl")
+        # A results file without a manifest names no dataset digest, so
+        # `report` gets as far as parsing the dataset.
+        res = tmp_path / "r.jsonl"
+        res.write_bytes(results[0].read_bytes())
+        argv = {
+            "audit": ["audit", "--dataset", str(bad)],
+            "run": ["run", "--dataset", str(bad), "--out", str(tmp_path / "x.jsonl"),
+                    "--workers", "1"],
+            "report": ["report", "--results", str(res), "--dataset", str(bad),
+                       "--out", str(tmp_path / "rep")],
+        }[command]
+        _assert_refused_in_one_line(cli_main(argv), capsys, f"{bad}:{line}:")
+
+    @pytest.mark.parametrize(("spoil", "line"), SPOILERS)
+    def test_unparseable_results_are_refused_in_one_line(
+        self, dataset, results, tmp_path, capsys, spoil, line
+    ):
+        bad = spoil(results[0], tmp_path / "bad.jsonl")
+        code = cli_main(["report", "--results", str(bad), "--dataset", str(dataset[0]),
+                         "--out", str(tmp_path / "rep")])
+        _assert_refused_in_one_line(code, capsys, f"{bad}:{line}:")
+
+    def test_manifest_nested_too_deep_is_refused_in_one_line(self, dataset, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        data.write_bytes(dataset[0].read_bytes())
+        manifest = _nested(data, Path(f"{data}.manifest.json"))
+        code = cli_main(["audit", "--dataset", str(data)])
+        _assert_refused_in_one_line(code, capsys, str(manifest))
+
+    def test_config_nested_too_deep_is_refused_in_one_line(self, tmp_path, capsys):
+        cfg = _nested(None, tmp_path / "cfg.json")
+        data = tmp_path / "d.jsonl"
+        code = cli_main(["generate", "--count", "1", "--config", str(cfg),
+                         "--out", str(data), "--workers", "1"])
+        _assert_refused_in_one_line(code, capsys, str(cfg))
         assert not data.exists()
 
     def test_audit_run_report_never_import_numpy(self, dataset, tmp_path):

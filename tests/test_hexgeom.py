@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import face_neighbors
-from test_array_forms import clip_area_convex, free_overlap_area
+from test_array_forms import clip_area_convex, free_overlap_area, point_in_ring
 
 from hexcover.aoi import FAMILIES, insert_obstacles, sample_aoi
 from hexcover.graphbuild import GenerationConfig, build_instance, choose_family
@@ -17,7 +17,6 @@ from hexcover.hexgeom import (
     hexagon_area,
     hexagon_ring,
     min_rotated_rect,
-    point_in_ring,
     polygon_metrics,
     ring_signed_area,
 )
@@ -127,13 +126,17 @@ class TestHexVertices:
 
 class TestPolygonMetrics:
     def test_unit_square(self):
-        area, per, aspect = polygon_metrics(PolygonWithHoles(square_ring()))
+        p = PolygonWithHoles(square_ring())
+        area, per = polygon_metrics(p)
+        aspect = min_rotated_rect(p.outer).aspect
         assert area == pytest.approx(1.0, abs=GEOM_TOL)
         assert per == pytest.approx(4.0, abs=GEOM_TOL)
         assert aspect == pytest.approx(1.0, abs=GEOM_TOL)
 
     def test_three_by_one_rectangle(self):
-        area, per, aspect = polygon_metrics(PolygonWithHoles(square_ring(3.0, 1.0)))
+        p = PolygonWithHoles(square_ring(3.0, 1.0))
+        area, per = polygon_metrics(p)
+        aspect = min_rotated_rect(p.outer).aspect
         assert area == pytest.approx(3.0, abs=GEOM_TOL)
         assert per == pytest.approx(8.0, abs=GEOM_TOL)
         assert aspect == pytest.approx(3.0, abs=GEOM_TOL)
@@ -145,7 +148,8 @@ class TestPolygonMetrics:
             Point(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)
         )
         expected_area = 0.5 * n * math.sin(2 * math.pi / n)
-        area, per, aspect = polygon_metrics(PolygonWithHoles(ring))
+        area, per = polygon_metrics(PolygonWithHoles(ring))
+        aspect = min_rotated_rect(ring).aspect
         assert area == pytest.approx(expected_area, rel=1e-12)
         assert area < math.pi
         assert aspect == pytest.approx(1.0, abs=1e-2)
@@ -155,7 +159,7 @@ class TestPolygonMetrics:
         hole = tuple(reversed(square_ring(1.0, 1.0, 1.5, 1.5)))
         p = PolygonWithHoles(outer, (hole,))
         p.validate()
-        area, per, _ = polygon_metrics(p)
+        area, per = polygon_metrics(p)
         assert area == pytest.approx(15.0, abs=GEOM_TOL)
         assert per == pytest.approx(16.0, abs=GEOM_TOL)
 
@@ -246,10 +250,10 @@ class TestMinRotatedRect:
         assert rect.aspect >= 1.0
 
     def test_list_and_tuple_input_agree(self):
-        # A tuple ring's rectangle is remembered while the same tuple comes
-        # back; a list or another tuple is always computed afresh.
+        # Any sequence of the same points, and any repeat of a call, gives
+        # the same rectangle: nothing is kept between calls.
         for seed in range(20):
-            ring = sample_aoi(FAMILIES[seed % 3], seed, 1.0).polygon.outer
+            ring = sample_aoi(FAMILIES[seed % 3], seed, 1.0).outer
             fresh = min_rotated_rect(list(ring))
             assert min_rotated_rect(ring) == fresh
             assert min_rotated_rect(ring) == fresh
@@ -337,7 +341,7 @@ def test_float_sums_do_not_depend_on_builtin_sum(monkeypatch):
     polygons, graphs = [], []
     for seed in (251, 277):
         family = choose_family(seed, config)
-        polygons.append(insert_obstacles(sample_aoi(family, seed, config.scale), seed).polygon)
+        polygons.append(insert_obstacles(sample_aoi(family, seed, config.scale), seed))
         graphs.append(build_instance(family, seed, config).graph)
     # Hole areas -1, -1e-16 and -1e-16: 3.11 drops both small ones.
     tiny = (Point(0.5, 0.5), Point(0.5, 0.50000001), Point(0.50000002, 0.5))
@@ -364,7 +368,7 @@ def test_float_sums_do_not_depend_on_builtin_sum(monkeypatch):
 
     monkeypatch.setattr(builtins, "sum", compensated_sum)
     for poly in polygons:
-        area, _, _ = polygon_metrics(poly)
+        area, _ = polygon_metrics(poly)
         assert area.hex() == (ring_signed_area(poly.outer) + hole_sums(poly)[0]).hex()
     for g, sets in zip(graphs, cell_sets):
         for cells in sets:

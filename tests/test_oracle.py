@@ -67,10 +67,11 @@ def spur_ring_graph(base_coord, terminal_coord):
 def seed_graph(seed):
     """The graph the default pipeline hands to the admission audit for `seed`."""
     cfg = GenerationConfig()
-    shape = insert_obstacles(sample_aoi(choose_family(seed, cfg), seed, cfg.scale), seed)
-    mask = tessellate_one(shape, cfg.hex_radius)
+    polygon = insert_obstacles(sample_aoi(choose_family(seed, cfg), seed, cfg.scale), seed)
+    polygon.validate()
+    mask = tessellate_one(polygon, cfg.hex_radius)
     coords = postprocess_mask(mask.coords)
-    return attach_base(mask._replace(coords=coords), shape, seed)
+    return attach_base(mask._replace(coords=coords), polygon, seed)
 
 
 @functools.lru_cache(maxsize=1)

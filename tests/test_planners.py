@@ -27,7 +27,6 @@ from hexcover.metrics import (
 from hexcover.planners import (
     METHOD_ORDER,
     PLANNERS,
-    RECONNECTION_SLUGS,
     WARNSDORFF_SLUGS,
     interleaved_row_sequence,
     morton_code,
@@ -45,6 +44,11 @@ from hexcover.planners import (
     wavefront_labels,
 )
 
+
+# Planners whose reconnection mechanism guarantees relaxed coverage.
+RECONNECTION_SLUGS = tuple(
+    s for s in PLANNERS if s not in WARNSDORFF_SLUGS and s != "dfs-backtrack"
+)
 
 # What each planner returns on the far fixture, two cells far apart: why it
 # gave up, and the walk so far (base node 2, then cell 0).
