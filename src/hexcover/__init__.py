@@ -25,14 +25,12 @@ _EXPORTS = {
     "lattice": (
         "CoverageGraph", "Instance", "InvalidGeometryError", "InvalidParameterError",
         "MorphologyClass", "OffsetCoord", "Point", "graph_from_coords", "offset_to_center",
+        "validate_path",
     ),
-    "metrics": (
-        "SummaryRow", "aggregate_summary", "compute_path_metrics", "validate_path",
-    ),
+    "methods": ("METHOD_ORDER",),
+    "metrics": ("SummaryRow", "aggregate_summary", "compute_path_metrics"),
     "oracle": ("AuditResult", "brute_force_enumerate", "hamiltonian_audit"),
-    "planners": (
-        "METHOD_ORDER", "PLANNERS", "PlanResult", "plan", "timed_plan",
-    ),
+    "planners": ("PLANNERS", "PlanResult", "plan", "timed_plan"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

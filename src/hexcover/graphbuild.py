@@ -322,6 +322,13 @@ class GenerationConfig(NamedTuple):
     def validate(self) -> None:
         if not all(math.isfinite(v) and v > 0 for v in (self.hex_radius, self.scale)):
             raise InvalidParameterError("hex_radius and scale must be positive and finite")
+        # A cell area past the double range (h above about 8.32e153) is
+        # refused here: from about 2e154 the clip's products of coordinates
+        # overflow, and numpy would warn ahead of the error line.
+        if not math.isfinite(hexagon_area(self.hex_radius)):
+            raise InvalidParameterError(
+                f"hex_radius {self.hex_radius!r} is too large: its cell area is not finite"
+            )
         if len(self.size_band) != 2 or not 0 < self.size_band[0] <= self.size_band[1]:
             raise InvalidParameterError(f"invalid size_band {list(self.size_band)}")
         if any(family not in FAMILIES for family, _ in self.family_mix):

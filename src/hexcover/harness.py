@@ -6,12 +6,12 @@ sits next to each dataset with the generation config, rejection tallies, and
 a payload checksum, so a dataset can be regenerated and verified bit for bit.
 
 This module imports only the instance model (`hexcover.lattice`) when it
-loads. What it takes from the generation pipeline (for `generate`), the
-metrics (for `audit`, `run` and `report`) and the planners (for `run` and
-`report`) is bound on first use, so each command compiles only the modules
-it runs: `audit` loads the model and `metrics`, whose walk grader checks
-each record's witness, and neither the oracle, the generation modules nor
-the planners.
+loads, and the model's walk grader checks each record's witness. What it
+takes from the generation pipeline (for `generate`), the method table (for
+`run` and `report`), the metrics (for `run` and `report`) and the planners
+(for `run`) is bound on first use, so each command compiles only the
+modules it runs: `audit` loads the model alone, and `report` the model, the
+method table and `metrics`, without the planners.
 """
 
 from __future__ import annotations
@@ -29,16 +29,19 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from hexcover.lattice import (
+    STATUS_HAMILTONIAN,
     IncompleteMatrixError,
     Instance,
     InvalidParameterError,
     LatticeFrame,
+    MalformedWalkError,
     MorphologyClass,
     Point,
     _json_number,
     exterior_boundary,
     graph_from_coords,
     label_from,
+    validate_path,
 )
 
 # The names this module takes from the modules not every command runs, by
@@ -47,11 +50,9 @@ from hexcover.lattice import (
 # `__getattr__` (PEP 562) when it is looked up from outside.
 _LAZY = {
     "graphbuild": ("BLOCK_SEEDS", "GenerationConfig", "Rejection", "build_block", "choose_family"),
-    "metrics": (
-        "STATUS_HAMILTONIAN", "MalformedWalkError", "SummaryRow", "aggregate_summary",
-        "compute_path_metrics", "validate_path",
-    ),
-    "planners": ("METHOD_ORDER", "PLANNERS", "WARNSDORFF_SLUGS", "_spec", "timed_plan"),
+    "methods": ("METHOD_ORDER", "METHODS", "WARNSDORFF_SLUGS", "method_row"),
+    "metrics": ("SummaryRow", "aggregate_summary", "compute_path_metrics"),
+    "planners": ("timed_plan",),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -194,7 +195,6 @@ def record_to_instance(rec: dict) -> Instance:
     its witness in time linear in its size. Each refusal raises DatasetError
     naming the instance and the first field at fault.
     """
-    _bind("metrics")
     name = f"instance {rec.get('id')}"
     if rec.get("audited_feasible") is not True:
         raise DatasetError(f"{name} is not audited feasible")
@@ -604,10 +604,10 @@ def audit_dataset(path: str | Path) -> dict:
 
 
 def resolve_methods(methods: Sequence[str] | str) -> list[str]:
-    _bind("planners", "metrics")
+    _bind("methods")
     if methods == "all" or methods == ["all"]:
         return list(METHOD_ORDER)
-    out = [_spec(name).slug for name in methods]
+    out = [method_row(name).slug for name in methods]
     if not out:
         raise InvalidParameterError("no methods requested")
     if len(set(out)) != len(out):
@@ -697,7 +697,7 @@ def load_results(path: str | Path, instances: Sequence[Instance]) -> list[dict]:
     IncompleteMatrixError. The records are returned as dicts, those three
     numbers as floats.
     """
-    _bind("planners", "metrics")
+    _bind("methods")
     graphs = {i.id: i.graph for i in instances}
 
     def convert(rec: dict, _lineno: int) -> dict:
@@ -706,7 +706,7 @@ def load_results(path: str | Path, instances: Sequence[Instance]) -> list[dict]:
             if key is not None:
                 raise ValueError(f"field {key!r} is not a results field")
             raise ValueError(f"missing field {min(RESULT_FIELDS - rec.keys())!r}")
-        _spec(rec["method"])  # refuses a method that is no planner
+        method_row(rec["method"])  # refuses a method that is no planner
         g = graphs.get(rec["instance_id"])
         if g is None:
             raise ValueError(f"unknown instance {rec['instance_id']}")
@@ -747,9 +747,9 @@ WARNSDORFF_COLUMNS = (
 def _table(rows: Iterable[SummaryRow], columns: Sequence[str]) -> list[dict]:
     out = []
     for row in rows:
-        spec = PLANNERS[row.method]
-        fields = {**row._asdict(), "family": spec.family, "n": row.n_instances}
-        out.append({"method": spec.display, **{c: fields[c] for c in columns}})
+        entry = METHODS[row.method]
+        fields = {**row._asdict(), "family": entry.family, "n": row.n_instances}
+        out.append({"method": entry.display, **{c: fields[c] for c in columns}})
     return out
 
 
@@ -770,7 +770,7 @@ def morphology_table(
     out = []
     for stratum, n, summary in strata:
         hsr = {row.method: row.hsr_pct for row in summary}
-        columns = {PLANNERS[s].display: hsr.get(s) for s in WARNSDORFF_SLUGS}
+        columns = {METHODS[s].display: hsr.get(s) for s in WARNSDORFF_SLUGS}
         out.append({"morphology": stratum, "n": n, **columns})
     return out
 
@@ -792,7 +792,7 @@ def write_report(
         raise InvalidParameterError("format must be 'markdown' or 'csv'")
     if strata not in (None, "morphology"):
         raise InvalidParameterError("only morphology strata are supported")
-    _bind("planners", "metrics")
+    _bind("methods", "metrics")
     out_dir = _output_dir(out_dir)
     if plots_dir is not None:
         plots_dir = _output_dir(plots_dir)
@@ -884,7 +884,7 @@ def _write_hsr_bar_svg(path: Path, rows: list[SummaryRow]) -> Path:
         parts.append(
             f'<text x="{x + bar_w / 2:.1f}" y="{base_y + 12}" font-size="8" '
             f'text-anchor="end" transform="rotate(-45 {x + bar_w / 2:.1f} '
-            f'{base_y + 12})">{PLANNERS[row.method].display}</text>'
+            f'{base_y + 12})">{METHODS[row.method].display}</text>'
         )
         parts.append(
             f'<text x="{x + bar_w / 2:.1f}" y="{base_y - bar_h - 4:.1f}" '
@@ -897,7 +897,7 @@ def _write_revisits_scatter_svg(path: Path, rows: list[SummaryRow]) -> Path:
     w, h = 640, 480
     margin = 70
     pts = [
-        (row.revisits_mean, row.distance_mean, PLANNERS[row.method].display)
+        (row.revisits_mean, row.distance_mean, METHODS[row.method].display)
         for row in rows
         if row.revisits_mean is not None and row.distance_mean is not None
     ]

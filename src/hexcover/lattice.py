@@ -3,8 +3,10 @@
 Every command reads this module, and it imports nothing but the standard
 library, so `audit`, `run` and `report` load the model without the
 generation modules (`hexgeom`, `aoi`, `graphbuild`) or numpy. It also holds
-the morphology label rule, which a dataset record is checked against, and
-the package's error types, which `cli` maps to exit codes.
+the morphology label rule, which a dataset record is checked against, the
+walk grader (`validate_path`), which checks a record's witness and a
+result's walk, and the package's error types, which `cli` maps to exit
+codes.
 
 Lattice convention (fixed for the whole package): flat-top hexagons addressed
 by (col, row) offset coordinates. Column pitch is 1.5*h, row pitch is
@@ -332,3 +334,52 @@ def _json_number(value, field: str, kind=(int, float)):
     if not math.isfinite(x):
         raise ValueError(f"{field!r} is {x!r}, not a finite number")
     return x
+
+
+# ---------------------------------------------------------------------------
+# Walk grading
+
+STATUS_HAMILTONIAN = "HamiltonianSuccess"
+STATUS_COVERAGE = "CoverageSuccess"
+STATUS_FAIL = "Fail"
+
+
+class MalformedWalkError(ValueError):
+    pass
+
+
+def validate_path(g: CoverageGraph, walk: Sequence[int]) -> tuple[str, int]:
+    """Grade a walk and count its revisits.
+
+    Revisits count internal cells only: total cell visit events minus
+    distinct cells visited. A structurally broken walk (wrong start, virtual
+    node in the middle, non-adjacent consecutive pair) raises
+    MalformedWalkError rather than returning Fail, because it indicates a
+    planner bug, not a planner failure. A virtual node anywhere in the body
+    is reported before the first non-adjacent pair.
+    """
+    if not walk or walk[0] != g.base_node:
+        raise MalformedWalkError("walk must start at the base node")
+    n = g.n
+    adjacency = g.adjacency
+    a = walk[0]
+    gap = None
+    for b in walk[1:-1]:
+        if b >= n:
+            raise MalformedWalkError("virtual node inside the walk body")
+        if gap is None and b not in adjacency[a]:
+            gap = (a, b)
+        a = b
+    end = walk[-1]
+    if gap is None and len(walk) > 1 and end not in adjacency[a]:
+        gap = (a, end)
+    if gap is not None:
+        raise MalformedWalkError(f"nodes {gap[0]} and {gap[1]} are not adjacent")
+
+    # Only the first node (the base) and the last can be virtual.
+    visits = len(walk) - 1 - (len(walk) > 1 and end >= n)
+    distinct = len(set(walk)) - 1 - (end == g.terminal_node)
+    revisits = visits - distinct
+    if distinct == n and end == g.terminal_node:
+        return (STATUS_HAMILTONIAN, 0) if revisits == 0 else (STATUS_COVERAGE, revisits)
+    return STATUS_FAIL, revisits

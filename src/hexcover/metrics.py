@@ -1,11 +1,14 @@
-"""Walk validation and the benchmark evaluation metrics.
+"""The benchmark evaluation metrics: a walk's measured fields and the
+per-method summary.
 
-A walk is a node sequence starting at the base node. Validation grades it as
-HamiltonianSuccess (all cells exactly once, ends at the terminal),
-CoverageSuccess (all cells at least once, ends at the terminal) or Fail.
-Distances are reported in a base-centred frame scaled by the largest
-cell-to-base radius, so they are invariant under translation, rotation and
-uniform scaling of the instance.
+A walk is a node sequence starting at the base node. `validate_path`, which
+lives in the instance model (`hexcover.lattice`) so that a dataset's
+witnesses are checked without this module, grades it as HamiltonianSuccess
+(all cells exactly once, ends at the terminal), CoverageSuccess (all cells
+at least once, ends at the terminal) or Fail; this module re-exports it with
+its status names. Distances are reported in a base-centred frame scaled by
+the largest cell-to-base radius, so they are invariant under translation,
+rotation and uniform scaling of the instance.
 """
 
 from __future__ import annotations
@@ -13,15 +16,15 @@ from __future__ import annotations
 from math import atan2, gcd, hypot, isqrt, pi, tau
 from typing import Iterable, NamedTuple, Sequence
 
-from hexcover.lattice import CoverageGraph, IncompleteMatrixError
-
-STATUS_HAMILTONIAN = "HamiltonianSuccess"
-STATUS_COVERAGE = "CoverageSuccess"
-STATUS_FAIL = "Fail"
-
-
-class MalformedWalkError(ValueError):
-    pass
+from hexcover.lattice import (  # noqa: F401  (the grader's names, re-exported)
+    STATUS_COVERAGE,
+    STATUS_FAIL,
+    STATUS_HAMILTONIAN,
+    CoverageGraph,
+    IncompleteMatrixError,
+    MalformedWalkError,
+    validate_path,
+)
 
 
 class SummaryRow(NamedTuple):
@@ -37,43 +40,6 @@ class SummaryRow(NamedTuple):
     turns_mean: float | None
     turns_sd: float | None
     latency_mean_ms: float
-
-
-def validate_path(g: CoverageGraph, walk: Sequence[int]) -> tuple[str, int]:
-    """Grade a walk and count its revisits.
-
-    Revisits count internal cells only: total cell visit events minus
-    distinct cells visited. A structurally broken walk (wrong start, virtual
-    node in the middle, non-adjacent consecutive pair) raises
-    MalformedWalkError rather than returning Fail, because it indicates a
-    planner bug, not a planner failure. A virtual node anywhere in the body
-    is reported before the first non-adjacent pair.
-    """
-    if not walk or walk[0] != g.base_node:
-        raise MalformedWalkError("walk must start at the base node")
-    n = g.n
-    adjacency = g.adjacency
-    a = walk[0]
-    gap = None
-    for b in walk[1:-1]:
-        if b >= n:
-            raise MalformedWalkError("virtual node inside the walk body")
-        if gap is None and b not in adjacency[a]:
-            gap = (a, b)
-        a = b
-    end = walk[-1]
-    if gap is None and len(walk) > 1 and end not in adjacency[a]:
-        gap = (a, end)
-    if gap is not None:
-        raise MalformedWalkError(f"nodes {gap[0]} and {gap[1]} are not adjacent")
-
-    # Only the first node (the base) and the last can be virtual.
-    visits = len(walk) - 1 - (len(walk) > 1 and end >= n)
-    distinct = len(set(walk)) - 1 - (end == g.terminal_node)
-    revisits = visits - distinct
-    if distinct == n and end == g.terminal_node:
-        return (STATUS_HAMILTONIAN, 0) if revisits == 0 else (STATUS_COVERAGE, revisits)
-    return STATUS_FAIL, revisits
 
 
 def _length_and_turns(g: CoverageGraph, walk: Sequence[int]) -> tuple[float, float]:
@@ -127,24 +93,20 @@ def _scaled(xs: list) -> tuple[list[int], int]:
     return [a * (d // b) for a, b in ratios], d
 
 
-def _mean(xs: list) -> float | int | None:
-    """The mean of finite `xs`, correctly rounded; an int when every value is
-    an int and so is the mean. None for no values."""
-    if not xs:
-        return None
-    ns, d = _scaled(xs)
+def _mean(xs: list, ns: list[int], d: int) -> float | int:
+    """The mean of finite `xs`, scaled to `ns` and `d` by `_scaled`, correctly
+    rounded; an int when every value is an int and so is the mean."""
     total, n = sum(ns), len(ns)
     if d == 1 and total % n == 0 and all(isinstance(x, int) for x in xs):
         return total // n
     return total / (n * d)  # int / int rounds correctly
 
 
-def _sd(xs: list) -> float | None:
-    """The sample standard deviation of finite `xs`, correctly rounded; None
-    for fewer than two values."""
-    if len(xs) < 2:
+def _sd(ns: list[int], d: int) -> float | None:
+    """The sample standard deviation of the values `ns` / `d`, correctly
+    rounded; None for fewer than two values."""
+    if len(ns) < 2:
         return None
-    ns, d = _scaled(xs)
     total, n = sum(ns), len(ns)
     # The variance is num / den: sum((x - mean)^2) / (n - 1), x = n_i / d.
     # It is reduced, as a Fraction is, so that the scale below, which a
@@ -164,6 +126,14 @@ def _sd(xs: list) -> float | None:
     root = isqrt(num // den)
     root |= root * root * den != num
     return float(root << q) if q >= 0 else root / (1 << -q)
+
+
+def _mean_and_sd(xs: list) -> tuple[float | int | None, float | None]:
+    """`_mean` and `_sd` of `xs`, scaled once; (None, None) for no values."""
+    if not xs:
+        return None, None
+    ns, d = _scaled(xs)
+    return _mean(xs, ns, d), _sd(ns, d)
 
 
 def aggregate_summary(records: Iterable[dict], method_order: Sequence[str]) -> list[SummaryRow]:
@@ -209,6 +179,10 @@ def aggregate_summary(records: Iterable[dict], method_order: Sequence[str]) -> l
             for r in cells.values()
             if r["status"] in (STATUS_HAMILTONIAN, STATUS_COVERAGE)
         ]
+        revisits = _mean_and_sd([r["revisits"] for r in covered])
+        distance = _mean_and_sd([r["distance_norm"] for r in covered])
+        turns = _mean_and_sd([r["turns_rad"] for r in covered])
+        latencies = [r["latency_ms"] for r in cells.values()]
         rows.append(
             SummaryRow(
                 method=method,
@@ -216,13 +190,13 @@ def aggregate_summary(records: Iterable[dict], method_order: Sequence[str]) -> l
                 hsr_pct=100.0 * ham / total,
                 ccr_pct=100.0 * len(covered) / total,
                 n_covered=len(covered),
-                revisits_mean=_mean([r["revisits"] for r in covered]),
-                revisits_sd=_sd([r["revisits"] for r in covered]),
-                distance_mean=_mean([r["distance_norm"] for r in covered]),
-                distance_sd=_sd([r["distance_norm"] for r in covered]),
-                turns_mean=_mean([r["turns_rad"] for r in covered]),
-                turns_sd=_sd([r["turns_rad"] for r in covered]),
-                latency_mean_ms=_mean([r["latency_ms"] for r in cells.values()]),
+                revisits_mean=revisits[0],
+                revisits_sd=revisits[1],
+                distance_mean=distance[0],
+                distance_sd=distance[1],
+                turns_mean=turns[0],
+                turns_sd=turns[1],
+                latency_mean_ms=_mean(latencies, *_scaled(latencies)),
             )
         )
     return rows

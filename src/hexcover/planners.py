@@ -5,8 +5,11 @@ spanning-tree coverage, graph-based local search (four Warnsdorff variants
 plus DFS-Backtrack), wavefront descent, and a Morton space-filling order.
 Everything is a pure function of the graph; where a rule needs a tie-break
 the package-wide default is ascending node index. The registry at the end is
-the only place that names a variant: each of its entries calls one planner
-with the arguments that make that variant.
+the only place that runs a variant: each of its entries calls one planner
+with the arguments that make that variant. Slugs, families and display names
+live in `hexcover.methods`, which `report` reads without this module; the
+registry pairs each of its rows with one entry, and the import fails if a
+row or an entry is left without the other.
 
 Within a family the members differ along one or two axes. A sweep is a row
 sequence (all rows bottom-up, or `interleaved_row_sequence`) times a row
@@ -45,19 +48,12 @@ import weakref
 from collections import deque
 from typing import Callable, NamedTuple, Sequence
 
-from hexcover.lattice import CoverageGraph, InvalidParameterError
-
-FAMILY_LINEAR_SWEEP = "LinearSweep"
-FAMILY_INTERLEAVED = "Interleaved"
-FAMILY_CONTOUR = "Contour"
-FAMILY_STC = "STC"
-FAMILY_GRAPH = "Graph"
-FAMILY_WAVEFRONT = "Wavefront"
-FAMILY_SPACE_FILLING = "SpaceFilling"
+from hexcover.lattice import CoverageGraph
+from hexcover.methods import METHOD_ORDER, METHODS, WARNSDORFF_SLUGS, method_row  # noqa: F401
 
 
 class PlanResult(NamedTuple):
-    """A planned walk; `metrics.validate_path` grades it.
+    """A planned walk; `lattice.validate_path` grades it.
 
     `fail_reason` names why a planner gave up before reaching the terminal.
     """
@@ -648,58 +644,44 @@ class PlannerSpec(NamedTuple):
 
 
 def _registry() -> dict[str, PlannerSpec]:
-    entries = [
-        ("boustrophedon", FAMILY_LINEAR_SWEEP, "Boustrophedon",
-         lambda g: _visit_order_walk(g, serpentine_order(g, range))),
-        ("row-oneway", FAMILY_LINEAR_SWEEP, "Row-OneWay",
-         lambda g: _visit_order_walk(g, row_oneway_order(g))),
-        ("segment-snake", FAMILY_LINEAR_SWEEP, "Segment-Snake",
-         lambda g: _visit_order_walk(g, segment_order(g, range))),
-        ("row-interleave", FAMILY_INTERLEAVED, "Row-Interleave",
-         lambda g: _visit_order_walk(g, serpentine_order(g, interleaved_row_sequence))),
-        ("seg-interleave", FAMILY_INTERLEAVED, "Seg.-Interleave",
-         lambda g: _visit_order_walk(g, segment_order(g, interleaved_row_sequence))),
-        ("spiral-inward", FAMILY_CONTOUR, "Spiral-Inward",
-         lambda g: _visit_order_walk(g, spiral_inward_order(g))),
-        ("spiral-outward", FAMILY_CONTOUR, "Spiral-Outward",
-         lambda g: _visit_order_walk(g, spiral_outward_order(g))),
-        ("boundary-peel", FAMILY_CONTOUR, "Boundary-Peel", plan_boundary_peel),
-        ("stc-tree", FAMILY_STC, "STC-Tree", plan_stc_tree),
-        ("stc-like", FAMILY_STC, "STC-Like", plan_stc_like),
-        ("warnsdorff-ep-index", FAMILY_GRAPH, "Warnsdorff-EP (index)",
-         lambda g: plan_warnsdorff(g, terminal_inclusive=False, by_distance=False)),
-        ("warnsdorff-ep-dist", FAMILY_GRAPH, "Warnsdorff-EP (dist.)",
-         lambda g: plan_warnsdorff(g, terminal_inclusive=False, by_distance=True)),
-        ("warnsdorff-ti-index", FAMILY_GRAPH, "Warnsdorff-TI (index)",
-         lambda g: plan_warnsdorff(g, terminal_inclusive=True, by_distance=False)),
-        ("warnsdorff-ti-dist", FAMILY_GRAPH, "Warnsdorff-TI (dist.)",
-         lambda g: plan_warnsdorff(g, terminal_inclusive=True, by_distance=True)),
-        ("dfs-backtrack", FAMILY_GRAPH, "DFS-Backtrack", plan_dfs_backtrack),
-        ("wavefront-hex", FAMILY_WAVEFRONT, "Wavefront-Hex", plan_wavefront),
-        ("morton", FAMILY_SPACE_FILLING, "Morton Z-order",
-         lambda g: _visit_order_walk(g, morton_order(g))),
-    ]
-    return {slug: PlannerSpec(slug, fam, disp, fn) for slug, fam, disp, fn in entries}
+    """One spec per row of the method table, in its order: the row and the
+    planner call that makes the variant."""
+    runs = {
+        "boustrophedon": lambda g: _visit_order_walk(g, serpentine_order(g, range)),
+        "row-oneway": lambda g: _visit_order_walk(g, row_oneway_order(g)),
+        "segment-snake": lambda g: _visit_order_walk(g, segment_order(g, range)),
+        "row-interleave":
+            lambda g: _visit_order_walk(g, serpentine_order(g, interleaved_row_sequence)),
+        "seg-interleave":
+            lambda g: _visit_order_walk(g, segment_order(g, interleaved_row_sequence)),
+        "spiral-inward": lambda g: _visit_order_walk(g, spiral_inward_order(g)),
+        "spiral-outward": lambda g: _visit_order_walk(g, spiral_outward_order(g)),
+        "boundary-peel": plan_boundary_peel,
+        "stc-tree": plan_stc_tree,
+        "stc-like": plan_stc_like,
+        "warnsdorff-ep-index":
+            lambda g: plan_warnsdorff(g, terminal_inclusive=False, by_distance=False),
+        "warnsdorff-ep-dist":
+            lambda g: plan_warnsdorff(g, terminal_inclusive=False, by_distance=True),
+        "warnsdorff-ti-index":
+            lambda g: plan_warnsdorff(g, terminal_inclusive=True, by_distance=False),
+        "warnsdorff-ti-dist":
+            lambda g: plan_warnsdorff(g, terminal_inclusive=True, by_distance=True),
+        "dfs-backtrack": plan_dfs_backtrack,
+        "wavefront-hex": plan_wavefront,
+        "morton": lambda g: _visit_order_walk(g, morton_order(g)),
+    }
+    unpaired = runs.keys() ^ METHODS.keys()
+    if unpaired:
+        raise ImportError(f"methods and planners do not pair up: {sorted(unpaired)}")
+    return {slug: PlannerSpec(*row, runs[slug]) for slug, row in METHODS.items()}
 
 
 PLANNERS = _registry()
-METHOD_ORDER = list(PLANNERS)
-
-WARNSDORFF_SLUGS = (
-    "warnsdorff-ti-index",
-    "warnsdorff-ti-dist",
-    "warnsdorff-ep-index",
-    "warnsdorff-ep-dist",
-)
 
 
 def _spec(slug: str) -> PlannerSpec:
-    spec = PLANNERS.get(slug)
-    if spec is None:
-        raise InvalidParameterError(
-            f"unknown planner {slug!r}; valid: {', '.join(PLANNERS)}"
-        )
-    return spec
+    return PLANNERS[method_row(slug).slug]
 
 
 def plan(g: CoverageGraph, slug: str) -> PlanResult:

@@ -1056,6 +1056,33 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error:") and "degenerate 200" in err[0]
         assert not data.exists()
 
+    # A cell area past the double range is refused by name; below it every
+    # shape is degenerate. numpy's overflow warning in the clip, which once
+    # preceded the error line from 2e154 up, fails the test here.
+    LARGEST_FINITE_AREA_RADIUS = 8.318247473008161e153
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("hex_radius", [
+        1e150, 1e152, 1e153,
+        *(float(f"{k}e152") for k in range(50, 201, 5)),
+        LARGEST_FINITE_AREA_RADIUS, math.nextafter(LARGEST_FINITE_AREA_RADIUS, math.inf),
+        3e154, 5e154, 7e154, 9e154, 1e155, 1e160, 1e200, 1e250, 1e300, 1e308,
+    ])
+    def test_huge_hex_radius_is_refused_in_one_line(self, tmp_path, capsys, hex_radius):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hex_radius": hex_radius}))
+        data = tmp_path / "d.jsonl"
+        code = cli_main(["generate", "--count", "1", "--config", str(cfg),
+                         "--out", str(data), "--workers", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:")
+        if hex_radius > self.LARGEST_FINITE_AREA_RADIUS:
+            assert "hex_radius" in err[0] and "not finite" in err[0]
+        else:
+            assert "degenerate 200" in err[0]
+        assert not data.exists()
+
     @pytest.mark.parametrize(("spoil", "line"), SPOILERS)
     @pytest.mark.parametrize("command", ["audit", "run", "report"])
     def test_unparseable_dataset_is_refused_in_one_line(
@@ -1150,17 +1177,18 @@ print(json.dumps([code, sorted(sys.modules)]))
         def ours(loaded: set[str]) -> set[str]:
             return {m for m in loaded if m.split(".")[0] == "hexcover"}
 
-        # Every command but --help reads the instance model; only generate
-        # compiles the generation modules and the oracle, and only run and
-        # report the planners. audit, run and report grade each record's
-        # witness with metrics.
+        # Every command but --help reads the instance model, whose grader
+        # checks each record's witness; only generate compiles the
+        # generation modules and the oracle. report names the methods by
+        # their table and summarises with metrics; only run plans.
         model = {"hexcover", "hexcover.cli", "hexcover.harness", "hexcover.lattice"}
-        evaluate = model | {"hexcover.planners", "hexcover.metrics"}
+        summarise = model | {"hexcover.methods", "hexcover.metrics"}
+        evaluate = summarise | {"hexcover.planners"}
         help_modules = modules("--help")
         assert ours(help_modules) == {"hexcover", "hexcover.cli"}
         assert not help_modules & heavy
         audit = modules("audit", "--dataset", data)
-        assert ours(audit) == model | {"hexcover.metrics"}
+        assert ours(audit) == model
         assert not audit & heavy
         res = str(tmp_path / "r.jsonl")
         run = modules("run", "--dataset", data, "--methods", "all", "--workers", "1",
@@ -1169,7 +1197,7 @@ print(json.dumps([code, sorted(sys.modules)]))
         assert not run & heavy
         report = modules("report", "--results", res, "--dataset", data, "--strata",
                          "morphology", "--out", str(tmp_path / "rep"))
-        assert ours(report) == evaluate
+        assert ours(report) == summarise
         assert not report & heavy
         generate = modules("generate", "--count", "2", "--workers", "1",
                            "--out", str(tmp_path / "d.jsonl"))

@@ -1,6 +1,10 @@
 import contextlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,6 +22,7 @@ from hexcover.lattice import (
     Point,
     graph_from_coords,
 )
+from hexcover.methods import METHODS
 from hexcover.metrics import (
     STATUS_COVERAGE,
     STATUS_FAIL,
@@ -585,6 +590,27 @@ class TestDispatch:
         assert len(fams["Graph"]) == 5
         assert len(fams["Wavefront"]) == 1
         assert len(fams["SpaceFilling"]) == 1
+
+    def test_planners_pair_with_the_method_table(self):
+        assert list(PLANNERS) == METHOD_ORDER == list(METHODS)
+        for slug, spec in PLANNERS.items():
+            assert (spec.slug, spec.family, spec.display) == METHODS[slug]
+
+    def test_a_row_without_a_planner_fails_the_import(self):
+        code = """
+import hexcover.methods as methods
+methods.METHODS["extra"] = methods.Method("extra", "Graph", "Extra")
+try:
+    import hexcover.planners
+except ImportError as exc:
+    assert "'extra'" in str(exc), exc
+else:
+    raise SystemExit("hexcover.planners imported")
+"""
+        src = str(Path(planners.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr + proc.stdout
 
     def test_all_walks_adjacency_valid(self, instances):
         g = instances[0].graph
