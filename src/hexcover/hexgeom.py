@@ -54,10 +54,6 @@ def ring_signed_area(ring: Sequence[Point]) -> float:
     return 0.5 * acc
 
 
-def _counterclockwise(ring: Sequence[Point]) -> Sequence[Point]:
-    return list(reversed(ring)) if ring_signed_area(ring) < 0 else ring
-
-
 def ring_perimeter(ring: Sequence[Point]) -> float:
     acc = 0.0
     for (x0, y0), (x1, y1) in ring_edges(ring):
@@ -400,16 +396,17 @@ def free_overlap_areas(centers: Sequence, h: float, polygons: Sequence[PolygonWi
     its own (m, 2) array of `centers` covered by its free space (outer minus
     holes), as one array of m areas per polygon.
 
-    Every ring of every polygon, the outer ring and each reversed hole, each
-    counterclockwise, is clipped against its polygon's hexagons in one
-    hexagon_clip_areas call.
+    Every ring of every polygon, the outer ring and each reversed hole, is
+    clipped against its polygon's hexagons in one hexagon_clip_areas call.
+    `PolygonWithHoles` holds a counterclockwise outer ring and clockwise
+    holes, so each of those rings is counterclockwise.
     """
     import numpy as np
 
     rings, ring_centers = [], []
     for polygon, cells in zip(polygons, centers):
-        rings.append(_counterclockwise(polygon.outer))
-        rings += [_counterclockwise(list(reversed(hole))) for hole in polygon.holes]
+        rings.append(polygon.outer)
+        rings += [hole[::-1] for hole in polygon.holes]
         ring_centers += [cells] * (1 + len(polygon.holes))
     clipped = iter(hexagon_clip_areas(rings, ring_centers, h))
     out = []

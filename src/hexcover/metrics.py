@@ -5,8 +5,8 @@ A walk is a node sequence starting at the base node. `validate_path`, which
 lives in the instance model (`hexcover.lattice`) so that a dataset's
 witnesses are checked without this module, grades it as HamiltonianSuccess
 (all cells exactly once, ends at the terminal), CoverageSuccess (all cells
-at least once, ends at the terminal) or Fail; this module re-exports it with
-its status names. Distances are reported in a base-centred frame scaled by
+at least once, ends at the terminal) or Fail, and this module summarises
+those grades. Distances are reported in a base-centred frame scaled by
 the largest cell-to-base radius, so they are invariant under translation,
 rotation and uniform scaling of the instance.
 """
@@ -16,13 +16,11 @@ from __future__ import annotations
 from math import atan2, gcd, hypot, isqrt, pi, tau
 from typing import Iterable, NamedTuple, Sequence
 
-from hexcover.lattice import (  # noqa: F401  (the grader's names, re-exported)
+from hexcover.lattice import (
     STATUS_COVERAGE,
-    STATUS_FAIL,
     STATUS_HAMILTONIAN,
     CoverageGraph,
     IncompleteMatrixError,
-    MalformedWalkError,
     validate_path,
 )
 

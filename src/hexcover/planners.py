@@ -3,13 +3,13 @@
 Seven families: linear sweeps, interleaved sweeps, contour/spiral traversals,
 spanning-tree coverage, graph-based local search (four Warnsdorff variants
 plus DFS-Backtrack), wavefront descent, and a Morton space-filling order.
-Everything is a pure function of the graph; where a rule needs a tie-break
-the package-wide default is ascending node index. The registry at the end is
-the only place that runs a variant: each of its entries calls one planner
-with the arguments that make that variant. Slugs, families and display names
-live in `hexcover.methods`, which `report` reads without this module; the
-registry pairs each of its rows with one entry, and the import fails if a
-row or an entry is left without the other.
+Everything is a pure function of the graph, and no planner keeps anything
+between calls: each computes its own sweep rows, onion rings or tree, so its
+latency covers all the work its walk needs, whichever methods ran before it.
+Where a rule needs a tie-break the package-wide default is ascending node
+index. The registry at the end maps each slug of the method table
+(`hexcover.methods`) to the one planner call that makes its variant; the
+import fails if a row or an entry is left without the other.
 
 Within a family the members differ along one or two axes. A sweep is a row
 sequence (all rows bottom-up, or `interleaved_row_sequence`) times a row
@@ -40,16 +40,14 @@ principal-axis projection.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import time
-import weakref
 from collections import deque
 from typing import Callable, NamedTuple, Sequence
 
 from hexcover.lattice import CoverageGraph
-from hexcover.methods import METHOD_ORDER, METHODS, WARNSDORFF_SLUGS, method_row  # noqa: F401
+from hexcover.methods import METHODS, method_row
 
 
 class PlanResult(NamedTuple):
@@ -126,21 +124,6 @@ def _extend_to(g: CoverageGraph, walk: list[int], targets, through=None) -> bool
     return True
 
 
-def _once_per_graph(fn):
-    """`fn(g)`, computed on its first call for a graph and shared by every
-    later call until the graph is dropped: the planners that use it get one
-    value that none can change (a tuple of tuples, or a node index)."""
-    results: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-    @functools.wraps(fn)
-    def shared(g: CoverageGraph):
-        if g not in results:
-            results[g] = fn(g)
-        return results[g]
-
-    return shared
-
-
 def _two_hop_via(g: CoverageGraph, head: int, target: int) -> int:
     """For a `target` not adjacent to `head`: the middle of the path
     `_bfs(g, head, (target,), range(g.n))` returns if that path has two
@@ -180,8 +163,7 @@ def _visit_order_walk(g: CoverageGraph, order: Sequence[int]) -> PlanResult:
 # Families 1 and 2: linear and interleaved sweeps
 
 
-@_once_per_graph
-def sweep_rows(g: CoverageGraph) -> tuple[tuple[int, ...], ...]:
+def sweep_rows(g: CoverageGraph) -> list[list[int]]:
     """Sweep rows bottom-up, each ordered by principal-axis (column) position.
 
     Cells are indexed in (col, row) order, so each row comes out in column
@@ -190,7 +172,7 @@ def sweep_rows(g: CoverageGraph) -> tuple[tuple[int, ...], ...]:
     rows: dict[int, list[int]] = {}
     for i, c in enumerate(g.coords):
         rows.setdefault(c[1], []).append(i)
-    return tuple(tuple(rows[r]) for r in sorted(rows))
+    return [rows[r] for r in sorted(rows)]
 
 
 def _first_row_left_start(g: CoverageGraph, rows) -> bool:
@@ -262,21 +244,20 @@ def segment_order(g: CoverageGraph, row_sequence: Callable[[int], Sequence[int]]
 # Family 3: contour / spiral
 
 
-@_once_per_graph
-def onion_rings(g: CoverageGraph) -> tuple[tuple[int, ...], ...]:
+def onion_rings(g: CoverageGraph) -> list[list[int]]:
     """Peel boundary layers: cells with fewer than 6 remaining neighbors,
     each layer in ascending index order."""
     degree = [len(nbrs) for nbrs in g.internal_adjacency]
     remaining: Sequence[int] = range(g.n)
     rings = []
     while remaining:
-        ring = tuple(i for i in remaining if degree[i] < 6)
+        ring = [i for i in remaining if degree[i] < 6]
         remaining = [i for i in remaining if degree[i] == 6]
         for i in ring:
             for j in g.internal_adjacency[i]:
                 degree[j] -= 1
         rings.append(ring)
-    return tuple(rings)
+    return rings
 
 
 def _centroid(g: CoverageGraph, cells) -> tuple[float, float]:
@@ -355,7 +336,6 @@ def plan_boundary_peel(g: CoverageGraph) -> PlanResult:
 # Family 4: spanning-tree coverage
 
 
-@_once_per_graph
 def _stc_root(g: CoverageGraph) -> int:
     # min keeps the first of equal keys, so ties go to the lowest index.
     return min(range(g.n), key=lambda i: _euclid(g, g.base_node, i))
@@ -636,15 +616,8 @@ def morton_order(g: CoverageGraph, bits: int = 16) -> list[int]:
 # Registry and dispatch
 
 
-class PlannerSpec(NamedTuple):
-    slug: str
-    family: str
-    display: str
-    run: Callable[[CoverageGraph], PlanResult]
-
-
-def _registry() -> dict[str, PlannerSpec]:
-    """One spec per row of the method table, in its order: the row and the
+def _registry() -> dict[str, Callable[[CoverageGraph], PlanResult]]:
+    """One run function per row of the method table, in its order: the
     planner call that makes the variant."""
     runs = {
         "boustrophedon": lambda g: _visit_order_walk(g, serpentine_order(g, range)),
@@ -674,24 +647,20 @@ def _registry() -> dict[str, PlannerSpec]:
     unpaired = runs.keys() ^ METHODS.keys()
     if unpaired:
         raise ImportError(f"methods and planners do not pair up: {sorted(unpaired)}")
-    return {slug: PlannerSpec(*row, runs[slug]) for slug, row in METHODS.items()}
+    return {slug: runs[slug] for slug in METHODS}
 
 
 PLANNERS = _registry()
 
 
-def _spec(slug: str) -> PlannerSpec:
-    return PLANNERS[method_row(slug).slug]
-
-
 def plan(g: CoverageGraph, slug: str) -> PlanResult:
     """Dispatch one heuristic on one graph."""
-    return _spec(slug).run(g)
+    return PLANNERS[method_row(slug).slug](g)
 
 
 def timed_plan(g: CoverageGraph, slug: str) -> tuple[PlanResult, float]:
     """plan() wrapped in a monotonic clock around the planner body only."""
-    spec = _spec(slug)
+    run = PLANNERS[method_row(slug).slug]
     t0 = time.perf_counter()
-    result = spec.run(g)
+    result = run(g)
     return result, (time.perf_counter() - t0) * 1000.0

@@ -15,18 +15,16 @@ from hexcover.hexgeom import PolygonWithHoles, min_rotated_rect
 from hexcover.lattice import (
     _EVEN_COL_NEIGHBORS,
     _ODD_COL_NEIGHBORS,
+    STATUS_COVERAGE,
+    STATUS_FAIL,
+    STATUS_HAMILTONIAN,
     CoverageGraph,
     LatticeFrame,
     OffsetCoord,
     Point,
     graph_from_coords,
 )
-from hexcover.metrics import (
-    STATUS_COVERAGE,
-    STATUS_FAIL,
-    STATUS_HAMILTONIAN,
-    _length_and_turns,
-)
+from hexcover.metrics import _length_and_turns
 
 
 def face_neighbors(c: OffsetCoord) -> list[OffsetCoord]:

@@ -25,21 +25,23 @@ from hexcover.harness import (
     load_instances,
     run_benchmark,
 )
-from hexcover.lattice import LatticeFrame, Point, graph_from_coords
-from hexcover.metrics import (
+from hexcover.lattice import (
     STATUS_COVERAGE,
     STATUS_FAIL,
     STATUS_HAMILTONIAN,
-    aggregate_summary,
+    LatticeFrame,
+    Point,
+    graph_from_coords,
     validate_path,
 )
+from hexcover.methods import METHOD_ORDER, WARNSDORFF_SLUGS
+from hexcover.metrics import aggregate_summary
 from hexcover.oracle import (
     DFS_NODE_CAP,
     brute_force_enumerate,
     frontier_audit,
     hamiltonian_audit,
 )
-from hexcover.planners import METHOD_ORDER, WARNSDORFF_SLUGS
 
 ACCEPT_COUNT = 1000
 ACCEPT_SEED = 0

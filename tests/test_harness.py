@@ -32,6 +32,7 @@ from hexcover.harness import (
     write_report,
 )
 from hexcover.lattice import (
+    STATUS_HAMILTONIAN,
     Instance,
     InvalidParameterError,
     MorphologyClass,
@@ -40,9 +41,8 @@ from hexcover.lattice import (
     graph_from_coords,
     label_from,
 )
-from hexcover.metrics import STATUS_HAMILTONIAN
+from hexcover.methods import METHOD_ORDER, METHODS
 from hexcover.oracle import hamiltonian_audit
-from hexcover.planners import METHOD_ORDER
 
 N_SMALL = 6
 
@@ -397,6 +397,22 @@ class TestRun:
         )
         assert count == len(read_results(tmp_path / "sub.jsonl")) == N_SMALL * 2
 
+    @pytest.mark.parametrize("slug", METHOD_ORDER)
+    def test_a_method_alone_writes_its_lines_of_the_full_run(
+        self, dataset, results, tmp_path, slug
+    ):
+        # A method's records do not depend on which other methods ran.
+        path, _ = dataset
+        out = tmp_path / "alone.jsonl"
+        assert run_benchmark(path, [slug], out, workers=1) == N_SMALL
+
+        def strip(lines):
+            return [re.sub(r',"latency_ms":[^,}]*', "", line) for line in lines]
+
+        full = [line for line in results[0].read_text().splitlines()
+                if json.loads(line)["method"] == slug]
+        assert strip(out.read_text().splitlines()) == strip(full)
+
     def test_tamper_check_on_load(self, results, dataset, tmp_path):
         rpath, _ = results
         dpath, _ = dataset
@@ -727,9 +743,7 @@ class TestReport:
         records = load_results(rpath, load_instances(dpath))
         methods = sorted({r["method"] for r in records}, key=METHOD_ORDER.index)
         summary = {r.method: r for r in aggregate_summary(records, methods)}
-        from hexcover.planners import PLANNERS
-
-        display_to_slug = {PLANNERS[s].display: s for s in PLANNERS}
+        display_to_slug = {row.display: slug for slug, row in METHODS.items()}
         for row in rows[1:]:
             slug = display_to_slug[row["method"]]
             assert float(row["hsr_pct"]) == summary[slug].hsr_pct

@@ -18,21 +18,18 @@ from conftest import (
 )
 
 from hexcover.lattice import (
-    IncompleteMatrixError,
-    LatticeFrame,
-    OffsetCoord,
-    Point,
-    graph_from_coords,
-)
-from hexcover.metrics import (
     STATUS_COVERAGE,
     STATUS_FAIL,
     STATUS_HAMILTONIAN,
+    IncompleteMatrixError,
+    LatticeFrame,
     MalformedWalkError,
-    aggregate_summary,
-    compute_path_metrics,
+    OffsetCoord,
+    Point,
+    graph_from_coords,
     validate_path,
 )
+from hexcover.metrics import aggregate_summary, compute_path_metrics
 
 # ---------------------------------------------------------------------------
 # Three-pass references: the grader and the two metric loops that

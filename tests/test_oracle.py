@@ -19,13 +19,14 @@ from hexcover.graphbuild import (
 )
 from hexcover.harness import instance_to_record
 from hexcover.lattice import (
+    STATUS_HAMILTONIAN,
     InvalidParameterError,
     OffsetCoord,
     Point,
     exterior_boundary,
     graph_from_coords,
+    validate_path,
 )
-from hexcover.metrics import STATUS_HAMILTONIAN, validate_path
 from hexcover.oracle import (
     ALL_PRUNES,
     DFS_NODE_CAP,

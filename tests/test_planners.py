@@ -15,24 +15,21 @@ from conftest import block_graph, chain_graph, lattice_graph_args, ring6_graph
 from hexcover import planners
 from hexcover.graphbuild import GenerationConfig, build_instance, choose_family
 from hexcover.lattice import (
+    STATUS_COVERAGE,
+    STATUS_FAIL,
+    STATUS_HAMILTONIAN,
+    CoverageGraph,
     Instance,
     InvalidParameterError,
     LatticeFrame,
     OffsetCoord,
     Point,
     graph_from_coords,
-)
-from hexcover.methods import METHODS
-from hexcover.metrics import (
-    STATUS_COVERAGE,
-    STATUS_FAIL,
-    STATUS_HAMILTONIAN,
     validate_path,
 )
+from hexcover.methods import METHOD_ORDER, METHODS, WARNSDORFF_SLUGS
 from hexcover.planners import (
-    METHOD_ORDER,
     PLANNERS,
-    WARNSDORFF_SLUGS,
     interleaved_row_sequence,
     morton_code,
     morton_order,
@@ -97,6 +94,22 @@ DISCONNECTED_FIXTURES = {
     "far": ([(0, 0), (4, 4)], Point(-2.0, 0.0), DISCONNECTED_FAILURES),
     "split": ([(0, 0), (1, 0), (5, 0), (5, 1)], Point(9.0, 0.0), SPLIT_FAILURES),
 }
+
+
+def calls_during(fn, *args) -> int:
+    """The Python and C function calls made while `fn(*args)` runs."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event in ("call", "c_call")
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
 
 
 def graded(g, res):
@@ -582,7 +595,7 @@ class TestDispatch:
     def test_families(self):
         fams = {}
         for slug in PLANNERS:
-            fams.setdefault(PLANNERS[slug].family, []).append(slug)
+            fams.setdefault(METHODS[slug].family, []).append(slug)
         assert len(fams["LinearSweep"]) == 3
         assert len(fams["Interleaved"]) == 2
         assert len(fams["Contour"]) == 3
@@ -593,8 +606,6 @@ class TestDispatch:
 
     def test_planners_pair_with_the_method_table(self):
         assert list(PLANNERS) == METHOD_ORDER == list(METHODS)
-        for slug, spec in PLANNERS.items():
-            assert (spec.slug, spec.family, spec.display) == METHODS[slug]
 
     def test_a_row_without_a_planner_fails_the_import(self):
         code = """
@@ -654,6 +665,24 @@ else:
         res, ms = timed_plan(g, "morton")
         assert graded(g, res) in (STATUS_COVERAGE, STATUS_HAMILTONIAN)
         assert ms >= 0.0
+
+    @pytest.mark.parametrize("slug", METHOD_ORDER)
+    def test_work_does_not_depend_on_what_ran_before(self, instances, slug):
+        # A planner makes the same calls on a graph no method has seen as on
+        # one every other method has planned: nothing one computes is left
+        # for the next, so a method's latency is its own.
+        g = instances[0].graph
+
+        def fresh():
+            return CoverageGraph(g.coords, g.h, g.base_links, g.terminal_links, g.base_pos,
+                                 g.frame)
+
+        alone = fresh()
+        after_others = fresh()
+        for other in METHOD_ORDER:
+            if other != slug:
+                plan(after_others, other)
+        assert calls_during(plan, after_others, slug) == calls_during(plan, alone, slug)
 
 
 # ---------------------------------------------------------------------------
@@ -848,9 +877,7 @@ def plan_with_references(g, slug):
             stack.enter_context(mock.patch.object(planners, name, ref))
         for name in ("_greedy", "_two_hop_via"):
             stack.enter_context(mock.patch.object(planners, name, _not_in_a_reference))
-        stack.enter_context(mock.patch.dict(planners.PLANNERS, {
-            s: PLANNERS[s]._replace(run=ref) for s, ref in REFERENCE_PLANNERS.items()
-        }))
+        stack.enter_context(mock.patch.dict(planners.PLANNERS, REFERENCE_PLANNERS))
         return plan(g, slug)
 
 
@@ -869,14 +896,11 @@ class TestAgainstReferences:
                 res, ref = plan(inst.graph, slug), plan_with_references(inst.graph, slug)
                 assert (res.walk, res.fail_reason) == (ref.walk, ref.fail_reason), slug
 
-    def test_shared_rows_and_rings_are_immutable(self, instances):
-        g = instances[0].graph
-        for shared in (planners.sweep_rows(g), onion_rings(g)):
-            assert isinstance(shared, tuple)
-            assert all(isinstance(part, tuple) for part in shared)
-        assert planners.sweep_rows(g) is planners.sweep_rows(g)
-        assert [list(r) for r in planners.sweep_rows(g)] == ref_sweep_rows(g)
-        assert [list(r) for r in onion_rings(g)] == ref_onion_rings(g)
+    def test_rows_and_rings_match_the_references(self, instances):
+        for inst in instances:
+            g = inst.graph
+            assert planners.sweep_rows(g) == ref_sweep_rows(g)
+            assert onion_rings(g) == ref_onion_rings(g)
 
     @settings(max_examples=100, deadline=None)
     @given(lattice_graph_args())
